@@ -1023,80 +1023,6 @@ pub(crate) mod z16 {
         }
     }
 
-    /// One 16-column narrow dot product: columns `lane0 .. lane0 + 16`
-    /// of a lane-interleaved panel block with row stride `stride`,
-    /// accumulated over the compacted A entries `(ids, cods)`. Returns
-    /// the final decoded narrow accumulator words (encode with
-    /// [`FastAdderBatch::encode32`]).
-    ///
-    /// Bit-identical to 16 scalar dot products: per-lane draws advance
-    /// exactly as [`srmac_rng::SrLaneStreams::draw`] (`seeds[l]` replays
-    /// `SplitMix64::new(seeds[l])`), adds run in `k` order through
-    /// [`add_core`], special lanes divert to the scalar adder, and
-    /// zero-magnitude products neither touch the accumulator nor consume
-    /// a draw.
-    ///
-    /// Callers discharge the `#[target_feature]` obligation: the CPU must
-    /// support AVX-512 F/BW/DQ/VL/CD (the engine checks via
-    /// `SimdTier::detect` before routing here).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn dot16_narrow<const SR: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 16],
-    ) -> [u32; 16] {
-        let c = consts(batch);
-        let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
-        let mut st_lo = from_u64s(seeds[..8].try_into().expect("8 seeds")); // PANIC-OK: seeds is exactly 16 lanes; [..8] is 8.
-        let mut st_hi = from_u64s(seeds[8..].try_into().expect("8 seeds")); // PANIC-OK: and [8..] is the other 8.
-        let mut acc = _mm512_setzero_si512();
-        for (&ci, &ca) in ids.iter().zip(cods) {
-            let base = ci as usize * stride + lane0;
-            let bc: [u8; 16] = pan[base..base + 16].try_into().expect("panel chunk"); // PANIC-OK: base + 16 <= panel len by the packer's row stride.
-                                                                                      // SAFETY: the indices are zero-extended bytes (< 256) into a
-                                                                                      // 256-entry row of the 65536-entry table selected by `ca`.
-            #[allow(unsafe_code)]
-            let prods = unsafe {
-                let idx = _mm512_cvtepu8_epi32(_mm_loadu_si128(bc.as_ptr().cast()));
-                let row = table.as_ptr().add(usize::from(ca) << 8);
-                _mm512_i32gather_epi32::<4>(idx, row.cast::<i32>())
-            };
-            let words = if SR {
-                let kconsume = _mm512_test_epi32_mask(prods, c.draws);
-                let sl = _mm512_add_epi64(st_lo, gamma);
-                let sh = _mm512_add_epi64(st_hi, gamma);
-                let wl = _mm512_cvtepi64_epi32(finalize(sl));
-                let wh = _mm512_cvtepi64_epi32(finalize(sh));
-                st_lo = _mm512_mask_mov_epi64(st_lo, kconsume as __mmask8, sl);
-                st_hi = _mm512_mask_mov_epi64(st_hi, (kconsume >> 8) as __mmask8, sh);
-                _mm512_inserti64x4::<1>(_mm512_castsi256_si512(wl), wh)
-            } else {
-                c.zero
-            };
-            // The step: add, rare scalar special repair, zero-skip.
-            let kspec = _mm512_test_epi32_mask(_mm512_or_si512(acc, prods), c.special);
-            let mut res = add_core::<SR>(&c, acc, prods, words);
-            if kspec != 0 {
-                res = fixup(batch, kspec, acc, prods, words, res);
-            }
-            let kkey = _mm512_test_epi32_mask(prods, c.key);
-            acc = _mm512_mask_mov_epi32(acc, kkey, res);
-        }
-        to_u32s(acc)
-    }
-
     /// One 16-lane chain step: gather the pre-decoded products for the
     /// chain's columns, draw rounding words (SR only, masked commit so
     /// non-consuming lanes re-offer the word), run [`add_core`], repair
@@ -1176,6 +1102,104 @@ pub(crate) mod z16 {
             $(out[$q * 16..$q * 16 + 16].copy_from_slice(&to_u32s($acc));)+
             out
         }};
+    }
+
+    /// One 16-column narrow dot product: columns `lane0 .. lane0 + 16`
+    /// of a lane-interleaved panel block with row stride `stride`,
+    /// accumulated over the compacted A entries `(ids, cods)`. Returns
+    /// the final decoded narrow accumulator words (encode with
+    /// [`FastAdderBatch::encode32`]).
+    ///
+    /// Bit-identical to 16 scalar dot products: per-lane draws advance
+    /// exactly as [`srmac_rng::SrLaneStreams::draw`] (`seeds[l]` replays
+    /// `SplitMix64::new(seeds[l])`), adds run in `k` order through
+    /// [`add_core`], special lanes divert to the scalar adder, and
+    /// zero-magnitude products neither touch the accumulator nor consume
+    /// a draw. One chain of the interleaved body that [`dot64_narrow`]
+    /// runs four of, with the same literal-constant E6M5 instantiation.
+    ///
+    /// Callers discharge the `#[target_feature]` obligation: the CPU must
+    /// support AVX-512 F/BW/DQ/VL/CD (the engine checks via
+    /// `SimdTier::detect` before routing here).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    pub(crate) fn dot16_narrow<const SR: bool>(
+        batch: &FastAdderBatch,
+        table: &[u32; 1 << 16],
+        ids: &[u32],
+        cods: &[u8],
+        pan: &[u8],
+        stride: usize,
+        lane0: usize,
+        seeds: &[u64; 16],
+    ) -> [u32; 16] {
+        match is_e6m5::<SR>(batch) {
+            Some(true) => {
+                dot16_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
+            }
+            Some(false) => {
+                dot16_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
+            }
+            None => {
+                let c = consts(batch);
+                dot_body!(
+                    SR,
+                    c,
+                    batch,
+                    table,
+                    ids,
+                    cods,
+                    pan,
+                    stride,
+                    lane0,
+                    seeds,
+                    16,
+                    [(a0, s0, s1, 0)]
+                )
+            }
+        }
+    }
+
+    /// The literal-constant E6M5 instantiation of [`dot16_narrow`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    fn dot16_e6m5<const SR: bool, const SUB: bool>(
+        batch: &FastAdderBatch,
+        table: &[u32; 1 << 16],
+        ids: &[u32],
+        cods: &[u8],
+        pan: &[u8],
+        stride: usize,
+        lane0: usize,
+        seeds: &[u64; 16],
+    ) -> [u32; 16] {
+        let c = consts_e6m5::<SR, SUB>();
+        dot_body!(
+            SR,
+            c,
+            batch,
+            table,
+            ids,
+            cods,
+            pan,
+            stride,
+            lane0,
+            seeds,
+            16,
+            [(a0, s0, s1, 0)]
+        )
     }
 
     /// A full 64-column panel block in one `k` pass: four interleaved
@@ -1278,92 +1302,6 @@ pub(crate) mod z16 {
                 (a2, s4, s5, 2),
                 (a3, s6, s7, 3)
             ]
-        )
-    }
-
-    /// Two interleaved 16-lane chains: columns `lane0 .. lane0 + 32`.
-    /// Bit-identical to two [`dot16_narrow`] calls at `lane0 + 0/16`.
-    /// The half-width sibling of [`dot64_narrow`]: lower register
-    /// pressure at half the per-call amortization, for 32-wide callers
-    /// and A/B comparison of interleave depth.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn dot32_narrow<const SR: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 32],
-    ) -> [u32; 32] {
-        match is_e6m5::<SR>(batch) {
-            Some(true) => {
-                dot32_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            Some(false) => {
-                dot32_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            None => {
-                let c = consts(batch);
-                dot_body!(
-                    SR,
-                    c,
-                    batch,
-                    table,
-                    ids,
-                    cods,
-                    pan,
-                    stride,
-                    lane0,
-                    seeds,
-                    32,
-                    [(a0, s0, s1, 0), (a1, s2, s3, 1)]
-                )
-            }
-        }
-    }
-
-    /// The literal-constant E6M5 instantiation of [`dot32_narrow`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    fn dot32_e6m5<const SR: bool, const SUB: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 32],
-    ) -> [u32; 32] {
-        let c = consts_e6m5::<SR, SUB>();
-        dot_body!(
-            SR,
-            c,
-            batch,
-            table,
-            ids,
-            cods,
-            pan,
-            stride,
-            lane0,
-            seeds,
-            32,
-            [(a0, s0, s1, 0), (a1, s2, s3, 1)]
         )
     }
 }
@@ -1997,7 +1935,9 @@ mod tests {
     /// (scalar-verified) `mac_step32` + `SrLaneStreams` machinery: random
     /// compacted-A streams and panel bytes over the full e5m2 code plane —
     /// zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]` scalar
-    /// fixup), both halves of a 32-wide panel block, RN and SR13.
+    /// fixup), every 16-lane chunk of 16/32/64-wide panel strides, RN,
+    /// SR13 and SR9; then the interleaved 64-wide kernel against four
+    /// 16-wide calls.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_dot_matches_scalar_mac_loop() {
@@ -2012,7 +1952,13 @@ mod tests {
         }
         let lut = ProductLut::build(FpFormat::e5m2(), FpFormat::e6m5());
         let mut rng = SplitMix64::new(0xD0716);
-        for mode in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
+        // RN and SR13 take the literal-constant E6M5 bodies, SR9 the
+        // generic-constant ones.
+        for mode in [
+            AccumRounding::Nearest,
+            AccumRounding::Stochastic { r: 13 },
+            AccumRounding::Stochastic { r: 9 },
+        ] {
             let sr = matches!(mode, AccumRounding::Stochastic { .. });
             let batch = FastAdderBatch::new(FpFormat::e6m5(), mode);
             let plut = PairLut::build(&lut, &batch).expect("e6m5 fits the narrow envelope");
@@ -2150,73 +2096,6 @@ mod tests {
                                 wide[q * 16..q * 16 + 16],
                                 quads[q],
                                 "{mode:?} case {case}: 64-wide chain {q}"
-                            );
-                        }
-                    }
-                }
-
-                // Likewise the 32-wide kernel == two 16-wide calls.
-                if stride == 32 {
-                    let seeds32: [u64; 32] = std::array::from_fn(|_| rng.next_u64());
-                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let (wide, pairs) = if sr {
-                            (
-                                z16::dot32_narrow::<true>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    32,
-                                    0,
-                                    &seeds32,
-                                ),
-                                std::array::from_fn::<_, 2, _>(|q| {
-                                    z16::dot16_narrow::<true>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        32,
-                                        q * 16,
-                                        seeds32[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        } else {
-                            (
-                                z16::dot32_narrow::<false>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    32,
-                                    0,
-                                    &seeds32,
-                                ),
-                                std::array::from_fn::<_, 2, _>(|q| {
-                                    z16::dot16_narrow::<false>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        32,
-                                        q * 16,
-                                        seeds32[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        };
-                        for q in 0..2 {
-                            assert_eq!(
-                                wide[q * 16..q * 16 + 16],
-                                pairs[q],
-                                "{mode:?} case {case}: 32-wide chain {q}"
                             );
                         }
                     }

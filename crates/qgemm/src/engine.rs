@@ -8,9 +8,9 @@
 //!
 //! [`MacGemm`] implements the prepared-operand pipeline of
 //! [`GemmEngine`]: [`GemmEngine::pack_a`] quantizes a matrix to row-major
-//! FP8 codes, [`GemmEngine::pack_b`] quantizes *and* materializes the
-//! column-major transpose (so every dot product reads both operands
-//! contiguously), and [`GemmEngine::gemm_packed`] runs only the
+//! FP8 codes, [`GemmEngine::pack_b`] quantizes *and* interleaves the
+//! columns into a lane panel (so every `k` step reads a block's operand
+//! codes contiguously), and [`GemmEngine::gemm_packed`] runs only the
 //! accumulation loops. The one-shot [`GemmEngine::gemm`] is the trait's
 //! default composition of the three. Packing depends only on the operand
 //! values and the multiplier format — never on the accumulator format,
@@ -45,9 +45,10 @@ use crate::lut::{PairLut, ProductLut};
 /// per-element accumulation chain is serial in `k`, so wall-clock is
 /// bounded by chain *latency* unless enough independent column chains are
 /// in flight to cover it — 64 lanes (sixteen 4-wide vector chains under
-/// AVX2, eight 8-wide under AVX-512) measure fastest on current cores,
-/// with a cascade down to 8-lane blocks and a scalar tail for narrow
-/// outputs. [`MacGemm::with_lane_width`] narrows it for equivalence
+/// AVX2, eight 8-wide under AVX-512) measure fastest on current cores.
+/// Columns past the last full 64-block run in 16-lane panel blocks, the
+/// last one zero-padded, so narrow outputs stay on the same vector
+/// kernel. [`MacGemm::with_lane_width`] narrows it for equivalence
 /// testing and benchmarking.
 const LANES: usize = 64;
 
@@ -590,14 +591,17 @@ impl MacKernel {
     }
 
     /// One `L`-wide panel block of output row `i`, columns
-    /// `base .. base + L`, through the narrow loop when the pair LUT is
-    /// engaged and the wide loop otherwise. `out` is the block's slice of
-    /// the output row.
+    /// `base .. base + L` (`L` is 64 or 16, the two panel block widths),
+    /// through the narrow loop when the pair LUT is engaged and the wide
+    /// loop otherwise. `out` is the block's slice of the output row and
+    /// may be shorter than `L`: the zero-padded lanes of a remainder
+    /// block are computed and dropped, only live lanes are written.
     ///
     /// Under the AVX-512 tier the narrow loop runs through the explicit
-    /// `z16` kernel (16 u32 lanes per `zmm`, accumulators
-    /// register-resident across the whole `k` loop); elsewhere it is the
-    /// portable SWAR loop above, auto-vectorized.
+    /// `z16` kernels (16 u32 lanes per `zmm`, accumulators
+    /// register-resident across the whole `k` loop; four interleaved
+    /// chains for a 64-wide block, one for a 16-wide block); elsewhere it
+    /// is the portable SWAR loop above, auto-vectorized.
     #[inline(always)]
     fn panel_block<const L: usize>(
         &self,
@@ -611,123 +615,35 @@ impl MacKernel {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
         if let Some(plut) = &self.plut {
             #[cfg(target_arch = "x86_64")]
-            if self.tier == SimdTier::Avx512 && L.is_multiple_of(16) {
-                if L.is_multiple_of(64) {
-                    let mut l0 = 0;
-                    while l0 < L {
-                        let seeds: [u64; 64] =
-                            std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
-                        // SAFETY: `SimdTier::detect` verified every feature
-                        // the z16 kernel enables.
-                        #[allow(unsafe_code)]
-                        let accs = unsafe {
-                            if sr {
-                                z16::dot64_narrow::<true>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            } else {
-                                z16::dot64_narrow::<false>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            }
-                        };
-                        for (lane, &a) in accs.iter().enumerate() {
-                            out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                        }
-                        l0 += 64;
-                    }
-                    return;
-                }
-                if L.is_multiple_of(32) {
-                    let mut l0 = 0;
-                    while l0 < L {
-                        let seeds: [u64; 32] =
-                            std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
-                        // SAFETY: `SimdTier::detect` verified every feature
-                        // the z16 kernel enables.
-                        #[allow(unsafe_code)]
-                        let accs = unsafe {
-                            if sr {
-                                z16::dot32_narrow::<true>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            } else {
-                                z16::dot32_narrow::<false>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            }
-                        };
-                        for (lane, &a) in accs.iter().enumerate() {
-                            out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                        }
-                        l0 += 32;
-                    }
-                    return;
-                }
-                let mut l0 = 0;
-                while l0 < L {
-                    let seeds: [u64; 16] =
-                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
+            if self.tier == SimdTier::Avx512 {
+                let (batch, table) = (&self.batch, plut.table());
+                if L == 64 {
+                    let seeds: [u64; 64] =
+                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l));
                     // SAFETY: `SimdTier::detect` verified every feature
                     // the z16 kernel enables.
                     #[allow(unsafe_code)]
                     let accs = unsafe {
                         if sr {
-                            z16::dot16_narrow::<true>(
-                                &self.batch,
-                                plut.table(),
-                                ids,
-                                cods,
-                                pan,
-                                L,
-                                l0,
-                                &seeds,
-                            )
+                            z16::dot64_narrow::<true>(batch, table, ids, cods, pan, 64, 0, &seeds)
                         } else {
-                            z16::dot16_narrow::<false>(
-                                &self.batch,
-                                plut.table(),
-                                ids,
-                                cods,
-                                pan,
-                                L,
-                                l0,
-                                &seeds,
-                            )
+                            z16::dot64_narrow::<false>(batch, table, ids, cods, pan, 64, 0, &seeds)
                         }
                     };
-                    for (lane, &a) in accs.iter().enumerate() {
-                        out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                    }
-                    l0 += 16;
+                    self.write_narrow(&accs, out);
+                } else {
+                    let seeds: [u64; 16] =
+                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l));
+                    // SAFETY: as above.
+                    #[allow(unsafe_code)]
+                    let accs = unsafe {
+                        if sr {
+                            z16::dot16_narrow::<true>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                        } else {
+                            z16::dot16_narrow::<false>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                        }
+                    };
+                    self.write_narrow(&accs, out);
                 }
                 return;
             }
@@ -738,9 +654,7 @@ impl MacKernel {
             } else {
                 self.dotn_panel_narrow::<L, false>(plut, ids, cods, pan, &mut streams)
             };
-            for (lane, &a) in accs.iter().enumerate() {
-                out[lane] = self.decode[a as usize];
-            }
+            self.write_codes(&accs, out);
             return;
         }
         let mut streams =
@@ -750,15 +664,32 @@ impl MacKernel {
         } else {
             self.dotn_panel_wide::<L, false>(ids, cods, pan, &mut streams)
         };
-        for (lane, &a) in accs.iter().enumerate() {
-            out[lane] = self.decode[a as usize];
+        self.write_codes(&accs, out);
+    }
+
+    /// Decodes accumulator codes into the live lanes `out` (`accs` may
+    /// carry padded lanes past `out.len()`, which are dropped).
+    #[inline(always)]
+    fn write_codes(&self, accs: &[u16], out: &mut [f32]) {
+        for (o, &a) in out.iter_mut().zip(accs) {
+            *o = self.decode[a as usize];
+        }
+    }
+
+    /// [`MacKernel::write_codes`] for the decoded u32 lane words the
+    /// `z16` kernels return.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn write_narrow(&self, accs: &[u32], out: &mut [f32]) {
+        for (o, &a) in out.iter_mut().zip(accs) {
+            *o = self.decode[self.batch.encode32(a) as usize];
         }
     }
 
     /// Runs lane blocks of width `L` over columns `*j .. cols.end` of one
     /// output row, gathering from column-major `bcode_t` and advancing
-    /// `j` past every complete block (the legacy, non-panel loop kept for
-    /// explicit lane widths below 64).
+    /// `j` past every complete block (the non-panel loop of explicit lane
+    /// widths below 64).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn lane_blocks<const L: usize>(
@@ -890,16 +821,17 @@ impl MacKernel {
     /// The tier-independent rectangle body (inlined into each tier wrapper
     /// so every tier gets its own codegen of the whole lane pipeline).
     ///
-    /// At the production lane width (64) with a panel available, this is
-    /// the tiled loop: column tiles of `self.tiles.col_tile` outermost,
-    /// the rectangle's rows next, lane blocks innermost — every row of
-    /// the rectangle reuses one `col_tile * k`-byte panel slice before
-    /// the loop moves on. Panel regions (64-wide blocks, then 8-wide
-    /// blocks, then a scalar tail from `bcode_t`) partition the columns;
-    /// tile and dispatch boundaries are 64-aligned, so they never split
-    /// a block. Explicit narrower lane widths take the legacy gather
-    /// loop over `bcode_t`, which keeps the equivalence suites
-    /// exercising both layouts against each other.
+    /// At the production lane width (64) this is the tiled loop: column
+    /// tiles of `self.tiles.col_tile` outermost, the rectangle's rows
+    /// next, panel blocks innermost — every row of the rectangle reuses
+    /// one `col_tile * k`-byte panel slice before the loop moves on.
+    /// Every column sits in a panel block (64-wide blocks, then 16-wide
+    /// blocks with the last one zero-padded; see [`build_panel`]); tile
+    /// and dispatch boundaries are 64-aligned, so they never split a
+    /// block. Explicit narrower lane widths take the legacy gather loop
+    /// over column-major `bcode_t` (unused, and empty, at width 64),
+    /// which keeps the equivalence suites exercising both layouts
+    /// against each other.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
@@ -922,17 +854,13 @@ impl MacKernel {
         // Operand data indexes at the local row `i`; SR streams seed at the
         // full-batch row `si = row_base + i` (`lane_blocks`/`panel_block`
         // take the row index for seeding only).
-        if self.lanes != LANES || panel.is_empty() {
+        if self.lanes != LANES {
             for (ri, out_row) in block.chunks_mut(w).enumerate() {
                 let i = rows.start + ri;
                 let si = row_base + i;
                 let (ids, cods) = row_of(i);
                 let mut j = cols.start;
                 match self.lanes {
-                    64 => {
-                        self.lane_blocks::<64>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                    }
                     32 => {
                         self.lane_blocks::<32>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
                         self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
@@ -954,11 +882,10 @@ impl MacKernel {
             }
             return;
         }
-        // The tiled panel loop. Column-region boundaries of the panel:
-        // 64-wide blocks cover [0, n64), 8-wide blocks [n64, n8), and the
-        // scalar tail [n8, n) reads column-major codes directly.
+        // The tiled panel loop. A block starting at column `j` occupies
+        // panel bytes `[j * k, (j + L) * k)`: 64-wide blocks cover
+        // [0, n64), 16-wide blocks the rest, the last one padded with +0.
         let n64 = n - n % 64;
-        let n8 = n64 + ((n - n64) & !7usize);
         let ct = self.tiles.col_tile.max(64);
         let mut c0 = cols.start;
         while c0 < cols.end {
@@ -975,19 +902,11 @@ impl MacKernel {
                     self.panel_block::<64>(ids, cods, pan, si, j, &mut out_row[o..o + 64]);
                     j += 64;
                 }
-                let lim8 = c1.min(n8);
-                while j >= n64 && j + 8 <= lim8 {
-                    let off = n64 * k + (j - n64) * k;
-                    let pan = &panel[off..off + 8 * k];
-                    let o = j - cols.start;
-                    self.panel_block::<8>(ids, cods, pan, si, j, &mut out_row[o..o + 8]);
-                    j += 8;
-                }
                 while j < c1 {
-                    let mut rng = SplitMix64::new(mix_seed(self.seed, si, j));
-                    let acc = self.dot_compact(ids, cods, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                    out_row[j - cols.start] = self.decode[acc as usize];
-                    j += 1;
+                    let pan = &panel[j * k..(j + 16) * k];
+                    let (o, live) = (j - cols.start, (c1 - j).min(16));
+                    self.panel_block::<16>(ids, cods, pan, si, j, &mut out_row[o..o + live]);
+                    j += 16;
                 }
             }
             c0 = c1;
@@ -1072,50 +991,76 @@ impl MacPackedA {
     }
 }
 
-/// [`PackedOperand`] payload for the B side: column-major codes, the
-/// lane-interleaved panel rebuilt from them, and whether any code is a
-/// NaN (which forces the dense A path to keep `0 * NaN = NaN`
+/// [`PackedOperand`] payload for the B side: the lane-interleaved panel,
+/// column-major codes rebuilt from it on demand, and whether any code is
+/// a NaN (which forces the dense A path to keep `0 * NaN = NaN`
 /// propagation bit-exact).
 #[derive(Debug)]
 struct MacPackedB {
-    codes_t: Arc<Vec<u8>>,
-    /// Lane-interleaved panel of the full-width column blocks (see
-    /// [`build_panel`]); the column-major `codes_t` still serves the
-    /// scalar tail, the dense fallback and narrower lane widths.
+    /// Lane-interleaved panel holding every column (see [`build_panel`]);
+    /// the compacted hot path reads nothing else.
     panel: Arc<Vec<u8>>,
+    /// Column-major codes, materialized lazily from `panel` — only the
+    /// NaN dense fallback and explicit narrower lane widths read them.
+    codes_t: OnceLock<Arc<Vec<u8>>>,
     has_nan: bool,
     fingerprint: u64,
 }
 
-/// Builds the lane-interleaved B panel from column-major `k x n` codes:
-///
-/// - bytes `[0, n64 * k)`: 64-wide column blocks; block `b` (columns
-///   `64b .. 64b + 64`) stores code `(ci, l)` at `b*64*k + ci*64 + l`,
-///   so a k-step loads its 64 operand codes as one contiguous line;
-/// - bytes `[n64 * k, n8 * k)`: 8-wide blocks covering the next
-///   `(n - n64) & !7` columns, laid out the same way at stride 8;
-/// - the ragged tail (`n - n8 < 8` columns) has no panel entry — the
-///   scalar loop reads `codes_t` directly.
-///
-/// `n64 = n - n % 64`. Tile and dispatch boundaries are multiples of 64,
-/// so no block ever straddles a job boundary.
-fn build_panel(codes_t: &[u8], k: usize, n: usize) -> Vec<u8> {
-    let n64 = n - n % 64;
-    let n8 = n64 + ((n - n64) & !7usize);
-    let mut panel = vec![0u8; n8 * k];
-    let mut interleave = |dst0: usize, col0: usize, width: usize| {
-        for l in 0..width {
-            let col = &codes_t[(col0 + l) * k..(col0 + l + 1) * k];
-            for (ci, &cd) in col.iter().enumerate() {
-                panel[dst0 + ci * width + l] = cd;
+impl MacPackedB {
+    /// The column-major `k x n` codes (column `j` at `[j * k, (j + 1) * k)`),
+    /// de-interleaved from the panel on first use.
+    fn codes_t(&self, k: usize, n: usize) -> &Arc<Vec<u8>> {
+        self.codes_t.get_or_init(|| {
+            let mut codes_t = vec![0u8; k * n];
+            for (col0, width) in panel_blocks(n) {
+                let live = width.min(n - col0);
+                for ci in 0..k {
+                    let src = &self.panel[col0 * k + ci * width..][..live];
+                    for (l, &cd) in src.iter().enumerate() {
+                        codes_t[(col0 + l) * k + ci] = cd;
+                    }
+                }
             }
-        }
-    };
-    for b in 0..n64 / 64 {
-        interleave(b * 64 * k, b * 64, 64);
+            Arc::new(codes_t)
+        })
     }
-    for t in 0..(n8 - n64) / 8 {
-        interleave(n64 * k + t * 8 * k, n64 + t * 8, 8);
+}
+
+/// The column blocks of an `n`-column B panel as `(first column, width)`:
+/// 64-wide blocks over `[0, n64)`, then 16-wide blocks over the remaining
+/// columns, the last one possibly extending past `n`
+/// (`n64 = n - n % 64`).
+fn panel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let n64 = n - n % 64;
+    let wide = (0..n64).step_by(64).map(|c| (c, 64));
+    wide.chain((n64..n).step_by(16).map(|c| (c, 16)))
+}
+
+/// Builds the lane-interleaved B panel from row-major `k x n` codes. A
+/// block of width `L` starting at column `c` (see [`panel_blocks`])
+/// occupies bytes `[c * k, (c + L) * k)` and stores code `(ci, c + l)`
+/// at `c * k + ci * L + l`, so a k-step loads the block's operand codes
+/// as one contiguous line:
+///
+/// - `L = 64` over columns `[0, n64)`;
+/// - `L = 16` over the remaining `n - n64` columns, with the lanes of the
+///   last block past `n` holding `zero` (+0). A padded lane only ever
+///   sees zero-magnitude products, which are never committed and never
+///   consume an SR draw, so the live lanes' results do not depend on it.
+///
+/// Each block row is one contiguous copy out of the row-major codes.
+/// Tile and dispatch boundaries are multiples of 64, so no block ever
+/// straddles a job boundary.
+fn build_panel(codes: &[u8], k: usize, n: usize, zero: u8) -> Vec<u8> {
+    let padded = panel_blocks(n).last().map_or(0, |(c, w)| c + w);
+    let mut panel = vec![zero; padded * k];
+    for (col0, width) in panel_blocks(n) {
+        let live = width.min(n - col0);
+        for ci in 0..k {
+            let dst = col0 * k + ci * width;
+            panel[dst..dst + live].copy_from_slice(&codes[ci * n + col0..][..live]);
+        }
     }
     panel
 }
@@ -1261,11 +1206,13 @@ impl MacGemm {
         &self.config
     }
 
-    /// Sets the column-lane width of the batched compacted path
-    /// (default `LANES` = 64; widths above 8 cascade down to 8-lane blocks
-    /// before the scalar tail). Results are bitwise identical at every
-    /// width — the knob exists for equivalence tests and benchmarks, not
-    /// for tuning correctness.
+    /// Sets the column-lane width of the batched compacted path. The
+    /// default `LANES` = 64 runs the panel loop (64-wide blocks, then
+    /// zero-padded 16-wide blocks); an explicit narrower width runs the
+    /// column-major gather loop, where widths above 8 cascade down to
+    /// 8-lane blocks before a scalar tail. Results are bitwise identical
+    /// at every width — the knob exists for equivalence tests and
+    /// benchmarks, not for tuning correctness.
     ///
     /// # Panics
     ///
@@ -1550,28 +1497,21 @@ impl GemmEngine for MacGemm {
     fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
         assert_eq!(b.len(), rows * cols, "B must be rows x cols");
         // Block-quantize into reusable scratch (16 values per instruction
-        // on AVX-512), then scatter to column-major slots with NaN
-        // detection inlined on the code (a NaN is any magnitude above
-        // infinity's).
+        // on AVX-512), flag NaN codes (a NaN is any magnitude above
+        // infinity's), and interleave the panel straight from the
+        // row-major codes.
         let fmt = self.config.mul_fmt;
         let mag_mask = srmac_fp::mask(fmt.bits() - 1) as u8;
         let inf_mag = (fmt.inf_bits(false) & srmac_fp::mask(fmt.bits() - 1)) as u8;
         let mut codes = self.take_codes_buf();
         codes.resize(b.len(), 0);
         self.quant.quantize_block(b, &mut codes);
-        let mut codes_t = vec![self.zero_code; rows * cols];
-        let mut has_nan = false;
-        for (l, row) in codes.chunks(cols.max(1)).enumerate() {
-            for (j, &cd) in row.iter().enumerate() {
-                has_nan |= (cd & mag_mask) > inf_mag;
-                codes_t[j * rows + l] = cd;
-            }
-        }
+        let has_nan = codes.iter().any(|&cd| (cd & mag_mask) > inf_mag);
+        let panel = build_panel(&codes, rows, cols, self.zero_code);
         self.recycle_codes_buf(codes);
-        let panel = build_panel(&codes_t, rows, cols);
         let payload = MacPackedB {
-            codes_t: Arc::new(codes_t),
             panel: Arc::new(panel),
+            codes_t: OnceLock::new(),
             has_nan,
             fingerprint: self.fingerprint(),
         };
@@ -1595,7 +1535,13 @@ impl GemmEngine for MacGemm {
         } else {
             AWork::Compact(Arc::clone(&a.compact))
         };
-        let bcode_t = Arc::clone(&b.codes_t);
+        // Column-major codes serve only the dense fallback and explicit
+        // narrower lane widths; the default compacted path reads the panel.
+        let bcode_t = if b.has_nan || self.kernel.lanes != LANES {
+            Arc::clone(b.codes_t(k, n))
+        } else {
+            Arc::default()
+        };
         let panel = Arc::clone(&b.panel);
         self.gemm_codes(m, k, n, &awork, &bcode_t, &panel, out);
     }
@@ -1976,6 +1922,46 @@ mod tests {
             ..MacGemmConfig::fp8_fp12(AccumRounding::Nearest, true)
         };
         let _ = cfg.to_wire();
+    }
+
+    #[test]
+    fn build_panel_zero_pads_the_last_block_and_round_trips() {
+        // Every column lands in exactly one block; the lanes of the last
+        // 16-wide block past `n` hold the +0 code, and the lazily
+        // de-interleaved column-major codes are the plain transpose.
+        let zero = FpFormat::e5m2().zero_bits(false) as u8;
+        let k = 5;
+        for n in [1usize, 8, 16, 27, 64, 72, 81, 144] {
+            let codes: Vec<u8> = (0..k * n).map(|x| (x % 251 + 1) as u8).collect();
+            let panel = build_panel(&codes, k, n, zero);
+            let padded = n - n % 64 + (n % 64).next_multiple_of(16);
+            assert_eq!(panel.len(), padded * k, "n={n}: panel length");
+            for (col0, width) in panel_blocks(n) {
+                for ci in 0..k {
+                    for l in 0..width {
+                        let got = panel[col0 * k + ci * width + l];
+                        let want = if col0 + l < n {
+                            codes[ci * n + col0 + l]
+                        } else {
+                            zero
+                        };
+                        assert_eq!(got, want, "n={n} block {col0} k-index {ci} lane {l}");
+                    }
+                }
+            }
+            let packed = MacPackedB {
+                panel: Arc::new(panel),
+                codes_t: OnceLock::new(),
+                has_nan: false,
+                fingerprint: 0,
+            };
+            let codes_t = packed.codes_t(k, n);
+            for ci in 0..k {
+                for j in 0..n {
+                    assert_eq!(codes_t[j * k + ci], codes[ci * n + j], "n={n} ({ci},{j})");
+                }
+            }
+        }
     }
 
     #[test]

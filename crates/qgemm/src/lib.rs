@@ -20,9 +20,9 @@
 //! [`srmac_tensor::GemmEngine`] trait:
 //!
 //! 1. **Pack** (`pack_a` / `pack_b`): quantize the `f32` operand to
-//!    multiplier-format codes — and, for the B side, materialize the
-//!    column-major transpose so each dot product walks both operands
-//!    contiguously. Packing is a pure function of the operand values and
+//!    multiplier-format codes — and, for the B side, interleave the
+//!    columns into 64- and 16-lane panel blocks so each `k` step loads a
+//!    block's operand codes contiguously. Packing is a pure function of the operand values and
 //!    the *multiplier* format alone; the accumulator format, rounding
 //!    mode, seed and thread count play no part. A packed operand is
 //!    therefore reusable across any number of products and even across
@@ -59,8 +59,9 @@
 //! # Lane-batched accumulation (the SWAR/SIMD hot path)
 //!
 //! The compacted accumulation loop advances `L` output **columns** of one
-//! output row per step through [`FastAdderBatch`] (default `L = 64`, in
-//! cascaded blocks with a scalar tail for `n % L` columns). Each lane is
+//! output row per step through [`FastAdderBatch`] (default `L = 64`; the
+//! `n % 64` remaining columns run in 16-lane blocks, the last one
+//! zero-padded, so every column stays on the vector kernel). Each lane is
 //! one element's accumulator, carried in a *decoded* `u64` lane word
 //! (sign / ULP exponent / significand as plain fields — see `batch.rs`),
 //! fed with pre-decoded products from a 512 KiB [`DecodedLut`], and
@@ -87,7 +88,7 @@
 //! cache-blocked tile grid ([`TileConfig`], runtime-tunable through
 //! [`MacGemm::with_tiles`]): the output plane is cut into
 //! `row_tile x col_tile` rectangles, each rectangle walks one
-//! column-major B-panel slice to completion before the next slice is
+//! lane-interleaved B-panel slice to completion before the next slice is
 //! touched, and the rectangles are the units handed to the shared
 //! worker pool for multi-core dispatch. The grid is a pure function of
 //! the shape and the tile sizes — never of the thread count — and no
@@ -99,7 +100,7 @@
 //!
 //! * **Quantize+pack fusion** — `pack_a`/`pack_b` quantize straight
 //!   into recycled workspace buffers (a vectorized block quantizer under
-//!   AVX-512) and compact/transpose from there; the one-shot `gemm`
+//!   AVX-512) and compact/interleave from there; the one-shot `gemm`
 //!   allocates nothing per call beyond its packed outputs.
 //! * **Product-pair decode LUT** — when the accumulator algebra fits the
 //!   *narrow* u32 lane word (`ef_max + p + 2 <= 29` with the `LANE32_*`

@@ -42,6 +42,20 @@ fn relu_sparse_vec(n: usize, seed: u64, sparsity: f64) -> Vec<f32> {
 
 const SHAPES: [(usize, usize, usize); 4] = [(5, 33, 67), (17, 40, 130), (3, 57, 8), (9, 48, 200)];
 
+/// The output widths of the width-8 ResNet-20 — conv outputs
+/// `n = out_c` in {8, 16, 32}, the stem's 27, and the 72-column remainder
+/// of wider products — each ending in a partial or full zero-padded
+/// 16-lane panel block. `k = 72` is a 3x3 conv over 8 channels, and
+/// `m * k * n` clears the single-job threshold at every width, so the
+/// tile grid and the worker pool are both in play.
+const RESNET_SHAPES: [(usize, usize, usize); 5] = [
+    (64, 72, 8),
+    (64, 72, 16),
+    (64, 72, 27),
+    (64, 72, 32),
+    (64, 72, 72),
+];
+
 const TILES: [TileConfig; 4] = [
     TileConfig {
         row_tile: 1,
@@ -91,7 +105,7 @@ fn scalar_reference(
 fn tile_thread_grid_is_bitwise_invariant() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         let config = MacGemmConfig::fp8_fp12(rounding, false);
-        for &(m, k, n) in &SHAPES {
+        for &(m, k, n) in SHAPES.iter().chain(&RESNET_SHAPES) {
             let a = rand_vec(m * k, 100 + (m * n) as u64, 2.0);
             let b = rand_vec(k * n, 200 + (k * n) as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
@@ -206,32 +220,45 @@ fn wide_fallback_format_keeps_tile_invariance() {
 
 /// ReLU-sparse inputs (zero-product skip interacts with SR draw
 /// consumption) and saturating inputs (the special-lane scalar fixup)
-/// must survive the tiled multi-core path bit-for-bit.
+/// must survive the tiled multi-core path bit-for-bit, under SR and RN,
+/// including the padded lanes of partial 16-lane blocks.
 #[test]
 fn sparse_and_special_inputs_survive_tiling() {
-    let config = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, true);
-    let (m, k, n) = (11usize, 83, 67);
-    let a = relu_sparse_vec(m * k, 61, 0.6);
-    let b = rand_vec(k * n, 62, 2.0);
-    let reference = scalar_reference(config, m, k, n, &a, &b);
-    for tiles in [TILES[1], TILES[3]] {
-        let engine = MacGemm::new(config.with_threads(3)).with_tiles(tiles);
-        let mut out = vec![0.0f32; m * n];
-        engine.gemm(m, k, n, &a, &b, &mut out);
-        assert_bits_eq(&reference, &out, &format!("sparse tiles={tiles:?}"));
-    }
+    for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
+        let config = MacGemmConfig::fp8_fp12(rounding, true);
+        for &(m, k, n) in [(11usize, 83usize, 67usize)].iter().chain(&RESNET_SHAPES) {
+            let a = relu_sparse_vec(m * k, 61 + n as u64, 0.6);
+            let b = rand_vec(k * n, 62 + n as u64, 2.0);
+            let reference = scalar_reference(config, m, k, n, &a, &b);
+            for tiles in [TILES[1], TILES[3]] {
+                let engine = MacGemm::new(config.with_threads(3)).with_tiles(tiles);
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &a, &b, &mut out);
+                assert_bits_eq(
+                    &reference,
+                    &out,
+                    &format!("{rounding:?} sparse n={n} tiles={tiles:?}"),
+                );
+            }
 
-    // Saturating magnitudes drive the accumulator to infinity; the
-    // special path diverts to the scalar fixup inside the vector loop.
-    let sat_a = vec![40000.0f32; m * k];
-    let sat_b = vec![40000.0f32; k * n];
-    let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
-    assert!(sat_ref.iter().all(|v| v.is_infinite()));
-    for threads in [1usize, 3] {
-        let engine = MacGemm::new(config.with_threads(threads)).with_tiles(TILES[2]);
-        let mut out = vec![0.0f32; m * n];
-        engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
-        assert_bits_eq(&sat_ref, &out, &format!("saturated threads={threads}"));
+            // Saturating magnitudes drive the accumulator to infinity; the
+            // special path diverts to the scalar fixup inside the vector
+            // loop.
+            let sat_a = vec![40000.0f32; m * k];
+            let sat_b = vec![40000.0f32; k * n];
+            let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
+            assert!(sat_ref.iter().all(|v| v.is_infinite()));
+            for threads in [1usize, 3] {
+                let engine = MacGemm::new(config.with_threads(threads)).with_tiles(TILES[2]);
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
+                assert_bits_eq(
+                    &sat_ref,
+                    &out,
+                    &format!("{rounding:?} saturated n={n} threads={threads}"),
+                );
+            }
+        }
     }
 }
 
