@@ -1,16 +1,14 @@
 //! Criterion benches for the GEMM engines and the shared runtime: exact
 //! f32 vs the bit-exact low-precision MAC emulation (RN and SR
 //! accumulation), the prepared-operand pipeline vs the one-shot path,
-//! persistent-pool vs per-call scoped threading, the parallel
-//! data-movement kernels (im2row / col2im / NCHW scatter / transpose)
-//! against their serial baselines, and a ResNet-20-shaped GEMM sequence
-//! with weight operands packed once and reused.
+//! the parallel data-movement kernels (im2row / col2im / NCHW scatter /
+//! transpose) against their serial baselines, and a ResNet-20-shaped
+//! GEMM sequence with weight operands packed once and reused.
 //!
-//! The sequence results (and the headline packed-vs-seed speedup, plus
-//! the cross-PR comparisons against the PR 1 and PR 3 baselines — the
-//! latter is this PR's lane-batched-kernel acceptance record) are
-//! recorded in `BENCH_gemm.json` at the workspace root, which
-//! `bench_guard` treats as the committed reference.
+//! The sequence results (plus the cross-PR comparisons against the
+//! recorded PR 1, PR 3 and PR 5 baselines) are recorded in
+//! `BENCH_gemm.json` at the workspace root, which `bench_guard` treats
+//! as the committed reference.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,22 +81,17 @@ fn bench_gemm(c: &mut Criterion) {
     });
     g.finish();
 
-    // The lane-batched kernel at selected widths, on prepared operands so
-    // only the accumulation loop is timed: lanes=1 is the scalar
-    // (tail-path) adder, the wider entries show the SWAR/SIMD batching
-    // payoff up to the default width.
+    // The lane-batched kernel on prepared operands, so only the
+    // accumulation loop is timed.
     let mut g = c.benchmark_group("gemm_batched");
     g.sample_size(60);
     g.throughput(Throughput::Elements((m * k * n) as u64));
-    for (name, rounding, lanes) in [
-        ("sr13_lanes1", AccumRounding::Stochastic { r: 13 }, 1usize),
-        ("sr13_lanes8", AccumRounding::Stochastic { r: 13 }, 8),
-        ("sr13_lanes64", AccumRounding::Stochastic { r: 13 }, 64),
-        ("rn_lanes64", AccumRounding::Nearest, 64),
+    for (name, rounding) in [
+        ("sr13_lanes64", AccumRounding::Stochastic { r: 13 }),
+        ("rn_lanes64", AccumRounding::Nearest),
     ] {
         let subnormals = matches!(rounding, AccumRounding::Nearest);
-        let engine = MacGemm::new(MacGemmConfig::fp8_fp12(rounding, subnormals).with_threads(1))
-            .with_lane_width(lanes);
+        let engine = MacGemm::new(MacGemmConfig::fp8_fp12(rounding, subnormals).with_threads(1));
         let pa = engine.pack_a(m, k, &a);
         let pb = engine.pack_b(k, n, &b);
         g.bench_function(name, |bch| {
@@ -158,8 +151,7 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-/// Packed vs one-shot on a single weight-stationary product, and the
-/// persistent-pool engine vs the seed's per-call scoped spawning.
+/// Packed vs one-shot on a single weight-stationary product.
 fn bench_packed_vs_oneshot(c: &mut Criterion) {
     let (m, k, n) = (64usize, 144, 16);
     let a = relu_sparse_vec(m * k, 11, 0.6);
@@ -172,9 +164,6 @@ fn bench_packed_vs_oneshot(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_pipeline_64x144x16");
     g.sample_size(20);
     g.throughput(Throughput::Elements((m * k * n) as u64));
-    g.bench_function("seed_scoped_oneshot", |bch| {
-        bch.iter(|| engine.gemm_scoped(m, k, n, black_box(&a), black_box(&b), &mut out))
-    });
     g.bench_function("pooled_oneshot", |bch| {
         bch.iter(|| engine.gemm(m, k, n, black_box(&a), black_box(&b), &mut out))
     });
@@ -241,10 +230,9 @@ fn bench_data_movement(c: &mut Criterion) {
 }
 
 /// Benches one ResNet-20-shaped GEMM sequence with ReLU-sparse
-/// activations/gradients: the seed path (per-call quantize + B-transpose +
-/// scoped spawn, dense kernel) against the prepared pipeline (weights
-/// packed once and reused, activations packed per call with
-/// zero-compaction, persistent workers).
+/// activations/gradients through the prepared pipeline: weights packed
+/// once and reused, activations packed per call with zero-compaction,
+/// persistent workers.
 fn bench_gemm_sequence(c: &mut Criterion, group: &str, shapes: &[(usize, usize, usize)]) {
     let engine = MacGemm::new(
         MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_threads(1),
@@ -266,14 +254,6 @@ fn bench_gemm_sequence(c: &mut Criterion, group: &str, shapes: &[(usize, usize, 
 
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
-
-    g.bench_function("seed_scoped_repack", |bch| {
-        bch.iter(|| {
-            for (i, &(m, k, n)) in shapes.iter().enumerate() {
-                engine.gemm_scoped(m, k, n, &activations[i], &weights[i], &mut outs[i]);
-            }
-        })
-    });
 
     // Weights packed once, outside the hot loop — the trainer does this
     // once per optimizer step, the evaluator once per weight update.
@@ -482,8 +462,8 @@ fn bench_checkpoint_save(c: &mut Criterion) {
     g.finish();
 }
 
-/// Writes the collected measurements (and the headline sequence speedup)
-/// to `BENCH_gemm.json` at the workspace root.
+/// Writes the collected measurements (and the summary blocks) to
+/// `BENCH_gemm.json` at the workspace root.
 fn write_summary(c: &mut Criterion) {
     let results = c.results();
     let find = |group: &str, name: &str| {
@@ -495,22 +475,9 @@ fn write_summary(c: &mut Criterion) {
     let fmt_opt =
         |v: Option<f64>, digits: usize| v.map_or("null".to_owned(), |v| format!("{v:.digits$}"));
     let sequence_entry = |group: &str| {
-        let seed = find(group, "seed_scoped_repack");
-        let prepared = find(group, "prepared_weight_reuse");
-        let speedup = match (seed, prepared) {
-            (Some(s), Some(p)) if p > 0.0 => Some(s / p),
-            _ => None,
-        };
-        (
-            format!(
-                "{{\n    \"seed_scoped_repack_ns\": {},\n    \
-                 \"prepared_weight_reuse_ns\": {},\n    \
-                 \"speedup_prepared_vs_seed\": {}\n  }}",
-                fmt_opt(seed, 1),
-                fmt_opt(prepared, 1),
-                fmt_opt(speedup, 3),
-            ),
-            speedup,
+        format!(
+            "{{\n    \"prepared_weight_reuse_ns\": {}\n  }}",
+            fmt_opt(find(group, "prepared_weight_reuse"), 1),
         )
     };
 
@@ -528,8 +495,8 @@ fn write_summary(c: &mut Criterion) {
         ));
     }
     json.push_str("  ],\n");
-    let (train_json, train_speedup) = sequence_entry("resnet20_train_step");
-    let (eval_json, eval_speedup) = sequence_entry("resnet20_eval_stream");
+    let train_json = sequence_entry("resnet20_train_step");
+    let eval_json = sequence_entry("resnet20_eval_stream");
     // Cross-PR acceptance record: this PR's prepared path vs PR 1's.
     let vs_pr1 = find("resnet20_train_step", "prepared_weight_reuse")
         .map(|p| PR1_PREPARED_TRAIN_STEP_NS / p);
@@ -635,12 +602,6 @@ fn write_summary(c: &mut Criterion) {
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("could not write {path}: {e}");
     } else {
-        if let Some(s) = train_speedup {
-            println!("resnet20_train_step speedup (prepared vs seed): {s:.2}x");
-        }
-        if let Some(s) = eval_speedup {
-            println!("resnet20_eval_stream speedup (prepared vs seed): {s:.2}x");
-        }
         if let (Some(b1), Some(m8)) = (rps_batch1, rps_max8) {
             println!(
                 "serve_resnet20 throughput: {m8:.1} req/s micro-batched (max 8) \

@@ -1,29 +1,21 @@
-//! Development probe with two sweeps:
+//! Development probe: `probe_tune kernel` sweeps the tiled MAC kernel's
+//! tuning surface — tile configurations x pair-LUT on/off at the
+//! headline and scaling shapes, on prepared operands. This is where
+//! [`srmac_qgemm::TileConfig::auto`] comes from: run it on a new machine
+//! class, read off the fastest (tile, LUT) point, and adjust the
+//! defaults if they moved. Every point computes bitwise-identical output
+//! (asserted here against the scalar oracle
+//! `MacGemm::gemm_reference`), so the sweep is a pure wall-clock search.
 //!
-//! * `probe_tune` (no argument, the legacy default) — sweep
-//!   data/optimizer settings on the f32 engine to find a laptop-scale
-//!   operating point where the FP32 baseline learns decisively (the
-//!   precondition for every training table).
-//! * `probe_tune kernel` — sweep the tiled MAC kernel's tuning surface:
-//!   tile configurations x pair-LUT on/off at the headline and scaling
-//!   shapes, on prepared operands. This is where
-//!   [`srmac_qgemm::TileConfig::auto`] comes from: run it on a new
-//!   machine class, read off the fastest (tile, LUT) point, and adjust
-//!   the defaults if they moved. Every point computes bitwise-identical
-//!   output (asserted here on a reference checksum), so the sweep is a
-//!   pure wall-clock search.
-//!
-//! Environment knobs (kernel sweep): `SRMAC_KERNEL_REPS` (default 120)
-//! timing repetitions per point.
+//! Environment knobs: `SRMAC_KERNEL_REPS` (default 120) timing
+//! repetitions per point.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use srmac_bench::env_or;
-use srmac_models::{data, resnet, trainer, TrainConfig};
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig, TileConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::{F32Engine, GemmEngine};
+use srmac_tensor::GemmEngine;
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = SplitMix64::new(seed);
@@ -73,8 +65,7 @@ fn kernel_sweep() {
             MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_threads(1);
         // Reference bits: every sweep point must reproduce these exactly.
         let reference: Vec<u32> = {
-            let engine = MacGemm::new(config).with_lane_width(1);
-            engine.gemm(m, k, n, &a, &b, &mut out);
+            MacGemm::new(config).gemm_reference(m, k, n, &a, &b, &mut out);
             out.iter().map(|v| v.to_bits()).collect()
         };
         println!("-- {label} (SR13, 1 thread, prepared operands, {reps} reps) --");
@@ -117,52 +108,11 @@ fn kernel_sweep() {
     }
 }
 
-fn training_sweep() {
-    let train_n: usize = env_or("SRMAC_TRAIN", 480);
-    let test_n: usize = env_or("SRMAC_TEST", 200);
-    let size: usize = env_or("SRMAC_SIZE", 12);
-    let width: usize = env_or("SRMAC_WIDTH", 4);
-
-    for noise in [0.15f64, 0.3] {
-        for angle in [0.55f64, 0.75] {
-            for lr in [0.05f32, 0.1] {
-                for epochs in [10usize, 20] {
-                    let profile = data::Profile {
-                        angle_step: angle,
-                        base_freq: 1.5,
-                        freq_step: 0.8,
-                        noise,
-                        jitter: 0.05,
-                    };
-                    let train_ds = data::generate(profile, train_n, size, 1);
-                    let test_ds = data::generate(profile, test_n, size, 2);
-                    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::default());
-                    let mut net = resnet::resnet20(&engine, width, 10, 3);
-                    let cfg = TrainConfig {
-                        epochs,
-                        batch_size: 16,
-                        lr,
-                        ..TrainConfig::default()
-                    };
-                    let h = trainer::train(&mut net, &train_ds, &test_ds, &cfg);
-                    println!(
-                        "noise {noise:.2} angle {angle:.2} lr {lr:.2} epochs {epochs:>2}: final {:>5.1}% best {:>5.1}% loss {:.3}",
-                        h.final_accuracy(),
-                        h.best_accuracy(),
-                        h.train_loss.last().unwrap()
-                    );
-                }
-            }
-        }
-    }
-}
-
 fn main() {
     match std::env::args().nth(1).as_deref() {
-        Some("kernel") => kernel_sweep(),
-        None => training_sweep(),
+        Some("kernel") | None => kernel_sweep(),
         Some(other) => {
-            eprintln!("probe_tune: unknown subcommand {other} (try `kernel`, or no argument)");
+            eprintln!("probe_tune: unknown subcommand {other} (try `kernel`)");
             std::process::exit(2);
         }
     }

@@ -16,8 +16,8 @@
 //! - **Thread creation** (`spawn(…)` calls, `thread::scope`): threads
 //!   outside the shared runtime pool dodge the pool's deterministic
 //!   chunking. Spawning is allowlisted in the pool itself and the
-//!   serving subsystem; the two scoped-thread *reference* paths in the
-//!   GEMM engines carry inline justifications.
+//!   serving subsystem; the f32 GEMM engine's scoped-thread row
+//!   partition carries inline justifications.
 //!
 //! Test code (`#[cfg(test)]`/`#[test]` items) is exempt: tests may time
 //! and spawn freely.

@@ -119,14 +119,11 @@ fn sel32(c: bool, t: u32, e: u32) -> u32 {
 /// [`FastAdder`] (they share one `AdderSpec`), evaluated over `L`
 /// decoded lane words at once with every select a SWAR mask blend.
 ///
-/// The portable SWAR path below is the default on every architecture and
-/// is written to auto-vectorize; the engine invokes it through
-/// runtime-detected `#[target_feature]` wrappers (see `SimdTier` in
-/// `engine.rs`), so stock builds get AVX2/AVX-512 codegen of this exact
-/// code with no special compiler flags. An explicit `std::arch` AVX2
-/// rendition of the same algebra lives in the `simd` module behind the
-/// opt-in `arch-simd` feature; the exhaustive equivalence tests cover
-/// whichever path is compiled in.
+/// The portable SWAR code is written to auto-vectorize; the engine
+/// invokes it through runtime-detected `#[target_feature]` wrappers (see
+/// `SimdTier` in `engine.rs`), so stock builds get AVX2/AVX-512 codegen
+/// of this exact code with no special compiler flags. The exhaustive
+/// equivalence tests pin it against the scalar [`FastAdder`].
 #[derive(Clone, Copy, Debug)]
 pub struct FastAdderBatch {
     spec: AdderSpec,
@@ -251,11 +248,8 @@ impl FastAdderBatch {
         }
     }
 
-    /// Runs [`FastAdderBatch::add_core`] over all `L` lanes — through the
-    /// `std::arch` fast path where one is compiled in (see the `simd`
-    /// module), through the portable SWAR code otherwise. Both paths are
-    /// the same algebra; the exhaustive equivalence tests run against
-    /// whichever is active in the current build.
+    /// Runs [`FastAdderBatch::add_core`] over all `L` lanes — portable
+    /// SWAR code that the tier wrappers auto-vectorize.
     #[inline(always)]
     fn add_lanes<const L: usize>(
         &self,
@@ -264,17 +258,6 @@ impl FastAdderBatch {
         prods: &[u64; L],
         words: &[u64; L],
     ) {
-        #[cfg(all(feature = "arch-simd", target_arch = "x86_64", target_feature = "avx2"))]
-        if L.is_multiple_of(4) {
-            // SAFETY: the callee's only requirement is the `avx2` target
-            // feature, which the `cfg` above guarantees is statically
-            // enabled for this build (and therefore on every thread).
-            #[allow(unsafe_code)]
-            unsafe {
-                self.add_lanes_avx2(res, acc, prods, words);
-            }
-            return;
-        }
         for l in 0..L {
             res[l] = self.add_core(acc[l], prods[l], words[l]);
         }
@@ -1303,251 +1286,6 @@ pub(crate) mod z16 {
                 (a3, s6, s7, 3)
             ]
         )
-    }
-}
-
-/// The explicit `std::arch` lane kernel: the algebra of
-/// [`FastAdderBatch::add_core`], four lanes per `__m256i`, expressed with
-/// AVX2 intrinsics. Compiled in only behind the opt-in `arch-simd` cargo
-/// feature and a statically enabled `avx2` target feature (e.g. the CI
-/// feature-matrix job's `-C target-feature=+avx2`). It is *not* the
-/// default fast path: measured on current compilers, LLVM auto-vectorizes
-/// the portable SWAR code at least as well (and with AVX-512 considerably
-/// better), because autovectorization keeps the lane state in vector
-/// registers across the whole accumulation loop while this kernel's lane
-/// arrays round-trip at each step. It stays in-tree, exhaustively
-/// verified, as the explicit-datapath reference for the SWAR algebra and
-/// as a guard should autovectorization regress. On `aarch64` the portable
-/// SWAR path (NEON-autovectorized) is likewise the default.
-///
-/// Everything here is a 1:1 translation of `add_core` — same variable
-/// names, same clamping, same select order — and the exhaustive
-/// `batch_vs_scalar` tests run against this path whenever it is compiled
-/// in. Intrinsic calls are safe because the target feature is statically
-/// enabled; lane I/O goes through value-based `set`/`extract` intrinsics
-/// (no pointer casts), which the compiler folds into plain vector loads
-/// and stores.
-#[cfg(all(feature = "arch-simd", target_arch = "x86_64", target_feature = "avx2"))]
-mod simd {
-    use std::arch::x86_64::*;
-
-    use super::{FastAdderBatch, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
-
-    /// `t` where the 64-bit mask lane is all-ones, else `e` (blendv keys
-    /// off each byte's top bit, which a 64-bit compare mask saturates).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sel(m: __m256i, t: __m256i, e: __m256i) -> __m256i {
-        _mm256_blendv_epi8(e, t, m)
-    }
-
-    /// Signed 64-bit `max(v, 0)` (`cmpgt` is exact at 0: the mask is off
-    /// for `v == 0`, and `max(0, 0) = 0` either way).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn relu64(v: __m256i) -> __m256i {
-        _mm256_and_si256(v, _mm256_cmpgt_epi64(v, _mm256_setzero_si256()))
-    }
-
-    /// `(1 << v) - 1` for per-lane shift counts `0 <= v <= 63`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn low_mask(v: __m256i) -> __m256i {
-        _mm256_sub_epi64(
-            _mm256_sllv_epi64(_mm256_set1_epi64x(1), v),
-            _mm256_set1_epi64x(1),
-        )
-    }
-
-    /// `floor(log2(s))` per lane for `1 <= s < 2^53`, via the exact
-    /// u64 -> f64 conversion trick (split at bit 32, two magic-constant
-    /// doubles) and exponent-field extraction.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn msb53(s: __m256i) -> __m256i {
-        let hi = _mm256_or_si256(
-            _mm256_srli_epi64::<32>(s),
-            _mm256_set1_epi64x(0x4530_0000_0000_0000),
-        );
-        let lo = _mm256_or_si256(
-            _mm256_and_si256(s, _mm256_set1_epi64x(0xFFFF_FFFF)),
-            _mm256_set1_epi64x(0x4330_0000_0000_0000),
-        );
-        // (hi_double - (2^84 + 2^52)) + lo_double == s, exactly, below 2^53.
-        let magic = _mm256_castsi256_pd(_mm256_set1_epi64x(0x4530_0000_0010_0000));
-        let dbl = _mm256_add_pd(
-            _mm256_sub_pd(_mm256_castsi256_pd(hi), magic),
-            _mm256_castsi256_pd(lo),
-        );
-        _mm256_sub_epi64(
-            _mm256_srli_epi64::<52>(_mm256_castpd_si256(dbl)),
-            _mm256_set1_epi64x(1023),
-        )
-    }
-
-    impl FastAdderBatch {
-        /// Four [`FastAdderBatch::add_core`] lanes per step over `L`
-        /// (`L % 4 == 0`) lanes.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        pub(super) fn add_lanes_avx2<const L: usize>(
-            &self,
-            res: &mut [u64; L],
-            acc: &[u64; L],
-            prods: &[u64; L],
-            words: &[u64; L],
-        ) {
-            for c in (0..L).step_by(4) {
-                let load = |a: &[u64; L]| {
-                    _mm256_set_epi64x(
-                        a[c + 3] as i64,
-                        a[c + 2] as i64,
-                        a[c + 1] as i64,
-                        a[c] as i64,
-                    )
-                };
-                let out = self.add4(load(acc), load(prods), load(words));
-                res[c] = _mm256_extract_epi64::<0>(out) as u64;
-                res[c + 1] = _mm256_extract_epi64::<1>(out) as u64;
-                res[c + 2] = _mm256_extract_epi64::<2>(out) as u64;
-                res[c + 3] = _mm256_extract_epi64::<3>(out) as u64;
-            }
-        }
-
-        /// Four finite decoded lanes at once; see `add_core` for the
-        /// algebra and the per-line invariants.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn add4(&self, aw: __m256i, bw: __m256i, word: __m256i) -> __m256i {
-            let spec = &self.spec;
-            let zero = _mm256_setzero_si256();
-            let one = _mm256_set1_epi64x(1);
-            let f = _mm256_set1_epi64x(i64::from(spec.f));
-            let low16 = _mm256_set1_epi64x(0xFFFF);
-
-            // Operand swap on the magnitude key (keys are < 2^48, so the
-            // signed compare is an unsigned one).
-            let keym = _mm256_set1_epi64x(LANE_KEY as i64);
-            let akey = _mm256_and_si256(aw, keym);
-            let bkey = _mm256_and_si256(bw, keym);
-            let swap = _mm256_cmpgt_epi64(bkey, akey);
-            let hi = sel(swap, bw, aw);
-            let lo = sel(swap, aw, bw);
-            let sign_hi = _mm256_srli_epi64::<63>(hi);
-            let sign_lo = _mm256_srli_epi64::<63>(lo);
-            let ef_hi = _mm256_and_si256(_mm256_srli_epi64::<32>(hi), low16);
-            let ef_lo = _mm256_and_si256(_mm256_srli_epi64::<32>(lo), low16);
-            let sig_hi = _mm256_and_si256(hi, low16);
-            let sig_lo = _mm256_and_si256(lo, low16);
-
-            // Alignment.
-            let c63 = _mm256_set1_epi64x(63);
-            let d0 = _mm256_sub_epi64(ef_hi, ef_lo);
-            let d = sel(_mm256_cmpgt_epi64(d0, c63), c63, d0);
-            let yb = _mm256_sllv_epi64(sig_lo, f);
-            let y = _mm256_srlv_epi64(yb, d);
-            let sigma_m = _mm256_cmpgt_epi64(
-                zero,
-                _mm256_sub_epi64(zero, _mm256_and_si256(yb, low_mask(d))),
-            );
-            let sigma = _mm256_srli_epi64::<63>(sigma_m);
-            let x = _mm256_sllv_epi64(sig_hi, f);
-
-            // Branch-free effective subtraction.
-            let sub_eff = _mm256_xor_si256(sign_hi, sign_lo);
-            let subm = _mm256_sub_epi64(zero, sub_eff);
-            let s = _mm256_add_epi64(
-                _mm256_add_epi64(x, _mm256_xor_si256(y, subm)),
-                _mm256_and_si256(subm, _mm256_sub_epi64(one, sigma)),
-            );
-            let ones = _mm256_and_si256(sub_eff, sigma);
-            let extra_sticky = _mm256_and_si256(_mm256_xor_si256(sub_eff, one), sigma);
-
-            // Round: exponent, drop, exact and rounding paths.
-            let msb = msb53(_mm256_or_si256(s, one));
-            let pm1 = _mm256_set1_epi64x(i64::from(spec.p - 1));
-            let drop0 = _mm256_sub_epi64(msb, pm1);
-            let drop = if spec.sub {
-                let drop_min = _mm256_sub_epi64(f, ef_hi);
-                sel(_mm256_cmpgt_epi64(drop0, drop_min), drop0, drop_min)
-            } else {
-                drop0
-            };
-            let shl = relu64(_mm256_sub_epi64(zero, drop));
-            let kept_e = _mm256_sllv_epi64(s, shl);
-            let dr0 = sel(_mm256_cmpgt_epi64(one, drop), one, drop);
-            let dr = sel(_mm256_cmpgt_epi64(dr0, c63), c63, dr0);
-            let kept_r = _mm256_srlv_epi64(s, dr);
-            let tail = _mm256_and_si256(s, low_mask(dr));
-            let up = if self.sr {
-                let r = _mm256_set1_epi64x(i64::from(spec.r));
-                let rs_dn = relu64(_mm256_sub_epi64(dr, r));
-                let rs_up = relu64(_mm256_sub_epi64(r, dr));
-                let t_hi = _mm256_srlv_epi64(tail, rs_dn);
-                let fill = _mm256_and_si256(_mm256_sub_epi64(zero, ones), low_mask(rs_up));
-                let t_lo = _mm256_or_si256(_mm256_sllv_epi64(tail, rs_up), fill);
-                let t = sel(_mm256_cmpgt_epi64(dr, _mm256_sub_epi64(r, one)), t_hi, t_lo);
-                let rmask = _mm256_set1_epi64x(spec.rmask as i64);
-                _mm256_srlv_epi64(_mm256_add_epi64(t, _mm256_and_si256(word, rmask)), r)
-            } else {
-                let drm1 = _mm256_sub_epi64(dr, one);
-                let guard = _mm256_and_si256(_mm256_srlv_epi64(tail, drm1), one);
-                let rest_nz = _mm256_and_si256(tail, low_mask(drm1));
-                let rest_m = _mm256_cmpgt_epi64(zero, _mm256_sub_epi64(zero, rest_nz));
-                let rest = _mm256_or_si256(
-                    _mm256_or_si256(_mm256_srli_epi64::<63>(rest_m), ones),
-                    extra_sticky,
-                );
-                _mm256_and_si256(_mm256_and_si256(guard, _mm256_or_si256(rest, kept_r)), one)
-            };
-            let is_round = _mm256_cmpgt_epi64(drop, zero);
-            let kept0 = _mm256_add_epi64(
-                sel(is_round, kept_r, kept_e),
-                _mm256_and_si256(up, is_round),
-            );
-            let p = _mm256_set1_epi64x(i64::from(spec.p));
-            let carry = _mm256_srlv_epi64(kept0, p);
-            let kept = _mm256_srlv_epi64(kept0, carry);
-            let ef_out =
-                _mm256_add_epi64(_mm256_add_epi64(_mm256_sub_epi64(drop, f), ef_hi), carry);
-
-            // Assemble and apply the packing special cases, lowest
-            // precedence first (same order as add_core).
-            let zero_w = _mm256_slli_epi64::<63>(sign_hi);
-            let natural = _mm256_or_si256(
-                _mm256_or_si256(zero_w, _mm256_slli_epi64::<32>(ef_out)),
-                kept,
-            );
-            let inf_enc = _mm256_or_si256(
-                _mm256_sllv_epi64(sign_hi, _mm256_set1_epi64x(i64::from(self.enc_sign_shift))),
-                _mm256_set1_epi64x(self.inf_exp as i64),
-            );
-            let inf_w = _mm256_or_si256(
-                _mm256_slli_epi64::<16>(inf_enc),
-                _mm256_set1_epi64x((LANE_SPECIAL | LANE_DRAWS) as i64),
-            );
-            let mut w = natural;
-            w = sel(_mm256_cmpgt_epi64(zero, ef_out), zero_w, w);
-            w = sel(
-                _mm256_cmpgt_epi64(ef_out, _mm256_set1_epi64x(self.ef_max)),
-                inf_w,
-                w,
-            );
-            if !spec.sub {
-                let half = _mm256_set1_epi64x(self.half as i64);
-                w = sel(_mm256_cmpgt_epi64(half, kept), zero_w, w);
-            }
-            w = sel(_mm256_cmpeq_epi64(kept, zero), zero_w, w);
-            w = sel(_mm256_cmpeq_epi64(s, zero), zero, w);
-            let b_zero = _mm256_cmpeq_epi64(bkey, zero);
-            let a_zero = _mm256_cmpeq_epi64(akey, zero);
-            w = sel(b_zero, aw, w);
-            w = sel(a_zero, bw, w);
-            let sign = _mm256_set1_epi64x(LANE_SIGN as i64);
-            let both_zero_w = _mm256_and_si256(_mm256_and_si256(aw, bw), sign);
-            w = sel(_mm256_and_si256(a_zero, b_zero), both_zero_w, w);
-            w
-        }
     }
 }
 

@@ -40,16 +40,14 @@ use crate::batch::{DecodedLut, FastAdderBatch, LANE32_DRAWS, LANE_DRAWS};
 use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
 
-/// Default lane width of the batched compacted accumulation loop: the
-/// number of output columns [`FastAdderBatch`] advances per step. The
-/// per-element accumulation chain is serial in `k`, so wall-clock is
-/// bounded by chain *latency* unless enough independent column chains are
-/// in flight to cover it — 64 lanes (sixteen 4-wide vector chains under
-/// AVX2, eight 8-wide under AVX-512) measure fastest on current cores.
-/// Columns past the last full 64-block run in 16-lane panel blocks, the
-/// last one zero-padded, so narrow outputs stay on the same vector
-/// kernel. [`MacGemm::with_lane_width`] narrows it for equivalence
-/// testing and benchmarking.
+/// Width of the full panel blocks: the number of output columns
+/// [`FastAdderBatch`] advances per step. The per-element accumulation
+/// chain is serial in `k`, so wall-clock is bounded by chain *latency*
+/// unless enough independent column chains are in flight to cover it —
+/// 64 lanes (sixteen 4-wide vector chains under AVX2, eight 8-wide under
+/// AVX-512) measure fastest on current cores. Columns past the last full
+/// block run in 16-lane panel blocks, the last one zero-padded, so
+/// narrow outputs stay on the same vector kernel.
 const LANES: usize = 64;
 
 /// Cache-blocking tile sizes of the tiled execution path.
@@ -382,8 +380,6 @@ struct MacKernel {
     acc_mag_mask: u64,
     rounding: AccumRounding,
     seed: u64,
-    /// Column-lane width of the compacted path.
-    lanes: usize,
     /// Detected vector-ISA tier of the batched loop.
     tier: SimdTier,
 }
@@ -422,104 +418,19 @@ impl MacKernel {
         acc as u16
     }
 
-    /// One dot product over a compacted (zero-free) A row: `ids`/`cods`
-    /// hold the k-indices and codes of the row's non-zero-magnitude
-    /// entries, in ascending k order. Bit-identical to [`MacKernel::dot`]
+    /// `L` compacted dot products (columns `base .. base + L` of one
+    /// output row) advanced in lock-step through the lane-batched
+    /// [`FastAdderBatch`], over a lane-interleaved B panel block
+    /// (`pan[ci * L + l]` is column `l`'s code at k-index `ci`), so each
+    /// k-step is one contiguous `L`-byte load. `ids`/`cods` hold the
+    /// k-indices and codes of the A row's non-zero-magnitude entries, in
+    /// ascending k order. Each lane's adds stay in `k` order and its SR
+    /// stream advances once per product with non-zero encoded magnitude,
+    /// so results are bit-identical to `L` scalar [`MacKernel::dot`]s
     /// whenever B holds no NaN codes: products against a zero-magnitude A
-    /// code are exactly `+/-0` then, so the dense loop would skip them
-    /// without drawing a rounding word — exactly what skipping the entry
-    /// outright does.
-    fn dot_compact(&self, ids: &[u32], cods: &[u8], bcol: &[u8], rng: &mut SplitMix64) -> u16 {
-        let mut acc: u64 = 0;
-        match self.rounding {
-            AccumRounding::Nearest => {
-                for (&ci, &ca) in ids.iter().zip(cods) {
-                    let p = self.lut.product(ca, bcol[ci as usize]);
-                    if !self.is_zero_prod(p) {
-                        acc = self.adder.add(acc, u64::from(p), 0);
-                    }
-                }
-            }
-            AccumRounding::Stochastic { .. } => {
-                for (&ci, &ca) in ids.iter().zip(cods) {
-                    let p = self.lut.product(ca, bcol[ci as usize]);
-                    if !self.is_zero_prod(p) {
-                        acc = self.adder.add(acc, u64::from(p), rng.next_u64());
-                    }
-                }
-            }
-        }
-        acc as u16
-    }
-
-    /// Computes output rows `row0 .. row0 + rows` into `block` (rows x n).
-    /// SR streams are seeded at row `row_base + i` — the row's position in
-    /// the logical full batch when the engine is a row-offset derivation
-    /// (see [`GemmEngine::with_row_base`]); 0 otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_rows(
-        &self,
-        acode: &[u8],
-        bcode_t: &[u8],
-        k: usize,
-        n: usize,
-        row0: usize,
-        row_base: usize,
-        block: &mut [f32],
-    ) {
-        for (ri, out_row) in block.chunks_mut(n).enumerate() {
-            let i = row0 + ri;
-            let arow = &acode[i * k..(i + 1) * k];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let mut rng = SplitMix64::new(mix_seed(self.seed, row_base + i, j));
-                let acc = self.dot(arow, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                *o = self.decode[acc as usize];
-            }
-        }
-    }
-
-    /// `L` compacted dot products (columns `j .. j + L` of one output row)
-    /// advanced in lock-step through the lane-batched [`FastAdderBatch`].
-    /// Each lane's adds stay in `k` order and its SR stream is consumed
-    /// exactly as in [`MacKernel::dot_compact`] (one word per product with
-    /// non-zero encoded magnitude), so results are bit-identical to `L`
-    /// scalar dot products — the lanes only buy instruction-level
-    /// parallelism. Accumulators live in decoded lane-word form across the
-    /// whole loop and are packed once at the end.
-    #[inline(always)]
-    fn dotn_compact_batch<const L: usize, const SR: bool>(
-        &self,
-        ids: &[u32],
-        cods: &[u8],
-        bcols: [&[u8]; L],
-        streams: &mut SrLaneStreams<L>,
-    ) -> [u16; L] {
-        let batch = &self.batch;
-        let mut acc = [0u64; L];
-        for (&ci, &ca) in ids.iter().zip(cods) {
-            let row = self.dlut.row(ca);
-            let mut prods = [0u64; L];
-            for l in 0..L {
-                prods[l] = row[usize::from(bcols[l][ci as usize])];
-            }
-            let words = if SR {
-                let mut consume = [false; L];
-                for l in 0..L {
-                    consume[l] = prods[l] & LANE_DRAWS != 0;
-                }
-                streams.draw(consume)
-            } else {
-                [0u64; L]
-            };
-            batch.mac_step(&mut acc, &prods, &words);
-        }
-        std::array::from_fn(|l| batch.encode(acc[l]) as u16)
-    }
-
-    /// [`MacKernel::dotn_compact_batch`] over a lane-interleaved B panel
-    /// block (`pan[ci * L + l]` is column `l`'s code at k-index `ci`):
-    /// one contiguous `L`-byte load per k-step instead of `L` strided
-    /// column touches. Same adds, same streams — bit-identical.
+    /// code are exactly `+/-0` then, which the dense loop skips without
+    /// drawing a rounding word. Accumulators live in decoded lane-word
+    /// form across the whole loop and are packed once at the end.
     #[inline(always)]
     fn dotn_panel_wide<const L: usize, const SR: bool>(
         &self,
@@ -686,54 +597,17 @@ impl MacKernel {
         }
     }
 
-    /// Runs lane blocks of width `L` over columns `*j .. cols.end` of one
-    /// output row, gathering from column-major `bcode_t` and advancing
-    /// `j` past every complete block (the non-panel loop of explicit lane
-    /// widths below 64).
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn lane_blocks<const L: usize>(
-        &self,
-        ids: &[u32],
-        cods: &[u8],
-        bcode_t: &[u8],
-        k: usize,
-        cols: &Range<usize>,
-        i: usize,
-        j: &mut usize,
-        out_row: &mut [f32],
-    ) {
-        let sr = !matches!(self.rounding, AccumRounding::Nearest);
-        while *j + L <= cols.end {
-            let base = *j;
-            let bcols: [&[u8]; L] =
-                std::array::from_fn(|l| &bcode_t[(base + l) * k..(base + l + 1) * k]);
-            let mut streams =
-                SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
-            let accs = if sr {
-                self.dotn_compact_batch::<L, true>(ids, cods, bcols, &mut streams)
-            } else {
-                self.dotn_compact_batch::<L, false>(ids, cods, bcols, &mut streams)
-            };
-            for (lane, &a) in accs.iter().enumerate() {
-                out_row[base - cols.start + lane] = self.decode[a as usize];
-            }
-            *j += L;
-        }
-    }
-
     /// Compacted-A rectangle kernel (requires a NaN-free B operand; see
-    /// [`MacKernel::dot_compact`]): fills output rows `rows` x columns
+    /// [`MacKernel::dotn_panel_wide`]): fills output rows `rows` x columns
     /// `cols` into `block` (row-major, stride `cols.len()`). Bit-identical
-    /// to the scalar path for every lane width, tile shape and column
-    /// range — the tiling only reorders *which independent element* is
-    /// computed when. Dispatches once onto the detected [`SimdTier`]'s
+    /// to the scalar path for every tile shape and column range — the
+    /// tiling only reorders *which independent element* is computed
+    /// when. Dispatches once onto the detected [`SimdTier`]'s
     /// codegen of the (identical) loop body.
     #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
     fn compute_rect_compact(
         &self,
         compact: &CompactA,
-        bcode_t: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
@@ -750,7 +624,7 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx512(
-                        compact, bcode_t, panel, k, n, row_base, rows, cols, block,
+                        compact, panel, k, n, row_base, rows, cols, block,
                     );
                 }
             }
@@ -760,14 +634,12 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx2(
-                        compact, bcode_t, panel, k, n, row_base, rows, cols, block,
+                        compact, panel, k, n, row_base, rows, cols, block,
                     );
                 }
             }
             SimdTier::Portable => {
-                self.compute_rect_compact_body(
-                    compact, bcode_t, panel, k, n, row_base, rows, cols, block,
-                );
+                self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
             }
         }
     }
@@ -787,7 +659,6 @@ impl MacKernel {
     fn compute_rect_compact_avx512(
         &self,
         compact: &CompactA,
-        bcode_t: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
@@ -796,7 +667,7 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, bcode_t, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
     }
 
     /// AVX2 codegen of the compacted loop (4-lane `ymm` arithmetic).
@@ -806,7 +677,6 @@ impl MacKernel {
     fn compute_rect_compact_avx2(
         &self,
         compact: &CompactA,
-        bcode_t: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
@@ -815,29 +685,24 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, bcode_t, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
     }
 
     /// The tier-independent rectangle body (inlined into each tier wrapper
     /// so every tier gets its own codegen of the whole lane pipeline).
     ///
-    /// At the production lane width (64) this is the tiled loop: column
-    /// tiles of `self.tiles.col_tile` outermost, the rectangle's rows
-    /// next, panel blocks innermost — every row of the rectangle reuses
-    /// one `col_tile * k`-byte panel slice before the loop moves on.
-    /// Every column sits in a panel block (64-wide blocks, then 16-wide
-    /// blocks with the last one zero-padded; see [`build_panel`]); tile
-    /// and dispatch boundaries are 64-aligned, so they never split a
-    /// block. Explicit narrower lane widths take the legacy gather loop
-    /// over column-major `bcode_t` (unused, and empty, at width 64),
-    /// which keeps the equivalence suites exercising both layouts
-    /// against each other.
+    /// This is the tiled loop: column tiles of `self.tiles.col_tile`
+    /// outermost, the rectangle's rows next, panel blocks innermost —
+    /// every row of the rectangle reuses one `col_tile * k`-byte panel
+    /// slice before the loop moves on. Every column sits in a panel block
+    /// (64-wide blocks, then 16-wide blocks with the last one
+    /// zero-padded; see [`build_panel`]); tile and dispatch boundaries
+    /// are 64-aligned, so they never split a block.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
         &self,
         compact: &CompactA,
-        bcode_t: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
@@ -852,41 +717,12 @@ impl MacKernel {
             (&compact.idx[s..e], &compact.code[s..e])
         };
         // Operand data indexes at the local row `i`; SR streams seed at the
-        // full-batch row `si = row_base + i` (`lane_blocks`/`panel_block`
-        // take the row index for seeding only).
-        if self.lanes != LANES {
-            for (ri, out_row) in block.chunks_mut(w).enumerate() {
-                let i = rows.start + ri;
-                let si = row_base + i;
-                let (ids, cods) = row_of(i);
-                let mut j = cols.start;
-                match self.lanes {
-                    32 => {
-                        self.lane_blocks::<32>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                    }
-                    16 => {
-                        self.lane_blocks::<16>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                    }
-                    8 => self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row),
-                    4 => self.lane_blocks::<4>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row),
-                    _ => {}
-                }
-                while j < cols.end {
-                    let mut rng = SplitMix64::new(mix_seed(self.seed, si, j));
-                    let acc = self.dot_compact(ids, cods, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                    out_row[j - cols.start] = self.decode[acc as usize];
-                    j += 1;
-                }
-            }
-            return;
-        }
-        // The tiled panel loop. A block starting at column `j` occupies
+        // full-batch row `si = row_base + i` (`panel_block` takes the row
+        // index for seeding only). A block starting at column `j` occupies
         // panel bytes `[j * k, (j + L) * k)`: 64-wide blocks cover
         // [0, n64), 16-wide blocks the rest, the last one padded with +0.
-        let n64 = n - n % 64;
-        let ct = self.tiles.col_tile.max(64);
+        let n64 = n - n % LANES;
+        let ct = self.tiles.col_tile.max(LANES);
         let mut c0 = cols.start;
         while c0 < cols.end {
             let c1 = cols.end.min(c0 + ct);
@@ -896,11 +732,11 @@ impl MacKernel {
                 let (ids, cods) = row_of(i);
                 let mut j = c0;
                 let lim64 = c1.min(n64);
-                while j + 64 <= lim64 {
-                    let pan = &panel[j * k..(j + 64) * k];
+                while j + LANES <= lim64 {
+                    let pan = &panel[j * k..(j + LANES) * k];
                     let o = j - cols.start;
-                    self.panel_block::<64>(ids, cods, pan, si, j, &mut out_row[o..o + 64]);
-                    j += 64;
+                    self.panel_block::<LANES>(ids, cods, pan, si, j, &mut out_row[o..o + LANES]);
+                    j += LANES;
                 }
                 while j < c1 {
                     let pan = &panel[j * k..(j + 16) * k];
@@ -1001,7 +837,7 @@ struct MacPackedB {
     /// the compacted hot path reads nothing else.
     panel: Arc<Vec<u8>>,
     /// Column-major codes, materialized lazily from `panel` — only the
-    /// NaN dense fallback and explicit narrower lane widths read them.
+    /// NaN dense fallback reads them.
     codes_t: OnceLock<Arc<Vec<u8>>>,
     has_nan: bool,
     fingerprint: u64,
@@ -1032,8 +868,8 @@ impl MacPackedB {
 /// columns, the last one possibly extending past `n`
 /// (`n64 = n - n % 64`).
 fn panel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
-    let n64 = n - n % 64;
-    let wide = (0..n64).step_by(64).map(|c| (c, 64));
+    let n64 = n - n % LANES;
+    let wide = (0..n64).step_by(LANES).map(|c| (c, LANES));
     wide.chain((n64..n).step_by(16).map(|c| (c, 16)))
 }
 
@@ -1092,9 +928,7 @@ impl AWork {
                 kernel.compute_rect_dense(codes, bcode_t, k, row_base, rows, cols, block);
             }
             AWork::Compact(compact) => {
-                kernel.compute_rect_compact(
-                    compact, bcode_t, panel, k, n, row_base, rows, cols, block,
-                );
+                kernel.compute_rect_compact(compact, panel, k, n, row_base, rows, cols, block);
             }
         }
     }
@@ -1121,9 +955,9 @@ pub struct MacGemm {
     zero_code: u8,
     kernel: Arc<MacKernel>,
     runtime: Arc<Runtime>,
-    /// Recycled byte buffers for the code-transposition scratch of
-    /// [`MacGemm::gemm_scoped`] and the `_into` quantization helpers —
-    /// steady-state reference-path calls allocate nothing.
+    /// Recycled byte buffers for the quantization scratch of `pack_a`,
+    /// `pack_b`, [`MacGemm::gemm_reference`] and the `_into` quantization
+    /// helpers — steady-state calls allocate nothing.
     codes_scratch: Mutex<Vec<Vec<u8>>>,
     /// SR streams seed at output row `row_base + i` instead of `i`: 0 for
     /// ordinary engines, the first-row offset for the derived engines of
@@ -1186,7 +1020,6 @@ impl MacGemm {
                 & srmac_fp::mask(config.acc_fmt.bits()),
             rounding: config.rounding,
             seed: config.seed,
-            lanes: LANES,
             tier: SimdTier::detect(),
         });
         Self {
@@ -1204,27 +1037,6 @@ impl MacGemm {
     #[must_use]
     pub fn config(&self) -> &MacGemmConfig {
         &self.config
-    }
-
-    /// Sets the column-lane width of the batched compacted path. The
-    /// default `LANES` = 64 runs the panel loop (64-wide blocks, then
-    /// zero-padded 16-wide blocks); an explicit narrower width runs the
-    /// column-major gather loop, where widths above 8 cascade down to
-    /// 8-lane blocks before a scalar tail. Results are bitwise identical
-    /// at every width — the knob exists for equivalence tests and
-    /// benchmarks, not for tuning correctness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not 1, 4, 8, 16, 32 or 64.
-    #[must_use]
-    pub fn with_lane_width(mut self, lanes: usize) -> Self {
-        assert!(
-            matches!(lanes, 1 | 4 | 8 | 16 | 32 | 64),
-            "lane width must be 1, 4, 8, 16, 32 or 64"
-        );
-        Arc::make_mut(&mut self.kernel).lanes = lanes;
-        self
     }
 
     /// Sets the cache-blocking tile sizes of the tiled execution path
@@ -1396,15 +1208,26 @@ impl MacGemm {
         );
     }
 
-    /// One-shot GEMM through per-call `std::thread::scope` spawning — the
-    /// pre-pool reference path, kept for the pooled-vs-scoped benchmark and
-    /// as an equivalence oracle in tests. Results are bitwise identical to
-    /// [`GemmEngine::gemm`].
+    /// The scalar reference GEMM: quantizes both operands, transposes B,
+    /// and runs one dense scalar dot product per output element on the
+    /// calling thread, seeded with the element's `(row_base + i, j)`
+    /// stream — the same loop as the NaN fallback of
+    /// [`GemmEngine::gemm_packed`], with no compaction, panel, lane batch
+    /// or dispatch. The equivalence suites use it as the oracle every
+    /// fast path must match bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if slice lengths disagree with `m * k`, `k * n`, `m * n`.
-    pub fn gemm_scoped(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    pub fn gemm_reference(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
         assert_eq!(a.len(), m * k, "A must be m x k");
         assert_eq!(b.len(), k * n, "B must be k x n");
         assert_eq!(out.len(), m * n, "out must be m x n");
@@ -1414,25 +1237,8 @@ impl MacGemm {
         self.quantize_codes_into(b, &mut bcode);
         let mut bcode_t = self.take_codes_buf();
         self.transpose_codes_into(&bcode, k, n, &mut bcode_t);
-        let threads = if m * n * k < 32 * 1024 {
-            1
-        } else {
-            self.config.threads.max(1)
-        };
-        let chunk = m.div_ceil(threads).max(1);
-        // DETERMINISM-OK: fixed row partition into disjoint chunks — bitwise thread-invariant.
-        std::thread::scope(|scope| {
-            for (ci, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                let acode = &acode;
-                let bcode_t = &bcode_t;
-                let kernel = &self.kernel;
-                let row_base = self.row_base;
-                // DETERMINISM-OK: same fixed partition.
-                scope.spawn(move || {
-                    kernel.compute_rows(acode, bcode_t, k, n, ci * chunk, row_base, out_chunk);
-                });
-            }
-        });
+        self.kernel
+            .compute_rect_dense(&acode, &bcode_t, k, self.row_base, 0..m, 0..n, out);
         self.recycle_codes_buf(acode);
         self.recycle_codes_buf(bcode);
         self.recycle_codes_buf(bcode_t);
@@ -1535,9 +1341,9 @@ impl GemmEngine for MacGemm {
         } else {
             AWork::Compact(Arc::clone(&a.compact))
         };
-        // Column-major codes serve only the dense fallback and explicit
-        // narrower lane widths; the default compacted path reads the panel.
-        let bcode_t = if b.has_nan || self.kernel.lanes != LANES {
+        // Column-major codes serve only the NaN dense fallback; the
+        // compacted path reads the panel.
+        let bcode_t = if b.has_nan {
             Arc::clone(b.codes_t(k, n))
         } else {
             Arc::default()
@@ -1672,7 +1478,7 @@ mod tests {
     #[test]
     fn packed_gemm_is_bitwise_identical_and_reusable() {
         // Same values through the one-shot, packed (reused twice), and
-        // scoped-reference paths must agree bit for bit, under both RN and
+        // scalar-reference paths must agree bit for bit, under both RN and
         // SR, with and without the worker pool.
         let (m, k, n) = (23, 65, 11);
         let a = rand_vec(m * k, 31, 2.0);
@@ -1684,9 +1490,9 @@ mod tests {
                 let mut one_shot = vec![0.0f32; m * n];
                 engine.gemm(m, k, n, &a, &b, &mut one_shot);
 
-                let mut scoped = vec![0.0f32; m * n];
-                engine.gemm_scoped(m, k, n, &a, &b, &mut scoped);
-                assert_eq!(one_shot, scoped, "{rounding:?} t={threads}: scoped");
+                let mut reference = vec![0.0f32; m * n];
+                engine.gemm_reference(m, k, n, &a, &b, &mut reference);
+                assert_eq!(one_shot, reference, "{rounding:?} t={threads}: reference");
 
                 let pa = engine.pack_a(m, k, &a);
                 let pb = engine.pack_b(k, n, &b);
@@ -1737,7 +1543,7 @@ mod tests {
     #[test]
     fn sparse_and_nan_inputs_match_the_dense_reference() {
         // The compacted A path must be bitwise identical to the dense
-        // scoped reference on heavily sparse inputs (ReLU-style zeros drawn
+        // scalar reference on heavily sparse inputs (ReLU-style zeros drawn
         // into A), and a NaN in B must force the exact dense semantics
         // (0 * NaN = NaN reaches the accumulator).
         let (m, k, n) = (9, 48, 6);
@@ -1760,7 +1566,7 @@ mod tests {
                         b[k * n / 2] = f32::NAN;
                     }
                     let mut reference = vec![0.0f32; m * n];
-                    engine.gemm_scoped(m, k, n, &a, &b, &mut reference);
+                    engine.gemm_reference(m, k, n, &a, &b, &mut reference);
                     let mut packed = vec![0.0f32; m * n];
                     let (pa, pb) = (engine.pack_a(m, k, &a), engine.pack_b(k, n, &b));
                     engine.gemm_packed(m, k, n, &pa, &pb, &mut packed);

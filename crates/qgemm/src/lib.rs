@@ -50,11 +50,11 @@
 //! independent of how operands were packed, how rows were chunked, how
 //! many runtime workers ran, and of any previous calls. RN ignores the
 //! streams entirely. This is what makes experiment tables reproducible
-//! and `gemm`/`gemm_packed`/[`MacGemm::gemm_scoped`] bitwise
-//! interchangeable, and it is one instance of the runtime-wide contract
-//! (`srmac_runtime`): parallel dispatch never splits an output element
-//! across workers and never reorders a reduction, so thread count changes
-//! wall-clock time, never bits.
+//! and `gemm`/`gemm_packed` bitwise equal to the single-threaded scalar
+//! oracle [`MacGemm::gemm_reference`], and it is one instance of the
+//! runtime-wide contract (`srmac_runtime`): parallel dispatch never
+//! splits an output element across workers and never reorders a
+//! reduction, so thread count changes wall-clock time, never bits.
 //!
 //! # Lane-batched accumulation (the SWAR/SIMD hot path)
 //!
@@ -66,21 +66,20 @@
 //! (sign / ULP exponent / significand as plain fields — see `batch.rs`),
 //! fed with pre-decoded products from a 512 KiB [`DecodedLut`], and
 //! updated by the scalar adder's exact algebra with every branch replaced
-//! by SWAR mask arithmetic. The branch-free body auto-vectorizes;
+//! by SWAR mask arithmetic. The branch-free body auto-vectorizes, and
 //! runtime-detected `#[target_feature]` wrappers give it AVX2/AVX-512
-//! codegen without any workspace-wide compiler flags, and an explicit
-//! `std::arch` rendition exists behind the opt-in `arch-simd` feature.
+//! codegen without any workspace-wide compiler flags.
 //!
 //! Column-lane batching preserves the determinism contract *by
 //! construction*: SR streams are position-seeded per output element, so
-//! computing eight elements side by side reorders nothing **within** any
+//! computing many elements side by side reorders nothing **within** any
 //! element — its adds stay in `k` order and its stream (an
 //! [`srmac_rng::SrLaneStreams`] lane, bit-equal to the scalar
-//! `SplitMix64` stream) is consumed on exactly the same products. Lane
-//! width is therefore invisible in the bits: `L` = 1, 4, 8, 16, 32 and 64
-//! produce identical output (asserted in `tests/lane_batch.rs`, with the
-//! operand-level exhaustive equivalence in `batch.rs`), and the golden
-//! training histories did not move when the default width changed.
+//! `SplitMix64` stream) is consumed on exactly the same products. The
+//! batched kernel therefore matches the one-element-at-a-time scalar
+//! oracle [`MacGemm::gemm_reference`] bit for bit (asserted in
+//! `tests/lane_batch.rs` across ragged widths, with the operand-level
+//! exhaustive equivalence in `batch.rs`).
 //!
 //! # The tiled, fused execution pipeline
 //!
@@ -140,11 +139,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // `deny` rather than the workspace-usual `forbid`: the sanctioned
-// exceptions are the `#[target_feature]` kernel dispatches — the
-// runtime-detected SIMD-tier calls in `engine.rs` (guarded by
-// `is_x86_feature_detected!`) and the statically-`cfg`-guarded `std::arch`
-// path in `batch.rs`. In both, the `unsafe` discharges exactly one
-// obligation (the CPU has the enabled features), proven one line above.
+// exceptions are the runtime-detected SIMD-tier calls in `engine.rs`
+// (guarded by `is_x86_feature_detected!`) and the pointer loads, stores
+// and gathers of the AVX-512 `z16` kernel in `batch.rs`. Each `unsafe`
+// carries a `SAFETY` note proving its one obligation.
 // Everything else in this crate remains unsafe-free, and new `unsafe`
 // must justify itself the same way.
 #![deny(unsafe_code)]

@@ -1,12 +1,12 @@
 //! Tiled-kernel equivalence suite: the cache-blocked tile grid, the
 //! multi-core tile dispatch and the narrow product-pair LUT must all be
 //! pure performance transforms. Every tile shape x thread count
-//! combination reproduces the lanes=1/threads=1 scalar reference
-//! bit-for-bit, the pair LUT changes nothing when toggled, and formats
+//! combination reproduces the single-threaded scalar oracle
+//! (`MacGemm::gemm_reference`) bit-for-bit, the pair LUT changes nothing when toggled, and formats
 //! outside the narrow envelope (which silently fall back to the wide
 //! u64 kernel) obey the same invariances.
 //!
-//! (Lane-width invariance at the default tiling lives in
+//! (Ragged-width equivalence at the default tiling lives in
 //! `tests/lane_batch.rs`; the operand-level narrow/wide adder
 //! equivalence lives next to the implementation in `src/batch.rs`.)
 
@@ -91,9 +91,9 @@ fn scalar_reference(
     a: &[f32],
     b: &[f32],
 ) -> Vec<f32> {
-    let engine = MacGemm::new(config.with_threads(1)).with_lane_width(1);
+    let engine = MacGemm::new(config.with_threads(1));
     let mut out = vec![0.0f32; m * n];
-    engine.gemm(m, k, n, a, b, &mut out);
+    engine.gemm_reference(m, k, n, a, b, &mut out);
     out
 }
 
