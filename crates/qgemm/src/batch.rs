@@ -647,10 +647,17 @@ impl FastAdderBatch {
 /// module's tests pins it lane-for-lane against those scalar-verified
 /// kernels. Special lanes take the same `#[cold]` scalar fixup.
 ///
-/// Masked compares/blends replace the SWAR `sel32` ladders; the one
-/// pointer-based operation is the product gather, whose indices are
+/// Masked compares/blends replace the SWAR `sel32` ladders; the
+/// pointer-based operations are the product gather, whose indices are
 /// zero-extended bytes into the 65536-entry pair table (in-bounds by
-/// construction).
+/// construction), the write-back's decode gather, whose indices are
+/// masked below the table size, and loads and stores of whole or masked
+/// 16-lane groups of bounds-checked slices.
+///
+/// The module also holds the two per-element loops around the kernel:
+/// the block write-back (`write_narrow`: `encode32` plus the decode
+/// table lookup, 16 lanes per step) and the CSR row compaction of
+/// `pack_a` (`compact_row`).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod z16 {
     use std::arch::x86_64::*;
@@ -1287,6 +1294,148 @@ pub(crate) mod z16 {
             ]
         )
     }
+
+    /// The write-back of a panel block: `out[l] = decode[encode32(accs[l])]`
+    /// for every live lane `l < out.len()`, 16 lanes per step. The encode
+    /// is [`FastAdderBatch::encode32`] with its branches as masked moves
+    /// (special words return their carried encoding, words below `half`
+    /// the sign and significand, normal words the sign, biased exponent
+    /// and stored significand); the decode is one `vpgatherdd` from the
+    /// `decode` table, and the store is masked to the live lanes, so the
+    /// padded lanes of a remainder block are never written.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `decode` has exactly one entry per accumulator
+    /// encoding, `accs.len()` is a multiple of 16 and
+    /// `out.len() <= accs.len()`.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    pub(crate) fn write_narrow(
+        batch: &FastAdderBatch,
+        decode: &[f32],
+        accs: &[u32],
+        out: &mut [f32],
+    ) {
+        let spec = &batch.spec;
+        let encmask = srmac_fp::mask(spec.fmt.bits()) as u32;
+        assert_eq!(
+            decode.len(),
+            encmask as usize + 1,
+            "one decode entry per encoding"
+        );
+        assert!(
+            accs.len().is_multiple_of(16) && out.len() <= accs.len(),
+            "accs must hold whole 16-lane groups covering out"
+        );
+        let b32 = |v: u32| _mm512_set1_epi32(v as i32);
+        let (special, sign, sigmask, efmask) = (
+            b32(LANE32_SPECIAL),
+            b32(LANE32_SIGN),
+            b32(0xFFFF),
+            b32(0x1FFF),
+        );
+        let (one, half, mmask, encm) = (
+            b32(1),
+            b32(batch.half as u32),
+            b32(spec.mmask as u32),
+            b32(encmask),
+        );
+        let mbits = b32(spec.mbits);
+        let iss = b32(31 - batch.enc_sign_shift);
+        for (q, dst) in out.chunks_mut(16).enumerate() {
+            let live = (1u32 << dst.len()) - 1;
+            // SAFETY: `accs[q * 16..][..16]` is 16 in-bounds u32s (`accs`
+            // holds whole 16-lane groups and `q * 16 < out.len() <=
+            // accs.len()`).
+            #[allow(unsafe_code)]
+            let w = unsafe { _mm512_loadu_si512(accs[q * 16..][..16].as_ptr().cast()) };
+            let sig = _mm512_and_si512(w, sigmask);
+            let ef = _mm512_and_si512(_mm512_srli_epi32::<16>(w), efmask);
+            let sbit = _mm512_srlv_epi32(_mm512_and_si512(w, sign), iss);
+            let normal = _mm512_or_si512(
+                _mm512_or_si512(sbit, _mm512_sllv_epi32(_mm512_add_epi32(ef, one), mbits)),
+                _mm512_and_si512(sig, mmask),
+            );
+            let mut enc = _mm512_mask_mov_epi32(
+                normal,
+                _mm512_cmplt_epu32_mask(sig, half),
+                _mm512_or_si512(sbit, sig),
+            );
+            enc = _mm512_mask_mov_epi32(enc, _mm512_test_epi32_mask(w, special), sig);
+            // Canonical words already encode below `2^bits`; the mask
+            // makes every gather index provably in bounds.
+            let enc = _mm512_and_si512(enc, encm);
+            // SAFETY: every index is masked below `decode.len()` (asserted
+            // above to be `2^bits`); the store is masked to the `dst.len()`
+            // live lanes, and masked-off lanes are never accessed.
+            #[allow(unsafe_code)]
+            unsafe {
+                let v = _mm512_i32gather_ps::<4>(enc, decode.as_ptr());
+                _mm512_mask_storeu_ps(dst.as_mut_ptr(), live as __mmask16, v);
+            }
+        }
+    }
+
+    /// Appends the CSR compaction of one code row — the k-index and code
+    /// of every entry with non-zero magnitude (`code & mag != 0`), in
+    /// ascending k order — to `idx`/`code` at offset `len`, and returns
+    /// the new length. One 16-code chunk per step: a masked load covers
+    /// the ragged tail, `vpcompressd` packs the selected lanes' indices
+    /// and (widened) codes to the front, both are stored in full at
+    /// `len` (`vpmovdb` narrows the codes back to bytes), and `len`
+    /// advances by the mask's popcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `idx` and `code` have room for every selected entry
+    /// plus 16 lanes of store slack, or if `row` is longer than
+    /// `i32::MAX`.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    pub(crate) fn compact_row(
+        row: &[u8],
+        mag: u8,
+        idx: &mut [u32],
+        code: &mut [u8],
+        mut len: usize,
+    ) -> usize {
+        assert!(i32::try_from(row.len()).is_ok(), "row too long to index");
+        let magv = _mm_set1_epi8(mag as i8);
+        let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        for (q, chunk) in row.chunks(16).enumerate() {
+            let live = ((1u32 << chunk.len()) - 1) as __mmask16;
+            // SAFETY: the load is masked to the chunk's `chunk.len()`
+            // in-bounds bytes; masked-off lanes are never accessed.
+            #[allow(unsafe_code)]
+            let v = unsafe { _mm_maskz_loadu_epi8(live, chunk.as_ptr().cast()) };
+            let keep = _mm_test_epi8_mask(v, magv);
+            let ks = _mm512_add_epi32(_mm512_set1_epi32((q * 16) as i32), iota);
+            let ids = _mm512_maskz_compress_epi32(keep, ks);
+            let cds =
+                _mm512_cvtepi32_epi8(_mm512_maskz_compress_epi32(keep, _mm512_cvtepu8_epi32(v)));
+            let (idst, cdst) = (&mut idx[len..len + 16], &mut code[len..len + 16]);
+            // SAFETY: `idst` is 16 u32s and `cdst` 16 bytes, both
+            // in bounds (sliced just above); unaligned stores are allowed.
+            #[allow(unsafe_code)]
+            unsafe {
+                _mm512_storeu_si512(idst.as_mut_ptr().cast(), ids);
+                _mm_storeu_si128(cdst.as_mut_ptr().cast(), cds);
+            }
+            len += keep.count_ones() as usize;
+        }
+        len
+    }
 }
 
 /// The decoded-form product table: [`ProductLut`]'s 256 x 256 code plane
@@ -1665,6 +1814,75 @@ mod tests {
             let row = dlut.row(a);
             for b in 0..=255u8 {
                 assert_eq!(row[b as usize], batch.decode(u64::from(lut.product(a, b))));
+            }
+        }
+    }
+
+    /// The vector write-back against `decode[encode32(w)]` lane by lane:
+    /// every encoding's lane word (±0, sub-half, normal, ±inf and NaN
+    /// words), both subnormal settings of E6M5 plus the 16-bit E8M7, at
+    /// 1..=16 live lanes of a 16-lane group and at ragged widths of a
+    /// 64-lane block. Lanes past the live ones must stay untouched.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn z16_write_back_matches_scalar_encode_and_decode() {
+        if !(is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+            && is_x86_feature_detected!("avx512cd"))
+        {
+            eprintln!("skipping z16 write-back test: no AVX-512 at runtime");
+            return;
+        }
+        let sentinel = f32::from_bits(0xDEAD_BEEF);
+        for fmt in [
+            FpFormat::e6m5(),
+            FpFormat::e6m5().with_subnormals(false),
+            FpFormat::e8m7(),
+        ] {
+            let batch = FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 11 });
+            let decode: Vec<f32> = fmt
+                .iter_encodings()
+                .map(|e| fmt.decode_f64(e) as f32)
+                .collect();
+            let words: Vec<u32> = fmt.iter_encodings().map(|e| batch.decode32(e)).collect();
+            let want = |w: u32| decode[batch.encode32(w) as usize].to_bits();
+            for group in words.chunks_exact(16) {
+                for live in 1..=16 {
+                    let mut out = [sentinel; 32];
+                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        z16::write_narrow(&batch, &decode, group, &mut out[..live]);
+                    }
+                    for l in 0..live {
+                        assert_eq!(
+                            out[l].to_bits(),
+                            want(group[l]),
+                            "{fmt}: word {:#x}",
+                            group[l]
+                        );
+                    }
+                    assert!(out[live..]
+                        .iter()
+                        .all(|v| v.to_bits() == sentinel.to_bits()));
+                }
+            }
+            for (b, block) in words.chunks_exact(64).enumerate() {
+                let live = [1, 17, 40, 64][b % 4];
+                let mut out = [sentinel; 64];
+                // SAFETY: as above.
+                #[allow(unsafe_code)]
+                unsafe {
+                    z16::write_narrow(&batch, &decode, block, &mut out[..live]);
+                }
+                for l in 0..live {
+                    assert_eq!(out[l].to_bits(), want(block[l]), "{fmt}: 64-lane word {l}");
+                }
+                assert!(out[live..]
+                    .iter()
+                    .all(|v| v.to_bits() == sentinel.to_bits()));
             }
         }
     }

@@ -7,10 +7,11 @@
 //! # Pack/plan lifecycle
 //!
 //! [`MacGemm`] implements the prepared-operand pipeline of
-//! [`GemmEngine`]: [`GemmEngine::pack_a`] quantizes a matrix to row-major
-//! FP8 codes, [`GemmEngine::pack_b`] quantizes *and* interleaves the
-//! columns into a lane panel (so every `k` step reads a block's operand
-//! codes contiguously), and [`GemmEngine::gemm_packed`] runs only the
+//! [`GemmEngine`]: [`GemmEngine::pack_a`] quantizes a matrix to FP8 codes
+//! and CSR-compacts each row's non-zero entries, [`GemmEngine::pack_b`]
+//! quantizes *and* interleaves the columns into a lane panel (so every
+//! `k` step reads a block's operand codes contiguously), and
+//! [`GemmEngine::gemm_packed`] runs only the
 //! accumulation loops. The one-shot [`GemmEngine::gemm`] is the trait's
 //! default composition of the three. Packing depends only on the operand
 //! values and the multiplier format — never on the accumulator format,
@@ -52,23 +53,26 @@ const LANES: usize = 64;
 
 /// Cache-blocking tile sizes of the tiled execution path.
 ///
-/// The output matrix is cut into a fixed grid of `row_tile x col_tile`
-/// rectangles for multi-core dispatch (one pool job per rectangle), and
-/// inside each rectangle the loop walks `col_tile` columns at a time
-/// across all of the rectangle's rows, so one lane-interleaved B panel
-/// slice (`col_tile * k` bytes) is reused across every row before the
-/// next slice is touched. The grid is a pure function of the shape and
-/// the tile sizes — never of the thread count — which together with the
-/// per-output-element accumulation order (unchanged) and position-seeded
-/// SR streams keeps results bitwise identical for every tile/thread
-/// combination.
+/// The output matrix is cut into a fixed grid of rectangles for
+/// multi-core dispatch (one pool job per rectangle), and inside each
+/// rectangle the loop walks `col_tile` columns at a time across all of
+/// the rectangle's rows, so one lane-interleaved B panel slice
+/// (`col_tile * k` bytes) is reused across every row before the next
+/// slice is touched. `row_tile` is the most rows a rectangle holds: a
+/// thin product (few, long rows) gets fewer, as few as one, so that it
+/// still splits into several jobs — each row range is cut to about
+/// 288Ki MAC steps, or `row_tile` rows if that is less. The grid is a pure
+/// function of the shape and the tile sizes — never of the thread
+/// count — which together with the per-output-element accumulation
+/// order (unchanged) and position-seeded SR streams keeps results
+/// bitwise identical for every tile/thread combination.
 ///
 /// `col_tile` must be a multiple of the 64-lane block width so tile
 /// boundaries never split a lane block. Defaults come from
 /// [`TileConfig::auto`], derived with `probe_tune kernel`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
-    /// Output rows per dispatch rectangle.
+    /// Most output rows per dispatch rectangle.
     pub row_tile: usize,
     /// Output columns per dispatch rectangle and per in-job column tile
     /// (multiple of 64).
@@ -76,10 +80,11 @@ pub struct TileConfig {
 }
 
 impl TileConfig {
-    /// The tuned defaults (see `probe_tune kernel`): 32 rows keeps ~8
-    /// dispatch rectangles per core on training shapes, 512 columns
-    /// bounds the active B panel slice at `512 * k` bytes — L2-resident
-    /// alongside the 256 KiB pair LUT for every ResNet-20 shape.
+    /// The tuned defaults (see `probe_tune kernel`): rectangles of up to
+    /// 32 rows (fewer for thin products, see [`TileConfig`]), and 512
+    /// columns bound the active B panel slice at `512 * k` bytes —
+    /// L2-resident alongside the 256 KiB pair LUT for every ResNet-20
+    /// shape.
     #[must_use]
     pub fn auto() -> Self {
         Self {
@@ -93,6 +98,31 @@ impl Default for TileConfig {
     fn default() -> Self {
         Self::auto()
     }
+}
+
+/// Products below this many MAC steps run as one job on the caller: a
+/// pool round-trip costs more than it saves.
+const SINGLE_JOB_MACS: usize = 32 * 1024;
+
+/// The least work a pool job is cut to, in MAC steps — about a quarter
+/// of a millisecond of kernel time, far above the cost of a pool
+/// round-trip.
+const MIN_JOB_MACS: usize = 288 * 1024;
+
+/// The dispatch grid of an `m x k x n` product as `(row_tile, col_tile)`:
+/// a pure function of the shape and the engine's tiles, never of the
+/// thread count. Small products are one job. Otherwise a rectangle holds
+/// up to `tiles.row_tile` rows, but only as many as it takes to reach
+/// [`MIN_JOB_MACS`]: a thin product such as a weight gradient
+/// (`m = out_c` rows of `k * n` steps each) is cut into one- or two-row
+/// jobs instead of becoming a single job that leaves every other core
+/// idle, while products with short rows keep the full `row_tile`.
+fn dispatch_tiles(m: usize, k: usize, n: usize, tiles: TileConfig) -> (usize, usize) {
+    if m * k * n < SINGLE_JOB_MACS {
+        return (m.max(1), n.max(LANES));
+    }
+    let row_tile = tiles.row_tile.min(MIN_JOB_MACS.div_ceil(k * n)).max(1);
+    (row_tile, tiles.col_tile)
 }
 
 /// Vector-ISA tier of the batched accumulation loop, detected at engine
@@ -511,8 +541,9 @@ impl MacKernel {
     /// Under the AVX-512 tier the narrow loop runs through the explicit
     /// `z16` kernels (16 u32 lanes per `zmm`, accumulators
     /// register-resident across the whole `k` loop; four interleaved
-    /// chains for a 64-wide block, one for a 16-wide block); elsewhere it
-    /// is the portable SWAR loop above, auto-vectorized.
+    /// chains for a 64-wide block, one for a 16-wide block) and its
+    /// vector write-back; elsewhere it is the portable SWAR loop above,
+    /// auto-vectorized.
     #[inline(always)]
     fn panel_block<const L: usize>(
         &self,
@@ -529,37 +560,34 @@ impl MacKernel {
             if self.tier == SimdTier::Avx512 {
                 let (batch, table) = (&self.batch, plut.table());
                 if L == 64 {
-                    let seeds: [u64; 64] =
-                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l));
+                    let seeds = self.lane_seeds::<64>(i, base);
                     // SAFETY: `SimdTier::detect` verified every feature
-                    // the z16 kernel enables.
+                    // the z16 kernels enable.
                     #[allow(unsafe_code)]
-                    let accs = unsafe {
-                        if sr {
+                    unsafe {
+                        let accs = if sr {
                             z16::dot64_narrow::<true>(batch, table, ids, cods, pan, 64, 0, &seeds)
                         } else {
                             z16::dot64_narrow::<false>(batch, table, ids, cods, pan, 64, 0, &seeds)
-                        }
-                    };
-                    self.write_narrow(&accs, out);
+                        };
+                        z16::write_narrow(batch, &self.decode, &accs, out);
+                    }
                 } else {
-                    let seeds: [u64; 16] =
-                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l));
+                    let seeds = self.lane_seeds::<16>(i, base);
                     // SAFETY: as above.
                     #[allow(unsafe_code)]
-                    let accs = unsafe {
-                        if sr {
+                    unsafe {
+                        let accs = if sr {
                             z16::dot16_narrow::<true>(batch, table, ids, cods, pan, 16, 0, &seeds)
                         } else {
                             z16::dot16_narrow::<false>(batch, table, ids, cods, pan, 16, 0, &seeds)
-                        }
-                    };
-                    self.write_narrow(&accs, out);
+                        };
+                        z16::write_narrow(batch, &self.decode, &accs, out);
+                    }
                 }
                 return;
             }
-            let mut streams =
-                SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
+            let mut streams = SrLaneStreams::new(self.lane_seeds(i, base));
             let accs = if sr {
                 self.dotn_panel_narrow::<L, true>(plut, ids, cods, pan, &mut streams)
             } else {
@@ -568,8 +596,7 @@ impl MacKernel {
             self.write_codes(&accs, out);
             return;
         }
-        let mut streams =
-            SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
+        let mut streams = SrLaneStreams::new(self.lane_seeds(i, base));
         let accs = if sr {
             self.dotn_panel_wide::<L, true>(ids, cods, pan, &mut streams)
         } else {
@@ -578,22 +605,26 @@ impl MacKernel {
         self.write_codes(&accs, out);
     }
 
+    /// The SR stream seeds of the `W` lanes of output row `i` starting
+    /// at column `base`. RN never reads them, so they are derived under
+    /// SR only, in a plain indexed loop the seed mixing vectorizes in.
+    #[inline(always)]
+    fn lane_seeds<const W: usize>(&self, i: usize, base: usize) -> [u64; W] {
+        let mut seeds = [0u64; W];
+        if !matches!(self.rounding, AccumRounding::Nearest) {
+            for (l, s) in seeds.iter_mut().enumerate() {
+                *s = mix_seed(self.seed, i, base + l);
+            }
+        }
+        seeds
+    }
+
     /// Decodes accumulator codes into the live lanes `out` (`accs` may
     /// carry padded lanes past `out.len()`, which are dropped).
     #[inline(always)]
     fn write_codes(&self, accs: &[u16], out: &mut [f32]) {
         for (o, &a) in out.iter_mut().zip(accs) {
             *o = self.decode[a as usize];
-        }
-    }
-
-    /// [`MacKernel::write_codes`] for the decoded u32 lane words the
-    /// `z16` kernels return.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn write_narrow(&self, accs: &[u32], out: &mut [f32]) {
-        for (o, &a) in out.iter_mut().zip(accs) {
-            *o = self.decode[self.batch.encode32(a) as usize];
         }
     }
 
@@ -787,6 +818,62 @@ struct CompactA {
     row_ptr: Vec<u32>,
     idx: Vec<u32>,
     code: Vec<u8>,
+}
+
+impl CompactA {
+    /// Compacts row-major `rows x cols` codes, keeping the entries with
+    /// `code & mag != 0`. Always `rows + 1` row offsets, also for
+    /// `cols == 0`. The buffers are sized from a first counting pass plus
+    /// 16 lanes of store slack (never from `codes.len()`, which would
+    /// commit memory for every zero), then each row is compacted in one
+    /// branch-free pass: `z16::compact_row` under AVX-512, elsewhere a
+    /// scalar loop that writes every entry at `len` and advances `len` by
+    /// the predicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the non-zero count or `cols` does not fit a `u32`.
+    fn build(codes: &[u8], rows: usize, cols: usize, mag: u8, tier: SimdTier) -> Self {
+        debug_assert_eq!(codes.len(), rows * cols);
+        let nnz = codes.iter().filter(|&&cd| cd & mag != 0).count();
+        assert!(
+            u32::try_from(nnz).is_ok() && u32::try_from(cols).is_ok(),
+            "operand too large to compact"
+        );
+        let mut idx = vec![0u32; nnz + 16];
+        let mut code = vec![0u8; nnz + 16];
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0u32);
+        let mut len = 0usize;
+        for r in 0..rows {
+            let row = &codes[r * cols..(r + 1) * cols];
+            len = match tier {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `SimdTier::detect` verified every feature the
+                // z16 routine enables.
+                #[allow(unsafe_code)]
+                SimdTier::Avx512 => unsafe { z16::compact_row(row, mag, &mut idx, &mut code, len) },
+                _ => compact_row(row, mag, &mut idx, &mut code, len),
+            };
+            row_ptr.push(len as u32);
+        }
+        idx.truncate(nnz);
+        code.truncate(nnz);
+        Self { row_ptr, idx, code }
+    }
+}
+
+/// The portable rendition of `z16::compact_row`: every entry is written
+/// at `len`, and `len` advances only past the kept ones, so the loop has
+/// no data-dependent branch. Needs one entry of slack past the last kept
+/// entry in `idx` and `code`.
+fn compact_row(row: &[u8], mag: u8, idx: &mut [u32], code: &mut [u8], mut len: usize) -> usize {
+    for (c, &cd) in row.iter().enumerate() {
+        idx[len] = c as u32;
+        code[len] = cd;
+        len += usize::from(cd & mag != 0);
+    }
+    len
 }
 
 /// [`PackedOperand`] payload for the A side: the zero-skipping compaction,
@@ -1040,9 +1127,11 @@ impl MacGemm {
     }
 
     /// Sets the cache-blocking tile sizes of the tiled execution path
-    /// (default [`TileConfig::auto`]). Results are bitwise identical for
-    /// every tile shape — the knob trades locality against dispatch
-    /// granularity, never bits.
+    /// (default [`TileConfig::auto`]). `row_tile` is an upper bound:
+    /// thin products may get a finer row grid, never a coarser one (see
+    /// [`TileConfig`]). Results are bitwise identical for every tile
+    /// shape — the knob trades locality against dispatch granularity,
+    /// never bits.
     ///
     /// # Panics
     ///
@@ -1183,14 +1272,10 @@ impl MacGemm {
         panel: &Arc<Vec<u8>>,
         out: &mut [f32],
     ) {
-        // Small products are cheaper than a pool round-trip: collapse the
-        // grid to a single job (below ~32k MAC steps), which
-        // `parallel_fill_blocks` then runs inline on the caller.
-        let (row_tile, col_tile) = if m * k * n < 32 * 1024 {
-            (m.max(1), n.max(64))
-        } else {
-            (self.kernel.tiles.row_tile, self.kernel.tiles.col_tile)
-        };
+        // The grid depends on the shape alone: a single-job grid runs
+        // inline on the caller, a thin product gets rows-per-job small
+        // enough to reach every core (see `dispatch_tiles`).
+        let (row_tile, col_tile) = dispatch_tiles(m, k, n, self.kernel.tiles);
         let kernel = Arc::clone(&self.kernel);
         let awork = awork.clone();
         let bcode_t = Arc::clone(bcode_t);
@@ -1268,30 +1353,17 @@ impl GemmEngine for MacGemm {
     fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> PackedOperand {
         assert_eq!(a.len(), rows * cols, "A must be rows x cols");
         // Block-quantize into reusable scratch, then CSR-compact the
-        // non-zero-magnitude entries; dense codes are only materialized if
-        // a NaN-carrying B ever asks for them (see
-        // [`MacPackedA::dense_codes`]).
+        // non-zero-magnitude entries in one vector pass per row; dense
+        // codes are only materialized if a NaN-carrying B ever asks for
+        // them (see [`MacPackedA::dense_codes`]).
         let mag_mask = srmac_fp::mask(self.config.mul_fmt.bits() - 1) as u8;
         let mut codes = self.take_codes_buf();
         codes.resize(a.len(), 0);
         self.quant.quantize_block(a, &mut codes);
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        let mut idx = Vec::with_capacity(a.len());
-        let mut code = Vec::with_capacity(a.len());
-        for row in codes.chunks(cols.max(1)) {
-            for (c, &cd) in row.iter().enumerate() {
-                if cd & mag_mask != 0 {
-                    idx.push(c as u32);
-                    code.push(cd);
-                }
-            }
-            // PANIC-OK: compacted operands are bounded far below u32::MAX entries.
-            row_ptr.push(u32::try_from(idx.len()).expect("operand too large to compact"));
-        }
+        let compact = CompactA::build(&codes, rows, cols, mag_mask, self.kernel.tier);
         self.recycle_codes_buf(codes);
         let payload = MacPackedA {
-            compact: Arc::new(CompactA { row_ptr, idx, code }),
+            compact: Arc::new(compact),
             dense: OnceLock::new(),
             cols,
             zero_code: self.zero_code,
@@ -1768,6 +1840,138 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The old compaction loop (one `if … push` per entry), kept here as
+    /// the oracle of [`CompactA::build`].
+    fn push_loop_compaction(codes: &[u8], rows: usize, cols: usize, mag: u8) -> CompactA {
+        let (mut row_ptr, mut idx, mut code) = (vec![0u32], Vec::new(), Vec::new());
+        for r in 0..rows {
+            for (c, &cd) in codes[r * cols..(r + 1) * cols].iter().enumerate() {
+                if cd & mag != 0 {
+                    idx.push(c as u32);
+                    code.push(cd);
+                }
+            }
+            row_ptr.push(idx.len() as u32);
+        }
+        CompactA { row_ptr, idx, code }
+    }
+
+    #[test]
+    fn compaction_matches_the_push_loop_on_every_tier() {
+        // Every e5m2 code appears (both zeros, subnormals, normals, the
+        // infinities and the NaNs), at ragged and whole-chunk widths, with
+        // whole zero rows and zero runs mixed in.
+        let mag = srmac_fp::mask(FpFormat::e5m2().bits() - 1) as u8;
+        let mut tiers = vec![SimdTier::Portable];
+        if SimdTier::detect() != SimdTier::Portable {
+            tiers.push(SimdTier::detect());
+        }
+        for cols in [1usize, 8, 15, 16, 17, 27, 72, 130] {
+            let rows = 256usize.div_ceil(cols) * 3 + 3;
+            let mut next = 0usize;
+            let codes: Vec<u8> = (0..rows * cols)
+                .map(|x| {
+                    let (r, c) = (x / cols, x % cols);
+                    match r % 4 {
+                        // zero rows: +0 and -0 only
+                        3 => [0x00, 0x80][c % 2],
+                        // zero runs inside a row
+                        2 if c % 5 < 3 => [0x00, 0x80][c % 2],
+                        _ => {
+                            next += 1;
+                            ((next * 167 + 13) % 256) as u8
+                        }
+                    }
+                })
+                .collect();
+            let mut seen = [false; 256];
+            codes.iter().for_each(|&cd| seen[usize::from(cd)] = true);
+            assert!(seen.iter().all(|&s| s), "cols={cols}: every code appears");
+            let want = push_loop_compaction(&codes, rows, cols, mag);
+            for &tier in &tiers {
+                let got = CompactA::build(&codes, rows, cols, mag, tier);
+                assert_eq!(got.row_ptr, want.row_ptr, "{tier:?} cols={cols}: row_ptr");
+                assert_eq!(got.idx, want.idx, "{tier:?} cols={cols}: idx");
+                assert_eq!(got.code, want.code, "{tier:?} cols={cols}: code");
+            }
+        }
+        // Empty rows still get one offset each.
+        for &tier in &tiers {
+            assert_eq!(CompactA::build(&[], 3, 0, mag, tier).row_ptr, vec![0; 4]);
+        }
+    }
+
+    #[test]
+    fn zero_depth_products_match_the_reference() {
+        // k = 0: every output is the empty sum, +0, on every path.
+        for rounding in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
+            for threads in [1usize, 2] {
+                let engine =
+                    MacGemm::new(MacGemmConfig::fp8_fp12(rounding, false).with_threads(threads));
+                for (m, n) in [(3usize, 4usize), (64, 130)] {
+                    let mut reference = vec![f32::NAN; m * n];
+                    engine.gemm_reference(m, 0, n, &[], &[], &mut reference);
+                    let mut one_shot = vec![f32::NAN; m * n];
+                    engine.gemm(m, 0, n, &[], &[], &mut one_shot);
+                    let mut packed = vec![f32::NAN; m * n];
+                    let (pa, pb) = (engine.pack_a(m, 0, &[]), engine.pack_b(0, n, &[]));
+                    engine.gemm_packed(m, 0, n, &pa, &pb, &mut packed);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&reference), vec![0; m * n], "{m}x0x{n}: reference");
+                    assert_eq!(bits(&one_shot), bits(&reference), "{m}x0x{n}: gemm");
+                    assert_eq!(bits(&packed), bits(&reference), "{m}x0x{n}: gemm_packed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thin_products_split_into_row_jobs() {
+        // The width-8 ResNet-20 at batch 32 on 16x16 inputs. Weight
+        // gradients are `out_c x positions x in_c * kh * kw`: without the
+        // finer row grid each would be one job on one core.
+        let tiles = TileConfig::auto();
+        let row_jobs = |m: usize, k: usize, n: usize| m.div_ceil(dispatch_tiles(m, k, n, tiles).0);
+        for (m, k, n) in [
+            (8, 8192, 72),   // stage 1 3x3
+            (16, 2048, 72),  // stage 2 first 3x3 (stride 2)
+            (16, 2048, 144), // stage 2 3x3
+            (32, 512, 144),  // stage 3 first 3x3 (stride 2)
+            (32, 512, 288),  // stage 3 3x3
+        ] {
+            assert!(
+                row_jobs(m, k, n) >= 8,
+                "wgrad {m}x{k}x{n}: {} jobs",
+                row_jobs(m, k, n)
+            );
+        }
+        // The 3-channel stem has the shortest 3x3 rows: two per job.
+        assert_eq!(row_jobs(8, 8192, 27), 4, "stem wgrad");
+        // A 1x1 projection's whole product is under one job's worth.
+        assert_eq!(row_jobs(16, 2048, 8), 1, "stage 2 projection wgrad");
+        assert_eq!(row_jobs(32, 512, 16), 1, "stage 3 projection wgrad");
+        // Forward (`positions x in_c * kh * kw x out_c`) and data-gradient
+        // (`positions x out_c x in_c * kh * kw`) products have short rows
+        // and keep the full row tile, as does the 64x128x64 headline.
+        for (m, kn) in [
+            (8192, [27, 8]),
+            (8192, [72, 8]),
+            (2048, [72, 16]),
+            (2048, [144, 16]),
+            (2048, [8, 16]),
+            (512, [144, 32]),
+            (512, [288, 32]),
+            (512, [16, 32]),
+        ] {
+            for [k, n] in [kn, [kn[1], kn[0]]] {
+                assert_eq!(dispatch_tiles(m, k, n, tiles).0, 32, "{m}x{k}x{n}");
+            }
+        }
+        assert_eq!(dispatch_tiles(64, 128, 64, tiles), (32, 512), "headline");
+        // Below the single-job threshold the grid is one rectangle.
+        assert_eq!(dispatch_tiles(32, 32, 10, tiles), (32, 64), "head");
     }
 
     #[test]

@@ -20,10 +20,14 @@
 //! [`srmac_tensor::GemmEngine`] trait:
 //!
 //! 1. **Pack** (`pack_a` / `pack_b`): quantize the `f32` operand to
-//!    multiplier-format codes — and, for the B side, interleave the
-//!    columns into 64- and 16-lane panel blocks so each `k` step loads a
-//!    block's operand codes contiguously. Packing is a pure function of the operand values and
-//!    the *multiplier* format alone; the accumulator format, rounding
+//!    multiplier-format codes. The A side is then CSR-compacted: per
+//!    row, the k-indices and codes of the non-zero-magnitude entries, in
+//!    one branch-free pass per row (16 codes per step under AVX-512,
+//!    selected with `vpcompressd`), into buffers sized from the non-zero
+//!    count. The B side is interleaved into 64- and 16-lane panel blocks
+//!    so each `k` step loads a block's operand codes contiguously.
+//!    Packing is a pure function of the operand values and the
+//!    *multiplier* format alone; the accumulator format, rounding
 //!    mode, seed and thread count play no part. A packed operand is
 //!    therefore reusable across any number of products and even across
 //!    engines that share a multiplier format (e.g. an RN and an SR engine
@@ -89,11 +93,14 @@
 //! `row_tile x col_tile` rectangles, each rectangle walks one
 //! lane-interleaved B-panel slice to completion before the next slice is
 //! touched, and the rectangles are the units handed to the shared
-//! worker pool for multi-core dispatch. The grid is a pure function of
-//! the shape and the tile sizes — never of the thread count — and no
-//! rectangle splits an output element, so every tile/thread combination
-//! is bitwise identical (asserted across shapes in
-//! `tests/tiled_kernel.rs`).
+//! worker pool for multi-core dispatch. `row_tile` is an upper bound: a
+//! thin product — few, long rows, like a weight gradient with
+//! `m = out_c` — gets rectangles of only as many rows as make one job's
+//! worth of MAC steps, so it still spreads over every core. The grid is
+//! a pure function of the shape and the tile sizes — never of the
+//! thread count — and no rectangle splits an output element, so every
+//! tile/thread combination is bitwise identical (asserted across shapes
+//! in `tests/tiled_kernel.rs`).
 //!
 //! Two fusions keep the per-call constant work off the measured path:
 //!
@@ -107,9 +114,11 @@
 //!   maps each `(code_a, code_b)` pair directly to the pre-decoded
 //!   product word, and the inner loop runs a fully vectorized
 //!   AVX-512 chain over u32 lanes — no per-step decode, no u64
-//!   widening. Formats outside the envelope (or
-//!   [`MacGemm::with_pair_lut`]`(false)`) fall back to the wide u64
-//!   path; both paths are bit-identical by construction and by test.
+//!   widening — whose accumulators are encoded, decoded to `f32` (one
+//!   gather) and stored 16 lanes at a time. Formats outside the
+//!   envelope (or [`MacGemm::with_pair_lut`]`(false)`) fall back to the
+//!   wide u64 path; both paths are bit-identical by construction and by
+//!   test.
 //!
 //! # Example
 //!

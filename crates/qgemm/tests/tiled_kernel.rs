@@ -56,6 +56,12 @@ const RESNET_SHAPES: [(usize, usize, usize); 5] = [
     (64, 72, 72),
 ];
 
+/// Thin products in the shape of the ResNet-20 weight gradients
+/// (`out_c` rows, long rows): at the default tiles the dispatch grid
+/// cuts them into rectangles of a few rows each, so the worker pool
+/// runs several jobs of one short-and-wide product.
+const THIN_SHAPES: [(usize, usize, usize); 3] = [(8, 2048, 72), (16, 512, 144), (32, 256, 288)];
+
 const TILES: [TileConfig; 4] = [
     TileConfig {
         row_tile: 1,
@@ -105,7 +111,7 @@ fn scalar_reference(
 fn tile_thread_grid_is_bitwise_invariant() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         let config = MacGemmConfig::fp8_fp12(rounding, false);
-        for &(m, k, n) in SHAPES.iter().chain(&RESNET_SHAPES) {
+        for &(m, k, n) in SHAPES.iter().chain(&RESNET_SHAPES).chain(&THIN_SHAPES) {
             let a = rand_vec(m * k, 100 + (m * n) as u64, 2.0);
             let b = rand_vec(k * n, 200 + (k * n) as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
@@ -221,24 +227,33 @@ fn wide_fallback_format_keeps_tile_invariance() {
 /// ReLU-sparse inputs (zero-product skip interacts with SR draw
 /// consumption) and saturating inputs (the special-lane scalar fixup)
 /// must survive the tiled multi-core path bit-for-bit, under SR and RN,
-/// including the padded lanes of partial 16-lane blocks.
+/// including the padded lanes of partial 16-lane blocks and the
+/// few-row rectangles of thin products.
 #[test]
 fn sparse_and_special_inputs_survive_tiling() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         let config = MacGemmConfig::fp8_fp12(rounding, true);
-        for &(m, k, n) in [(11usize, 83usize, 67usize)].iter().chain(&RESNET_SHAPES) {
+        for &(m, k, n) in [(11usize, 83usize, 67usize)]
+            .iter()
+            .chain(&RESNET_SHAPES)
+            .chain(&THIN_SHAPES)
+        {
             let a = relu_sparse_vec(m * k, 61 + n as u64, 0.6);
             let b = rand_vec(k * n, 62 + n as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
             for tiles in [TILES[1], TILES[3]] {
-                let engine = MacGemm::new(config.with_threads(3)).with_tiles(tiles);
-                let mut out = vec![0.0f32; m * n];
-                engine.gemm(m, k, n, &a, &b, &mut out);
-                assert_bits_eq(
-                    &reference,
-                    &out,
-                    &format!("{rounding:?} sparse n={n} tiles={tiles:?}"),
-                );
+                for threads in [1usize, 2, 3] {
+                    let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm(m, k, n, &a, &b, &mut out);
+                    assert_bits_eq(
+                        &reference,
+                        &out,
+                        &format!(
+                            "{rounding:?} sparse {m}x{k}x{n} tiles={tiles:?} threads={threads}"
+                        ),
+                    );
+                }
             }
 
             // Saturating magnitudes drive the accumulator to infinity; the
@@ -248,15 +263,19 @@ fn sparse_and_special_inputs_survive_tiling() {
             let sat_b = vec![40000.0f32; k * n];
             let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
             assert!(sat_ref.iter().all(|v| v.is_infinite()));
-            for threads in [1usize, 3] {
-                let engine = MacGemm::new(config.with_threads(threads)).with_tiles(TILES[2]);
-                let mut out = vec![0.0f32; m * n];
-                engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
-                assert_bits_eq(
-                    &sat_ref,
-                    &out,
-                    &format!("{rounding:?} saturated n={n} threads={threads}"),
-                );
+            for threads in [1usize, 2, 3] {
+                for tiles in [TILES[2], TILES[3]] {
+                    let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
+                    assert_bits_eq(
+                        &sat_ref,
+                        &out,
+                        &format!(
+                            "{rounding:?} saturated {m}x{k}x{n} tiles={tiles:?} threads={threads}"
+                        ),
+                    );
+                }
             }
         }
     }
