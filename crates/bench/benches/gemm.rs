@@ -21,10 +21,10 @@ use srmac_bench::guard::{
 };
 use srmac_models::serve::{InferenceServer, ServeConfig};
 use srmac_models::{data, resnet};
-use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig, TileConfig};
+use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_tensor::movement::{col2im, im2row, rows_to_nchw, transpose_into};
 use srmac_tensor::GemmRole;
-use srmac_tensor::{available_threads, F32Engine, GemmEngine, Runtime};
+use srmac_tensor::{available_threads, F32Engine, GemmEngine, Numerics, Runtime};
 
 /// PR 1's recorded `resnet20_train_step/prepared_weight_reuse` median
 /// (ns), kept as the fixed baseline for the cross-PR speedup entry.
@@ -100,12 +100,11 @@ fn bench_gemm(c: &mut Criterion) {
     }
     g.finish();
 
-    // Tile/thread scaling of the tiled kernel on prepared operands at a
-    // larger shape (several dispatch rectangles even at the auto tiles).
-    // The thread entries coincide on a single-core box — the runtime
-    // degrades to inline execution — and fan out with the pool width;
-    // the tile entries expose the cache-blocking headroom `probe_tune
-    // kernel` sweeps. All entries are bitwise-identical computations.
+    // Thread scaling of the tiled kernel on prepared operands at a larger
+    // shape (several dispatch rectangles). The entries coincide on a
+    // single-core box — the runtime degrades to inline execution — and
+    // fan out with the pool width. All entries are bitwise-identical
+    // computations.
     let (sm, sk, sn) = (128usize, 128, 256);
     let sa = rand_vec(sm * sk, 5);
     let sb = rand_vec(sk * sn, 6);
@@ -124,17 +123,6 @@ fn bench_gemm(c: &mut Criterion) {
         let pa = engine.pack_a(sm, sk, &sa);
         let pb = engine.pack_b(sk, sn, &sb);
         g.bench_function(&format!("sr13_t{threads}_auto"), |bch| {
-            bch.iter(|| engine.gemm_packed(sm, sk, sn, black_box(&pa), black_box(&pb), &mut sout))
-        });
-    }
-    for (name, row_tile, col_tile) in [
-        ("sr13_t1_tiles_8x128", 8usize, 128usize),
-        ("sr13_t1_tiles_1x64", 1, 64),
-    ] {
-        let engine = scaling_engine(1).with_tiles(TileConfig { row_tile, col_tile });
-        let pa = engine.pack_a(sm, sk, &sa);
-        let pb = engine.pack_b(sk, sn, &sb);
-        g.bench_function(name, |bch| {
             bch.iter(|| engine.gemm_packed(sm, sk, sn, black_box(&pa), black_box(&pb), &mut sout))
         });
     }
@@ -349,9 +337,9 @@ const SERVE_STREAM: usize = 32;
 /// only per-dispatch overhead; the gap opens with the pool width.
 fn bench_serve_resnet20(c: &mut Criterion) {
     let size = 16usize;
-    let engine: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(
+    let numerics = Numerics::uniform(Arc::new(MacGemm::new(
         MacGemmConfig::fp8_fp12(AccumRounding::Nearest, false).with_threads(1),
-    ));
+    )));
     let ds = data::synth_cifar10(SERVE_STREAM, size, 9);
     let samples: Vec<Vec<f32>> = (0..ds.len())
         .map(|i| ds.batch(&[i]).0.data().to_vec())
@@ -361,7 +349,7 @@ fn bench_serve_resnet20(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(SERVE_STREAM as u64));
     for (name, max_batch) in [("stream32_batch1", 1usize), ("stream32_max8", 8)] {
-        let model = resnet::resnet20(&engine, 8, 10, 42);
+        let model = resnet::resnet20_with(&numerics, 8, 10, 42);
         let server = InferenceServer::start(
             model,
             size,

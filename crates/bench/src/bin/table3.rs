@@ -32,7 +32,7 @@ fn main() {
         let started = Instant::now();
         let engine = setup.engine(scale.seed * 7919 + 13, threads);
         let h = run_training(
-            |e| resnet::resnet20(e, scale.width, data::NUM_CLASSES, scale.seed),
+            |n| resnet::resnet20_with(n, scale.width, data::NUM_CLASSES, scale.seed),
             engine,
             &train_ds,
             &test_ds,

@@ -68,14 +68,14 @@ fn main() {
     for (setup, paper_vgg, paper_r50) in rows() {
         let t0 = Instant::now();
         let vgg_h = run_training(
-            |e| vgg::vgg16(e, vgg_div, data::NUM_CLASSES, vgg_size, scale.seed),
+            |n| vgg::vgg16_with(n, vgg_div, data::NUM_CLASSES, vgg_size, scale.seed),
             setup.engine(scale.seed * 31 + 1, threads),
             &vgg_train,
             &vgg_test,
             &vgg_cfg,
         );
         let r50_h = run_training(
-            |e| resnet::resnet50(e, r50_width, data::NUM_CLASSES, scale.seed),
+            |n| resnet::resnet50_with(n, r50_width, data::NUM_CLASSES, scale.seed),
             setup.engine(scale.seed * 31 + 2, threads),
             &woof_train,
             &woof_test,

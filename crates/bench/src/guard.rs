@@ -273,8 +273,8 @@ pub const SERVE_SCALING_STREAM: usize = 32;
 /// position-invariant and ResNet-20 is CoW-replicable, so it can).
 pub fn serve_scaling_stream(workers: usize) -> impl FnMut() -> usize {
     let atom: MacGemmConfig = "fp8_fp12_rn".parse().expect("engine atom");
-    let engine = Arc::new(MacGemm::new(atom.with_threads(1))) as Arc<dyn GemmEngine>;
-    let model = resnet::resnet20(&engine, 8, 10, 42);
+    let numerics = Numerics::uniform(Arc::new(MacGemm::new(atom.with_threads(1))));
+    let model = resnet::resnet20_with(&numerics, 8, 10, 42);
     let size = 16;
     let ds = data::synth_cifar10(SERVE_SCALING_STREAM, size, 9);
     let samples: Vec<Vec<f32>> = (0..ds.len())
@@ -339,11 +339,11 @@ pub const SERVE_RESNET20_STREAM: usize = 32;
 /// position-invariant, so it can).
 pub fn serve_microbatch_stream(max_batch: usize) -> impl FnMut() -> usize {
     use srmac_qgemm::AccumRounding;
-    let engine = Arc::new(MacGemm::new(
+    let numerics = Numerics::uniform(Arc::new(MacGemm::new(
         MacGemmConfig::fp8_fp12(AccumRounding::Nearest, false).with_threads(1),
-    )) as Arc<dyn GemmEngine>;
+    )));
     let size = 16usize;
-    let model = resnet::resnet20(&engine, 8, 10, 42);
+    let model = resnet::resnet20_with(&numerics, 8, 10, 42);
     let ds = data::synth_cifar10(SERVE_RESNET20_STREAM, size, 9);
     let samples: Vec<Vec<f32>> = (0..ds.len())
         .map(|i| {

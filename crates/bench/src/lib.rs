@@ -28,8 +28,8 @@ pub mod table;
 
 use std::sync::Arc;
 
-use srmac_models::{trainer, Dataset, TrainConfig};
-use srmac_tensor::{GemmEngine, Sequential};
+use srmac_models::{trainer, Dataset, TrainConfig, Trainer};
+use srmac_tensor::{GemmEngine, Numerics, Sequential};
 
 /// Reads a numeric environment knob.
 #[must_use]
@@ -98,14 +98,15 @@ impl Scale {
     }
 }
 
-/// Trains a freshly built model on a dataset pair and returns its history.
+/// Trains a freshly built model, every GEMM on `engine`, on a dataset pair
+/// and returns its history.
 pub fn run_training(
-    build: impl FnOnce(&Arc<dyn GemmEngine>) -> Sequential,
+    build: impl FnOnce(&Numerics) -> Sequential,
     engine: Arc<dyn GemmEngine>,
     train_ds: &Dataset,
     test_ds: &Dataset,
     cfg: &TrainConfig,
 ) -> trainer::History {
-    let mut model = build(&engine);
-    trainer::train(&mut model, train_ds, test_ds, cfg)
+    let mut model = build(&Numerics::uniform(engine));
+    Trainer::new(cfg).run(&mut model, train_ds, test_ds)
 }

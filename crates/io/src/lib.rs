@@ -38,12 +38,12 @@
 //! use std::sync::Arc;
 //! use srmac_io::{Checkpoint, CheckpointMeta};
 //! use srmac_tensor::layers::Linear;
-//! use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+//! use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor};
 //!
-//! let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
+//! let engines = RoleEngines::uniform(Arc::new(F32Engine::new(1)));
 //! let mut model = Sequential::new();
 //! let w = Tensor::from_vec(vec![0.5, -1.25, 2.0, 0.0, -0.0, 3.5], &[2, 3]);
-//! model.push(Linear::new(3, 2, w, engine.clone()));
+//! model.push(Linear::per_role(3, 2, w, engines.clone()));
 //!
 //! // Capture -> encode -> decode -> apply is a bitwise round trip.
 //! let meta = CheckpointMeta { arch: "demo".into(), ..Default::default() };
@@ -52,7 +52,7 @@
 //! ckpt.require_arch("demo").unwrap();
 //!
 //! let mut restored = Sequential::new();
-//! restored.push(Linear::new(3, 2, Tensor::zeros(&[2, 3]), engine));
+//! restored.push(Linear::per_role(3, 2, Tensor::zeros(&[2, 3]), engines));
 //! ckpt.apply_to(&mut restored).unwrap();
 //! let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
 //! use srmac_tensor::Layer;
@@ -89,18 +89,23 @@ mod tests {
 
     use srmac_qgemm::{AccumRounding, MacGemmConfig};
     use srmac_tensor::layers::{BatchNorm2d, Linear};
-    use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+    use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor};
 
     use super::*;
 
-    fn engine() -> Arc<dyn GemmEngine> {
-        Arc::new(F32Engine::new(1))
+    fn engines() -> RoleEngines {
+        RoleEngines::uniform(Arc::new(F32Engine::new(1)))
     }
 
     fn small_model(seed_shift: f32) -> Sequential {
         let mut m = Sequential::new();
         let w: Vec<f32> = (0..12).map(|i| i as f32 * 0.25 - seed_shift).collect();
-        m.push(Linear::new(4, 3, Tensor::from_vec(w, &[3, 4]), engine()));
+        m.push(Linear::per_role(
+            4,
+            3,
+            Tensor::from_vec(w, &[3, 4]),
+            engines(),
+        ));
         m.push(BatchNorm2d::new(3));
         m
     }
@@ -170,7 +175,7 @@ mod tests {
 
         // Wrong layer count.
         let mut short = Sequential::new();
-        short.push(Linear::new(4, 3, Tensor::zeros(&[3, 4]), engine()));
+        short.push(Linear::per_role(4, 3, Tensor::zeros(&[3, 4]), engines()));
         assert!(matches!(
             ckpt.apply_to(&mut short),
             Err(CheckpointError::ModelMismatch { .. })
@@ -178,7 +183,7 @@ mod tests {
 
         // Right count, wrong shapes.
         let mut wrong = Sequential::new();
-        wrong.push(Linear::new(3, 4, Tensor::zeros(&[4, 3]), engine()));
+        wrong.push(Linear::per_role(3, 4, Tensor::zeros(&[4, 3]), engines()));
         wrong.push(BatchNorm2d::new(4));
         assert!(matches!(
             ckpt.apply_to(&mut wrong),

@@ -299,12 +299,16 @@ mod tests {
         use std::sync::Arc;
 
         use srmac_tensor::layers::Linear;
-        use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+        use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor};
 
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
         let mut model = Sequential::new();
         let w: Vec<f32> = (0..6).map(|i| (i as f32) * 0.5 + tag as f32).collect();
-        model.push(Linear::new(3, 2, Tensor::from_vec(w, &[2, 3]), engine));
+        model.push(Linear::per_role(
+            3,
+            2,
+            Tensor::from_vec(w, &[2, 3]),
+            RoleEngines::uniform(Arc::new(F32Engine::new(1))),
+        ));
         let p = dir.join(format!("src_{tag}.srmc"));
         let meta = CheckpointMeta {
             arch: format!("m{tag}"),

@@ -13,7 +13,7 @@ use srmac_io::{
     CheckpointError, CheckpointMeta, FailpointStorage, FaultKind, FaultOp, FsStorage, RetryPolicy,
 };
 use srmac_tensor::layers::Linear;
-use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srmac_faults_{tag}_{}", std::process::id()));
@@ -23,10 +23,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn model(tag: u64) -> Sequential {
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
     let mut m = Sequential::new();
     let w: Vec<f32> = (0..8).map(|i| (i as f32) * 0.125 - tag as f32).collect();
-    m.push(Linear::new(4, 2, Tensor::from_vec(w, &[2, 4]), engine));
+    m.push(Linear::per_role(
+        4,
+        2,
+        Tensor::from_vec(w, &[2, 4]),
+        RoleEngines::uniform(Arc::new(F32Engine::new(1))),
+    ));
     m
 }
 

@@ -14,13 +14,17 @@ use srmac_io::{
 };
 use srmac_qgemm::{AccumRounding, MacGemmConfig};
 use srmac_tensor::layers::{BatchNorm2d, Linear};
-use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor};
 
 fn reference_model() -> Sequential {
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
     let mut m = Sequential::new();
     let w: Vec<f32> = (0..24).map(|i| (i as f32 * 0.37).sin()).collect();
-    m.push(Linear::new(6, 4, Tensor::from_vec(w, &[4, 6]), engine));
+    m.push(Linear::per_role(
+        6,
+        4,
+        Tensor::from_vec(w, &[4, 6]),
+        RoleEngines::uniform(Arc::new(F32Engine::new(1))),
+    ));
     m.push(BatchNorm2d::new(4));
     m
 }

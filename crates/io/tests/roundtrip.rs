@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use srmac_io::{load_model, read_checkpoint, save_model, Checkpoint, CheckpointMeta};
-use srmac_models::{data, evaluate, resnet, train, TrainConfig};
+use srmac_models::{data, evaluate, resnet, TrainConfig, Trainer};
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_tensor::layers::Layer;
-use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+use srmac_tensor::{F32Engine, GemmEngine, Numerics, Sequential, Tensor};
 
 fn ckpt_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("srmac_io_roundtrip");
@@ -33,14 +33,15 @@ fn logits_bits(model: &mut Sequential, x: &Tensor) -> Vec<u32> {
 fn roundtrip_case(label: &str, engine: Arc<dyn GemmEngine>, cfg: Option<MacGemmConfig>) {
     let train_ds = data::synth_cifar10(60, 8, 5);
     let test_ds = data::synth_cifar10(40, 8, 6);
-    let mut model = resnet::resnet20(&engine, 4, 10, 11);
+    let numerics = Numerics::uniform(engine);
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 11);
     let tc = TrainConfig {
         epochs: 2,
         batch_size: 12,
         lr: 0.05,
         ..TrainConfig::default()
     };
-    train(&mut model, &train_ds, &test_ds, &tc);
+    Trainer::new(&tc).run(&mut model, &train_ds, &test_ds);
 
     let path = ckpt_path(&format!("resnet20_{label}.srmc"));
     save_model(
@@ -56,7 +57,7 @@ fn roundtrip_case(label: &str, engine: Arc<dyn GemmEngine>, cfg: Option<MacGemmC
 
     // A fresh differently-seeded model (different weights AND different
     // running stats) restored from the checkpoint.
-    let mut restored = resnet::resnet20(&engine, 4, 10, 999);
+    let mut restored = resnet::resnet20_with(&numerics, 4, 10, 999);
     let meta = load_model(&path, &mut restored).expect("load");
     assert_eq!(meta.arch, "resnet20-w4-c10");
 
@@ -117,8 +118,8 @@ fn engine_meta_rebuilds_the_same_engine() {
     // produces bitwise-identical products — the "load on a fresh process"
     // story: nothing about the engine lives outside the checkpoint.
     let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_seed(42);
-    let engine: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(cfg));
-    let mut model = resnet::resnet20(&engine, 4, 10, 7);
+    let mut model =
+        resnet::resnet20_with(&Numerics::uniform(Arc::new(MacGemm::new(cfg))), 4, 10, 7);
     let path = ckpt_path("engine_meta.srmc");
     save_model(
         &path,
@@ -133,8 +134,8 @@ fn engine_meta_rebuilds_the_same_engine() {
 
     let ckpt = read_checkpoint(&path).expect("read");
     let restored_cfg = ckpt.meta.engine.expect("engine meta present");
-    let rebuilt: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(restored_cfg));
-    let mut restored = resnet::resnet20(&rebuilt, 4, 10, 7);
+    let rebuilt = Numerics::uniform(Arc::new(MacGemm::new(restored_cfg)));
+    let mut restored = resnet::resnet20_with(&rebuilt, 4, 10, 7);
     ckpt.apply_to(&mut restored).expect("apply");
 
     let test_ds = data::synth_cifar10(20, 8, 9);
@@ -152,8 +153,8 @@ fn checkpoint_captures_batchnorm_running_stats() {
     // Zero out a restored model's running stats first and verify the load
     // actually brings the trained statistics back (if visit_state were
     // skipped this test would fail while pure-weight tests still passed).
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let mut model = resnet::resnet20(&engine, 4, 10, 3);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 3);
     let train_ds = data::synth_cifar10(30, 8, 1);
     let test_ds = data::synth_cifar10(20, 8, 2);
     let tc = TrainConfig {
@@ -161,7 +162,7 @@ fn checkpoint_captures_batchnorm_running_stats() {
         batch_size: 10,
         ..TrainConfig::default()
     };
-    train(&mut model, &train_ds, &test_ds, &tc);
+    Trainer::new(&tc).run(&mut model, &train_ds, &test_ds);
 
     let meta = CheckpointMeta {
         arch: "resnet20-w4-c10".into(),
@@ -175,7 +176,7 @@ fn checkpoint_captures_batchnorm_running_stats() {
         "trained running stats should have moved off their init values"
     );
 
-    let mut restored = resnet::resnet20(&engine, 4, 10, 3);
+    let mut restored = resnet::resnet20_with(&numerics, 4, 10, 3);
     restored.visit_state(&mut |s| s.iter_mut().for_each(|v| *v = 0.0));
     ckpt.apply_to(&mut restored).expect("apply");
     let mut roundtripped: Vec<Vec<f32>> = Vec::new();
@@ -266,8 +267,8 @@ fn v2_stores_and_revalidates_the_numerics_policy() {
 
 #[test]
 fn version_1_checkpoints_still_decode() {
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let mut model = resnet::resnet20(&engine, 4, 10, 13);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 13);
     let arch = "resnet20-w4-c10";
     let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_seed(9);
     let v2 = Checkpoint::capture(
@@ -287,7 +288,7 @@ fn version_1_checkpoints_still_decode() {
     assert!(ckpt.train.is_none(), "v1 carries no train state");
     let eng = ckpt.meta.engine.expect("v1 engine record");
     assert_eq!(eng.seed, 9);
-    let mut restored = resnet::resnet20(&engine, 4, 10, 999);
+    let mut restored = resnet::resnet20_with(&numerics, 4, 10, 999);
     ckpt.apply_to(&mut restored).expect("apply");
     let (x, _) = data::synth_cifar10(2, 8, 3).batch(&[0, 1]);
     assert_eq!(logits_bits(&mut model, &x), logits_bits(&mut restored, &x));
@@ -313,8 +314,8 @@ fn version_1_checkpoints_still_decode() {
 
 #[test]
 fn hostile_policy_specs_are_typed_errors_never_panics() {
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let mut model = resnet::resnet20(&engine, 4, 10, 17);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 17);
     let arch = "a";
     let good_spec = "fwd=f32;bwd=f32";
     let bytes = Checkpoint::capture(
@@ -359,8 +360,8 @@ fn save_model_rejects_bad_policy_specs_as_typed_errors() {
     // The fallible save path validates caller-supplied policy strings
     // up front (the panic inside `encode` is only the backstop for
     // direct misuse of the lower-level API, tested below).
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let mut model = resnet::resnet20(&engine, 4, 10, 23);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 23);
     let path = ckpt_path("never_written.srmc");
     let err = save_model(
         &path,
@@ -382,8 +383,8 @@ fn save_model_rejects_bad_policy_specs_as_typed_errors() {
 #[test]
 #[should_panic(expected = "cannot serialize numerics spec")]
 fn writer_refuses_unresolvable_policy_specs() {
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let mut model = resnet::resnet20(&engine, 4, 10, 19);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let mut model = resnet::resnet20_with(&numerics, 4, 10, 19);
     let _ = Checkpoint::capture(
         &mut model,
         CheckpointMeta {

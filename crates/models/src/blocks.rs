@@ -6,7 +6,7 @@ use std::sync::Arc;
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::kaiming_normal;
 use srmac_tensor::layers::{BatchNorm2d, Conv2d, Layer, Relu};
-use srmac_tensor::numerics::{Numerics, NumericsCursor, RoleEngines};
+use srmac_tensor::numerics::{NumericsCursor, RoleEngines};
 use srmac_tensor::{GemmEngine, Param, Sequential, Tensor};
 
 /// Builds `Conv2d(in, out, k, stride, pad)` with Kaiming-initialized
@@ -43,23 +43,9 @@ impl std::fmt::Debug for ResidualBlock {
 
 impl ResidualBlock {
     /// A basic (two 3x3 convs) block from `in_c` to `out_c` with `stride`,
-    /// every conv on `engine` (the [`Numerics::uniform`] shim of
-    /// [`ResidualBlock::basic_with`]).
-    #[must_use]
-    pub fn basic(
-        in_c: usize,
-        out_c: usize,
-        stride: usize,
-        engine: &Arc<dyn GemmEngine>,
-        rng: &mut SplitMix64,
-    ) -> Self {
-        let numerics = Numerics::uniform(engine.clone());
-        Self::basic_with(in_c, out_c, stride, &mut numerics.layers(), rng)
-    }
-
-    /// A basic block drawing each conv's per-role engines from the
-    /// model's [`NumericsCursor`] (construction order: conv1, conv2, then
-    /// the projection when one exists).
+    /// drawing each conv's per-role engines from the model's
+    /// [`NumericsCursor`] (construction order: conv1, conv2, then the
+    /// projection when one exists).
     #[must_use]
     pub fn basic_with(
         in_c: usize,
@@ -82,24 +68,10 @@ impl ResidualBlock {
         }
     }
 
-    /// A bottleneck (1x1 -> 3x3 -> 1x1, expansion 4) block, every conv on
-    /// `engine` (the [`Numerics::uniform`] shim of
-    /// [`ResidualBlock::bottleneck_with`]).
-    #[must_use]
-    pub fn bottleneck(
-        in_c: usize,
-        width: usize,
-        stride: usize,
-        engine: &Arc<dyn GemmEngine>,
-        rng: &mut SplitMix64,
-    ) -> Self {
-        let numerics = Numerics::uniform(engine.clone());
-        Self::bottleneck_with(in_c, width, stride, &mut numerics.layers(), rng)
-    }
-
-    /// A bottleneck block drawing each conv's per-role engines from the
-    /// model's [`NumericsCursor`] (construction order: the three main
-    /// convs, then the projection when one exists).
+    /// A bottleneck (1x1 -> 3x3 -> 1x1, expansion 4) block, drawing each
+    /// conv's per-role engines from the model's [`NumericsCursor`]
+    /// (construction order: the three main convs, then the projection
+    /// when one exists).
     #[must_use]
     pub fn bottleneck_with(
         in_c: usize,
@@ -251,17 +223,16 @@ impl Layer for ResidualBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srmac_tensor::F32Engine;
+    use srmac_tensor::{F32Engine, Numerics};
 
-    fn engine() -> Arc<dyn GemmEngine> {
-        Arc::new(F32Engine::new(1))
+    fn numerics() -> Numerics {
+        Numerics::uniform(Arc::new(F32Engine::new(1)))
     }
 
     #[test]
     fn identity_block_shapes() {
-        let e = engine();
         let mut rng = SplitMix64::new(1);
-        let mut b = ResidualBlock::basic(8, 8, 1, &e, &mut rng);
+        let mut b = ResidualBlock::basic_with(8, 8, 1, &mut numerics().layers(), &mut rng);
         let x = Tensor::zeros(&[2, 8, 6, 6]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[2, 8, 6, 6]);
@@ -271,9 +242,8 @@ mod tests {
 
     #[test]
     fn downsampling_block_shapes() {
-        let e = engine();
         let mut rng = SplitMix64::new(2);
-        let mut b = ResidualBlock::basic(8, 16, 2, &e, &mut rng);
+        let mut b = ResidualBlock::basic_with(8, 16, 2, &mut numerics().layers(), &mut rng);
         let x = Tensor::zeros(&[2, 8, 8, 8]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[2, 16, 4, 4]);
@@ -283,9 +253,8 @@ mod tests {
 
     #[test]
     fn bottleneck_block_shapes() {
-        let e = engine();
         let mut rng = SplitMix64::new(3);
-        let mut b = ResidualBlock::bottleneck(16, 4, 2, &e, &mut rng);
+        let mut b = ResidualBlock::bottleneck_with(16, 4, 2, &mut numerics().layers(), &mut rng);
         let x = Tensor::zeros(&[1, 16, 8, 8]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[1, 16, 4, 4]); // 4 * expansion 4 = 16
@@ -297,9 +266,8 @@ mod tests {
     fn residual_gradient_flows_through_both_paths() {
         // With an identity shortcut, a constant positive output gradient
         // must reach the input both directly and through the convs.
-        let e = engine();
         let mut rng = SplitMix64::new(4);
-        let mut b = ResidualBlock::basic(4, 4, 1, &e, &mut rng);
+        let mut b = ResidualBlock::basic_with(4, 4, 1, &mut numerics().layers(), &mut rng);
         let mut x = Tensor::zeros(&[1, 4, 4, 4]);
         x.data_mut()
             .iter_mut()
@@ -317,7 +285,7 @@ mod tests {
     fn per_role_block_draws_layers_in_construction_order() {
         // conv1, conv2, projection — three GEMM layers for a projecting
         // basic block, two for an identity one.
-        let numerics = Numerics::uniform(engine());
+        let numerics = numerics();
         let mut rng = SplitMix64::new(5);
         let mut cursor = numerics.layers();
         let _ = ResidualBlock::basic_with(8, 16, 2, &mut cursor, &mut rng);

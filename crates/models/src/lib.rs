@@ -10,19 +10,19 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use srmac_models::{data, resnet, trainer};
+//! use srmac_models::{data, resnet, TrainConfig, Trainer};
 //! use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
-//! use srmac_tensor::GemmEngine;
+//! use srmac_tensor::Numerics;
 //!
 //! // Train a slim ResNet-20 with every GEMM on the paper's best MAC
 //! // (E6M5 accumulator, eager SR, r = 13, no subnormals).
-//! let engine: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(
+//! let numerics = Numerics::uniform(Arc::new(MacGemm::new(
 //!     MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false),
-//! ));
-//! let mut net = resnet::resnet20(&engine, 8, 10, 0);
+//! )));
+//! let mut net = resnet::resnet20_with(&numerics, 8, 10, 0);
 //! let train_ds = data::synth_cifar10(400, 16, 1);
 //! let test_ds = data::synth_cifar10(200, 16, 2);
-//! let h = trainer::train(&mut net, &train_ds, &test_ds, &trainer::TrainConfig::default());
+//! let h = Trainer::new(&TrainConfig::default()).run(&mut net, &train_ds, &test_ds);
 //! println!("final accuracy: {:.2}%", h.final_accuracy());
 //! ```
 
@@ -46,4 +46,4 @@ pub use diag::{DiagCode, DiagSink, Diagnostic, Severity};
 pub use serve::{
     InferenceServer, LatencyHistogram, Prediction, ServeClient, ServeConfig, ServeError, ServeStats,
 };
-pub use trainer::{evaluate, train, History, TrainConfig, Trainer};
+pub use trainer::{evaluate, History, TrainConfig, Trainer};

@@ -2,21 +2,17 @@
 //! of the paper's Sec. IV, with a width knob for laptop-scale runs
 //! (`width = 16` reproduces the paper-exact ResNet-20 shape).
 //!
-//! Every builder exists in two forms: the single-engine original
-//! (`resnet20(&engine, ..)`, kept as a [`Numerics::uniform`] shim — bit
-//! for bit the old behavior) and the policy form (`resnet20_with(&numerics,
-//! ..)`) that resolves each GEMM layer's forward/backward engines through
-//! a [`Numerics`] policy, including its per-layer overrides (GEMM layers
-//! are numbered in construction order: the stem conv is layer 0, then each
+//! Each builder resolves every GEMM layer's forward/backward engines
+//! through a [`Numerics`] policy — [`Numerics::uniform`] puts one engine
+//! on every role — including its per-layer overrides (GEMM layers are
+//! numbered in construction order: the stem conv is layer 0, then each
 //! block's convs in block order, the classifier head last).
-
-use std::sync::Arc;
 
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::uniform_fan_in;
 use srmac_tensor::layers::{BatchNorm2d, GlobalAvgPool, Linear, Relu};
 use srmac_tensor::numerics::Numerics;
-use srmac_tensor::{GemmEngine, Sequential};
+use srmac_tensor::Sequential;
 
 use crate::blocks::{conv, ResidualBlock};
 
@@ -24,40 +20,11 @@ use crate::blocks::{conv, ResidualBlock};
 /// widths `(w, 2w, 4w)` with strides `(1, 2, 2)`, global average pooling
 /// and a linear classifier. `width = 16` is the paper's exact model.
 #[must_use]
-pub fn resnet20(
-    engine: &Arc<dyn GemmEngine>,
-    width: usize,
-    classes: usize,
-    seed: u64,
-) -> Sequential {
-    resnet20_with(&Numerics::uniform(engine.clone()), width, classes, seed)
-}
-
-/// [`resnet20`] on a per-role [`Numerics`] policy.
-#[must_use]
 pub fn resnet20_with(numerics: &Numerics, width: usize, classes: usize, seed: u64) -> Sequential {
     resnet_basic_with(numerics, width, &[3, 3, 3], classes, seed)
 }
 
 /// A basic-block ResNet with `blocks[i]` blocks in stage `i`.
-#[must_use]
-pub fn resnet_basic(
-    engine: &Arc<dyn GemmEngine>,
-    width: usize,
-    blocks: &[usize],
-    classes: usize,
-    seed: u64,
-) -> Sequential {
-    resnet_basic_with(
-        &Numerics::uniform(engine.clone()),
-        width,
-        blocks,
-        classes,
-        seed,
-    )
-}
-
-/// [`resnet_basic`] on a per-role [`Numerics`] policy.
 #[must_use]
 pub fn resnet_basic_with(
     numerics: &Numerics,
@@ -102,17 +69,6 @@ pub fn resnet_basic_with(
 /// (expansion 4) with strides `(1, 2, 2, 2)`. `width = 64` is the paper's
 /// exact model up to the stem.
 #[must_use]
-pub fn resnet50(
-    engine: &Arc<dyn GemmEngine>,
-    width: usize,
-    classes: usize,
-    seed: u64,
-) -> Sequential {
-    resnet50_with(&Numerics::uniform(engine.clone()), width, classes, seed)
-}
-
-/// [`resnet50`] on a per-role [`Numerics`] policy.
-#[must_use]
 pub fn resnet50_with(numerics: &Numerics, width: usize, classes: usize, seed: u64) -> Sequential {
     let mut rng = SplitMix64::new(seed);
     let mut layers = numerics.layers();
@@ -148,18 +104,23 @@ pub fn resnet50_with(numerics: &Numerics, width: usize, classes: usize, seed: u6
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use srmac_tensor::layers::Layer;
-    use srmac_tensor::{F32Engine, Tensor};
+    use srmac_tensor::{F32Engine, GemmEngine, Tensor};
 
     fn engine() -> Arc<dyn GemmEngine> {
         Arc::new(F32Engine::new(2))
     }
 
+    fn numerics() -> Numerics {
+        Numerics::uniform(engine())
+    }
+
     #[test]
     fn resnet20_shapes_and_param_count() {
-        let e = engine();
-        let mut net = resnet20(&e, 16, 10, 0);
+        let mut net = resnet20_with(&numerics(), 16, 10, 0);
         // The paper-exact ResNet-20 has ~0.27M parameters.
         let params = net.param_count();
         assert!(
@@ -173,8 +134,7 @@ mod tests {
 
     #[test]
     fn resnet20_slim_forward_backward() {
-        let e = engine();
-        let mut net = resnet20(&e, 8, 10, 1);
+        let mut net = resnet20_with(&numerics(), 8, 10, 1);
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let y = net.forward(&x, true);
         assert_eq!(y.shape(), &[2, 10]);
@@ -184,8 +144,7 @@ mod tests {
 
     #[test]
     fn resnet50_slim_forward_backward() {
-        let e = engine();
-        let mut net = resnet50(&e, 4, 10, 2);
+        let mut net = resnet50_with(&numerics(), 4, 10, 2);
         let x = Tensor::zeros(&[1, 3, 16, 16]);
         let y = net.forward(&x, true);
         assert_eq!(y.shape(), &[1, 10]);
@@ -196,8 +155,7 @@ mod tests {
     #[test]
     fn resnet50_has_50_conv_or_fc_layers_worth_of_depth() {
         // 1 stem + (3+4+6+3) blocks * 3 convs + 1 fc = 50.
-        let e = engine();
-        let mut net = resnet50(&e, 4, 10, 3);
+        let mut net = resnet50_with(&numerics(), 4, 10, 3);
         let desc = net.describe();
         let convs = desc.matches("Conv2d").count();
         let projections = desc.matches("+ proj").count();
@@ -209,11 +167,23 @@ mod tests {
 
     #[test]
     fn uniform_policy_builds_the_same_model() {
-        // The policy form with a uniform policy must describe (and
-        // initialize) exactly the model the single-engine shim builds.
+        // A uniform policy hands its one engine object to every role of
+        // every GEMM layer — the single-engine model — and two builds
+        // from the same seed are the same model.
         let e = engine();
         let numerics = Numerics::uniform(e.clone());
-        let mut a = resnet20(&e, 4, 10, 9);
+        let mut a = resnet20_with(&numerics, 4, 10, 9);
+        let mut gemm_roles = 0;
+        a.visit_role_engines(&mut |_, engine| {
+            assert!(
+                Arc::ptr_eq(engine, &e),
+                "every role runs the uniform engine"
+            );
+            gemm_roles += 1;
+        });
+        // 19 convs (stem + 18 in the blocks), 2 projections, 1 classifier;
+        // three roles each.
+        assert_eq!(gemm_roles, 22 * 3);
         let mut b = resnet20_with(&numerics, 4, 10, 9);
         assert_eq!(a.describe(), b.describe());
         let x = Tensor::from_vec(

@@ -596,10 +596,10 @@ struct RouterOutcome {
 /// use std::sync::Arc;
 /// use srmac_models::serve::{InferenceServer, ServeConfig};
 /// use srmac_models::{data, resnet};
-/// use srmac_tensor::{F32Engine, GemmEngine};
+/// use srmac_tensor::{F32Engine, Numerics};
 ///
-/// let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-/// let model = resnet::resnet20(&engine, 4, 10, 0);
+/// let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+/// let model = resnet::resnet20_with(&numerics, 4, 10, 0);
 /// let server = InferenceServer::start(model, 8, ServeConfig {
 ///     workers: 2,
 ///     ..ServeConfig::default()
@@ -1312,7 +1312,7 @@ mod tests {
 
     use super::*;
     use crate::data::synth_cifar10;
-    use crate::resnet::{resnet20, resnet20_with};
+    use crate::resnet::resnet20_with;
     use crate::{evaluate, Dataset};
 
     const SIZE: usize = 8;
@@ -1389,7 +1389,8 @@ mod tests {
         let ds = synth_cifar10(12, SIZE, 31);
         let n = ds.len();
         for (label, engine) in engines() {
-            let mut reference_model = resnet20(&engine, 4, 10, 17);
+            let numerics = Numerics::uniform(engine);
+            let mut reference_model = resnet20_with(&numerics, 4, 10, 17);
             let want = batch1_logits(&mut reference_model, &ds, n);
 
             for (pat, cfg, pipelined) in [
@@ -1423,7 +1424,7 @@ mod tests {
                     true,
                 ),
             ] {
-                let model = resnet20(&engine, 4, 10, 17);
+                let model = resnet20_with(&numerics, 4, 10, 17);
                 let (got, stats, _) = serve_all(model, &ds, n, cfg, pipelined);
                 assert_eq!(stats.requests, n, "{label}/{pat}: request count");
                 assert_eq!(
@@ -1471,8 +1472,8 @@ mod tests {
         // batch it was assembling, and (b) stop *because of the
         // disconnect* — promptly, not after the straggler timeout, and
         // with the abnormal stop recorded.
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let model = resnet20(&engine, 4, 10, 1);
+        let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+        let model = resnet20_with(&numerics, 4, 10, 1);
         let cfg = ServeConfig {
             max_batch: 8,
             max_wait_items: 8,                       // always wait for stragglers
@@ -1524,8 +1525,8 @@ mod tests {
     #[test]
     fn served_argmax_reproduces_evaluate_accuracy() {
         let ds = synth_cifar10(30, SIZE, 41);
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(2));
-        let mut model = resnet20(&engine, 4, 10, 5);
+        let numerics = Numerics::uniform(Arc::new(F32Engine::new(2)));
+        let mut model = resnet20_with(&numerics, 4, 10, 5);
         let want_acc = evaluate(&mut model, &ds, 7);
 
         let server = InferenceServer::start(model, SIZE, ServeConfig::default())
@@ -1558,8 +1559,8 @@ mod tests {
         // least one multi-request batch must form (the whole point of the
         // queue). `max_wait_items = max_batch` makes assembly greedy.
         let ds = synth_cifar10(16, SIZE, 51);
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let model = resnet20(&engine, 4, 10, 3);
+        let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+        let model = resnet20_with(&numerics, 4, 10, 3);
         let cfg = ServeConfig {
             max_batch: 8,
             max_wait_items: 8,
@@ -1585,8 +1586,8 @@ mod tests {
 
     #[test]
     fn bad_input_and_shutdown_are_typed_errors() {
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let model = resnet20(&engine, 4, 10, 1);
+        let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+        let model = resnet20_with(&numerics, 4, 10, 1);
         let server = InferenceServer::start(model, SIZE, ServeConfig::default())
             .expect("position-invariant");
         let client = server.client();

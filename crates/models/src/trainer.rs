@@ -9,7 +9,7 @@
 //! training over CoW model replicas with bitwise tree-reduced gradients.
 //! At a fixed gradient-shard count, training bits are invariant to the
 //! replica count and the pool size (see the [`Trainer`] docs for the full
-//! contract); [`train`] remains the one-call entry point.
+//! contract); `Trainer::new(&cfg).run(..)` trains a model end to end.
 //!
 //! Training is also **crash-tolerant**: [`Trainer::checkpoint_every`]
 //! auto-saves the model *and* the full trainer state (optimizer momentum,
@@ -72,10 +72,10 @@ pub struct TrainConfig {
     /// minibatch splits into before the fixed binary-tree gradient
     /// reduction. `S` *defines the step's numerics* (per-shard products,
     /// per-shard batch-norm statistics, the reduction-tree shape); `0`
-    /// (the default) resolves to `replicas`, which keeps single-replica
-    /// runs on the classic `S = 1` path but means the *default* numerics
-    /// follow the replica count. Pin `grad_shards` explicitly to scale
-    /// replicas without changing a bit.
+    /// (the default) resolves to `replicas`, so single-replica runs train
+    /// on one full-batch shard but the *default* numerics follow the
+    /// replica count. Pin `grad_shards` explicitly to scale replicas
+    /// without changing a bit.
     pub grad_shards: usize,
 }
 
@@ -164,19 +164,6 @@ impl History {
     }
 }
 
-/// Trains `model` on `train`, evaluating on `test` after every epoch — a
-/// shim over [`Trainer`], kept as the stable entry point. With the default
-/// `replicas = 1` / `grad_shards = 0` config this runs the classic
-/// single-model step bit-for-bit.
-pub fn train(
-    model: &mut Sequential,
-    train: &Dataset,
-    test: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    Trainer::new(cfg).run(model, train, test)
-}
-
 /// One shard's step result: shard index, sub-batch loss, sample count,
 /// flattened (loss-scaled) gradients, and flattened layer state
 /// (batch-norm running statistics after the shard's forward).
@@ -220,7 +207,7 @@ fn write_state(model: &mut Sequential, flat: &[f32]) {
     assert_eq!(off, flat.len(), "state layout differs between replicas");
 }
 
-/// The step-wise, data-parallel training core behind [`train`].
+/// The step-wise, data-parallel training core.
 ///
 /// Owns the optimizer, learning-rate schedule, loss scaler, shuffling RNG,
 /// and the accumulating [`History`]. [`Trainer::run`] drives whole epochs;
@@ -229,7 +216,7 @@ fn write_state(model: &mut Sequential, flat: &[f32]) {
 ///
 /// # Determinism contract
 ///
-/// A step at gradient-shard count `S > 1` proceeds in fixed phases:
+/// Every step, at any gradient-shard count `S`, proceeds in fixed phases:
 ///
 /// 1. **Shard** — the minibatch splits into `S` contiguous sub-batches
 ///    ([`shard_spans`]: equal prefix, remainder to the last shard; empty
@@ -252,9 +239,9 @@ fn write_state(model: &mut Sequential, flat: &[f32]) {
 ///    when the scaler saw a non-finite loss or gradient).
 ///
 /// Training bits therefore depend on `S` (and the usual numerics knobs)
-/// but **not** on `replicas` or pool size. `S == 1` bypasses all of the
-/// above and runs the classic single-model inline step — bit-for-bit the
-/// pre-data-parallel trainer, with no cloning.
+/// but **not** on `replicas` or pool size. At `S == 1` the whole batch is
+/// one shard on one replica, which the runtime runs on the calling
+/// thread.
 #[derive(Debug)]
 pub struct Trainer {
     cfg: TrainConfig,
@@ -448,8 +435,8 @@ impl Trainer {
     /// Panics if `batch_size == 0`, if a resumed run is handed a training
     /// set whose length differs from the checkpointed one, if the
     /// replayed shuffle RNG does not land on the checkpointed state
-    /// (dataset or seed changed), or (at `S > 1`) if a model layer does
-    /// not support replication.
+    /// (dataset or seed changed), or if a model layer does not support
+    /// replication.
     pub fn run(mut self, model: &mut Sequential, train: &Dataset, test: &Dataset) -> History {
         let cfg = self.cfg;
         assert!(cfg.batch_size > 0, "training needs a nonzero batch size");
@@ -755,55 +742,11 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics on an empty batch, a `x`/`labels` row-count mismatch, or
-    /// (at `S > 1`) a model layer that does not support replication.
+    /// Panics on an empty batch, a `x`/`labels` row-count mismatch, or a
+    /// model layer that does not support replication
+    /// ([`Layer::clone_layer`]) — at every `S`, `S = 1` included, since
+    /// each shard runs on a replica (see the type-level contract).
     pub fn train_step(
-        &mut self,
-        model: &mut Sequential,
-        x: &Tensor,
-        labels: &[usize],
-        lr: f32,
-    ) -> f32 {
-        if self.grad_shards == 1 {
-            self.inline_step(model, x, labels, lr)
-        } else {
-            self.sharded_step(model, x, labels, lr)
-        }
-    }
-
-    /// The classic `S == 1` step: forward/backward on the primary model
-    /// itself. Kept verbatim from the pre-data-parallel trainer so default
-    /// configs reproduce pinned histories bit-for-bit.
-    fn inline_step(
-        &mut self,
-        model: &mut Sequential,
-        x: &Tensor,
-        labels: &[usize],
-        lr: f32,
-    ) -> f32 {
-        let logits = model.forward(x, true);
-        let (loss, mut grad) = softmax_cross_entropy(&logits, labels);
-        if !loss.is_finite() {
-            self.history.nonfinite_batches += 1;
-        }
-        grad.scale_(self.scaler.scale());
-        model.backward(&grad);
-
-        let mut finite = loss.is_finite();
-        if finite {
-            model.visit_params(&mut |p| finite &= p.grad.all_finite());
-        }
-        if self.scaler.update(finite) {
-            self.opt.step(model, lr, 1.0 / self.scaler.scale());
-        } else {
-            Sgd::zero_grad(model);
-            self.history.skipped_steps += 1;
-        }
-        loss
-    }
-
-    /// The `S > 1` data-parallel step (see the type-level contract).
-    fn sharded_step(
         &mut self,
         model: &mut Sequential,
         x: &Tensor,
@@ -878,7 +821,7 @@ impl Trainer {
         let reduced = &bufs[0];
 
         // Count-weighted batch loss in f64 (a non-finite shard loss
-        // propagates into the batch loss, exactly as it would inline).
+        // makes the batch loss non-finite).
         let mut loss_acc = 0.0f64;
         for r in &results {
             loss_acc += f64::from(r.1) * r.2 as f64;
@@ -956,21 +899,25 @@ pub fn evaluate(model: &mut Sequential, data: &Dataset, batch_size: usize) -> f3
 mod tests {
     use super::*;
     use crate::data::synth_cifar10;
-    use crate::resnet::resnet20;
+    use crate::resnet::resnet20_with;
     use srmac_qgemm::engine_from_spec;
     use srmac_rng::SplitMix64;
     use srmac_tensor::init::kaiming_normal;
     use srmac_tensor::layers::{Conv2d, GlobalAvgPool, Linear, Relu};
-    use srmac_tensor::{F32Engine, GemmEngine};
+    use srmac_tensor::{F32Engine, GemmEngine, Numerics, PackedOperand, RoleEngines};
     use std::sync::Arc;
+
+    fn f32_numerics(threads: usize) -> Numerics {
+        Numerics::uniform(Arc::new(F32Engine::new(threads)))
+    }
 
     #[test]
     fn f32_training_learns_synthetic_classes() {
         // A tiny ResNet on a tiny synthetic set must beat chance (10%)
         // decisively within a few epochs — the sanity bar for every
         // experiment built on this harness.
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::default());
-        let mut net = resnet20(&engine, 4, 10, 42);
+        let numerics = Numerics::uniform(Arc::new(F32Engine::default()));
+        let mut net = resnet20_with(&numerics, 4, 10, 42);
         let train_ds = synth_cifar10(160, 12, 10);
         let test_ds = synth_cifar10(80, 12, 11);
         let cfg = TrainConfig {
@@ -979,7 +926,7 @@ mod tests {
             lr: 0.05,
             ..TrainConfig::default()
         };
-        let h = train(&mut net, &train_ds, &test_ds, &cfg);
+        let h = Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds);
         assert_eq!(h.test_acc.len(), 6);
         assert!(
             h.best_accuracy() > 30.0,
@@ -994,30 +941,73 @@ mod tests {
         );
     }
 
-    /// A small conv net with the weight-pack caching of every GEMM-backed
-    /// layer switched on or off.
-    fn small_net(engine: &Arc<dyn GemmEngine>, cached: bool) -> Sequential {
+    /// A small conv net with every GEMM-backed layer on `engine`.
+    fn small_net(engine: &Arc<dyn GemmEngine>) -> Sequential {
         let mut rng = SplitMix64::new(5);
+        let engines = RoleEngines::uniform(engine.clone());
         let mut net = Sequential::new();
-        net.push(
-            Conv2d::new(
-                3,
-                6,
-                3,
-                1,
-                1,
-                kaiming_normal(&[6, 27], 27, &mut rng),
-                engine.clone(),
-            )
-            .with_weight_pack_caching(cached),
-        );
+        net.push(Conv2d::per_role(
+            3,
+            6,
+            3,
+            1,
+            1,
+            kaiming_normal(&[6, 27], 27, &mut rng),
+            engines.clone(),
+        ));
         net.push(Relu::new());
         net.push(GlobalAvgPool::new());
-        net.push(
-            Linear::new(6, 10, kaiming_normal(&[10, 6], 6, &mut rng), engine.clone())
-                .with_weight_pack_caching(cached),
-        );
+        net.push(Linear::per_role(
+            6,
+            10,
+            kaiming_normal(&[10, 6], 6, &mut rng),
+            engines,
+        ));
         net
+    }
+
+    /// Delegates every product to the wrapped engine but reports that
+    /// packing is not worth caching, so the layers pack on the fly every
+    /// product — the path [`F32Engine`] takes.
+    struct OnTheFly(Arc<dyn GemmEngine>);
+
+    impl GemmEngine for OnTheFly {
+        fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> PackedOperand {
+            self.0.pack_a(rows, cols, a)
+        }
+
+        fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
+            self.0.pack_b(rows, cols, b)
+        }
+
+        fn gemm_packed(
+            &self,
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &PackedOperand,
+            b: &PackedOperand,
+            out: &mut [f32],
+        ) {
+            self.0.gemm_packed(m, k, n, a, b, out);
+        }
+
+        fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+            self.0.gemm(m, k, n, a, b, out);
+        }
+
+        fn benefits_from_packing(&self) -> bool {
+            false
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn with_row_base(&self, first_row: usize) -> Option<Arc<dyn GemmEngine>> {
+            let derived = self.0.with_row_base(first_row)?;
+            Some(Arc::new(OnTheFly(derived)))
+        }
     }
 
     #[test]
@@ -1042,10 +1032,11 @@ mod tests {
             ..TrainConfig::default()
         };
         for engine in &engines {
-            let mut cached_net = small_net(engine, true);
-            let mut uncached_net = small_net(engine, false);
-            let cached = train(&mut cached_net, &train_ds, &test_ds, &cfg);
-            let uncached = train(&mut uncached_net, &train_ds, &test_ds, &cfg);
+            let mut cached_net = small_net(engine);
+            let on_the_fly: Arc<dyn GemmEngine> = Arc::new(OnTheFly(engine.clone()));
+            let mut uncached_net = small_net(&on_the_fly);
+            let cached = Trainer::new(&cfg).run(&mut cached_net, &train_ds, &test_ds);
+            let uncached = Trainer::new(&cfg).run(&mut uncached_net, &train_ds, &test_ds);
             assert_eq!(cached.train_loss, uncached.train_loss, "{}", engine.name());
             assert_eq!(cached.test_acc, uncached.test_acc, "{}", engine.name());
             assert_eq!(
@@ -1090,14 +1081,14 @@ mod tests {
         let ds = Dataset::from_parts(images, base.labels().to_vec(), 8);
 
         let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let mut net = small_net(&engine, true);
+        let mut net = small_net(&engine);
         let cfg = TrainConfig {
             epochs: 2,
             batch_size: 10,
             lr: 0.01,
             ..TrainConfig::default()
         };
-        let h = train(&mut net, &ds, &base, &cfg);
+        let h = Trainer::new(&cfg).run(&mut net, &ds, &base);
         assert!(
             h.nonfinite_batches > 0,
             "the poisoned sample must produce at least one non-finite batch loss"
@@ -1127,14 +1118,14 @@ mod tests {
 
         // And the trainer really produces such a history for epochs = 0.
         let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let mut net = small_net(&engine, true);
+        let mut net = small_net(&engine);
         let ds = synth_cifar10(10, 8, 1);
         let cfg = TrainConfig {
             epochs: 0,
             batch_size: 5,
             ..TrainConfig::default()
         };
-        let h = train(&mut net, &ds, &ds, &cfg);
+        let h = Trainer::new(&cfg).run(&mut net, &ds, &ds);
         assert_eq!(h.epochs(), 0);
         assert_eq!(h.final_accuracy(), 0.0);
         assert!(h.final_loss().is_nan());
@@ -1166,7 +1157,7 @@ mod tests {
     #[test]
     fn grad_shards_zero_resolves_to_replica_count() {
         let t = Trainer::new(&TrainConfig::default());
-        assert_eq!(t.grad_shards(), 1, "defaults stay on the legacy path");
+        assert_eq!(t.grad_shards(), 1, "defaults train on one shard");
         let t = Trainer::new(&TrainConfig {
             replicas: 4,
             ..TrainConfig::default()
@@ -1192,9 +1183,9 @@ mod tests {
         // produces the identical History. Batch 16 with a ragged final
         // batch of 12 exercises uneven shards; resnet20 brings batch-norm
         // state recombination into the picture.
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(2));
+        let numerics = f32_numerics(2);
         let run = |replicas: usize, threads: usize| {
-            let mut net = resnet20(&engine, 4, 10, 7);
+            let mut net = resnet20_with(&numerics, 4, 10, 7);
             let train_ds = synth_cifar10(60, 8, 3);
             let test_ds = synth_cifar10(40, 8, 4);
             let cfg = TrainConfig {
@@ -1236,14 +1227,14 @@ mod tests {
     }
 
     #[test]
-    fn single_nonempty_shard_matches_the_inline_step() {
-        // A batch no larger than one shard's span leaves S-1 shards empty:
-        // the sharded step degenerates to one full-batch replica, whose
-        // loss-gradient scaling (n_s/N = 1) and single-buffer reduction
-        // reproduce the inline path's numbers exactly.
+    fn one_shard_step_matches_thirteen_shards_with_twelve_empty() {
+        // A batch no larger than one shard's span leaves S-1 shards empty,
+        // and empty shards are skipped: S = 13 over 12 samples runs one
+        // full-batch replica, exactly the S = 1 step — same loss-gradient
+        // scaling (n_s/N = 1), same single-buffer reduction.
         let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
         let run = |grad_shards: usize| {
-            let mut net = small_net(&engine, true);
+            let mut net = small_net(&engine);
             let train_ds = synth_cifar10(12, 8, 9);
             let cfg = TrainConfig {
                 epochs: 2,
@@ -1254,32 +1245,32 @@ mod tests {
             };
             Trainer::new(&cfg).run(&mut net, &train_ds, &train_ds)
         };
-        let inline = run(1);
+        let one = run(1);
         // S = 13 > 12 samples: the first 12 spans are empty, the last
         // holds the whole batch — one replica, full batch.
-        let degenerate = run(13);
+        let thirteen = run(13);
         assert_eq!(
-            inline
+            one.train_loss
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>(),
+            thirteen
                 .train_loss
                 .iter()
                 .map(|l| l.to_bits())
                 .collect::<Vec<_>>(),
-            degenerate
-                .train_loss
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            "single-shard sharded step must equal the inline step"
+            "S = 13 with 12 empty shards must equal the S = 1 step"
         );
-        assert_eq!(inline.test_acc, degenerate.test_acc);
-        assert_eq!(inline.final_scale, degenerate.final_scale);
+        assert_eq!(one.test_acc, thirteen.test_acc);
+        assert_eq!(one.final_scale, thirteen.final_scale);
     }
 
     #[test]
     #[should_panic(expected = "clone_layer")]
     fn sharded_training_rejects_unreplicable_layers() {
         // A layer without clone support must fail loudly, not silently
-        // train on something else.
+        // train on something else — at S = 1 too, whose one shard also
+        // runs on a replica.
         struct Opaque;
         impl Layer for Opaque {
             fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
@@ -1289,22 +1280,31 @@ mod tests {
                 grad.clone()
             }
         }
-        let mut net = Sequential::new();
-        net.push(Opaque);
-        let cfg = TrainConfig {
-            grad_shards: 2,
-            ..TrainConfig::default()
+        let step = |grad_shards: usize| {
+            let mut net = Sequential::new();
+            net.push(Opaque);
+            let cfg = TrainConfig {
+                grad_shards,
+                ..TrainConfig::default()
+            };
+            let x = Tensor::zeros(&[2, 1, 1, 1]);
+            Trainer::new(&cfg).train_step(&mut net, &x, &[0, 1], 0.1);
         };
-        let x = Tensor::zeros(&[2, 1, 1, 1]);
-        let mut t = Trainer::new(&cfg);
-        t.train_step(&mut net, &x, &[0, 1], 0.1);
+        let at_one = std::panic::catch_unwind(|| step(1)).expect_err("S = 1 must reject it");
+        let message = at_one
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| at_one.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("clone_layer"), "S = 1 panic: {message}");
+        step(2);
     }
 
     #[test]
     fn training_is_deterministic() {
-        let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(2));
+        let numerics = f32_numerics(2);
         let run = || {
-            let mut net = resnet20(&engine, 4, 10, 7);
+            let mut net = resnet20_with(&numerics, 4, 10, 7);
             let train_ds = synth_cifar10(60, 8, 3);
             let test_ds = synth_cifar10(40, 8, 4);
             let cfg = TrainConfig {
@@ -1312,7 +1312,9 @@ mod tests {
                 batch_size: 16,
                 ..TrainConfig::default()
             };
-            train(&mut net, &train_ds, &test_ds, &cfg).test_acc
+            Trainer::new(&cfg)
+                .run(&mut net, &train_ds, &test_ds)
+                .test_acc
         };
         assert_eq!(run(), run());
     }

@@ -1,13 +1,11 @@
 //! VGG16 (with batch normalization) for 32x32 inputs, with a width knob
 //! (`width_div = 1` reproduces the paper-exact channel plan).
 
-use std::sync::Arc;
-
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::uniform_fan_in;
 use srmac_tensor::layers::{BatchNorm2d, Flatten, Linear, MaxPool2, Relu};
 use srmac_tensor::numerics::Numerics;
-use srmac_tensor::{GemmEngine, Sequential};
+use srmac_tensor::Sequential;
 
 use crate::blocks::conv;
 
@@ -17,31 +15,9 @@ const PLAN: [usize; 18] = [
 ];
 
 /// Builds VGG16-BN for `size x size` inputs (`size` must be divisible by
-/// 32); all channels are divided by `width_div`.
-///
-/// # Panics
-///
-/// Panics if `size` is not a multiple of 32 or `width_div` does not divide
-/// the channel plan.
-#[must_use]
-pub fn vgg16(
-    engine: &Arc<dyn GemmEngine>,
-    width_div: usize,
-    classes: usize,
-    size: usize,
-    seed: u64,
-) -> Sequential {
-    vgg16_with(
-        &Numerics::uniform(engine.clone()),
-        width_div,
-        classes,
-        size,
-        seed,
-    )
-}
-
-/// [`vgg16`] on a per-role [`Numerics`] policy (GEMM layers are numbered
-/// in construction order: the 13 convs, then the classifier).
+/// 32); all channels are divided by `width_div`. Each GEMM layer's
+/// engines come from the [`Numerics`] policy (GEMM layers are numbered in
+/// construction order: the 13 convs, then the classifier).
 ///
 /// # Panics
 ///
@@ -92,14 +68,19 @@ pub fn vgg16_with(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use srmac_tensor::layers::Layer;
     use srmac_tensor::{F32Engine, Tensor};
 
+    fn numerics() -> Numerics {
+        Numerics::uniform(Arc::new(F32Engine::new(2)))
+    }
+
     #[test]
     fn vgg16_full_width_param_count() {
-        let e: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(2));
-        let mut net = vgg16(&e, 1, 10, 32, 0);
+        let mut net = vgg16_with(&numerics(), 1, 10, 32, 0);
         // VGG16-BN conv trunk for CIFAR is ~14.7M parameters.
         let params = net.param_count();
         assert!(
@@ -110,8 +91,7 @@ mod tests {
 
     #[test]
     fn vgg16_slim_forward_backward() {
-        let e: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(2));
-        let mut net = vgg16(&e, 8, 10, 32, 1);
+        let mut net = vgg16_with(&numerics(), 8, 10, 32, 1);
         let x = Tensor::zeros(&[2, 3, 32, 32]);
         let y = net.forward(&x, true);
         assert_eq!(y.shape(), &[2, 10]);
@@ -121,8 +101,7 @@ mod tests {
 
     #[test]
     fn vgg16_has_13_convs_plus_classifier() {
-        let e: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-        let net = vgg16(&e, 8, 10, 32, 2);
+        let net = vgg16_with(&numerics(), 8, 10, 32, 2);
         let desc = net.describe();
         let convs = desc.matches("Conv2d").count();
         let linears = desc.matches("Linear").count();

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use srmac_models::{data, resnet, train, History, TrainConfig};
+use srmac_models::{data, resnet, History, TrainConfig, Trainer};
 use srmac_qgemm::numerics_from_spec;
 use srmac_tensor::{F32Engine, GemmEngine, Numerics};
 
@@ -91,7 +91,7 @@ fn run(name: &str) -> History {
         lr: 0.05,
         ..TrainConfig::default()
     };
-    train(&mut net, &train_ds, &test_ds, &cfg)
+    Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds)
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {

@@ -1,15 +1,13 @@
-//! Cross-layer tests of the `Numerics` per-role policy API: the uniform
-//! shim must be invisible in the bits (full `History` equality against
-//! the legacy single-engine path), per-role SR streams must be seeded
-//! independently per role, and the serving layer must reject
-//! position-variant forward engines with a typed error.
-
-use std::sync::Arc;
+//! Cross-layer tests of the `Numerics` per-role policy API: sharing one
+//! engine across roles must be invisible in the bits (full `History`
+//! equality against one engine instance per role), per-role SR streams
+//! must be seeded independently per role, and the serving layer must
+//! reject position-variant forward engines with a typed error.
 
 use srmac_models::serve::{InferenceServer, ServeConfig, ServeError};
-use srmac_models::{data, evaluate, resnet, train, TrainConfig};
+use srmac_models::{data, evaluate, resnet, TrainConfig, Trainer};
 use srmac_qgemm::{engine_from_spec, numerics_from_spec};
-use srmac_tensor::{F32Engine, GemmEngine, GemmRole, Numerics};
+use srmac_tensor::{GemmRole, Numerics, RoleEngines};
 
 fn train_cfg() -> TrainConfig {
     TrainConfig {
@@ -22,23 +20,23 @@ fn train_cfg() -> TrainConfig {
 
 #[test]
 fn uniform_policy_reproduces_the_single_engine_history_bitwise() {
-    // `Numerics::uniform(engine)` shares the engine object across roles,
-    // so training through the policy plumbing must be indistinguishable —
-    // the whole History (losses, accuracies, scaler trajectory), bit for
-    // bit — from handing the engine to every layer directly, under both
-    // the exact engine and the paper's SR MAC (whose streams would expose
-    // any accidental re-seeding or extra consumption immediately).
-    let engines: Vec<(&str, Arc<dyn GemmEngine>)> = vec![
-        ("f32", Arc::new(F32Engine::new(2))),
-        ("mac_sr13", engine_from_spec("fp8_fp12_sr13").expect("spec")),
-    ];
+    // `Numerics::uniform(engine)` shares one engine object across roles.
+    // Training through it must be indistinguishable — the whole History
+    // (losses, accuracies, scaler trajectory), bit for bit — from a
+    // per-role policy that gives every role its own instance of the same
+    // engine, under both the exact engine and the paper's SR MAC (whose
+    // streams would expose any state shared between roles through the
+    // one object, any re-seeding or extra consumption immediately).
     let train_ds = data::synth_cifar10(64, 8, 1234);
     let test_ds = data::synth_cifar10(32, 8, 4321);
-    for (label, engine) in engines {
-        let mut legacy = resnet::resnet20(&engine, 4, 10, 77);
-        let mut policied = resnet::resnet20_with(&Numerics::uniform(engine.clone()), 4, 10, 77);
-        let a = train(&mut legacy, &train_ds, &test_ds, &train_cfg());
-        let b = train(&mut policied, &train_ds, &test_ds, &train_cfg());
+    for label in ["f32", "fp8_fp12_sr13"] {
+        let engine = || engine_from_spec(label).expect("spec");
+        let shared = Numerics::uniform(engine());
+        let separate = Numerics::per_role(RoleEngines::new(engine(), engine(), engine()));
+        let mut shared_net = resnet::resnet20_with(&shared, 4, 10, 77);
+        let mut separate_net = resnet::resnet20_with(&separate, 4, 10, 77);
+        let a = Trainer::new(&train_cfg()).run(&mut shared_net, &train_ds, &test_ds);
+        let b = Trainer::new(&train_cfg()).run(&mut separate_net, &train_ds, &test_ds);
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.train_loss), bits(&b.train_loss), "{label}: loss");
         assert_eq!(bits(&a.test_acc), bits(&b.test_acc), "{label}: accuracy");
@@ -104,8 +102,8 @@ fn mixed_policy_trains_and_diverges_from_uniform_rn() {
     let rn = numerics_from_spec("fp8_fp12_rn").expect("rn");
     let mut mixed_net = resnet::resnet20_with(&mixed, 4, 10, 5);
     let mut rn_net = resnet::resnet20_with(&rn, 4, 10, 5);
-    let hm = train(&mut mixed_net, &train_ds, &test_ds, &train_cfg());
-    let hr = train(&mut rn_net, &train_ds, &test_ds, &train_cfg());
+    let hm = Trainer::new(&train_cfg()).run(&mut mixed_net, &train_ds, &test_ds);
+    let hr = Trainer::new(&train_cfg()).run(&mut rn_net, &train_ds, &test_ds);
     assert_ne!(
         hm.train_loss
             .iter()

@@ -19,7 +19,7 @@ use srmac_models::serve::codes;
 use srmac_models::{data, resnet, Dataset, InferenceServer, ServeConfig, ServeError, Severity};
 use srmac_qgemm::engine_from_spec;
 use srmac_tensor::layers::Layer;
-use srmac_tensor::{F32Engine, GemmEngine, Sequential, Tensor};
+use srmac_tensor::{F32Engine, GemmEngine, Numerics, Sequential, Tensor};
 
 const SIZE: usize = 8;
 
@@ -123,7 +123,8 @@ fn multithreaded_clients_on_replicas_match_batch1_bitwise() {
         ("mac_rn", engine_from_spec("fp8_fp12_rn").expect("spec")),
     ];
     for (label, engine) in engines {
-        let mut reference = resnet::resnet20(&engine, 4, 10, 23);
+        let numerics = Numerics::uniform(engine);
+        let mut reference = resnet::resnet20_with(&numerics, 4, 10, 23);
         let want: Vec<Vec<u32>> = (0..n)
             .map(|i| {
                 let (x, _) = ds.batch(&[i]);
@@ -136,7 +137,7 @@ fn multithreaded_clients_on_replicas_match_batch1_bitwise() {
             })
             .collect();
 
-        let model = resnet::resnet20(&engine, 4, 10, 23);
+        let model = resnet::resnet20_with(&numerics, 4, 10, 23);
         let server = InferenceServer::start(
             model,
             SIZE,
@@ -302,8 +303,8 @@ fn shutdown_serves_in_flight_requests_across_replicas() {
     // 16 requests submitted and then an immediate shutdown: the marker
     // trails the requests through the ordered queues, so every admitted
     // request is served (by either replica) before the workers stop.
-    let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
-    let model = resnet::resnet20(&engine, 4, 10, 9);
+    let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
+    let model = resnet::resnet20_with(&numerics, 4, 10, 9);
     let server = InferenceServer::start(
         model,
         SIZE,

@@ -51,54 +51,15 @@ use crate::lut::{PairLut, ProductLut};
 /// narrow outputs stay on the same vector kernel.
 const LANES: usize = 64;
 
-/// Cache-blocking tile sizes of the tiled execution path.
-///
-/// The output matrix is cut into a fixed grid of rectangles for
-/// multi-core dispatch (one pool job per rectangle), and inside each
-/// rectangle the loop walks `col_tile` columns at a time across all of
-/// the rectangle's rows, so one lane-interleaved B panel slice
-/// (`col_tile * k` bytes) is reused across every row before the next
-/// slice is touched. `row_tile` is the most rows a rectangle holds: a
-/// thin product (few, long rows) gets fewer, as few as one, so that it
-/// still splits into several jobs — each row range is cut to about
-/// 288Ki MAC steps, or `row_tile` rows if that is less. The grid is a pure
-/// function of the shape and the tile sizes — never of the thread
-/// count — which together with the per-output-element accumulation
-/// order (unchanged) and position-seeded SR streams keeps results
-/// bitwise identical for every tile/thread combination.
-///
-/// `col_tile` must be a multiple of the 64-lane block width so tile
-/// boundaries never split a lane block. Defaults come from
-/// [`TileConfig::auto`], derived with `probe_tune kernel`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TileConfig {
-    /// Most output rows per dispatch rectangle.
-    pub row_tile: usize,
-    /// Output columns per dispatch rectangle and per in-job column tile
-    /// (multiple of 64).
-    pub col_tile: usize,
-}
+/// Most output rows per dispatch rectangle (fewer for thin products; see
+/// [`dispatch_tiles`]).
+const ROW_TILE: usize = 32;
 
-impl TileConfig {
-    /// The tuned defaults (see `probe_tune kernel`): rectangles of up to
-    /// 32 rows (fewer for thin products, see [`TileConfig`]), and 512
-    /// columns bound the active B panel slice at `512 * k` bytes —
-    /// L2-resident alongside the 256 KiB pair LUT for every ResNet-20
-    /// shape.
-    #[must_use]
-    pub fn auto() -> Self {
-        Self {
-            row_tile: 32,
-            col_tile: 512,
-        }
-    }
-}
-
-impl Default for TileConfig {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
+/// Output columns per dispatch rectangle and per in-job column tile: the
+/// active B panel slice is at most `COL_TILE * k` bytes, L2-resident
+/// alongside the 256 KiB pair LUT for every ResNet-20 shape. A multiple
+/// of [`LANES`], so tile boundaries never split a lane block.
+const COL_TILE: usize = 512;
 
 /// Products below this many MAC steps run as one job on the caller: a
 /// pool round-trip costs more than it saves.
@@ -109,20 +70,29 @@ const SINGLE_JOB_MACS: usize = 32 * 1024;
 /// round-trip.
 const MIN_JOB_MACS: usize = 288 * 1024;
 
-/// The dispatch grid of an `m x k x n` product as `(row_tile, col_tile)`:
-/// a pure function of the shape and the engine's tiles, never of the
-/// thread count. Small products are one job. Otherwise a rectangle holds
-/// up to `tiles.row_tile` rows, but only as many as it takes to reach
+/// The dispatch grid of an `m x k x n` product as `(row_tile, col_tile)`.
+///
+/// The output matrix is cut into a fixed grid of rectangles for
+/// multi-core dispatch (one pool job per rectangle), and inside each
+/// rectangle the loop walks [`COL_TILE`] columns at a time across all of
+/// the rectangle's rows, so one lane-interleaved B panel slice is reused
+/// across every row before the next slice is touched. The grid is a pure
+/// function of the shape, never of the thread count — which together
+/// with the per-output-element accumulation order and position-seeded SR
+/// streams keeps results bitwise identical for every thread count.
+///
+/// Small products are one job. Otherwise a rectangle holds up to
+/// [`ROW_TILE`] rows, but only as many as it takes to reach
 /// [`MIN_JOB_MACS`]: a thin product such as a weight gradient
 /// (`m = out_c` rows of `k * n` steps each) is cut into one- or two-row
 /// jobs instead of becoming a single job that leaves every other core
-/// idle, while products with short rows keep the full `row_tile`.
-fn dispatch_tiles(m: usize, k: usize, n: usize, tiles: TileConfig) -> (usize, usize) {
+/// idle, while products with short rows keep the full row tile.
+fn dispatch_tiles(m: usize, k: usize, n: usize) -> (usize, usize) {
     if m * k * n < SINGLE_JOB_MACS {
         return (m.max(1), n.max(LANES));
     }
-    let row_tile = tiles.row_tile.min(MIN_JOB_MACS.div_ceil(k * n)).max(1);
-    (row_tile, tiles.col_tile)
+    let row_tile = ROW_TILE.min(MIN_JOB_MACS.div_ceil(k * n)).max(1);
+    (row_tile, COL_TILE)
 }
 
 /// Vector-ISA tier of the batched accumulation loop, detected at engine
@@ -391,7 +361,7 @@ impl std::error::Error for ConfigWireError {}
 /// The shareable inner accumulation kernel: everything a worker needs to
 /// compute output rows from packed codes. Lives behind an `Arc` so pool
 /// jobs (which must be `'static`) can hold it without copying tables.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct MacKernel {
     lut: ProductLut,
     adder: FastAdder,
@@ -403,8 +373,6 @@ struct MacKernel {
     /// hot-path table whenever the accumulator algebra fits u32 words
     /// (`None` otherwise; the wide `dlut` then serves the panel loop).
     plut: Option<PairLut>,
-    /// Cache-blocking tile sizes of the panel loop and the dispatch grid.
-    tiles: TileConfig,
     decode: Vec<f32>,
     /// Accumulator-format magnitude mask (all bits except the sign).
     acc_mag_mask: u64,
@@ -722,9 +690,9 @@ impl MacKernel {
     /// The tier-independent rectangle body (inlined into each tier wrapper
     /// so every tier gets its own codegen of the whole lane pipeline).
     ///
-    /// This is the tiled loop: column tiles of `self.tiles.col_tile`
+    /// This is the tiled loop: column tiles of [`COL_TILE`]
     /// outermost, the rectangle's rows next, panel blocks innermost —
-    /// every row of the rectangle reuses one `col_tile * k`-byte panel
+    /// every row of the rectangle reuses one `COL_TILE * k`-byte panel
     /// slice before the loop moves on. Every column sits in a panel block
     /// (64-wide blocks, then 16-wide blocks with the last one
     /// zero-padded; see [`build_panel`]); tile and dispatch boundaries
@@ -753,10 +721,9 @@ impl MacKernel {
         // panel bytes `[j * k, (j + L) * k)`: 64-wide blocks cover
         // [0, n64), 16-wide blocks the rest, the last one padded with +0.
         let n64 = n - n % LANES;
-        let ct = self.tiles.col_tile.max(LANES);
         let mut c0 = cols.start;
         while c0 < cols.end {
-            let c1 = cols.end.min(c0 + ct);
+            let c1 = cols.end.min(c0 + COL_TILE);
             for (ri, out_row) in block.chunks_mut(w).enumerate() {
                 let i = rows.start + ri;
                 let si = row_base + i;
@@ -1101,7 +1068,6 @@ impl MacGemm {
             batch,
             dlut,
             plut,
-            tiles: TileConfig::auto(),
             decode,
             acc_mag_mask: !(1 << (config.acc_fmt.bits() - 1))
                 & srmac_fp::mask(config.acc_fmt.bits()),
@@ -1124,50 +1090,6 @@ impl MacGemm {
     #[must_use]
     pub fn config(&self) -> &MacGemmConfig {
         &self.config
-    }
-
-    /// Sets the cache-blocking tile sizes of the tiled execution path
-    /// (default [`TileConfig::auto`]). `row_tile` is an upper bound:
-    /// thin products may get a finer row grid, never a coarser one (see
-    /// [`TileConfig`]). Results are bitwise identical for every tile
-    /// shape — the knob trades locality against dispatch granularity,
-    /// never bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_tile` is 0 or `col_tile` is not a positive
-    /// multiple of 64 (tile boundaries must never split a lane block).
-    #[must_use]
-    pub fn with_tiles(mut self, tiles: TileConfig) -> Self {
-        assert!(tiles.row_tile >= 1, "row_tile must be at least 1");
-        assert!(
-            tiles.col_tile >= 64 && tiles.col_tile.is_multiple_of(64),
-            "col_tile must be a positive multiple of 64"
-        );
-        Arc::make_mut(&mut self.kernel).tiles = tiles;
-        self
-    }
-
-    /// The engine's tile configuration.
-    #[must_use]
-    pub fn tiles(&self) -> TileConfig {
-        self.kernel.tiles
-    }
-
-    /// Enables or disables the narrow product-pair LUT (enabled by
-    /// default whenever the accumulator algebra fits u32 lane words;
-    /// see [`crate::lut::PairLut`]). Results are bitwise identical
-    /// either way — the knob exists for equivalence tests and perf
-    /// probes.
-    #[must_use]
-    pub fn with_pair_lut(mut self, enabled: bool) -> Self {
-        let kernel = Arc::make_mut(&mut self.kernel);
-        kernel.plut = if enabled {
-            PairLut::build(&kernel.lut, &kernel.batch)
-        } else {
-            None
-        };
-        self
     }
 
     /// Whether the narrow product-pair LUT is engaged.
@@ -1275,7 +1197,7 @@ impl MacGemm {
         // The grid depends on the shape alone: a single-job grid runs
         // inline on the caller, a thin product gets rows-per-job small
         // enough to reach every core (see `dispatch_tiles`).
-        let (row_tile, col_tile) = dispatch_tiles(m, k, n, self.kernel.tiles);
+        let (row_tile, col_tile) = dispatch_tiles(m, k, n);
         let kernel = Arc::clone(&self.kernel);
         let awork = awork.clone();
         let bcode_t = Arc::clone(bcode_t);
@@ -1932,8 +1854,7 @@ mod tests {
         // The width-8 ResNet-20 at batch 32 on 16x16 inputs. Weight
         // gradients are `out_c x positions x in_c * kh * kw`: without the
         // finer row grid each would be one job on one core.
-        let tiles = TileConfig::auto();
-        let row_jobs = |m: usize, k: usize, n: usize| m.div_ceil(dispatch_tiles(m, k, n, tiles).0);
+        let row_jobs = |m: usize, k: usize, n: usize| m.div_ceil(dispatch_tiles(m, k, n).0);
         for (m, k, n) in [
             (8, 8192, 72),   // stage 1 3x3
             (16, 2048, 72),  // stage 2 first 3x3 (stride 2)
@@ -1966,12 +1887,12 @@ mod tests {
             (512, [16, 32]),
         ] {
             for [k, n] in [kn, [kn[1], kn[0]]] {
-                assert_eq!(dispatch_tiles(m, k, n, tiles).0, 32, "{m}x{k}x{n}");
+                assert_eq!(dispatch_tiles(m, k, n).0, 32, "{m}x{k}x{n}");
             }
         }
-        assert_eq!(dispatch_tiles(64, 128, 64, tiles), (32, 512), "headline");
+        assert_eq!(dispatch_tiles(64, 128, 64), (32, 512), "headline");
         // Below the single-job threshold the grid is one rectangle.
-        assert_eq!(dispatch_tiles(32, 32, 10, tiles), (32, 64), "head");
+        assert_eq!(dispatch_tiles(32, 32, 10), (32, 64), "head");
     }
 
     #[test]

@@ -88,19 +88,18 @@
 //! # The tiled, fused execution pipeline
 //!
 //! On top of the lane-batched adder, `gemm_packed` executes a
-//! cache-blocked tile grid ([`TileConfig`], runtime-tunable through
-//! [`MacGemm::with_tiles`]): the output plane is cut into
-//! `row_tile x col_tile` rectangles, each rectangle walks one
+//! cache-blocked tile grid: the output plane is cut into rectangles of
+//! up to 32 rows by 512 columns, each rectangle walks one
 //! lane-interleaved B-panel slice to completion before the next slice is
 //! touched, and the rectangles are the units handed to the shared
-//! worker pool for multi-core dispatch. `row_tile` is an upper bound: a
+//! worker pool for multi-core dispatch. 32 rows is an upper bound: a
 //! thin product — few, long rows, like a weight gradient with
 //! `m = out_c` — gets rectangles of only as many rows as make one job's
 //! worth of MAC steps, so it still spreads over every core. The grid is
-//! a pure function of the shape and the tile sizes — never of the
-//! thread count — and no rectangle splits an output element, so every
-//! tile/thread combination is bitwise identical (asserted across shapes
-//! in `tests/tiled_kernel.rs`).
+//! a pure function of the shape — never of the thread count — and no
+//! rectangle splits an output element, so every thread count is bitwise
+//! identical (asserted across shapes that cross the grid in
+//! `tests/tiled_kernel.rs`).
 //!
 //! Two fusions keep the per-call constant work off the measured path:
 //!
@@ -116,9 +115,9 @@
 //!   AVX-512 chain over u32 lanes — no per-step decode, no u64
 //!   widening — whose accumulators are encoded, decoded to `f32` (one
 //!   gather) and stored 16 lanes at a time. Formats outside the
-//!   envelope (or [`MacGemm::with_pair_lut`]`(false)`) fall back to the
-//!   wide u64 path; both paths are bit-identical by construction and by
-//!   test.
+//!   envelope fall back to the wide u64 path
+//!   ([`MacGemm::pair_lut_active`] reports which one runs); both paths
+//!   are bit-identical to the scalar oracle by construction and by test.
 //!
 //! # Example
 //!
@@ -166,7 +165,7 @@ pub use batch::{
     DecodedLut, FastAdderBatch, LANE32_DRAWS, LANE32_KEY, LANE32_SIGN, LANE32_SPECIAL, LANE_DRAWS,
     LANE_KEY, LANE_SIGN, LANE_SPECIAL,
 };
-pub use engine::{ConfigWireError, MacGemm, MacGemmConfig, TileConfig};
+pub use engine::{ConfigWireError, MacGemm, MacGemmConfig};
 pub use fastmath::{AccumRounding, FastAdder, FastQuantizer};
 pub use lut::{PairLut, ProductLut};
 pub use spec::{

@@ -33,8 +33,8 @@
 //! ([`srmac_tensor::numerics::fold_role_seed`]) so the roles draw
 //! independent SR streams. An explicit seed is always used verbatim, and
 //! uniform (single-atom) policies never fold — see the numerics module
-//! docs for why that keeps `Numerics::uniform` bit-identical to the
-//! legacy single-engine path.
+//! docs for why that keeps every role of `Numerics::uniform` on the one
+//! engine's streams.
 
 use std::fmt;
 use std::str::FromStr;

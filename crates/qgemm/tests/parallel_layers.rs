@@ -11,7 +11,7 @@ use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig, Runtime};
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::kaiming_normal;
 use srmac_tensor::layers::{Conv2d, Layer, Linear};
-use srmac_tensor::{F32Engine, GemmEngine, Tensor};
+use srmac_tensor::{F32Engine, GemmEngine, RoleEngines, Tensor};
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);
@@ -56,7 +56,8 @@ fn engines(rt: &Arc<Runtime>) -> Vec<(&'static str, Arc<dyn GemmEngine>)> {
 fn conv_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut rng = SplitMix64::new(11);
     let weight = kaiming_normal(&[6, 3 * 3 * 3], 27, &mut rng);
-    let mut conv = Conv2d::new(3, 6, 3, 2, 1, weight, engine).with_runtime(rt);
+    let mut conv =
+        Conv2d::per_role(3, 6, 3, 2, 1, weight, RoleEngines::uniform(engine)).with_runtime(rt);
     let x = rand_tensor(&[3, 3, 9, 7], 21);
     let y = conv.forward(&x, true);
     let grad = rand_tensor(y.shape(), 22);
@@ -74,7 +75,7 @@ fn conv_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u3
 fn linear_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut rng = SplitMix64::new(12);
     let weight = kaiming_normal(&[10, 24], 24, &mut rng);
-    let mut lin = Linear::new(24, 10, weight, engine).with_runtime(rt);
+    let mut lin = Linear::per_role(24, 10, weight, RoleEngines::uniform(engine)).with_runtime(rt);
     let x = rand_tensor(&[7, 24], 23);
     let y = lin.forward(&x, true);
     let grad = rand_tensor(y.shape(), 24);
@@ -127,7 +128,7 @@ fn conv_rejects_kernel_larger_than_padded_input() {
     let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
     let mut rng = SplitMix64::new(3);
     let weight = kaiming_normal(&[4, 3 * 5 * 5], 75, &mut rng);
-    let mut conv = Conv2d::new(3, 4, 5, 1, 1, weight, engine);
+    let mut conv = Conv2d::per_role(3, 4, 5, 1, 1, weight, RoleEngines::uniform(engine));
     // 2 + 2*1 < 5: must panic with a clear message instead of wrapping in
     // release builds and allocating an absurd im2row matrix.
     let x = Tensor::zeros(&[1, 3, 2, 2]);

@@ -1,17 +1,17 @@
 //! Tiled-kernel equivalence suite: the cache-blocked tile grid, the
 //! multi-core tile dispatch and the narrow product-pair LUT must all be
-//! pure performance transforms. Every tile shape x thread count
-//! combination reproduces the single-threaded scalar oracle
-//! (`MacGemm::gemm_reference`) bit-for-bit, the pair LUT changes nothing when toggled, and formats
-//! outside the narrow envelope (which silently fall back to the wide
-//! u64 kernel) obey the same invariances.
+//! pure performance transforms. Every shape x thread count combination
+//! reproduces the single-threaded scalar oracle
+//! (`MacGemm::gemm_reference`) bit-for-bit — on the pair-LUT kernel the
+//! paper's E6M5 family engages, and on the wide u64 kernel formats
+//! outside the narrow envelope fall back to.
 //!
 //! (Ragged-width equivalence at the default tiling lives in
 //! `tests/lane_batch.rs`; the operand-level narrow/wide adder
 //! equivalence lives next to the implementation in `src/batch.rs`.)
 
 use srmac_fp::FpFormat;
-use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig, TileConfig};
+use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
 use srmac_tensor::GemmEngine;
 
@@ -62,24 +62,14 @@ const RESNET_SHAPES: [(usize, usize, usize); 5] = [
 /// runs several jobs of one short-and-wide product.
 const THIN_SHAPES: [(usize, usize, usize); 3] = [(8, 2048, 72), (16, 512, 144), (32, 256, 288)];
 
-const TILES: [TileConfig; 4] = [
-    TileConfig {
-        row_tile: 1,
-        col_tile: 64,
-    },
-    TileConfig {
-        row_tile: 3,
-        col_tile: 64,
-    },
-    TileConfig {
-        row_tile: 8,
-        col_tile: 128,
-    },
-    TileConfig {
-        row_tile: 32,
-        col_tile: 512,
-    },
-];
+/// Shapes that cross the fixed 32-row x 512-column dispatch grid:
+/// 40x24x1100 is cut to 12-row rectangles (a ragged 4-row last one),
+/// spans three 512-column tiles and ends in a partial 16-lane block
+/// (1100 = 17 * 64 + 12); 70x48x96 keeps the full 32-row tile and ends
+/// in a ragged 6-row rectangle; 3x8x1030 is a single job whose in-job
+/// column loop still walks three 512-column tiles, the last ending in a
+/// partial block.
+const GRID_SHAPES: [(usize, usize, usize); 3] = [(40, 24, 1100), (70, 48, 96), (3, 8, 1030)];
 
 fn assert_bits_eq(reference: &[f32], out: &[f32], what: &str) {
     let same = reference
@@ -103,27 +93,98 @@ fn scalar_reference(
     out
 }
 
-/// The load-bearing invariance of the tentpole: every tile shape x
-/// thread count reproduces the scalar single-thread reference exactly,
-/// under SR (where any dispatch-order leak would scramble the
-/// position-seeded streams) and RN.
+/// The load-bearing invariance: every thread count reproduces the
+/// scalar single-thread reference exactly, under SR (where any
+/// dispatch-order leak would scramble the position-seeded streams) and
+/// RN.
 #[test]
 fn tile_thread_grid_is_bitwise_invariant() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         let config = MacGemmConfig::fp8_fp12(rounding, false);
-        for &(m, k, n) in SHAPES.iter().chain(&RESNET_SHAPES).chain(&THIN_SHAPES) {
+        for &(m, k, n) in SHAPES
+            .iter()
+            .chain(&RESNET_SHAPES)
+            .chain(&THIN_SHAPES)
+            .chain(&GRID_SHAPES)
+        {
             let a = rand_vec(m * k, 100 + (m * n) as u64, 2.0);
             let b = rand_vec(k * n, 200 + (k * n) as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
-            for tiles in TILES {
-                for threads in [1usize, 2, 3, 8] {
-                    let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
+            for threads in [1usize, 2, 3, 8] {
+                let engine = MacGemm::new(config.with_threads(threads));
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &a, &b, &mut out);
+                assert_bits_eq(
+                    &reference,
+                    &out,
+                    &format!("{rounding:?} {m}x{k}x{n} threads={threads}"),
+                );
+            }
+        }
+    }
+}
+
+/// The prepared-operand path (`gemm_packed`) walks the same tile grid;
+/// the grid must be equally invisible there, including when the packed
+/// operands came from an engine on a different thread count (packing is
+/// dispatch-independent by contract).
+#[test]
+fn packed_path_is_tile_invariant() {
+    let config = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+    let packer = MacGemm::new(config.with_threads(1));
+    for &(m, k, n) in [(17usize, 40usize, 130usize)].iter().chain(&GRID_SHAPES) {
+        let a = rand_vec(m * k, 41, 2.0);
+        let b = rand_vec(k * n, 42, 2.0);
+        let reference = scalar_reference(config, m, k, n, &a, &b);
+        let (pa, pb) = (packer.pack_a(m, k, &a), packer.pack_b(k, n, &b));
+        for threads in [1usize, 3] {
+            let engine = MacGemm::new(config.with_threads(threads));
+            let mut out = vec![0.0f32; m * n];
+            engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
+            assert_bits_eq(
+                &reference,
+                &out,
+                &format!("packed {m}x{k}x{n} threads={threads}"),
+            );
+        }
+    }
+}
+
+/// An accumulator outside the narrow envelope (E5M10 at SR13) must
+/// decline the pair LUT and still honor the thread invariance on the
+/// wide kernel it falls back to, across rounding modes, subnormal
+/// handling and ragged shapes, while the paper's E6M5 family engages the
+/// LUT. Under RN every accumulator the engine accepts fits the narrow
+/// word, so E5M10 engages the LUT there and the RN cases check the
+/// narrow kernel on a wider accumulator.
+#[test]
+fn wide_fallback_format_keeps_tile_invariance() {
+    for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
+        for subnormals in [false, true] {
+            assert!(
+                MacGemm::new(MacGemmConfig::fp8_fp12(rounding, subnormals)).pair_lut_active(),
+                "E6M5 family must engage the narrow pair LUT"
+            );
+            let config = MacGemmConfig::fp8_acc(FpFormat::e5m10(), rounding, subnormals);
+            assert_eq!(
+                MacGemm::new(config).pair_lut_active(),
+                rounding == AccumRounding::Nearest,
+                "E5M10 @ SR13 exceeds the narrow envelope; the gate must disengage"
+            );
+            for &(m, k, n) in &SHAPES {
+                let a = rand_vec(m * k, 300 + n as u64, 2.0);
+                let b = rand_vec(k * n, 400 + n as u64, 2.0);
+                let reference = scalar_reference(config, m, k, n, &a, &b);
+                for threads in [1usize, 3] {
+                    let engine = MacGemm::new(config.with_threads(threads));
                     let mut out = vec![0.0f32; m * n];
                     engine.gemm(m, k, n, &a, &b, &mut out);
                     assert_bits_eq(
                         &reference,
                         &out,
-                        &format!("{rounding:?} {m}x{k}x{n} tiles={tiles:?} threads={threads}"),
+                        &format!(
+                            "e5m10 {rounding:?} sub={subnormals} {m}x{k}x{n} threads={threads}"
+                        ),
                     );
                 }
             }
@@ -131,104 +192,11 @@ fn tile_thread_grid_is_bitwise_invariant() {
     }
 }
 
-/// The prepared-operand path (`gemm_packed`) walks the same tile grid;
-/// tile geometry must be equally invisible there, including when the
-/// packed operands came from a *differently tiled* engine (packing is
-/// tile-independent by contract).
-#[test]
-fn packed_path_is_tile_invariant() {
-    let (m, k, n) = (17usize, 40, 130);
-    let config = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
-    let a = rand_vec(m * k, 41, 2.0);
-    let b = rand_vec(k * n, 42, 2.0);
-    let reference = scalar_reference(config, m, k, n, &a, &b);
-    let packer = MacGemm::new(config.with_threads(1));
-    let (pa, pb) = (packer.pack_a(m, k, &a), packer.pack_b(k, n, &b));
-    for tiles in TILES {
-        for threads in [1usize, 3] {
-            let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
-            let mut out = vec![0.0f32; m * n];
-            engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
-            assert_bits_eq(
-                &reference,
-                &out,
-                &format!("packed tiles={tiles:?} threads={threads}"),
-            );
-        }
-    }
-}
-
-/// The narrow product-pair LUT is engaged by default for the paper's
-/// E6M5 family and must be a no-op in the bits when toggled off (wide
-/// u64 fallback), across rounding modes, subnormal handling and ragged
-/// shapes.
-#[test]
-fn pair_lut_toggle_changes_no_bits() {
-    for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
-        for subnormals in [false, true] {
-            let config = MacGemmConfig::fp8_fp12(rounding, subnormals);
-            for &(m, k, n) in &SHAPES {
-                let a = rand_vec(m * k, 300 + n as u64, 2.0);
-                let b = rand_vec(k * n, 400 + n as u64, 2.0);
-                let on = MacGemm::new(config.with_threads(1));
-                assert!(
-                    on.pair_lut_active(),
-                    "E6M5 family must engage the narrow pair LUT by default"
-                );
-                let off = MacGemm::new(config.with_threads(1)).with_pair_lut(false);
-                assert!(!off.pair_lut_active());
-                let mut out_on = vec![0.0f32; m * n];
-                on.gemm(m, k, n, &a, &b, &mut out_on);
-                let mut out_off = vec![0.0f32; m * n];
-                off.gemm(m, k, n, &a, &b, &mut out_off);
-                assert_bits_eq(
-                    &out_on,
-                    &out_off,
-                    &format!("{rounding:?} sub={subnormals} {m}x{k}x{n} pair LUT toggle"),
-                );
-            }
-        }
-    }
-}
-
-/// An accumulator outside the narrow envelope (E5M10 at SR13) must
-/// decline the pair LUT and still honor the tile/thread invariance on
-/// the wide kernel it falls back to.
-#[test]
-fn wide_fallback_format_keeps_tile_invariance() {
-    let config = MacGemmConfig::fp8_acc(
-        FpFormat::e5m10(),
-        AccumRounding::Stochastic { r: 13 },
-        false,
-    );
-    let probe = MacGemm::new(config.with_threads(1));
-    assert!(
-        !probe.pair_lut_active(),
-        "E5M10 @ SR13 exceeds the narrow envelope; the gate must disengage"
-    );
-    let (m, k, n) = (9usize, 48, 200);
-    let a = rand_vec(m * k, 51, 2.0);
-    let b = rand_vec(k * n, 52, 2.0);
-    let reference = scalar_reference(config, m, k, n, &a, &b);
-    for tiles in [TILES[0], TILES[2], TILES[3]] {
-        for threads in [1usize, 3] {
-            let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
-            let mut out = vec![0.0f32; m * n];
-            engine.gemm(m, k, n, &a, &b, &mut out);
-            assert_bits_eq(
-                &reference,
-                &out,
-                &format!("e5m10 tiles={tiles:?} threads={threads}"),
-            );
-        }
-    }
-}
-
 /// ReLU-sparse inputs (zero-product skip interacts with SR draw
 /// consumption) and saturating inputs (the special-lane scalar fixup)
 /// must survive the tiled multi-core path bit-for-bit, under SR and RN,
-/// including the padded lanes of partial 16-lane blocks and the
-/// few-row rectangles of thin products.
+/// including the padded lanes of partial 16-lane blocks, the few-row
+/// rectangles of thin products and the ragged edges of the grid.
 #[test]
 fn sparse_and_special_inputs_survive_tiling() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
@@ -237,23 +205,20 @@ fn sparse_and_special_inputs_survive_tiling() {
             .iter()
             .chain(&RESNET_SHAPES)
             .chain(&THIN_SHAPES)
+            .chain(&GRID_SHAPES)
         {
             let a = relu_sparse_vec(m * k, 61 + n as u64, 0.6);
             let b = rand_vec(k * n, 62 + n as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
-            for tiles in [TILES[1], TILES[3]] {
-                for threads in [1usize, 2, 3] {
-                    let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
-                    let mut out = vec![0.0f32; m * n];
-                    engine.gemm(m, k, n, &a, &b, &mut out);
-                    assert_bits_eq(
-                        &reference,
-                        &out,
-                        &format!(
-                            "{rounding:?} sparse {m}x{k}x{n} tiles={tiles:?} threads={threads}"
-                        ),
-                    );
-                }
+            for threads in [1usize, 2, 3] {
+                let engine = MacGemm::new(config.with_threads(threads));
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &a, &b, &mut out);
+                assert_bits_eq(
+                    &reference,
+                    &out,
+                    &format!("{rounding:?} sparse {m}x{k}x{n} threads={threads}"),
+                );
             }
 
             // Saturating magnitudes drive the accumulator to infinity; the
@@ -264,33 +229,15 @@ fn sparse_and_special_inputs_survive_tiling() {
             let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
             assert!(sat_ref.iter().all(|v| v.is_infinite()));
             for threads in [1usize, 2, 3] {
-                for tiles in [TILES[2], TILES[3]] {
-                    let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
-                    let mut out = vec![0.0f32; m * n];
-                    engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
-                    assert_bits_eq(
-                        &sat_ref,
-                        &out,
-                        &format!(
-                            "{rounding:?} saturated {m}x{k}x{n} tiles={tiles:?} threads={threads}"
-                        ),
-                    );
-                }
+                let engine = MacGemm::new(config.with_threads(threads));
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
+                assert_bits_eq(
+                    &sat_ref,
+                    &out,
+                    &format!("{rounding:?} saturated {m}x{k}x{n} threads={threads}"),
+                );
             }
         }
     }
-}
-
-/// Tile accessors and validation: the builder round-trips, and
-/// `TileConfig::auto` is what a fresh engine reports.
-#[test]
-fn tile_config_accessors() {
-    let config = MacGemmConfig::fp8_fp12(AccumRounding::Nearest, false);
-    let engine = MacGemm::new(config);
-    assert_eq!(engine.tiles(), TileConfig::auto());
-    let custom = TileConfig {
-        row_tile: 7,
-        col_tile: 192,
-    };
-    assert_eq!(MacGemm::new(config).with_tiles(custom).tiles(), custom);
 }

@@ -24,8 +24,8 @@ use crate::{transpose, Tensor};
 ///
 /// Each product dispatches on the engine its [`GemmRole`] resolves to:
 /// forward `rows · W^T` on `Forward`, `dRows = dY · W` on `BackwardData`,
-/// `dW = dY^T · rows` on `BackwardWeight` — a uniform policy (one shared
-/// engine) reproduces the old single-engine layer bit for bit. The
+/// `dW = dY^T · rows` on `BackwardWeight`; a uniform policy
+/// ([`RoleEngines::uniform`]) runs all three on one shared engine. The
 /// forward and data-gradient products run on cached [`PackedOperand`]s
 /// keyed on the weight's version; each cache belongs to one role's
 /// engine, so mixed policies may pack the same kernel differently per
@@ -40,7 +40,6 @@ pub struct Conv2d {
     engines: RoleEngines,
     runtime: Arc<Runtime>,
     cache: Option<Cache>,
-    pack_weights: bool,
     /// `pack_b` of `W^T` (`[K, out_c]`) by the `Forward` engine, at a
     /// weight version. `Arc`-shared so data-parallel replicas (see
     /// [`Layer::clone_layer`]) reuse one pack instead of re-quantizing.
@@ -80,42 +79,14 @@ impl std::fmt::Debug for Conv2d {
 }
 
 impl Conv2d {
-    /// Creates a convolution with one engine for every role; `weight`
-    /// must have shape `[out_c, in_c * k * k]`. (The single-engine path,
-    /// kept as the [`RoleEngines::uniform`] shim of [`Conv2d::per_role`].)
+    /// Creates a convolution with per-role engines (see the type docs);
+    /// `weight` must have shape `[out_c, in_c * k * k]`.
     ///
     /// # Panics
     ///
     /// Panics on a weight shape mismatch, a zero kernel size, or a zero
     /// stride. (Input-size-dependent geometry — padded input at least as
     /// large as the kernel — is validated per call in `forward`.)
-    #[must_use]
-    pub fn new(
-        in_c: usize,
-        out_c: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        weight: Tensor,
-        engine: Arc<dyn GemmEngine>,
-    ) -> Self {
-        Self::per_role(
-            in_c,
-            out_c,
-            k,
-            stride,
-            pad,
-            weight,
-            RoleEngines::uniform(engine),
-        )
-    }
-
-    /// Creates a convolution with per-role engines (see the type docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a weight shape mismatch, a zero kernel size, or a zero
-    /// stride.
     #[must_use]
     pub fn per_role(
         in_c: usize,
@@ -143,7 +114,6 @@ impl Conv2d {
             engines,
             runtime: Arc::clone(Runtime::global()),
             cache: None,
-            pack_weights: true,
             fwd_pack: None,
             bwd_pack: None,
             batch_offset: 0,
@@ -157,14 +127,6 @@ impl Conv2d {
         }
     }
 
-    /// Enables/disables weight-pack caching (on by default). The disabled
-    /// path packs on the fly every product; results are bitwise identical.
-    #[must_use]
-    pub fn with_weight_pack_caching(mut self, on: bool) -> Self {
-        self.pack_weights = on;
-        self
-    }
-
     /// Replaces the parallel runtime used for the layer's data movement
     /// (default: the process-wide [`Runtime::global`]). Results are
     /// bitwise identical for every runtime size.
@@ -175,10 +137,10 @@ impl Conv2d {
     }
 
     /// Whether to route a role's products through its cached packed
-    /// weights: requires caching to be on *and* an engine whose packing
-    /// is real work (decided per role now that engines may differ).
+    /// weights: only when the role's engine does real work in packing
+    /// (decided per role, since engines may differ).
     fn use_packed(&self, role: GemmRole) -> bool {
-        self.pack_weights && self.engines.get(role).benefits_from_packing()
+        self.engines.get(role).benefits_from_packing()
     }
 
     fn ensure_forward_pack(&mut self) {
@@ -410,7 +372,6 @@ impl Layer for Conv2d {
             engines: self.engines.clone(),
             runtime: Arc::clone(&self.runtime),
             cache: None,
-            pack_weights: self.pack_weights,
             fwd_pack: self.fwd_pack.clone(),
             bwd_pack: self.bwd_pack.clone(),
             batch_offset: 0,

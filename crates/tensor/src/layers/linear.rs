@@ -14,9 +14,9 @@ use crate::{transpose, Tensor};
 ///
 /// Each of the layer's three products dispatches on the engine its
 /// [`GemmRole`] resolves to: forward `x W^T` on the `Forward` engine,
-/// `dX = dY W` on `BackwardData`, `dW = dY^T X` on `BackwardWeight` — a
-/// uniform policy (one shared engine) reproduces the old single-engine
-/// layer bit for bit. The two weight-sided products (forward, data
+/// `dX = dY W` on `BackwardData`, `dW = dY^T X` on `BackwardWeight`; a
+/// uniform policy ([`RoleEngines::uniform`]) runs all three on one shared
+/// engine. The two weight-sided products (forward, data
 /// gradient) run on cached [`PackedOperand`]s keyed on the weight's
 /// version; each cache belongs to exactly one role's engine, so mixed
 /// policies may pack the same weights differently per role without the
@@ -30,7 +30,6 @@ pub struct Linear {
     engines: RoleEngines,
     runtime: Arc<Runtime>,
     cache: Option<Tensor>,
-    pack_weights: bool,
     /// `pack_b` of `W^T` (`[in, out]`) by the `Forward` engine, at a
     /// weight version. `Arc`-shared so data-parallel replicas (see
     /// [`Layer::clone_layer`]) reuse one pack instead of re-quantizing.
@@ -59,19 +58,8 @@ impl std::fmt::Debug for Linear {
 }
 
 impl Linear {
-    /// Creates the layer with one engine for every role; `weight` must be
-    /// `[out, in]`. (The single-engine path, kept as the
-    /// [`RoleEngines::uniform`] shim of [`Linear::per_role`].)
-    ///
-    /// # Panics
-    ///
-    /// Panics on a weight shape mismatch.
-    #[must_use]
-    pub fn new(in_f: usize, out_f: usize, weight: Tensor, engine: Arc<dyn GemmEngine>) -> Self {
-        Self::per_role(in_f, out_f, weight, RoleEngines::uniform(engine))
-    }
-
-    /// Creates the layer with per-role engines (see the type docs).
+    /// Creates the layer with per-role engines (see the type docs);
+    /// `weight` must be `[out, in]`.
     ///
     /// # Panics
     ///
@@ -91,7 +79,6 @@ impl Linear {
             engines,
             runtime: Arc::clone(Runtime::global()),
             cache: None,
-            pack_weights: true,
             fwd_pack: None,
             bwd_pack: None,
             batch_offset: 0,
@@ -99,14 +86,6 @@ impl Linear {
             dyt_scratch: Vec::new(),
             dw_scratch: Vec::new(),
         }
-    }
-
-    /// Enables/disables weight-pack caching (on by default). The disabled
-    /// path packs on the fly every product; results are bitwise identical.
-    #[must_use]
-    pub fn with_weight_pack_caching(mut self, on: bool) -> Self {
-        self.pack_weights = on;
-        self
     }
 
     /// Replaces the parallel runtime used for the layer's data movement
@@ -119,10 +98,10 @@ impl Linear {
     }
 
     /// Whether to route a role's products through its cached packed
-    /// weights: requires caching to be on *and* an engine whose packing
-    /// is real work (decided per role now that engines may differ).
+    /// weights: only when the role's engine does real work in packing
+    /// (decided per role, since engines may differ).
     fn use_packed(&self, role: GemmRole) -> bool {
-        self.pack_weights && self.engines.get(role).benefits_from_packing()
+        self.engines.get(role).benefits_from_packing()
     }
 
     fn ensure_forward_pack(&mut self) {
@@ -291,7 +270,6 @@ impl Layer for Linear {
             engines: self.engines.clone(),
             runtime: Arc::clone(&self.runtime),
             cache: None,
-            pack_weights: self.pack_weights,
             fwd_pack: self.fwd_pack.clone(),
             bwd_pack: self.bwd_pack.clone(),
             batch_offset: 0,

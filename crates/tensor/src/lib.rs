@@ -31,17 +31,17 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use srmac_tensor::{F32Engine, Sequential, Tensor, softmax_cross_entropy};
+//! use srmac_tensor::{F32Engine, RoleEngines, Sequential, Tensor, softmax_cross_entropy};
 //! use srmac_tensor::layers::{Layer, Linear, Relu};
 //! use srmac_tensor::init::kaiming_normal;
 //! use srmac_rng::SplitMix64;
 //!
-//! let engine: Arc<dyn srmac_tensor::GemmEngine> = Arc::new(F32Engine::new(1));
+//! let engines = RoleEngines::uniform(Arc::new(F32Engine::new(1)));
 //! let mut rng = SplitMix64::new(1);
 //! let mut net = Sequential::new();
-//! net.push(Linear::new(4, 8, kaiming_normal(&[8, 4], 4, &mut rng), engine.clone()));
+//! net.push(Linear::per_role(4, 8, kaiming_normal(&[8, 4], 4, &mut rng), engines.clone()));
 //! net.push(Relu::new());
-//! net.push(Linear::new(8, 2, kaiming_normal(&[2, 8], 8, &mut rng), engine));
+//! net.push(Linear::per_role(8, 2, kaiming_normal(&[2, 8], 8, &mut rng), engines));
 //!
 //! let x = Tensor::zeros(&[3, 4]);
 //! let logits = net.forward(&x, true);

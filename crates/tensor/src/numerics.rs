@@ -35,8 +35,8 @@
 //! role id into the engine seed ([`fold_role_seed`]) whenever a per-role
 //! spec atom does not pin a seed explicitly; an explicit `seed…` token is
 //! always used verbatim. Uniform policies (one shared engine) never fold,
-//! which is what keeps [`Numerics::uniform`] bitwise identical to the
-//! legacy single-engine path.
+//! which is what keeps every role of [`Numerics::uniform`] on the one
+//! engine's streams, bit for bit.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -139,8 +139,7 @@ impl RoleEngines {
         Self { fwd, dgrad, wgrad }
     }
 
-    /// The same engine object for every role (the legacy single-engine
-    /// behavior, bit for bit).
+    /// The same engine object for every role.
     #[must_use]
     pub fn uniform(engine: Arc<dyn GemmEngine>) -> Self {
         Self {
@@ -397,10 +396,9 @@ impl fmt::Debug for Numerics {
 }
 
 impl Numerics {
-    /// One engine for every role and layer — the drop-in replacement for
-    /// the old single-engine plumbing. All roles share the engine
-    /// *object*, so results are bitwise identical to passing that engine
-    /// everywhere directly (no role seed folding happens here).
+    /// One engine for every role and layer. All roles share the engine
+    /// *object*, so every product runs on that one engine (no role seed
+    /// folding happens here).
     #[must_use]
     pub fn uniform(engine: Arc<dyn GemmEngine>) -> Self {
         Self {

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::kaiming_normal;
 use srmac_tensor::layers::{BatchNorm2d, Conv2d, Layer, Linear};
-use srmac_tensor::{F32Engine, GemmEngine, Tensor};
+use srmac_tensor::{F32Engine, RoleEngines, Tensor};
 
-fn engine() -> Arc<dyn GemmEngine> {
-    Arc::new(F32Engine::new(1))
+fn engines() -> RoleEngines {
+    RoleEngines::uniform(Arc::new(F32Engine::new(1)))
 }
 
 /// Scalar test loss: sum of `w .* y` for a fixed random `w` (gives a
@@ -112,7 +112,7 @@ fn check_param_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f64) {
 fn conv2d_gradients() {
     let mut rng = SplitMix64::new(11);
     let w = kaiming_normal(&[4, 3 * 9], 27, &mut rng);
-    let mut conv = Conv2d::new(3, 4, 3, 1, 1, w, engine());
+    let mut conv = Conv2d::per_role(3, 4, 3, 1, 1, w, engines());
     let x = rand_tensor(&[2, 3, 6, 6], &mut rng);
     check_input_grad(&mut conv, &x, 2e-2);
     check_param_grad(&mut conv, &x, 2e-2);
@@ -122,7 +122,7 @@ fn conv2d_gradients() {
 fn strided_conv2d_gradients() {
     let mut rng = SplitMix64::new(12);
     let w = kaiming_normal(&[5, 2 * 9], 18, &mut rng);
-    let mut conv = Conv2d::new(2, 5, 3, 2, 1, w, engine());
+    let mut conv = Conv2d::per_role(2, 5, 3, 2, 1, w, engines());
     let x = rand_tensor(&[2, 2, 8, 8], &mut rng);
     check_input_grad(&mut conv, &x, 2e-2);
     check_param_grad(&mut conv, &x, 2e-2);
@@ -132,7 +132,7 @@ fn strided_conv2d_gradients() {
 fn pointwise_conv_gradients() {
     let mut rng = SplitMix64::new(13);
     let w = kaiming_normal(&[6, 4], 4, &mut rng);
-    let mut conv = Conv2d::new(4, 6, 1, 1, 0, w, engine());
+    let mut conv = Conv2d::per_role(4, 6, 1, 1, 0, w, engines());
     let x = rand_tensor(&[2, 4, 5, 5], &mut rng);
     check_input_grad(&mut conv, &x, 2e-2);
     check_param_grad(&mut conv, &x, 2e-2);
@@ -142,7 +142,7 @@ fn pointwise_conv_gradients() {
 fn linear_gradients() {
     let mut rng = SplitMix64::new(14);
     let w = kaiming_normal(&[7, 9], 9, &mut rng);
-    let mut lin = Linear::new(9, 7, w, engine());
+    let mut lin = Linear::per_role(9, 7, w, engines());
     let x = rand_tensor(&[4, 9], &mut rng);
     check_input_grad(&mut lin, &x, 1e-2);
     check_param_grad(&mut lin, &x, 1e-2);

@@ -327,7 +327,7 @@ fn main() {
         let numerics = numerics_from_spec(spec).expect("valid experiment spec");
         let started = std::time::Instant::now();
         let mut net = resnet::resnet20_with(&numerics, width, data::NUM_CLASSES, 42);
-        let h = trainer::train(&mut net, &train_ds, &test_ds, &cfg);
+        let h = Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds);
         println!(
             "{label:<44} final {:>6.2}%  best {:>6.2}%  ({:.0}s, {} skipped steps)",
             h.final_accuracy(),

@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use srmac::fp::{ops, FpFormat, RoundMode};
-use srmac::models::{data, resnet, trainer, TrainConfig};
+use srmac::models::{data, resnet, TrainConfig, Trainer};
 use srmac::qgemm::{AccumRounding, FastAdder, MacGemm, MacGemmConfig};
 use srmac::rng::{GaloisLfsr, RandomBits, SplitMix64};
-use srmac::tensor::{F32Engine, GemmEngine};
+use srmac::tensor::{F32Engine, GemmEngine, Numerics};
 use srmac::unit::{golden_mode, EagerCorrection, FpAdder, MacConfig, MacUnit, RoundingDesign};
 
 #[test]
@@ -94,10 +94,10 @@ fn lazy_and_eager_engines_train_identically_under_same_words() {
 fn end_to_end_low_precision_training_learns() {
     // The flagship integration: a slim ResNet-20 trained with every GEMM on
     // the paper's best MAC configuration must learn the synthetic task.
-    let engine: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(MacGemmConfig::fp8_fp12(
+    let numerics = Numerics::uniform(Arc::new(MacGemm::new(MacGemmConfig::fp8_fp12(
         AccumRounding::Stochastic { r: 13 },
         false,
-    )));
+    ))));
     // An easy, fixed profile: this smoke test must not depend on the
     // difficulty tuning of the experiment datasets.
     let easy = data::Profile {
@@ -107,7 +107,7 @@ fn end_to_end_low_precision_training_learns() {
         noise: 0.15,
         jitter: 0.05,
     };
-    let mut net = resnet::resnet20(&engine, 4, 10, 5);
+    let mut net = resnet::resnet20_with(&numerics, 4, 10, 5);
     let train_ds = data::generate(easy, 120, 10, 50);
     let test_ds = data::generate(easy, 60, 10, 51);
     let cfg = TrainConfig {
@@ -116,7 +116,7 @@ fn end_to_end_low_precision_training_learns() {
         lr: 0.1,
         ..TrainConfig::default()
     };
-    let h = trainer::train(&mut net, &train_ds, &test_ds, &cfg);
+    let h = Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds);
     assert!(
         h.best_accuracy() > 25.0,
         "low-precision training should beat chance decisively, got {:.1}%",
@@ -128,11 +128,11 @@ fn end_to_end_low_precision_training_learns() {
 fn loss_scaler_recovers_from_overflow_in_low_precision() {
     // Force an overflow through a huge loss scale: the trainer must skip
     // steps, back the scale off, and keep training (no panic, finite loss).
-    let engine: Arc<dyn GemmEngine> = Arc::new(MacGemm::new(MacGemmConfig::fp8_fp12(
+    let numerics = Numerics::uniform(Arc::new(MacGemm::new(MacGemmConfig::fp8_fp12(
         AccumRounding::Stochastic { r: 9 },
         false,
-    )));
-    let mut net = resnet::resnet20(&engine, 4, 10, 6);
+    ))));
+    let mut net = resnet::resnet20_with(&numerics, 4, 10, 6);
     let train_ds = data::synth_cifar10(48, 10, 60);
     let test_ds = data::synth_cifar10(32, 10, 61);
     let cfg = TrainConfig {
@@ -142,7 +142,7 @@ fn loss_scaler_recovers_from_overflow_in_low_precision() {
         init_loss_scale: 65536.0,
         ..TrainConfig::default()
     };
-    let h = trainer::train(&mut net, &train_ds, &test_ds, &cfg);
+    let h = Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds);
     assert!(h.final_scale <= 65536.0);
     assert!(h.train_loss.iter().all(|l| l.is_finite()));
 }
