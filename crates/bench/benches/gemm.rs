@@ -3,21 +3,18 @@
 //! accumulation), the prepared-operand pipeline vs the one-shot path,
 //! the parallel data-movement kernels (im2row / col2im / NCHW scatter /
 //! transpose) against their serial baselines, and a ResNet-20-shaped
-//! GEMM sequence with weight operands packed once and reused.
-//!
-//! The sequence results (plus the cross-PR comparisons against the
-//! recorded PR 1, PR 3 and PR 5 baselines) are recorded in
-//! `BENCH_gemm.json` at the workspace root, which `bench_guard` treats
-//! as the committed reference.
+//! GEMM sequence with weight operands packed once and reused, plus the
+//! serving, data-parallel scaling and checkpointing workloads whose
+//! same-host ratios `bench_guard` gates.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use srmac_bench::guard::{
-    checkpoint_save_segment, mixed_policy_numerics_1thread, rand_vec, relu_sparse_vec,
-    resnet20_role_gemm_shapes, resnet20_weight_gemm_shapes, serve_scaling_stream,
-    train_scaling_step, SERVE_SCALING_STREAM,
+    mixed_policy_numerics_1thread, rand_vec, relu_sparse_vec, resnet20_role_gemm_shapes,
+    resnet20_weight_gemm_shapes, serve_scaling_stream, train_scaling_step, CheckpointBench,
+    SERVE_SCALING_STREAM,
 };
 use srmac_models::serve::{InferenceServer, ServeConfig};
 use srmac_models::{data, resnet};
@@ -25,24 +22,6 @@ use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_tensor::movement::{col2im, im2row, rows_to_nchw, transpose_into};
 use srmac_tensor::GemmRole;
 use srmac_tensor::{available_threads, F32Engine, GemmEngine, Numerics, Runtime};
-
-/// PR 1's recorded `resnet20_train_step/prepared_weight_reuse` median
-/// (ns), kept as the fixed baseline for the cross-PR speedup entry.
-const PR1_PREPARED_TRAIN_STEP_NS: f64 = 171_955_225.0;
-
-/// PR 3's recorded medians, the fixed baselines for PR 4's lane-batched
-/// MAC kernel acceptance: the one-shot SR GEMM and the prepared train
-/// step, both bounded by the then-scalar `FastAdder` chain.
-const PR3_SR_GEMM_NS: f64 = 8_277_775.2;
-const PR3_PREPARED_TRAIN_STEP_NS: f64 = 134_059_004.0;
-
-/// PR 5's recorded medians, the fixed baselines for this PR's tiled,
-/// fused, pair-LUT kernel acceptance: the one-shot SR/RN GEMMs (then on
-/// the wide u64 lane kernel with per-call allocation in pack) and the
-/// prepared train step.
-const PR5_SR_GEMM_NS: f64 = 2_381_012.6;
-const PR5_RN_GEMM_NS: f64 = 2_034_894.5;
-const PR5_PREPARED_TRAIN_STEP_NS: f64 = 61_903_297.0;
 
 fn bench_gemm(c: &mut Criterion) {
     let (m, k, n) = (64usize, 128, 64);
@@ -276,10 +255,8 @@ fn bench_resnet20_sequences(c: &mut Criterion) {
 /// The per-role `mixed_policy` sequence (`fwd=fp8_fp12_rn;bwd=
 /// fp8_fp12_sr13`, 1-thread engines): every training product — forward,
 /// data gradient AND weight gradient — on the engine its GEMM role
-/// resolves to, weights packed once per (shape, role engine). Data
-/// generation and engines are shared with `bench_guard`'s watched
-/// workload of the same name via `srmac_bench::guard`, so regenerating
-/// `BENCH_gemm.json` always carries the entry the guard checks.
+/// resolves to, weights packed once per (shape, role engine), on the
+/// 1-thread engines of `guard::mixed_policy_numerics_1thread`.
 fn bench_mixed_policy(c: &mut Criterion) {
     let numerics = mixed_policy_numerics_1thread();
     let shapes = resnet20_role_gemm_shapes(4, 16, 8);
@@ -331,8 +308,8 @@ const SERVE_STREAM: usize = 32;
 /// `InferenceServer` queue on the deterministic inference engine (MAC
 /// RN), measured as a 32-request stream submitted pipelined. `max8`
 /// assembles dynamic batches of up to 8; `batch1` forces singleton
-/// batches (the queue overhead + batch-1 forward baseline). Requests/sec
-/// for both land in `BENCH_gemm.json`. On a single-core box the two
+/// batches (the queue overhead + batch-1 forward baseline). On a
+/// single-core box the two
 /// largely coincide — the MAC arithmetic dominates and batching saves
 /// only per-dispatch overhead; the gap opens with the pool width.
 fn bench_serve_resnet20(c: &mut Criterion) {
@@ -392,8 +369,8 @@ fn bench_serve_resnet20(c: &mut Criterion) {
 /// worker count answers the same bits per request, so the ratio is pure
 /// serving fan-out; on a single-core host the two largely coincide (the
 /// 4-worker variant additionally pays routing overhead) and the
-/// `bench_guard --relative` serve-scaling gate enforces the speedup
-/// floor only on hosts with at least 4 hardware threads.
+/// `bench_guard` serve-scaling gate enforces the speedup floor only on
+/// hosts with at least 4 hardware threads.
 fn bench_serve_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve_scaling");
     g.sample_size(10);
@@ -413,8 +390,8 @@ fn bench_serve_scaling(c: &mut Criterion) {
 /// scheduling fan-out; each replica count runs on a pool of that many
 /// threads. On a single-core host the two largely coincide (the
 /// 4-replica variant additionally pays clone + dispatch overhead); the
-/// `bench_guard --relative` train-scaling gate enforces the speedup
-/// floor only on hosts with at least 4 hardware threads.
+/// `bench_guard` train-scaling gate enforces the speedup floor only on
+/// hosts with at least 4 hardware threads.
 fn bench_train_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("train_scaling");
     g.sample_size(10);
@@ -428,212 +405,21 @@ fn bench_train_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The crash-tolerance tax: a segment of 10 training steps, plain vs
-/// with one keep-K rotation save (model + full trainer state) at the
-/// segment's end — the `ckpt`/`plain` median ratio is the amortized
-/// per-step cost of auto-checkpointing at `every = 10`. `bench_guard`
-/// gates that overhead at <= 1.05 (the <5% acceptance bar) with its own
-/// *paired* re-measurement (plain and saving segments interleaved
-/// sample-by-sample, so machine-load drift cancels); these two recorded
-/// medians are measured minutes apart during a full bench run, so their
-/// ratio carries that drift and is informational. Measured on the fast
-/// exact-f32 engine so the fraction is a conservative worst case: the
-/// save cost is engine-independent, and slower MAC-emulation steps only
-/// shrink it.
+/// The crash-tolerance tax, as its two phases on one
+/// `guard::CheckpointBench`: one training step and one keep-K rotation
+/// save (model + full trainer state). `save / (CKPT_SEGMENT_STEPS *
+/// step)` is the amortized per-step cost of auto-checkpointing, which
+/// `bench_guard` gates at <= 5% from its own paired samples. Measured on
+/// the fast exact-f32 engine so the fraction is a conservative worst
+/// case: the save cost is engine-independent, and slower MAC-emulation
+/// steps only shrink it.
 fn bench_checkpoint_save(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint_save");
     g.sample_size(10);
-    for (name, with_ckpt) in [("train10_plain", false), ("train10_ckpt", true)] {
-        let mut segment = checkpoint_save_segment(with_ckpt);
-        g.bench_function(name, |b| b.iter(|| black_box(segment())));
-    }
+    let mut bench = CheckpointBench::new();
+    g.bench_function("train_step", |b| b.iter(|| black_box(bench.step())));
+    g.bench_function("save", |b| b.iter(|| black_box(bench.save())));
     g.finish();
-}
-
-/// Writes the collected measurements (and the summary blocks) to
-/// `BENCH_gemm.json` at the workspace root.
-fn write_summary(c: &mut Criterion) {
-    let results = c.results();
-    let find = |group: &str, name: &str| {
-        results
-            .iter()
-            .find(|r| r.group == group && r.name == name)
-            .map(|r| r.median_ns)
-    };
-    let fmt_opt =
-        |v: Option<f64>, digits: usize| v.map_or("null".to_owned(), |v| format!("{v:.digits$}"));
-    let sequence_entry = |group: &str| {
-        format!(
-            "{{\n    \"prepared_weight_reuse_ns\": {}\n  }}",
-            fmt_opt(find(group, "prepared_weight_reuse"), 1),
-        )
-    };
-
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"median_ns\": {:.1}, \
-             \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
-            r.group,
-            r.name,
-            r.median_ns,
-            r.samples,
-            r.iters_per_sample,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    let train_json = sequence_entry("resnet20_train_step");
-    let eval_json = sequence_entry("resnet20_eval_stream");
-    // Cross-PR acceptance record: this PR's prepared path vs PR 1's.
-    let vs_pr1 = find("resnet20_train_step", "prepared_weight_reuse")
-        .map(|p| PR1_PREPARED_TRAIN_STEP_NS / p);
-    // Serving throughput: requests/sec for the micro-batched server and
-    // its forced-singleton baseline.
-    let rps = |name: &str| find("serve_resnet20", name).map(|ns| SERVE_STREAM as f64 / (ns * 1e-9));
-    let (rps_batch1, rps_max8) = (rps("stream32_batch1"), rps("stream32_max8"));
-    let serve_speedup = match (rps_batch1, rps_max8) {
-        (Some(b1), Some(m8)) if b1 > 0.0 => Some(m8 / b1),
-        _ => None,
-    };
-    // PR 4's acceptance record: the lane-batched kernel vs PR 3's
-    // scalar-chain medians (one-shot SR GEMM and prepared train step).
-    let sr_gemm = find("gemm_64x128x64", "mac_fp12_sr13_1thread");
-    let gemm_vs_pr3 = sr_gemm.map(|ns| PR3_SR_GEMM_NS / ns);
-    let train_vs_pr3 = find("resnet20_train_step", "prepared_weight_reuse")
-        .map(|p| PR3_PREPARED_TRAIN_STEP_NS / p);
-    // This PR's acceptance record: the tiled + fused + pair-LUT kernel vs
-    // PR 5's medians (one-shot SR/RN GEMMs and prepared train step).
-    let rn_gemm = find("gemm_64x128x64", "mac_fp12_rn_1thread");
-    let gemm_sr_vs_pr5 = sr_gemm.map(|ns| PR5_SR_GEMM_NS / ns);
-    let gemm_rn_vs_pr5 = rn_gemm.map(|ns| PR5_RN_GEMM_NS / ns);
-    let train_vs_pr5 = find("resnet20_train_step", "prepared_weight_reuse")
-        .map(|p| PR5_PREPARED_TRAIN_STEP_NS / p);
-    // This PR's acceptance record: data-parallel fan-out of the full
-    // trainer step (identical bits by contract; the ratio is scheduling).
-    let ts_r1 = find("train_scaling", "resnet20_step_r1_s4");
-    let ts_r4 = find("train_scaling", "resnet20_step_r4_s4");
-    let replica_speedup = match (ts_r1, ts_r4) {
-        (Some(r1), Some(r4)) if r4 > 0.0 => Some(r1 / r4),
-        _ => None,
-    };
-    // This PR's acceptance record: worker fan-out of the replicated
-    // inference server (identical bits per request by the serving
-    // batch-invariance contract; the ratio is pure routing/scale-out).
-    let serve_rps = |name: &str| {
-        find("serve_scaling", name).map(|ns| SERVE_SCALING_STREAM as f64 / (ns * 1e-9))
-    };
-    let (sv_w1, sv_w4) = (serve_rps("stream32_w1"), serve_rps("stream32_w4"));
-    let worker_speedup = match (sv_w1, sv_w4) {
-        (Some(w1), Some(w4)) if w1 > 0.0 => Some(w4 / w1),
-        _ => None,
-    };
-    // This PR's acceptance record: the amortized auto-checkpointing tax
-    // on the training loop (<5% by the bench_guard gate).
-    let cs_plain = find("checkpoint_save", "train10_plain");
-    let cs_ckpt = find("checkpoint_save", "train10_ckpt");
-    let ckpt_overhead = match (cs_plain, cs_ckpt) {
-        (Some(p), Some(k)) if p > 0.0 => Some(k / p),
-        _ => None,
-    };
-    json.push_str(&format!(
-        "  \"resnet20_train_step\": {train_json},\n  \"resnet20_eval_stream\": {eval_json},\n  \
-         \"serve_resnet20\": {{\n    \"requests_per_sec_batch1\": {},\n    \
-         \"requests_per_sec_max8\": {},\n    \
-         \"speedup_microbatch_vs_batch1\": {}\n  }},\n  \
-         \"train_scaling\": {{\n    \"resnet20_step_r1_s4_ns\": {},\n    \
-         \"resnet20_step_r4_s4_ns\": {},\n    \
-         \"replica_speedup_r4_vs_r1\": {},\n    \
-         \"recording_host_threads\": {}\n  }},\n  \
-         \"serve_scaling\": {{\n    \"requests_per_sec_w1\": {},\n    \
-         \"requests_per_sec_w4\": {},\n    \
-         \"worker_speedup_w4_vs_w1\": {},\n    \
-         \"recording_host_threads\": {}\n  }},\n  \
-         \"checkpoint_save\": {{\n    \"train10_plain_ns\": {},\n    \
-         \"train10_ckpt_ns\": {},\n    \
-         \"amortized_overhead_ratio\": {}\n  }},\n  \
-         \"pr1_baseline\": {{\n    \"prepared_weight_reuse_ns\": {PR1_PREPARED_TRAIN_STEP_NS:.1},\n    \
-         \"train_step_speedup_vs_pr1\": {}\n  }},\n  \
-         \"pr3_baseline\": {{\n    \"gemm_sr13_1thread_ns\": {PR3_SR_GEMM_NS:.1},\n    \
-         \"prepared_weight_reuse_ns\": {PR3_PREPARED_TRAIN_STEP_NS:.1},\n    \
-         \"gemm_sr13_speedup_vs_pr3\": {},\n    \
-         \"train_step_speedup_vs_pr3\": {}\n  }},\n  \
-         \"pr5_baseline\": {{\n    \"gemm_sr13_1thread_ns\": {PR5_SR_GEMM_NS:.1},\n    \
-         \"gemm_rn_1thread_ns\": {PR5_RN_GEMM_NS:.1},\n    \
-         \"prepared_weight_reuse_ns\": {PR5_PREPARED_TRAIN_STEP_NS:.1},\n    \
-         \"gemm_sr13_speedup_vs_pr5\": {},\n    \
-         \"gemm_rn_speedup_vs_pr5\": {},\n    \
-         \"train_step_speedup_vs_pr5\": {}\n  }}\n}}\n",
-        fmt_opt(rps_batch1, 1),
-        fmt_opt(rps_max8, 1),
-        fmt_opt(serve_speedup, 3),
-        fmt_opt(ts_r1, 1),
-        fmt_opt(ts_r4, 1),
-        fmt_opt(replica_speedup, 3),
-        available_threads(),
-        fmt_opt(sv_w1, 1),
-        fmt_opt(sv_w4, 1),
-        fmt_opt(worker_speedup, 3),
-        available_threads(),
-        fmt_opt(cs_plain, 1),
-        fmt_opt(cs_ckpt, 1),
-        fmt_opt(ckpt_overhead, 3),
-        fmt_opt(vs_pr1, 3),
-        fmt_opt(gemm_vs_pr3, 3),
-        fmt_opt(train_vs_pr3, 3),
-        fmt_opt(gemm_sr_vs_pr5, 3),
-        fmt_opt(gemm_rn_vs_pr5, 3),
-        fmt_opt(train_vs_pr5, 3),
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        if let (Some(b1), Some(m8)) = (rps_batch1, rps_max8) {
-            println!(
-                "serve_resnet20 throughput: {m8:.1} req/s micro-batched (max 8) \
-                 vs {b1:.1} req/s singleton batches"
-            );
-        }
-        if let Some(s) = vs_pr1 {
-            println!("resnet20_train_step speedup vs PR 1 prepared baseline: {s:.2}x");
-        }
-        if let Some(s) = gemm_vs_pr3 {
-            println!("gemm_64x128x64 SR13 speedup vs PR 3 baseline: {s:.2}x");
-        }
-        if let Some(s) = train_vs_pr3 {
-            println!("resnet20_train_step speedup vs PR 3 prepared baseline: {s:.2}x");
-        }
-        if let Some(s) = gemm_sr_vs_pr5 {
-            println!("gemm_64x128x64 SR13 speedup vs PR 5 baseline: {s:.2}x");
-        }
-        if let Some(s) = gemm_rn_vs_pr5 {
-            println!("gemm_64x128x64 RN speedup vs PR 5 baseline: {s:.2}x");
-        }
-        if let Some(s) = train_vs_pr5 {
-            println!("resnet20_train_step speedup vs PR 5 prepared baseline: {s:.2}x");
-        }
-        if let Some(s) = replica_speedup {
-            println!(
-                "train_scaling replica speedup (4 vs 1, identical bits, {} host thread(s)): {s:.2}x",
-                available_threads()
-            );
-        }
-        if let Some(s) = worker_speedup {
-            println!(
-                "serve_scaling worker speedup (4 vs 1, identical bits, {} host thread(s)): {s:.2}x",
-                available_threads()
-            );
-        }
-        if let Some(r) = ckpt_overhead {
-            println!(
-                "checkpoint_save amortized overhead (every=10): {:.2}%",
-                (r - 1.0) * 100.0
-            );
-        }
-        println!("summary -> {path}");
-    }
 }
 
 criterion_group!(
@@ -645,7 +431,6 @@ criterion_group!(
     bench_serve_resnet20,
     bench_serve_scaling,
     bench_train_scaling,
-    bench_checkpoint_save,
-    write_summary
+    bench_checkpoint_save
 );
 criterion_main!(benches);

@@ -1,21 +1,22 @@
-//! Bench regression guard: shared workload definitions for the criterion
-//! benches and the `bench_guard` binary, plus the minimal
-//! `BENCH_gemm.json` reader the guard diffs fresh medians against.
+//! Shared workload definitions for the criterion benches and the
+//! `bench_guard` binary.
 //!
-//! The guard exists so a PR that accidentally slows the MAC hot path
-//! fails loudly: `bench_guard` re-measures the headline workloads with
-//! the *same data generation* as the criterion benches (seeds included)
-//! and exits non-zero when a median regresses past the tolerance against
-//! the committed `BENCH_gemm.json`.
+//! Every workload a `bench_guard` gate measures lives here, next to the
+//! criterion group that benches it, so both always run the same model,
+//! data (seeds included) and engines. The guard compares two variants of
+//! one workload on the host in hand; nothing here reads a recorded
+//! median.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use srmac_io::CheckpointMeta;
+use srmac_io::{CheckpointMeta, SaveReport};
 use srmac_models::{data, resnet, InferenceServer, ServeConfig, TrainConfig, Trainer};
 use srmac_qgemm::{MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
 use srmac_tensor::numerics::fold_role_seed;
-use srmac_tensor::{F32Engine, GemmEngine, GemmRole, Numerics, Runtime};
+use srmac_tensor::{F32Engine, GemmEngine, GemmRole, Numerics, Runtime, Sequential, Tensor};
 
 /// Uniform values in [-0.5, 0.5) — the benches' dense-operand generator.
 #[must_use]
@@ -132,14 +133,12 @@ pub fn resnet20_role_gemm_shapes(
 /// The `mixed_policy` workload's per-role policy — RN forward, SR r=13
 /// on both backward roles — with every engine pinned to **one thread**,
 /// matching the 1-thread pinning of the sibling `gemm_64x128x64` and
-/// `prepared_weight_reuse` workloads so the committed absolute medians
-/// don't embed the recording host's core count. Configs come from the
+/// `prepared_weight_reuse` groups so the bench times one core's work
+/// whatever the host's core count. Configs come from the
 /// registry grammar (`FromStr`) and the backward seeds are role-folded
 /// exactly as `numerics_from_spec` would fold them; results are bitwise
 /// identical to the registry-built policy (which differs only in thread
-/// count, and results are thread-invariant). Shared by the criterion
-/// `resnet20_train_step/mixed_policy` bench and the guard so both always
-/// measure the same engines.
+/// count, and results are thread-invariant), which the unit tests pin.
 #[must_use]
 pub fn mixed_policy_numerics_1thread() -> Numerics {
     let fwd: MacGemmConfig = "fp8_fp12_rn".parse().expect("forward atom");
@@ -195,60 +194,114 @@ pub fn train_scaling_step(replicas: usize, threads: usize) -> impl FnMut() -> f3
     move || trainer.train_step(&mut model, &x, &labels, 0.05)
 }
 
-/// Steps per call of the `checkpoint_save` workload: the checkpoint
-/// cadence fires once per segment, so the `ckpt`/`plain` timing ratio is
-/// the *amortized* per-step overhead of auto-checkpointing at
-/// `every = CKPT_SEGMENT_STEPS` — the quantity the <5% overhead gate in
-/// `bench_guard` watches.
+/// The checkpoint cadence the `checkpoint_save` workload models: one
+/// keep-K rotation save per `CKPT_SEGMENT_STEPS` training steps, so
+/// `save_ns / (CKPT_SEGMENT_STEPS * step_ns)` is the amortized per-step
+/// overhead of auto-checkpointing at `every = CKPT_SEGMENT_STEPS` — the
+/// quantity the <5% ceiling in `bench_guard` watches.
 pub const CKPT_SEGMENT_STEPS: usize = 10;
 
-/// The `checkpoint_save` workload: a segment of [`CKPT_SEGMENT_STEPS`]
-/// training steps on a slim ResNet-20, either plain (`with_ckpt =
-/// false`) or with one keep-K rotation save of the model plus the full
-/// trainer state at the segment's end (`with_ckpt = true`) — exactly
-/// what [`Trainer::run`]'s cadence does every `CKPT_SEGMENT_STEPS`
-/// steps. The engine is the exact 1-thread f32 GEMM: the checkpoint cost
-/// is engine-independent and the guard gates a *ratio*, so the fast
-/// engine keeps the workload cheap while making the overhead fraction a
-/// conservative (worst-case) estimate — slower MAC-emulation steps only
-/// shrink it. Returns a closure running one segment per call and
-/// yielding the last step's loss. Shared by the `checkpoint_save`
-/// criterion group and `bench_guard`, so both always measure the same
-/// model, data and save path.
-pub fn checkpoint_save_segment(with_ckpt: bool) -> impl FnMut() -> f32 {
-    let engine = Arc::new(F32Engine::new(1)) as Arc<dyn GemmEngine>;
-    let numerics = Numerics::uniform(engine);
-    let mut model = resnet::resnet20_with(&numerics, 4, 10, 42);
-    let ds = data::synth_cifar10(16, 12, 9);
-    let idx: Vec<usize> = (0..ds.len()).collect();
-    let (x, labels) = ds.batch(&idx);
-    let cfg = TrainConfig {
-        batch_size: 16,
-        ..TrainConfig::default()
-    };
-    let mut trainer = Trainer::new(&cfg);
-    if with_ckpt {
-        let path =
-            std::env::temp_dir().join(format!("srmac_bench_ckpt_{}.srmc", std::process::id()));
-        trainer = trainer.checkpoint_every(
+/// The `checkpoint_save` workload: a slim ResNet-20 and a `Trainer` armed
+/// with auto-checkpointing, exposing the two phases the overhead is made
+/// of — one training [`step`](Self::step) and one keep-K rotation
+/// [`save`](Self::save) of the model plus the full trainer state, exactly
+/// what [`Trainer::run`]'s cadence does every [`CKPT_SEGMENT_STEPS`]
+/// steps. The engine is the exact 1-thread f32 GEMM: the save cost is
+/// engine-independent, so the fast engine keeps the workload cheap while
+/// making the overhead fraction a conservative (worst-case) estimate —
+/// slower MAC-emulation steps only shrink it. Shared by the
+/// `checkpoint_save` criterion group and `bench_guard`, so both always
+/// time the same model, data and save path. Dropping it removes the
+/// rotation files it wrote.
+pub struct CheckpointBench {
+    trainer: Trainer,
+    model: Sequential,
+    x: Tensor,
+    labels: Vec<usize>,
+    path: PathBuf,
+}
+
+impl CheckpointBench {
+    /// Builds the model, data and trainer; the rotation head is a fresh
+    /// per-instance file under the system temp directory.
+    #[must_use]
+    pub fn new() -> Self {
+        static INSTANCE: AtomicUsize = AtomicUsize::new(0);
+        let engine = Arc::new(F32Engine::new(1)) as Arc<dyn GemmEngine>;
+        let model = resnet::resnet20_with(&Numerics::uniform(engine), 4, 10, 42);
+        let ds = data::synth_cifar10(16, 12, 9);
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let (x, labels) = ds.batch(&idx);
+        let cfg = TrainConfig {
+            batch_size: 16,
+            ..TrainConfig::default()
+        };
+        let path = std::env::temp_dir().join(format!(
+            "srmac_bench_ckpt_{}_{}.srmc",
+            std::process::id(),
+            INSTANCE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let trainer = Trainer::new(&cfg).checkpoint_every(
             CKPT_SEGMENT_STEPS,
-            path,
+            path.clone(),
             CheckpointMeta {
                 arch: "resnet20-w4-c10".into(),
                 engine: None,
                 numerics: Some("f32".into()),
             },
         );
+        Self {
+            trainer,
+            model,
+            x,
+            labels,
+            path,
+        }
     }
-    move || {
-        let mut loss = 0.0;
-        for _ in 0..CKPT_SEGMENT_STEPS {
-            loss = trainer.train_step(&mut model, &x, &labels, 0.05);
+
+    /// One training step; returns its loss.
+    pub fn step(&mut self) -> f32 {
+        self.trainer
+            .train_step(&mut self.model, &self.x, &self.labels, 0.05)
+    }
+
+    /// One rotation save of the model and the full trainer state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the save fails (the temp directory is not writable).
+    pub fn save(&mut self) -> SaveReport {
+        self.trainer
+            .checkpoint_now(&mut self.model)
+            .expect("bench save")
+    }
+
+    /// The rotation head [`save`](Self::save) writes.
+    #[must_use]
+    pub fn path(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl Default for CheckpointBench {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for CheckpointBench {
+    fn drop(&mut self) {
+        // Best-effort scratch cleanup: every rotation slot and staging
+        // file is named `<stem>.…`.
+        let (Some(dir), Some(stem)) = (self.path.parent(), self.path.file_stem()) else {
+            return;
+        };
+        let prefix = format!("{}.", stem.to_string_lossy());
+        for e in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            if e.file_name().to_string_lossy().starts_with(&prefix) {
+                std::fs::remove_file(e.path()).ok();
+            }
         }
-        if with_ckpt {
-            trainer.checkpoint_now(&mut model).expect("bench save");
-        }
-        loss
     }
 }
 
@@ -318,152 +371,9 @@ pub fn serve_scaling_stream(workers: usize) -> impl FnMut() -> usize {
     }
 }
 
-/// Requests per stream of the `serve_resnet20` workload (the criterion
-/// group's `SERVE_STREAM`).
-pub const SERVE_RESNET20_STREAM: usize = 32;
-
-/// The `serve_resnet20` workload: the micro-batched serving stream — a
-/// width-8 ResNet-20 (16x16 inputs) behind the `InferenceServer` queue
-/// on the deterministic inference engine (1-thread MAC RN), one
-/// pipelined [`SERVE_RESNET20_STREAM`]-request stream per call, with
-/// dynamic batches of up to `max_batch` (`max_wait_items = max_batch`,
-/// 200 us straggler wait) — exactly the `serve_resnet20` criterion
-/// group's model, data, engine and queue settings, so the guard and the
-/// bench always measure the same thing. Returns a closure running one
-/// stream per call (the server persists across calls) and yielding the
-/// number of predictions served.
-///
-/// # Panics
-///
-/// Panics if the server cannot start (the RN forward engine is
-/// position-invariant, so it can).
-pub fn serve_microbatch_stream(max_batch: usize) -> impl FnMut() -> usize {
-    use srmac_qgemm::AccumRounding;
-    let numerics = Numerics::uniform(Arc::new(MacGemm::new(
-        MacGemmConfig::fp8_fp12(AccumRounding::Nearest, false).with_threads(1),
-    )));
-    let size = 16usize;
-    let model = resnet::resnet20_with(&numerics, 8, 10, 42);
-    let ds = data::synth_cifar10(SERVE_RESNET20_STREAM, size, 9);
-    let samples: Vec<Vec<f32>> = (0..ds.len())
-        .map(|i| {
-            let (x, _) = ds.batch(&[i]);
-            x.data().to_vec()
-        })
-        .collect();
-    let server = InferenceServer::start(
-        model,
-        size,
-        ServeConfig {
-            max_batch,
-            max_wait_items: max_batch,
-            straggler_wait: std::time::Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("RN forward engine serves");
-    let client = server.client();
-    // Warm-up: populate the packed-weight caches and layer workspaces.
-    client
-        .predict(samples[0].clone())
-        .expect("warmup prediction");
-    move || {
-        // Owning the server keeps its worker alive across closure calls.
-        debug_assert!(server.workers() >= 1);
-        let pending: Vec<_> = samples
-            .iter()
-            .map(|s| client.submit(s.clone()).expect("submit"))
-            .collect();
-        let mut served = 0usize;
-        for p in pending {
-            p.wait().expect("prediction");
-            served += 1;
-        }
-        served
-    }
-}
-
-/// One `benchmarks` entry of `BENCH_gemm.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommittedMedian {
-    /// Criterion group name.
-    pub group: String,
-    /// Benchmark name within the group.
-    pub name: String,
-    /// Recorded median in nanoseconds.
-    pub median_ns: f64,
-}
-
-/// Extracts every `{"group": ..., "name": ..., "median_ns": ...}` record
-/// from the committed `BENCH_gemm.json`. A deliberately minimal reader
-/// for the file this workspace itself writes (no dependency on a JSON
-/// crate); entries missing any of the three fields are skipped.
-#[must_use]
-pub fn parse_bench_medians(json: &str) -> Vec<CommittedMedian> {
-    fn str_field(obj: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\":");
-        let rest = obj[obj.find(&pat)? + pat.len()..].trim_start();
-        let rest = rest.strip_prefix('"')?;
-        Some(rest[..rest.find('"')?].to_owned())
-    }
-    fn num_field(obj: &str, key: &str) -> Option<f64> {
-        let pat = format!("\"{key}\":");
-        let rest = obj[obj.find(&pat)? + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-    json.split('{')
-        .skip(1)
-        .filter_map(|obj| {
-            let obj = &obj[..obj.find('}').unwrap_or(obj.len())];
-            Some(CommittedMedian {
-                group: str_field(obj, "group")?,
-                name: str_field(obj, "name")?,
-                median_ns: num_field(obj, "median_ns")?,
-            })
-        })
-        .collect()
-}
-
-/// Looks up a committed median.
-#[must_use]
-pub fn committed_median(entries: &[CommittedMedian], group: &str, name: &str) -> Option<f64> {
-    entries
-        .iter()
-        .find(|e| e.group == group && e.name == name)
-        .map(|e| e.median_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_the_committed_layout() {
-        let json = r#"{
-  "benchmarks": [
-    {"group": "gemm_64x128x64", "name": "f32_1thread", "median_ns": 78394.0, "samples": 15, "iters_per_sample": 448},
-    {"group": "resnet20_train_step", "name": "prepared_weight_reuse", "median_ns": 134059004.0, "samples": 10, "iters_per_sample": 1}
-  ],
-  "pr1_baseline": {
-    "prepared_weight_reuse_ns": 171955225.0
-  }
-}"#;
-        let entries = parse_bench_medians(json);
-        assert_eq!(
-            committed_median(&entries, "gemm_64x128x64", "f32_1thread"),
-            Some(78394.0)
-        );
-        assert_eq!(
-            committed_median(&entries, "resnet20_train_step", "prepared_weight_reuse"),
-            Some(134_059_004.0)
-        );
-        assert_eq!(committed_median(&entries, "nope", "nope"), None);
-        // The trailing summary objects have no group/name and are skipped.
-        assert_eq!(entries.len(), 2);
-    }
 
     #[test]
     fn resnet20_shapes_cover_forward_and_backward() {
@@ -508,36 +418,29 @@ mod tests {
 
     #[test]
     fn checkpoint_save_variants_compute_the_same_bits() {
-        // The bench's overhead ratio is only meaningful if the saving
-        // variant really trains the same bits as the plain one — the
-        // checkpoint cadence must be pure I/O, never touching the loop's
-        // arithmetic. The saving variant must also leave a loadable
-        // rotation head behind (otherwise it timed a failed write).
-        let plain = checkpoint_save_segment(false)();
-        let ckpt = checkpoint_save_segment(true)();
-        assert_eq!(
-            plain.to_bits(),
-            ckpt.to_bits(),
-            "auto-checkpointing changed the training bits: {plain} vs {ckpt}"
-        );
-        assert!(plain.is_finite());
-        let path =
-            std::env::temp_dir().join(format!("srmac_bench_ckpt_{}.srmc", std::process::id()));
-        let ckpt = srmac_io::read_checkpoint(&path).expect("the segment saved a valid head");
-        assert!(ckpt.train.is_some(), "the save carries the trainer state");
-        // Best-effort scratch cleanup (the rotation set shares the stem).
-        if let Some(dir) = path.parent() {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for e in entries.flatten() {
-                    if e.file_name()
-                        .to_string_lossy()
-                        .starts_with(&format!("srmac_bench_ckpt_{}", std::process::id()))
-                    {
-                        std::fs::remove_file(e.path()).ok();
-                    }
-                }
-            }
+        // The gate's overhead ratio is only meaningful if saving is pure
+        // I/O: a run that saves after every step must train the same bits
+        // as one that never saves, and must leave a loadable rotation
+        // head carrying the trainer state (otherwise it timed a failed
+        // write).
+        let mut plain = CheckpointBench::new();
+        let mut saving = CheckpointBench::new();
+        for step in 0..CKPT_SEGMENT_STEPS {
+            let (p, s) = (plain.step(), saving.step());
+            saving.save();
+            assert_eq!(
+                p.to_bits(),
+                s.to_bits(),
+                "step {step}: checkpointing changed the training bits: {p} vs {s}"
+            );
+            assert!(p.is_finite());
         }
+        let ckpt = srmac_io::read_checkpoint(saving.path()).expect("a valid rotation head");
+        assert!(ckpt.train.is_some(), "the save carries the trainer state");
+        assert!(
+            !plain.path().exists(),
+            "a bench that never saved wrote no head"
+        );
     }
 
     #[test]
@@ -549,19 +452,6 @@ mod tests {
         assert_eq!(
             stream(),
             SERVE_SCALING_STREAM,
-            "server survives across calls"
-        );
-    }
-
-    #[test]
-    fn serve_microbatch_stream_serves_every_request() {
-        // The bench's req/s figure is only meaningful if the stream
-        // really answers all 32 requests, batched or not.
-        let mut stream = serve_microbatch_stream(8);
-        assert_eq!(stream(), SERVE_RESNET20_STREAM);
-        assert_eq!(
-            stream(),
-            SERVE_RESNET20_STREAM,
             "server survives across calls"
         );
     }

@@ -80,13 +80,11 @@ pub mod codes {
     pub const DIAG_GAP: LintCode = LintCode::new("lint", 10, "diag-gap");
     /// A diagnostic tag missing from the README diagnostics table.
     pub const DIAG_UNDOCUMENTED: LintCode = LintCode::new("lint", 11, "diag-undocumented");
-    /// A headline `BENCH_gemm.json` group not watched by the guard.
-    pub const GUARD_UNWATCHED_GROUP: LintCode = LintCode::new("lint", 12, "guard-unwatched-group");
     /// A baseline entry that no current finding matches.
-    pub const BASELINE_STALE: LintCode = LintCode::new("lint", 13, "baseline-stale");
+    pub const BASELINE_STALE: LintCode = LintCode::new("lint", 12, "baseline-stale");
 
     /// All codes, for the self-registry check and `--explain`.
-    pub const ALL: [LintCode; 13] = [
+    pub const ALL: [LintCode; 12] = [
         UNSAFE_MISSING_SAFETY,
         UNSAFE_OUTSIDE_ALLOWLIST,
         MISSING_POLICY_HEADER,
@@ -98,7 +96,6 @@ pub mod codes {
         DIAG_DUPLICATE_NAME,
         DIAG_GAP,
         DIAG_UNDOCUMENTED,
-        GUARD_UNWATCHED_GROUP,
         BASELINE_STALE,
     ];
 }

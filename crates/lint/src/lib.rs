@@ -3,14 +3,14 @@
 //!
 //! The test suites prove the repro's contracts — bitwise determinism,
 //! never-panic decode surfaces, SAFETY-documented kernels, stable diag
-//! codes, perf-gated headline benchmarks — *by sampling*. This tool
+//! codes — *by sampling*. This tool
 //! enforces the same contracts *mechanically over all source*, so the
 //! class of regression a test didn't think to sample is caught at the
 //! token level in CI.
 //!
 //! Dependency-free by design: a hand-rolled lexer ([`lexer`]), a small
 //! per-file analysis context ([`workspace`]), a policy table
-//! ([`policy`]), five passes ([`passes`]) and `diag`-style findings
+//! ([`policy`]), four passes ([`passes`]) and `diag`-style findings
 //! with a committed baseline ([`findings`]). Run it as:
 //!
 //! ```text
@@ -71,12 +71,6 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     }
     let readme = read(policy::README)?;
     out.extend(passes::diag_registry::check(&diag_sites, &readme));
-    let bench_json = read(policy::BENCH_JSON)?;
-    let mut guard_files = Vec::new();
-    for rel in policy::GUARD_SOURCES {
-        guard_files.push(SourceFile::parse(rel, &read(rel)?));
-    }
-    out.extend(passes::guard_coverage::check(&bench_json, &guard_files));
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code.id).cmp(&(b.file.as_str(), b.line, b.code.id))
     });

@@ -7,10 +7,8 @@
 //! | [`determinism`]    | bitwise-invariant numerics (no hash order, wall clock, stray threads) |
 //! | [`panic_hygiene`]  | typed-error (never-panic) library surfaces |
 //! | [`diag_registry`]  | stable, documented diagnostic codes |
-//! | [`guard_coverage`] | every headline benchmark stays perf-gated |
 
 pub mod determinism;
 pub mod diag_registry;
-pub mod guard_coverage;
 pub mod panic_hygiene;
 pub mod unsafe_hygiene;

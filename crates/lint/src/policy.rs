@@ -168,15 +168,6 @@ pub const DIAG_CONSTRUCTORS: &[&str] = &["DiagCode", "LintCode"];
 /// Where the registry pass looks for the documented-code table.
 pub const README: &str = "README.md";
 
-/// The committed benchmark record and the two guard sources whose
-/// string literals must mention every headline group.
-pub const BENCH_JSON: &str = "BENCH_gemm.json";
-/// Guard sources (workload definitions + the watch lists).
-pub const GUARD_SOURCES: &[&str] = &[
-    "crates/bench/src/guard.rs",
-    "crates/bench/src/bin/bench_guard.rs",
-];
-
 /// Annotation markers.
 pub const SAFETY_MARKER: &str = "SAFETY:";
 /// Justifies a `.unwrap()`/`.expect(` in library code.

@@ -106,16 +106,3 @@ fn diag_registry_fixture_flags_duplicates_and_the_gap() {
         .iter()
         .any(|f| f.code == codes::DIAG_UNDOCUMENTED && f.message.contains("FIX0004")));
 }
-
-#[test]
-fn guard_fixture_flags_the_unwatched_group_at_its_json_line() {
-    let guard = SourceFile::parse(
-        "crates/bench/src/guard.rs",
-        include_str!("fixtures/guard_watcher.rs"),
-    );
-    let got = passes::guard_coverage::check(include_str!("fixtures/guard_bench.json"), &[guard]);
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0].code, codes::GUARD_UNWATCHED_GROUP);
-    assert_eq!(got[0].line, 6);
-    assert!(got[0].message.contains("beta_group"));
-}
