@@ -9,36 +9,36 @@
 //! round-up, carry) that mispredict constantly. This module restores the
 //! parallel shape in software: `L` output columns of the same GEMM row
 //! are accumulated side by side, every select expressed as SWAR mask
-//! arithmetic (`(t & m) | (e & !m)` blends over `u64` lane words), so the
+//! arithmetic (`(t & m) | (e & !m)` blends over `u32` lane words), so the
 //! whole step is straight-line code the CPU can overlap across lanes.
 //!
 //! Vectorizing *across columns* never touches correctness: each output
 //! element's adds stay in `k` order and its SR stream (position-seeded by
 //! `(seed, row, column)`) is consumed identically — lanes only change
 //! *when* independent elements are computed, never *what* each one
-//! computes. The exhaustive `batch_vs_scalar` tests below pin this down
-//! code-for-code against [`FastAdder`].
+//! computes. The exhaustive `narrow_add_vs_scalar` test below pins this
+//! down code-for-code against [`FastAdder`].
 //!
 //! # The decoded lane word
 //!
 //! Between adds a lane's accumulator never round-trips through the packed
-//! encoding: it stays in a *decoded* `u64` word holding the ULP-anchored
+//! encoding: it stays in a *decoded* `u32` word holding the ULP-anchored
 //! significand and exponent the adder algebra actually works on —
 //! re-encoding after one add and re-decoding at the next would be pure
 //! overhead. The layout:
 //!
 //! ```text
-//! bit 63      sign (1 = negative)
-//! bit 62      special (infinity / NaN; the raw encoding lives in 16..32)
-//! bit 61      draws (the packed encoding has non-zero magnitude, i.e.
+//! bit 31      sign (1 = negative)
+//! bit 30      special (infinity / NaN)
+//! bit 29      draws (the packed encoding has non-zero magnitude, i.e.
 //!             this value consumes an SR word as a product)
-//! bits 32..48 exponent field: ULP exponent minus `qmin` (zero for
+//! bits 16..29 exponent field: ULP exponent minus `qmin` (zero for
 //!             subnormals and zeros)
-//! bits 16..32 raw encoding (special words only; zero otherwise)
-//! bits  0..16 ULP-anchored significand (implicit bit explicit)
+//! bits  0..16 ULP-anchored significand (implicit bit explicit), or the
+//!             raw encoding verbatim for special words
 //! ```
 //!
-//! The low 48 bits form a *magnitude key*: for canonical finite words,
+//! The low 29 bits form a *magnitude key*: for canonical finite words,
 //! unsigned comparison of keys is exactly magnitude comparison (the
 //! exponent field sits above the significand), and a zero key means a
 //! zero value. That makes the operand swap, the zero tests and the
@@ -48,69 +48,38 @@
 //! only appear on accumulator overflow or NaN inputs — and fall back to
 //! the scalar adder per lane, preserving golden special semantics.
 //!
-//! # The narrow (u32) lane word
+//! # The envelope
 //!
-//! When the adder algebra fits 32 bits (`AdderSpec::fits_narrow`: the
-//! pre-shifted significand sum needs `p + f + 1 <= 32` bits — true for
-//! the paper's E6M5 accumulator at every supported `r`), the same
-//! algebra runs on *narrow* lane words, doubling SIMD width (8 lanes
-//! per 256-bit register instead of 4) and halving the product-LUT
-//! footprint (the 256 KiB [`crate::lut::PairLut`] vs the 512 KiB
-//! [`DecodedLut`]):
-//!
-//! ```text
-//! bit 31      sign            bit 30  special        bit 29  draws
-//! bits 16..29 exponent field (13 bits)
-//! bits  0..16 ULP-anchored significand, or the raw encoding verbatim
-//!             for special words (formats of <= 16 bits only)
-//! ```
-//!
-//! `mac_step32`/`add_core32` are a field-for-field transliteration of
-//! the u64 kernel with every 16-bit field shift halved; the exhaustive
-//! `narrow_*` tests pin them bit-for-bit against [`FastAdder`] exactly
-//! as the wide tests do.
+//! The algebra fits the word when `AdderSpec::fits_narrow` holds: the
+//! pre-shifted significand sum needs `p + f + 1 <= 32` bits, the exponent
+//! field 13 bits and the raw encoding 16. That is true for every RN
+//! accumulator the engine accepts and for the paper's E6M5 accumulator at
+//! every SR `r` up to 15. [`FastAdderBatch::new`] returns `None` outside
+//! it (e.g. E5M10 at SR13), and the engine then runs the scalar
+//! [`FastAdder`] loop of its reference path.
 
 use srmac_fp::FpFormat;
 
 use crate::fastmath::{AccumRounding, AdderSpec, FastAdder};
-use crate::lut::ProductLut;
 
 /// Sign bit of a decoded lane word.
-pub const LANE_SIGN: u64 = 1 << 63;
-/// Special marker (infinity/NaN) of a decoded lane word.
-pub const LANE_SPECIAL: u64 = 1 << 62;
+pub const LANE_SIGN: u32 = 1 << 31;
+/// Special marker (infinity/NaN) of a decoded lane word; the raw encoding
+/// sits in bits 0..16.
+pub const LANE_SPECIAL: u32 = 1 << 30;
 /// Draw marker: the encoded value has non-zero magnitude, so as a product
 /// it consumes one SR rounding word (the zero-skip rule's complement).
-pub const LANE_DRAWS: u64 = 1 << 61;
+pub const LANE_DRAWS: u32 = 1 << 29;
 /// Magnitude-comparison key: exponent field + significand (+ the raw
 /// encoding bits of special words, which never take part in comparisons
 /// but must keep the key non-zero).
-pub const LANE_KEY: u64 = (1 << 48) - 1;
+pub const LANE_KEY: u32 = (1 << 29) - 1;
 
-const EF_SHIFT: u32 = 32;
-const ENC_SHIFT: u32 = 16;
-
-/// Sign bit of a *narrow* (u32) decoded lane word.
-pub const LANE32_SIGN: u32 = 1 << 31;
-/// Special marker of a narrow lane word (raw encoding in bits 0..16).
-pub const LANE32_SPECIAL: u32 = 1 << 30;
-/// Draw marker of a narrow lane word (see [`LANE_DRAWS`]).
-pub const LANE32_DRAWS: u32 = 1 << 29;
-/// Magnitude-comparison key of a narrow lane word.
-pub const LANE32_KEY: u32 = (1 << 29) - 1;
-
-const EF32_SHIFT: u32 = 16;
+const EF_SHIFT: u32 = 16;
 
 /// Branch-free select: `t` where `c`, else `e`.
 #[inline(always)]
-fn sel(c: bool, t: u64, e: u64) -> u64 {
-    let m = (c as u64).wrapping_neg();
-    (t & m) | (e & !m)
-}
-
-/// Branch-free select over narrow lane words.
-#[inline(always)]
-fn sel32(c: bool, t: u32, e: u32) -> u32 {
+fn sel(c: bool, t: u32, e: u32) -> u32 {
     let m = (c as u32).wrapping_neg();
     (t & m) | (e & !m)
 }
@@ -121,9 +90,10 @@ fn sel32(c: bool, t: u32, e: u32) -> u32 {
 ///
 /// The portable SWAR code is written to auto-vectorize; the engine
 /// invokes it through runtime-detected `#[target_feature]` wrappers (see
-/// `SimdTier` in `engine.rs`), so stock builds get AVX2/AVX-512 codegen
-/// of this exact code with no special compiler flags. The exhaustive
-/// equivalence tests pin it against the scalar [`FastAdder`].
+/// `SimdTier` in `engine.rs`), so stock builds get AVX2 codegen of this
+/// exact code with no special compiler flags, and AVX-512 hosts run its
+/// explicit rendition in `z16`. The exhaustive equivalence tests pin
+/// it against the scalar [`FastAdder`].
 #[derive(Clone, Copy, Debug)]
 pub struct FastAdderBatch {
     spec: AdderSpec,
@@ -131,34 +101,38 @@ pub struct FastAdderBatch {
     /// Stochastic (`true`) or round-to-nearest-even (`false`).
     sr: bool,
     /// `1 << (p - 1)`: smallest normalized significand.
-    half: u64,
+    half: u32,
     /// Largest representable exponent field (`emax - (p - 1) - qmin`).
-    ef_max: i64,
+    ef_max: i32,
     /// Exponent field of an infinity encoding, pre-shifted.
-    inf_exp: u64,
+    inf_exp: u32,
     /// Sign-bit position of the packed encoding.
     enc_sign_shift: u32,
 }
 
 impl FastAdderBatch {
-    /// Creates the batch adder (same envelope as [`FastAdder::new`]).
+    /// Creates the batch adder, or `None` when the algebra does not fit
+    /// the `u32` lane word (`AdderSpec::fits_narrow`). True for the
+    /// paper's E6M5 accumulator under RN and every SR `r <= 15`; false
+    /// e.g. for an E5M10 accumulator at SR13.
     ///
     /// # Panics
     ///
-    /// Panics if the format or `r` exceeds the fast-path envelope.
+    /// Panics if the format or `r` exceeds the fast-path envelope of
+    /// [`FastAdder::new`].
     #[must_use]
-    pub fn new(fmt: FpFormat, mode: AccumRounding) -> Self {
+    pub fn new(fmt: FpFormat, mode: AccumRounding) -> Option<Self> {
         let scalar = FastAdder::new(fmt, mode);
         let spec = *scalar.spec();
-        Self {
+        spec.fits_narrow().then(|| Self {
             spec,
             scalar,
             sr: matches!(mode, AccumRounding::Stochastic { .. }),
             half: 1 << (spec.p - 1),
-            ef_max: i64::from(spec.emax) - i64::from(spec.p - 1) - i64::from(spec.qmin),
-            inf_exp: spec.emask << spec.mbits,
+            ef_max: spec.emax - (spec.p as i32 - 1) - spec.qmin,
+            inf_exp: (spec.emask << spec.mbits) as u32,
             enc_sign_shift: fmt.bits() - 1,
-        }
+        })
     }
 
     /// The format this adder operates on.
@@ -177,44 +151,44 @@ impl FastAdderBatch {
     /// (the scalar GEMM loop draws a rounding word for any non-zero
     /// *encoded* magnitude before discovering the value is zero).
     #[must_use]
-    pub fn decode(&self, enc: u64) -> u64 {
+    pub fn decode(&self, enc: u64) -> u32 {
         let spec = &self.spec;
         let e = (enc >> spec.mbits) & spec.emask;
         let m = enc & spec.mmask;
-        let sign = (enc >> self.enc_sign_shift) & 1;
+        let sign = ((enc >> self.enc_sign_shift) & 1) as u32;
         let draws = sel(enc & spec.magmask != 0, LANE_DRAWS, 0);
         if e == spec.emask {
-            return LANE_SPECIAL | draws | (enc << ENC_SHIFT);
+            return LANE_SPECIAL | draws | (enc & 0xFFFF) as u32;
         }
         if e == 0 && (m == 0 || !spec.sub) {
-            return (sign << 63) | draws;
+            return (sign << 31) | draws;
         }
         let norm = u64::from(e != 0);
-        let sig = m | (norm << spec.mbits);
+        let sig = (m | (norm << spec.mbits)) as u32;
         // ULP exponent minus qmin: `e - 1` for normals (qmin = emin - mbits
         // and the bias arithmetic cancel), 0 for subnormals (e == 0).
-        let ef = e.saturating_sub(1);
-        (sign << 63) | draws | (ef << EF_SHIFT) | sig
+        let ef = e.saturating_sub(1) as u32;
+        (sign << 31) | draws | (ef << EF_SHIFT) | sig
     }
 
     /// Encodes a lane word back into the packed format. Inverse of
     /// [`FastAdderBatch::decode`] on canonical words; special words return
     /// their carried encoding verbatim.
     #[must_use]
-    pub fn encode(&self, w: u64) -> u64 {
+    pub fn encode(&self, w: u32) -> u64 {
         let spec = &self.spec;
         if w & LANE_SPECIAL != 0 {
-            return (w >> ENC_SHIFT) & srmac_fp::mask(spec.fmt.bits());
+            return u64::from(w) & srmac_fp::mask(spec.fmt.bits());
         }
-        let sbit = (w >> 63) << self.enc_sign_shift;
+        let sbit = u64::from(w >> 31) << self.enc_sign_shift;
         let sig = w & 0xFFFF;
-        let ef = (w >> EF_SHIFT) & 0xFFFF;
+        let ef = u64::from((w >> EF_SHIFT) & 0x1FFF);
         if sig < self.half {
             // Zero or subnormal: the exponent field of the encoding is 0.
             debug_assert!(ef == 0, "subnormal lane words sit at the qmin exponent");
-            return sbit | sig;
+            return sbit | u64::from(sig);
         }
-        sbit | ((ef + 1) << spec.mbits) | (sig & spec.mmask)
+        sbit | ((ef + 1) << spec.mbits) | (u64::from(sig) & spec.mmask)
     }
 
     /// One MAC accumulation step over `L` lanes: `acc[l] += prod[l]` in
@@ -226,19 +200,22 @@ impl FastAdderBatch {
     /// `words[l]` is lane `l`'s SR rounding word (ignored under RN); the
     /// caller advances each lane's stream only when [`LANE_DRAWS`] is set
     /// on the product, which keeps the per-element SR streams identical
-    /// to the scalar path.
+    /// to the scalar path. Only the low `r` bits of a word matter, so
+    /// truncating it into the `u32` arithmetic is exact.
     ///
     /// `inline(always)`: the caller's accumulation loop must keep `acc`
     /// in (vector) registers across `k` steps; an out-of-line call here
     /// forces a full spill/reload of every lane per step.
     #[inline(always)]
-    pub fn mac_step<const L: usize>(&self, acc: &mut [u64; L], prods: &[u64; L], words: &[u64; L]) {
-        let mut special = 0u64;
+    pub fn mac_step<const L: usize>(&self, acc: &mut [u32; L], prods: &[u32; L], words: &[u64; L]) {
+        let mut special = 0u32;
         for l in 0..L {
             special |= acc[l] | prods[l];
         }
-        let mut res = [0u64; L];
-        self.add_lanes(&mut res, acc, prods, words);
+        let mut res = [0u32; L];
+        for l in 0..L {
+            res[l] = self.add_core(acc[l], prods[l], words[l] as u32);
+        }
         if special & LANE_SPECIAL != 0 {
             self.fixup_specials(acc, prods, words, &mut res);
         }
@@ -248,40 +225,19 @@ impl FastAdderBatch {
         }
     }
 
-    /// Runs [`FastAdderBatch::add_core`] over all `L` lanes — portable
-    /// SWAR code that the tier wrappers auto-vectorize.
-    #[inline(always)]
-    fn add_lanes<const L: usize>(
-        &self,
-        res: &mut [u64; L],
-        acc: &[u64; L],
-        prods: &[u64; L],
-        words: &[u64; L],
-    ) {
-        for l in 0..L {
-            res[l] = self.add_core(acc[l], prods[l], words[l]);
-        }
-    }
-
     /// Adds `L` pairs of packed encodings with their rounding words —
     /// the encoding-level API, bit-identical lane by lane to
     /// [`FastAdder::add`] (the equivalence the exhaustive tests assert).
     #[must_use]
     pub fn add<const L: usize>(&self, a: &[u64; L], b: &[u64; L], words: &[u64; L]) -> [u64; L] {
-        let mut aw = [0u64; L];
-        let mut bw = [0u64; L];
-        for l in 0..L {
-            aw[l] = self.decode(a[l]);
-            bw[l] = self.decode(b[l]);
-        }
-        let mut res = [0u64; L];
-        self.add_lanes(&mut res, &aw, &bw, words);
         let mut out = [0u64; L];
         for l in 0..L {
-            out[l] = if (aw[l] | bw[l]) & LANE_SPECIAL != 0 {
+            let aw = self.decode(a[l]);
+            let bw = self.decode(b[l]);
+            out[l] = if (aw | bw) & LANE_SPECIAL != 0 {
                 self.scalar.add(a[l], b[l], words[l])
             } else {
-                self.encode(res[l])
+                self.encode(self.add_core(aw, bw, words[l] as u32))
             };
         }
         out
@@ -291,10 +247,10 @@ impl FastAdderBatch {
     #[cold]
     fn fixup_specials<const L: usize>(
         &self,
-        acc: &[u64; L],
-        prods: &[u64; L],
+        acc: &[u32; L],
+        prods: &[u32; L],
         words: &[u64; L],
-        res: &mut [u64; L],
+        res: &mut [u32; L],
     ) {
         for l in 0..L {
             if (acc[l] | prods[l]) & LANE_SPECIAL != 0 {
@@ -310,38 +266,42 @@ impl FastAdderBatch {
     /// the adder's rounding mode. Special words must be handled by the
     /// caller (the result for them is garbage, never a panic). This is
     /// the exact algebra of [`FastAdder::add`] + `round_pack` with every
-    /// branch replaced by a mask blend and every variable shift clamped.
+    /// branch replaced by a mask blend and every variable shift clamped
+    /// at 31, which is exact under the envelope (`p + f <= 31`, so
+    /// pre-shifted significands never reach bit 31 and the sum never
+    /// wraps).
     #[inline(always)]
-    fn add_core(&self, aw: u64, bw: u64, word: u64) -> u64 {
+    fn add_core(&self, aw: u32, bw: u32, word: u32) -> u32 {
         let spec = &self.spec;
-        let f = u64::from(spec.f);
+        let f = spec.f;
         let p = spec.p;
 
         // Operand swap on the magnitude key (ties keep `a`, matching the
         // scalar `bmag > amag` strict compare).
         let akey = aw & LANE_KEY;
         let bkey = bw & LANE_KEY;
-        let sm = ((bkey > akey) as u64).wrapping_neg();
+        let sm = ((bkey > akey) as u32).wrapping_neg();
         let hi = aw ^ ((aw ^ bw) & sm);
         let lo = aw ^ bw ^ hi;
-        let sign_hi = hi >> 63;
-        let sign_lo = lo >> 63;
-        let ef_hi = (hi >> EF_SHIFT) & 0xFFFF;
-        let ef_lo = (lo >> EF_SHIFT) & 0xFFFF;
+        let sign_hi = hi >> 31;
+        let sign_lo = lo >> 31;
+        let ef_hi = (hi >> EF_SHIFT) & 0x1FFF;
+        let ef_lo = (lo >> EF_SHIFT) & 0x1FFF;
         let sig_hi = hi & 0xFFFF;
         let sig_lo = lo & 0xFFFF;
 
         // Alignment. `sig_lo << f >> d` with the shifted-out tail as the
-        // sticky `sigma`; `d` clamps at 63, which is exact because the
-        // pre-shifted significand has at most `p + f < 53` bits.
-        let d = (ef_hi - ef_lo).min(63);
+        // sticky `sigma`; the clamp at 31 is exact because
+        // `yb < 2^(p+f) <= 2^31`.
+        let d = (ef_hi - ef_lo).min(31);
         let yb = sig_lo << f;
         let y = yb >> d;
-        let sigma = u64::from(yb & ((1u64 << d) - 1) != 0);
+        let sigma = u32::from(yb & ((1u32 << d) - 1) != 0);
         let x = sig_hi << f;
 
         // Branch-free effective subtraction (see `FastAdder::add`):
         // `x - y - sigma == x + !y + (1 - sigma)` in two's complement.
+        // `x + y < 2^(p+f+1) <= 2^32` never wraps on the addition side.
         let sub_eff = sign_hi ^ sign_lo;
         let subm = sub_eff.wrapping_neg();
         let s = x.wrapping_add(y ^ subm).wrapping_add(subm & (1 - sigma));
@@ -353,11 +313,11 @@ impl FastAdderBatch {
         // both the exact and the rounding path computed and blended.
         // `s | 1` keeps `leading_zeros` defined for the cancellation case
         // (selected to +0 below).
-        let msb = 63 - i64::from((s | 1).leading_zeros());
-        let drop0 = msb - i64::from(p - 1);
+        let msb = 31 - (s | 1).leading_zeros() as i32;
+        let drop0 = msb - (p - 1) as i32;
         let drop = if spec.sub {
             // The qmin clamp: never round below the subnormal quantum.
-            drop0.max(f as i64 - ef_hi as i64)
+            drop0.max(f as i32 - ef_hi as i32)
         } else {
             drop0
         };
@@ -369,9 +329,9 @@ impl FastAdderBatch {
         // Rounding path (drop >= 1): split kept/tail and decide the
         // round-up. Shift amounts are clamped so the unselected path
         // never overshifts.
-        let dr = drop.clamp(1, 63) as u32;
+        let dr = drop.clamp(1, 31) as u32;
         let kept_r = s >> dr;
-        let tail = s & ((1u64 << dr) - 1);
+        let tail = s & ((1u32 << dr) - 1);
         let up = if self.sr {
             // Scale the dropped tail to `r` bits; a borrowed trail of
             // ones (`ones`) fills the upshifted low bits.
@@ -379,13 +339,13 @@ impl FastAdderBatch {
             let rs_dn = dr.saturating_sub(r);
             let rs_up = r.saturating_sub(dr);
             let t_hi = tail >> rs_dn;
-            let t_lo = (tail << rs_up) | (ones.wrapping_neg() & ((1u64 << rs_up) - 1));
+            let t_lo = (tail << rs_up) | (ones.wrapping_neg() & ((1u32 << rs_up) - 1));
             let t = sel(dr >= r, t_hi, t_lo);
-            (t + (word & spec.rmask)) >> r
+            (t + (word & spec.rmask as u32)) >> r
         } else {
             // RN-even, branch-free (the same fix as the scalar adder).
             let guard = (tail >> (dr - 1)) & 1;
-            let rest = u64::from(tail & ((1u64 << (dr - 1)) - 1) != 0) | ones | extra_sticky;
+            let rest = u32::from(tail & ((1u32 << (dr - 1)) - 1) != 0) | ones | extra_sticky;
             guard & (rest | kept_r) & 1
         };
 
@@ -394,14 +354,14 @@ impl FastAdderBatch {
         let carry = kept >> p; // 1 iff kept reached 1 << p
         kept >>= carry;
         // Output exponent field: q - qmin = drop + ef_hi - f (+ carry).
-        let ef_out = drop + ef_hi as i64 - f as i64 + carry as i64;
+        let ef_out = drop + ef_hi as i32 - f as i32 + carry as i32;
 
         // Assemble, then apply the packing special cases lowest-precedence
         // first so each later select overrides the ones before it.
-        let zero_w = sign_hi << 63;
-        let natural = zero_w | ((ef_out as u64) << EF_SHIFT) | kept;
+        let zero_w = sign_hi << 31;
+        let natural = zero_w | ((ef_out as u32 & 0x1FFF) << EF_SHIFT) | kept;
         let inf_enc = (sign_hi << self.enc_sign_shift) | self.inf_exp;
-        let inf_w = LANE_SPECIAL | LANE_DRAWS | (inf_enc << ENC_SHIFT);
+        let inf_w = LANE_SPECIAL | LANE_DRAWS | inf_enc;
         let mut w = natural;
         w = sel(ef_out < 0, zero_w, w); // below emin: flush (!sub only)
         w = sel(ef_out > self.ef_max, inf_w, w); // overflow -> infinity
@@ -417,222 +377,7 @@ impl FastAdderBatch {
     }
 }
 
-/// The narrow (u32 lane word) rendition of the kernel — same algebra,
-/// half the word width, twice the lanes per vector register. Engaged by
-/// the engine through [`crate::lut::PairLut`] when
-/// [`FastAdderBatch::narrow_ok`] holds.
-impl FastAdderBatch {
-    /// Whether this adder's algebra fits the narrow lane word (see
-    /// `AdderSpec::fits_narrow`). True for the paper's E6M5 accumulator
-    /// under RN and every supported SR `r`; false e.g. for an E5M10
-    /// accumulator at SR13, which stays on the u64 kernel.
-    #[must_use]
-    pub fn narrow_ok(&self) -> bool {
-        self.spec.fits_narrow()
-    }
-
-    /// [`FastAdderBatch::decode`] into a narrow lane word.
-    ///
-    /// Callers must have checked [`FastAdderBatch::narrow_ok`]; the
-    /// conversion is lossy otherwise (debug-asserted).
-    #[must_use]
-    pub fn decode32(&self, enc: u64) -> u32 {
-        debug_assert!(self.narrow_ok(), "narrow decode outside the u32 envelope");
-        Self::narrow_word(self.decode(enc))
-    }
-
-    /// Encodes a narrow lane word back into the packed format. Inverse
-    /// of [`FastAdderBatch::decode32`] on canonical words.
-    #[must_use]
-    pub fn encode32(&self, w: u32) -> u64 {
-        self.encode(Self::widen_word(w))
-    }
-
-    /// Narrows a wide lane word (field-for-field; the flag bits move
-    /// from 63/62/61 to 31/30/29 and the exponent field from bit 32 to
-    /// bit 16).
-    fn narrow_word(w: u64) -> u32 {
-        let flags = ((w >> 32) as u32) & (LANE32_SIGN | LANE32_SPECIAL | LANE32_DRAWS);
-        let payload = if w & LANE_SPECIAL != 0 {
-            // Specials carry the raw encoding in the low 16 bits, unshifted.
-            ((w >> ENC_SHIFT) & 0xFFFF) as u32
-        } else {
-            let ef = ((w >> EF_SHIFT) & 0xFFFF) as u32;
-            debug_assert!(ef <= 0x1FFF, "exponent field overflows the narrow word");
-            (ef << EF32_SHIFT) | (w & 0xFFFF) as u32
-        };
-        flags | payload
-    }
-
-    /// Widens a narrow lane word; exact inverse of `narrow_word`.
-    fn widen_word(w: u32) -> u64 {
-        let flags = u64::from(w & (LANE32_SIGN | LANE32_SPECIAL | LANE32_DRAWS)) << 32;
-        let payload = if w & LANE32_SPECIAL != 0 {
-            u64::from(w & 0xFFFF) << ENC_SHIFT
-        } else {
-            let ef = u64::from((w >> EF32_SHIFT) & 0x1FFF);
-            (ef << EF_SHIFT) | u64::from(w & 0xFFFF)
-        };
-        flags | payload
-    }
-
-    /// Narrow rendition of [`FastAdderBatch::mac_step`]: identical
-    /// zero-skip, draw and special semantics, on u32 lane words.
-    /// `words[l]` is the full SR word; only the low `r` bits matter, so
-    /// truncating it into the narrow arithmetic is exact.
-    #[inline(always)]
-    pub fn mac_step32<const L: usize>(
-        &self,
-        acc: &mut [u32; L],
-        prods: &[u32; L],
-        words: &[u64; L],
-    ) {
-        let mut special = 0u32;
-        for l in 0..L {
-            special |= acc[l] | prods[l];
-        }
-        let mut res = [0u32; L];
-        for l in 0..L {
-            res[l] = self.add_core32(acc[l], prods[l], words[l] as u32);
-        }
-        if special & LANE32_SPECIAL != 0 {
-            self.fixup_specials32(acc, prods, words, &mut res);
-        }
-        for l in 0..L {
-            // Zero-skip: only non-zero-magnitude products commit.
-            acc[l] = sel32(prods[l] & LANE32_KEY != 0, res[l], acc[l]);
-        }
-    }
-
-    /// Encoding-level narrow add over `L` lanes — the test API mirroring
-    /// [`FastAdderBatch::add`], bit-identical lane by lane to
-    /// [`FastAdder::add`].
-    #[must_use]
-    pub fn add32<const L: usize>(&self, a: &[u64; L], b: &[u64; L], words: &[u64; L]) -> [u64; L] {
-        let mut out = [0u64; L];
-        for l in 0..L {
-            let aw = self.decode32(a[l]);
-            let bw = self.decode32(b[l]);
-            out[l] = if (aw | bw) & LANE32_SPECIAL != 0 {
-                self.scalar.add(a[l], b[l], words[l])
-            } else {
-                self.encode32(self.add_core32(aw, bw, words[l] as u32))
-            };
-        }
-        out
-    }
-
-    /// Scalar repair of the rare special lanes of a narrow `mac_step32`.
-    #[cold]
-    fn fixup_specials32<const L: usize>(
-        &self,
-        acc: &[u32; L],
-        prods: &[u32; L],
-        words: &[u64; L],
-        res: &mut [u32; L],
-    ) {
-        for l in 0..L {
-            if (acc[l] | prods[l]) & LANE32_SPECIAL != 0 {
-                let enc = self
-                    .scalar
-                    .add(self.encode32(acc[l]), self.encode32(prods[l]), words[l]);
-                res[l] = self.decode32(enc);
-            }
-        }
-    }
-
-    /// [`FastAdderBatch::add_core`] on narrow words. Line-for-line the
-    /// same algebra; shift clamps drop from 63 to 31, which is exact
-    /// under the `fits_narrow` envelope (`p + f <= 31`, so pre-shifted
-    /// significands never reach bit 31 and the sum never wraps).
-    #[inline(always)]
-    fn add_core32(&self, aw: u32, bw: u32, word: u32) -> u32 {
-        let spec = &self.spec;
-        let f = spec.f;
-        let p = spec.p;
-
-        let akey = aw & LANE32_KEY;
-        let bkey = bw & LANE32_KEY;
-        let sm = ((bkey > akey) as u32).wrapping_neg();
-        let hi = aw ^ ((aw ^ bw) & sm);
-        let lo = aw ^ bw ^ hi;
-        let sign_hi = hi >> 31;
-        let sign_lo = lo >> 31;
-        let ef_hi = (hi >> EF32_SHIFT) & 0x1FFF;
-        let ef_lo = (lo >> EF32_SHIFT) & 0x1FFF;
-        let sig_hi = hi & 0xFFFF;
-        let sig_lo = lo & 0xFFFF;
-
-        // Alignment; the clamp at 31 is exact because `yb < 2^(p+f) <= 2^31`.
-        let d = (ef_hi - ef_lo).min(31);
-        let yb = sig_lo << f;
-        let y = yb >> d;
-        let sigma = u32::from(yb & ((1u32 << d) - 1) != 0);
-        let x = sig_hi << f;
-
-        // Branch-free effective subtraction; `x + y < 2^(p+f+1) <= 2^32`
-        // never wraps on the addition side, and on the subtraction side
-        // `x >= y + sigma` exactly as in the wide kernel.
-        let sub_eff = sign_hi ^ sign_lo;
-        let subm = sub_eff.wrapping_neg();
-        let s = x.wrapping_add(y ^ subm).wrapping_add(subm & (1 - sigma));
-        let ones = sub_eff & sigma;
-        let extra_sticky = (1 - sub_eff) & sigma;
-
-        let msb = 31 - (s | 1).leading_zeros() as i32;
-        let drop0 = msb - (p - 1) as i32;
-        let drop = if spec.sub {
-            drop0.max(f as i32 - ef_hi as i32)
-        } else {
-            drop0
-        };
-
-        let shl = (-drop).max(0) as u32;
-        let kept_e = s << shl;
-
-        let dr = drop.clamp(1, 31) as u32;
-        let kept_r = s >> dr;
-        let tail = s & ((1u32 << dr) - 1);
-        let up = if self.sr {
-            let r = spec.r;
-            let rs_dn = dr.saturating_sub(r);
-            let rs_up = r.saturating_sub(dr);
-            let t_hi = tail >> rs_dn;
-            let t_lo = (tail << rs_up) | (ones.wrapping_neg() & ((1u32 << rs_up) - 1));
-            let t = sel32(dr >= r, t_hi, t_lo);
-            (t + (word & spec.rmask as u32)) >> r
-        } else {
-            let guard = (tail >> (dr - 1)) & 1;
-            let rest = u32::from(tail & ((1u32 << (dr - 1)) - 1) != 0) | ones | extra_sticky;
-            guard & (rest | kept_r) & 1
-        };
-
-        let is_round = drop > 0;
-        let mut kept = sel32(is_round, kept_r, kept_e) + sel32(is_round, up, 0);
-        let carry = kept >> p;
-        kept >>= carry;
-        let ef_out = drop + ef_hi as i32 - f as i32 + carry as i32;
-
-        let zero_w = sign_hi << 31;
-        let natural = zero_w | ((ef_out as u32 & 0x1FFF) << EF32_SHIFT) | kept;
-        let inf_enc = (sign_hi << self.enc_sign_shift) | self.inf_exp as u32;
-        let inf_w = LANE32_SPECIAL | LANE32_DRAWS | inf_enc;
-        let mut w = natural;
-        w = sel32(ef_out < 0, zero_w, w);
-        w = sel32(i64::from(ef_out) > self.ef_max, inf_w, w);
-        if !spec.sub {
-            w = sel32(u64::from(kept) < self.half, zero_w, w);
-        }
-        w = sel32(kept == 0, zero_w, w);
-        w = sel32(s == 0, 0, w);
-        w = sel32(bkey == 0, aw, w);
-        w = sel32(akey == 0, bw, w);
-        w = sel32((akey | bkey) == 0, aw & bw & LANE32_SIGN, w);
-        w
-    }
-}
-
-/// The explicit AVX-512 rendition of the narrow kernel: 16 u32 lanes per
+/// The explicit AVX-512 rendition of the lane kernel: 16 u32 lanes per
 /// `zmm`, the full dot-product loop in one function so the accumulator
 /// vector provably stays in a register across every `k` step (the
 /// property the auto-vectorized array loops cannot guarantee — their
@@ -641,13 +386,13 @@ impl FastAdderBatch {
 /// This *is* the default fast path on AVX-512 hardware: the engine's
 /// runtime tier dispatch (`SimdTier::detect`) routes 64-wide panel
 /// blocks here in chunks of 16 columns. Everything is a 1:1 translation
-/// of [`FastAdderBatch::add_core32`] — same variable names, same
+/// of [`FastAdderBatch::add_core`] — same variable names, same
 /// clamping, same select order — plus the draw/zero-skip/special
-/// semantics of `mac_step32`, and the randomized cross-check in this
+/// semantics of `mac_step`, and the randomized cross-check in this
 /// module's tests pins it lane-for-lane against those scalar-verified
 /// kernels. Special lanes take the same `#[cold]` scalar fixup.
 ///
-/// Masked compares/blends replace the SWAR `sel32` ladders; the
+/// Masked compares/blends replace the SWAR `sel` ladders; the
 /// pointer-based operations are the product gather, whose indices are
 /// zero-extended bytes into the 65536-entry pair table (in-bounds by
 /// construction), the write-back's decode gather, whose indices are
@@ -655,16 +400,14 @@ impl FastAdderBatch {
 /// 16-lane groups of bounds-checked slices.
 ///
 /// The module also holds the two per-element loops around the kernel:
-/// the block write-back (`write_narrow`: `encode32` plus the decode
+/// the block write-back (`write_back`: `encode` plus the decode
 /// table lookup, 16 lanes per step) and the CSR row compaction of
 /// `pack_a` (`compact_row`).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod z16 {
     use std::arch::x86_64::*;
 
-    use super::{
-        FastAdderBatch, EF32_SHIFT, LANE32_DRAWS, LANE32_KEY, LANE32_SIGN, LANE32_SPECIAL,
-    };
+    use super::{FastAdderBatch, EF_SHIFT, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
     use srmac_rng::SPLITMIX_GAMMA;
 
     /// Loop-invariant broadcast constants of one adder configuration.
@@ -699,7 +442,7 @@ pub(crate) mod z16 {
         /// one `vpermt2v` gathers the low 32 bits of 16 finalized draws.
         evens: __m512i,
         /// Whether `sig << f` self-clears the exponent/flag bits
-        /// (`f >= EF32_SHIFT`), letting the shift skip the sig mask.
+        /// (`f >= EF_SHIFT`), letting the shift skip the sig mask.
         fsig: bool,
         sub: bool,
     }
@@ -715,10 +458,10 @@ pub(crate) mod z16 {
         let spec = &batch.spec;
         let b32 = |v: u32| _mm512_set1_epi32(v as i32);
         Consts {
-            key: b32(LANE32_KEY),
-            special: b32(LANE32_SPECIAL),
-            draws: b32(LANE32_DRAWS),
-            sign: b32(LANE32_SIGN),
+            key: b32(LANE_KEY),
+            special: b32(LANE_SPECIAL),
+            draws: b32(LANE_DRAWS),
+            sign: b32(LANE_SIGN),
             efmask: b32(0x1FFF),
             sigmask: b32(0xFFFF),
             zero: _mm512_setzero_si512(),
@@ -731,12 +474,12 @@ pub(crate) mod z16 {
             rmask: b32(spec.rmask as u32),
             c32mr: b32(32 - spec.r),
             rp1: b32(1 << spec.r),
-            half: b32(batch.half as u32),
+            half: b32(batch.half),
             efmax: b32(batch.ef_max as u32),
-            inf_base: b32(LANE32_SPECIAL | LANE32_DRAWS | batch.inf_exp as u32),
+            inf_base: b32(LANE_SPECIAL | LANE_DRAWS | batch.inf_exp),
             iss: b32(31 - batch.enc_sign_shift),
             evens: _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30),
-            fsig: spec.f >= EF32_SHIFT,
+            fsig: spec.f >= EF_SHIFT,
             sub: spec.sub,
         }
     }
@@ -762,10 +505,10 @@ pub(crate) mod z16 {
         let b32 = |v: u32| _mm512_set1_epi32(v as i32);
         let (f, r, rmask) = if SR { (23, 13, 0x1FFF) } else { (12, 2, 0x3) };
         Consts {
-            key: b32(LANE32_KEY),
-            special: b32(LANE32_SPECIAL),
-            draws: b32(LANE32_DRAWS),
-            sign: b32(LANE32_SIGN),
+            key: b32(LANE_KEY),
+            special: b32(LANE_SPECIAL),
+            draws: b32(LANE_DRAWS),
+            sign: b32(LANE_SIGN),
             efmask: b32(0x1FFF),
             sigmask: b32(0xFFFF),
             zero: _mm512_setzero_si512(),
@@ -780,10 +523,10 @@ pub(crate) mod z16 {
             rp1: b32(1 << r),
             half: b32(32),
             efmax: b32(61),
-            inf_base: b32(LANE32_SPECIAL | LANE32_DRAWS | 0x7E0),
+            inf_base: b32(LANE_SPECIAL | LANE_DRAWS | 0x7E0),
             iss: b32(31 - 11),
             evens: _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30),
-            fsig: f >= EF32_SHIFT,
+            fsig: f >= EF_SHIFT,
             sub: SUB,
         }
     }
@@ -806,8 +549,8 @@ pub(crate) mod z16 {
             .then_some(spec.sub)
     }
 
-    /// [`FastAdderBatch::add_core32`], 16 lanes per instruction. Every
-    /// `sel32` becomes a masked move, every data-dependent shift a
+    /// [`FastAdderBatch::add_core`], 16 lanes per instruction. Every
+    /// `sel` becomes a masked move, every data-dependent shift a
     /// `vps{l,r}lvd`, the normalization `leading_zeros` a `vplzcntd`.
     #[inline]
     #[target_feature(
@@ -948,7 +691,7 @@ pub(crate) mod z16 {
     }
 
     /// Scalar repair of the rare special lanes of one step — identical
-    /// semantics to [`FastAdderBatch::fixup_specials32`].
+    /// semantics to [`FastAdderBatch::fixup_specials`].
     #[cold]
     #[target_feature(
         enable = "avx512f",
@@ -970,12 +713,11 @@ pub(crate) mod z16 {
             if kspec & (1 << l) != 0 {
                 // Only the low `r` bits of the rounding word matter, so
                 // the u32-truncated word is the word (r <= 27).
-                let enc = batch.scalar.add(
-                    batch.encode32(av[l]),
-                    batch.encode32(pv[l]),
-                    u64::from(wv[l]),
-                );
-                rv[l] = batch.decode32(enc);
+                let enc =
+                    batch
+                        .scalar
+                        .add(batch.encode(av[l]), batch.encode(pv[l]), u64::from(wv[l]));
+                rv[l] = batch.decode(enc);
             }
         }
         from_u32s(rv)
@@ -1094,18 +836,18 @@ pub(crate) mod z16 {
         }};
     }
 
-    /// One 16-column narrow dot product: columns `lane0 .. lane0 + 16`
+    /// One 16-column dot product: columns `lane0 .. lane0 + 16`
     /// of a lane-interleaved panel block with row stride `stride`,
     /// accumulated over the compacted A entries `(ids, cods)`. Returns
-    /// the final decoded narrow accumulator words (encode with
-    /// [`FastAdderBatch::encode32`]).
+    /// the final decoded accumulator words (encode with
+    /// [`FastAdderBatch::encode`]).
     ///
     /// Bit-identical to 16 scalar dot products: per-lane draws advance
     /// exactly as [`srmac_rng::SrLaneStreams::draw`] (`seeds[l]` replays
     /// `SplitMix64::new(seeds[l])`), adds run in `k` order through
     /// [`add_core`], special lanes divert to the scalar adder, and
     /// zero-magnitude products neither touch the accumulator nor consume
-    /// a draw. One chain of the interleaved body that [`dot64_narrow`]
+    /// a draw. One chain of the interleaved body that [`dot64`]
     /// runs four of, with the same literal-constant E6M5 instantiation.
     ///
     /// Callers discharge the `#[target_feature]` obligation: the CPU must
@@ -1119,7 +861,7 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    pub(crate) fn dot16_narrow<const SR: bool>(
+    pub(crate) fn dot16<const SR: bool>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
         ids: &[u32],
@@ -1156,7 +898,7 @@ pub(crate) mod z16 {
         }
     }
 
-    /// The literal-constant E6M5 instantiation of [`dot16_narrow`].
+    /// The literal-constant E6M5 instantiation of [`dot16`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
@@ -1193,7 +935,7 @@ pub(crate) mod z16 {
     }
 
     /// A full 64-column panel block in one `k` pass: four interleaved
-    /// 16-lane chains, bit-identical to four [`dot16_narrow`] calls at
+    /// 16-lane chains, bit-identical to four [`dot16`] calls at
     /// `lane0 + 0/16/32/48`.
     ///
     /// Interleaving is the point: one 16-lane chain is a serial
@@ -1210,7 +952,7 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    pub(crate) fn dot64_narrow<const SR: bool>(
+    pub(crate) fn dot64<const SR: bool>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
         ids: &[u32],
@@ -1252,7 +994,7 @@ pub(crate) mod z16 {
         }
     }
 
-    /// The literal-constant E6M5 instantiation of [`dot64_narrow`] (a
+    /// The literal-constant E6M5 instantiation of [`dot64`] (a
     /// single `dot64_body` call site, so the body inlines and every
     /// `Consts` field constant-folds).
     #[allow(clippy::too_many_arguments)]
@@ -1295,9 +1037,9 @@ pub(crate) mod z16 {
         )
     }
 
-    /// The write-back of a panel block: `out[l] = decode[encode32(accs[l])]`
+    /// The write-back of a panel block: `out[l] = decode[encode(accs[l])]`
     /// for every live lane `l < out.len()`, 16 lanes per step. The encode
-    /// is [`FastAdderBatch::encode32`] with its branches as masked moves
+    /// is [`FastAdderBatch::encode`] with its branches as masked moves
     /// (special words return their carried encoding, words below `half`
     /// the sign and significand, normal words the sign, biased exponent
     /// and stored significand); the decode is one `vpgatherdd` from the
@@ -1316,7 +1058,7 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    pub(crate) fn write_narrow(
+    pub(crate) fn write_back(
         batch: &FastAdderBatch,
         decode: &[f32],
         accs: &[u32],
@@ -1334,15 +1076,11 @@ pub(crate) mod z16 {
             "accs must hold whole 16-lane groups covering out"
         );
         let b32 = |v: u32| _mm512_set1_epi32(v as i32);
-        let (special, sign, sigmask, efmask) = (
-            b32(LANE32_SPECIAL),
-            b32(LANE32_SIGN),
-            b32(0xFFFF),
-            b32(0x1FFF),
-        );
+        let (special, sign, sigmask, efmask) =
+            (b32(LANE_SPECIAL), b32(LANE_SIGN), b32(0xFFFF), b32(0x1FFF));
         let (one, half, mmask, encm) = (
             b32(1),
-            b32(batch.half as u32),
+            b32(batch.half),
             b32(spec.mmask as u32),
             b32(encmask),
         );
@@ -1438,60 +1176,38 @@ pub(crate) mod z16 {
     }
 }
 
-/// The decoded-form product table: [`ProductLut`]'s 256 x 256 code plane
-/// with every product stored as a decoded lane word, so the batched inner
-/// loop loads operands ready for [`FastAdderBatch::mac_step`] — no
-/// per-step field extraction at all.
-#[derive(Clone)]
-pub struct DecodedLut {
-    table: Box<[u64; 1 << 16]>,
-}
-
-impl std::fmt::Debug for DecodedLut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecodedLut").finish_non_exhaustive()
-    }
-}
-
-impl DecodedLut {
-    /// Decodes every entry of `lut` with `batch` (which must share the
-    /// LUT's output format).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formats disagree.
-    #[must_use]
-    pub fn build(lut: &ProductLut, batch: &FastAdderBatch) -> Self {
-        assert_eq!(
-            lut.output_format(),
-            batch.format(),
-            "decoded LUT must share the adder's format"
-        );
-        let table: Vec<u64> = (0..1usize << 16)
-            .map(|i| batch.decode(u64::from(lut.product((i >> 8) as u8, i as u8))))
-            .collect();
-        Self {
-            table: table.into_boxed_slice().try_into().expect("table is 65536"), // PANIC-OK: the collect above produced exactly 65536 entries.
-        }
-    }
-
-    /// The 256-entry decoded product row for left code `ca`.
-    #[inline]
-    #[must_use]
-    pub fn row(&self, ca: u8) -> &[u64; 256] {
-        let start = (ca as usize) << 8;
-        self.table[start..start + 256]
-            .try_into()
-            .expect("row is 256") // PANIC-OK: start + 256 <= 65536 for any u8 row index.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lut::PairLut;
+    use crate::lut::{PairLut, ProductLut};
     use srmac_fp::mask;
     use srmac_rng::{SplitMix64, SrLaneStreams};
+
+    #[test]
+    fn decode_encode_roundtrip_all_encodings() {
+        for sub in [true, false] {
+            let fmt = FpFormat::e6m5().with_subnormals(sub);
+            let batch = FastAdderBatch::new(fmt, AccumRounding::Nearest).expect("e6m5 fits");
+            for enc in fmt.iter_encodings() {
+                let w = batch.decode(enc);
+                let pseudo_subnormal = !sub && fmt.is_zero(enc) && enc & fmt.man_mask() != 0;
+                if pseudo_subnormal {
+                    // Canonicalized to a (draw-consuming) zero, like every
+                    // other consumer of such encodings in the stack.
+                    assert_eq!(w & LANE_KEY, 0, "{enc:#x} decodes to a zero key");
+                    assert_ne!(w & LANE_DRAWS, 0, "{enc:#x} still consumes a word");
+                } else {
+                    assert_eq!(batch.encode(w), enc, "roundtrip of {enc:#x} (sub={sub})");
+                }
+                // The draws bit mirrors the scalar loop's zero-skip rule.
+                assert_eq!(
+                    w & LANE_DRAWS != 0,
+                    enc & mask(fmt.bits() - 1) != 0,
+                    "{enc:#x} draws"
+                );
+            }
+        }
+    }
 
     /// Exhaustive code-for-code equivalence with the scalar adder over the
     /// full operand plane of the paper's accumulator format, both
@@ -1499,7 +1215,7 @@ mod tests {
     /// load-bearing guarantee that lane batching changes performance and
     /// nothing else.
     #[test]
-    fn batch_add_vs_scalar_e6m5_exhaustive() {
+    fn narrow_add_vs_scalar_e6m5_exhaustive() {
         for sub in [true, false] {
             let fmt = FpFormat::e6m5().with_subnormals(sub);
             for (mode, words) in [
@@ -1508,7 +1224,7 @@ mod tests {
                 (AccumRounding::Stochastic { r: 13 }, vec![0u64, 0x1ACE]),
             ] {
                 let scalar = FastAdder::new(fmt, mode);
-                let batch = FastAdderBatch::new(fmt, mode);
+                let batch = FastAdderBatch::new(fmt, mode).expect("e6m5 fits the lane word");
                 let all: Vec<u64> = fmt.iter_encodings().collect();
                 for a in fmt.iter_encodings() {
                     for &w in &words {
@@ -1531,19 +1247,21 @@ mod tests {
         }
     }
 
+    /// Other formats inside the envelope, random-sampled against the
+    /// scalar adder: E8M7 at SR11 (p + f = 8 + 23 = 31, exactly at the
+    /// envelope edge) with and without subnormals covers exponent fields
+    /// wider than E6M5's, and E4M3 at SR7 a narrower format.
     #[test]
-    fn batch_add_vs_scalar_wider_formats_random() {
-        let mut rng = SplitMix64::new(4242);
-        for fmt in [
-            FpFormat::e5m10(),
-            FpFormat::e4m3(),
-            FpFormat::e8m7(),
-            FpFormat::e8m7().with_subnormals(false),
+    fn narrow_add_vs_scalar_random_formats() {
+        let mut rng = SplitMix64::new(777);
+        for (fmt, r) in [
+            (FpFormat::e8m7(), 11),
+            (FpFormat::e8m7().with_subnormals(false), 11),
+            (FpFormat::e4m3(), 7),
         ] {
-            let r = fmt.precision() + 3;
             let mode = AccumRounding::Stochastic { r };
             let scalar = FastAdder::new(fmt, mode);
-            let batch = FastAdderBatch::new(fmt, mode);
+            let batch = FastAdderBatch::new(fmt, mode).expect("inside the envelope");
             for _ in 0..60_000 {
                 let mut a = [0u64; 8];
                 let mut b = [0u64; 8];
@@ -1558,160 +1276,7 @@ mod tests {
                     assert_eq!(
                         got[l],
                         scalar.add(a[l], b[l], w[l]),
-                        "{fmt}: {:#x}+{:#x} w={:#x}",
-                        a[l],
-                        b[l],
-                        w[l]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decode_encode_roundtrip_all_encodings() {
-        for sub in [true, false] {
-            let fmt = FpFormat::e6m5().with_subnormals(sub);
-            let batch = FastAdderBatch::new(fmt, AccumRounding::Nearest);
-            for enc in fmt.iter_encodings() {
-                let w = batch.decode(enc);
-                let pseudo_subnormal = !sub && fmt.is_zero(enc) && enc & fmt.man_mask() != 0;
-                if pseudo_subnormal {
-                    // Canonicalized to a (draw-consuming) zero, like every
-                    // other consumer of such encodings in the stack.
-                    assert_eq!(w & LANE_KEY, 0, "{enc:#x} decodes to a zero key");
-                    assert_ne!(w & LANE_DRAWS, 0, "{enc:#x} still consumes a word");
-                } else {
-                    assert_eq!(batch.encode(w), enc, "roundtrip of {enc:#x} (sub={sub})");
-                }
-                // The draws bit mirrors the scalar loop's zero-skip rule.
-                assert_eq!(
-                    w & LANE_DRAWS != 0,
-                    enc & mask(fmt.bits() - 1) != 0,
-                    "{enc:#x} draws"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mac_step_skips_zero_products_verbatim() {
-        let fmt = FpFormat::e6m5();
-        let batch = FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 13 });
-        // A negative-zero accumulator must survive a +0 product untouched
-        // (the scalar loop never even calls the adder for it).
-        let neg_zero = batch.decode(fmt.zero_bits(true));
-        let one = batch.decode(fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits);
-        let mut acc = [neg_zero, one, 0u64, one];
-        let before = acc;
-        let zero = batch.decode(fmt.zero_bits(false));
-        batch.mac_step(&mut acc, &[zero; 4], &[0u64; 4]);
-        assert_eq!(acc, before);
-        // A non-zero product in one lane commits only that lane.
-        batch.mac_step(&mut acc, &[zero, one, zero, zero], &[0u64; 4]);
-        assert_eq!([acc[0], acc[2], acc[3]], [before[0], before[2], before[3]]);
-        assert_eq!(batch.encode(acc[1]), {
-            let scalar = FastAdder::new(fmt, AccumRounding::Stochastic { r: 13 });
-            scalar.add(batch.encode(one), batch.encode(one), 0)
-        });
-    }
-
-    #[test]
-    fn special_lanes_fall_back_to_golden_semantics() {
-        let fmt = FpFormat::e6m5();
-        let mode = AccumRounding::Stochastic { r: 13 };
-        let batch = FastAdderBatch::new(fmt, mode);
-        let scalar = FastAdder::new(fmt, mode);
-        let inf = fmt.inf_bits(false);
-        let ninf = fmt.inf_bits(true);
-        let nan = fmt.nan_bits();
-        let one = fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits;
-        for (a, b) in [
-            (inf, one),
-            (one, inf),
-            (inf, ninf),
-            (nan, one),
-            (one, nan),
-            (inf, inf),
-        ] {
-            let got = batch.add(&[a; 2], &[b; 2], &[0x123; 2]);
-            let want = scalar.add(a, b, 0x123);
-            assert_eq!(got, [want; 2], "{a:#x}+{b:#x}");
-        }
-        // And through mac_step: an accumulator that overflowed to infinity
-        // stays on the golden special path for the rest of the dot product.
-        let big = fmt.max_finite_bits(false);
-        let mut acc = [batch.decode(big)];
-        let prod = batch.decode(big);
-        batch.mac_step(&mut acc, &[prod], &[0]);
-        assert_eq!(batch.encode(acc[0]), scalar.add(big, big, 0));
-        let after_inf = batch.encode(acc[0]);
-        batch.mac_step(&mut acc, &[batch.decode(one)], &[0]);
-        assert_eq!(batch.encode(acc[0]), scalar.add(after_inf, one, 0));
-    }
-
-    /// The narrow kernel's counterpart of the exhaustive wide test: the
-    /// u32 algebra must be bit-identical to the scalar adder over the
-    /// whole E6M5 operand plane, both subnormal settings, RN and SR.
-    #[test]
-    fn narrow_add_vs_scalar_e6m5_exhaustive() {
-        for sub in [true, false] {
-            let fmt = FpFormat::e6m5().with_subnormals(sub);
-            for (mode, words) in [
-                (AccumRounding::Nearest, vec![0u64]),
-                (AccumRounding::Stochastic { r: 9 }, vec![0u64, 0x0F3, 0x1FF]),
-                (AccumRounding::Stochastic { r: 13 }, vec![0u64, 0x1ACE]),
-            ] {
-                let scalar = FastAdder::new(fmt, mode);
-                let batch = FastAdderBatch::new(fmt, mode);
-                assert!(batch.narrow_ok(), "{fmt} {mode:?} fits the narrow word");
-                let all: Vec<u64> = fmt.iter_encodings().collect();
-                for a in fmt.iter_encodings() {
-                    for &w in &words {
-                        for chunk in all.chunks(8) {
-                            let mut bs = [0u64; 8];
-                            bs[..chunk.len()].copy_from_slice(chunk);
-                            let got = batch.add32(&[a; 8], &bs, &[w; 8]);
-                            for (l, &b) in chunk.iter().enumerate() {
-                                let want = scalar.add(a, b, w);
-                                assert_eq!(
-                                    got[l], want,
-                                    "{fmt} {mode:?}: {a:#x}+{b:#x} w={w:#x} lane {l}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A second narrow-capable format (E8M7 at SR11: p + f = 8 + 23 = 31,
-    /// exactly at the envelope edge), random-sampled against the scalar
-    /// adder to cover exponent fields wider than E6M5's.
-    #[test]
-    fn narrow_add_vs_scalar_e8m7_random() {
-        let mut rng = SplitMix64::new(777);
-        for fmt in [FpFormat::e8m7(), FpFormat::e8m7().with_subnormals(false)] {
-            let mode = AccumRounding::Stochastic { r: 11 };
-            let scalar = FastAdder::new(fmt, mode);
-            let batch = FastAdderBatch::new(fmt, mode);
-            assert!(batch.narrow_ok());
-            for _ in 0..60_000 {
-                let mut a = [0u64; 8];
-                let mut b = [0u64; 8];
-                let mut w = [0u64; 8];
-                for l in 0..8 {
-                    a[l] = rng.next_u64() & fmt.bits_mask();
-                    b[l] = rng.next_u64() & fmt.bits_mask();
-                    w[l] = rng.next_u64() & mask(11);
-                }
-                let got = batch.add32(&a, &b, &w);
-                for l in 0..8 {
-                    assert_eq!(
-                        got[l],
-                        scalar.add(a[l], b[l], w[l]),
-                        "{fmt}: {:#x}+{:#x} w={:#x}",
+                        "{fmt} r={r}: {:#x}+{:#x} w={:#x}",
                         a[l],
                         b[l],
                         w[l]
@@ -1730,95 +1295,112 @@ mod tests {
             AccumRounding::Stochastic { r: 13 },
             AccumRounding::Stochastic { r: 15 },
         ] {
-            assert!(FastAdderBatch::new(FpFormat::e6m5(), mode).narrow_ok());
+            assert!(FastAdderBatch::new(FpFormat::e6m5(), mode).is_some());
         }
         // ...but not beyond (r = 16 -> p + f = 32), and a p=11
         // accumulator at SR13 (p + f = 39) does not either.
-        let r16 = FastAdderBatch::new(FpFormat::e6m5(), AccumRounding::Stochastic { r: 16 });
-        assert!(!r16.narrow_ok());
-        let wide = FastAdderBatch::new(FpFormat::e5m10(), AccumRounding::Stochastic { r: 13 });
-        assert!(!wide.narrow_ok());
+        for (fmt, r) in [(FpFormat::e6m5(), 16), (FpFormat::e5m10(), 13)] {
+            assert!(FastAdderBatch::new(fmt, AccumRounding::Stochastic { r }).is_none());
+        }
     }
 
-    /// Narrow words are a faithful re-coding of wide words: decode32 is
-    /// narrow(decode), widening inverts narrowing, and flags line up.
     #[test]
-    fn narrow_word_roundtrips_and_mirrors_wide_flags() {
-        for sub in [true, false] {
-            let fmt = FpFormat::e6m5().with_subnormals(sub);
-            let batch = FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 13 });
-            for enc in fmt.iter_encodings() {
-                let wide = batch.decode(enc);
-                let narrow = batch.decode32(enc);
-                assert_eq!(FastAdderBatch::widen_word(narrow), wide, "{enc:#x}");
-                assert_eq!(batch.encode32(narrow), batch.encode(wide), "{enc:#x}");
-                assert_eq!(
-                    narrow & LANE32_DRAWS != 0,
-                    wide & LANE_DRAWS != 0,
-                    "{enc:#x} draws"
-                );
-                assert_eq!(
-                    narrow & LANE32_KEY == 0,
-                    wide & LANE_KEY == 0,
-                    "{enc:#x} zero key"
-                );
-            }
-        }
+    fn mac_step_skips_zero_products_verbatim() {
+        let fmt = FpFormat::e6m5();
+        let mode = AccumRounding::Stochastic { r: 13 };
+        let batch = FastAdderBatch::new(fmt, mode).expect("e6m5 fits");
+        // A negative-zero accumulator must survive a +0 product untouched
+        // (the scalar loop never even calls the adder for it).
+        let neg_zero = batch.decode(fmt.zero_bits(true));
+        let one = batch.decode(fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits);
+        let mut acc = [neg_zero, one, 0u32, one];
+        let before = acc;
+        let zero = batch.decode(fmt.zero_bits(false));
+        batch.mac_step(&mut acc, &[zero; 4], &[0u64; 4]);
+        assert_eq!(acc, before);
+        // A non-zero product in one lane commits only that lane.
+        batch.mac_step(&mut acc, &[zero, one, zero, zero], &[0u64; 4]);
+        assert_eq!([acc[0], acc[2], acc[3]], [before[0], before[2], before[3]]);
+        assert_eq!(
+            batch.encode(acc[1]),
+            FastAdder::new(fmt, mode).add(batch.encode(one), batch.encode(one), 0)
+        );
     }
 
     #[test]
     fn mac_step32_skips_zero_products_verbatim() {
+        // The same zero-skip contract at the other envelope modes: RN, and
+        // SR15, where p + f = 31 fills the 32-bit lane word to its edge.
+        // Non-zero random draws must not leak into the skipped lanes.
         let fmt = FpFormat::e6m5();
-        let batch = FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 13 });
-        let neg_zero = batch.decode32(fmt.zero_bits(true));
-        let one = batch.decode32(fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits);
-        let mut acc = [neg_zero, one, 0u32, one];
-        let before = acc;
-        let zero = batch.decode32(fmt.zero_bits(false));
-        batch.mac_step32(&mut acc, &[zero; 4], &[0u64; 4]);
-        assert_eq!(acc, before);
-        batch.mac_step32(&mut acc, &[zero, one, zero, zero], &[0u64; 4]);
-        assert_eq!([acc[0], acc[2], acc[3]], [before[0], before[2], before[3]]);
-        assert_eq!(batch.encode32(acc[1]), {
-            let scalar = FastAdder::new(fmt, AccumRounding::Stochastic { r: 13 });
-            scalar.add(batch.encode32(one), batch.encode32(one), 0)
-        });
+        for mode in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 15 }] {
+            let batch = FastAdderBatch::new(fmt, mode).expect("e6m5 fits");
+            let scalar = FastAdder::new(fmt, mode);
+            let neg_zero = batch.decode(fmt.zero_bits(true));
+            let one = fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits;
+            let third = fmt
+                .quantize_f32(1.0 / 3.0, srmac_fp::RoundMode::NearestEven)
+                .bits;
+            let big = fmt.max_finite_bits(true);
+            let mut acc = [
+                neg_zero,
+                batch.decode(one),
+                batch.decode(big),
+                batch.decode(third),
+            ];
+            let before = acc;
+            let zero = batch.decode(fmt.zero_bits(false));
+            let neg = batch.decode(fmt.zero_bits(true));
+            let rand = [0x7fff_u64, 0x1234, 0x5a5a, 0x4321];
+            batch.mac_step(&mut acc, &[zero, neg, zero, neg], &rand);
+            assert_eq!(acc, before, "{mode:?}");
+            // A non-zero product in the last lane commits only that lane,
+            // with the scalar adder's rounding of the same draw.
+            batch.mac_step(&mut acc, &[zero, zero, neg, batch.decode(third)], &rand);
+            assert_eq!(acc[..3], before[..3], "{mode:?}");
+            assert_eq!(
+                batch.encode(acc[3]),
+                scalar.add(third, third, rand[3]),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
     fn narrow_special_lanes_fall_back_to_golden_semantics() {
         let fmt = FpFormat::e6m5();
         let mode = AccumRounding::Stochastic { r: 13 };
-        let batch = FastAdderBatch::new(fmt, mode);
+        let batch = FastAdderBatch::new(fmt, mode).expect("e6m5 fits");
         let scalar = FastAdder::new(fmt, mode);
+        let inf = fmt.inf_bits(false);
+        let ninf = fmt.inf_bits(true);
+        let nan = fmt.nan_bits();
         let big = fmt.max_finite_bits(false);
         let one = fmt.quantize_f32(1.0, srmac_fp::RoundMode::NearestEven).bits;
-        // Overflow to infinity inside mac_step32, then keep accumulating:
-        // golden special semantics all the way through.
-        let mut acc = [batch.decode32(big)];
-        batch.mac_step32(&mut acc, &[batch.decode32(big)], &[0]);
-        assert_eq!(batch.encode32(acc[0]), scalar.add(big, big, 0));
-        let after_inf = batch.encode32(acc[0]);
-        batch.mac_step32(&mut acc, &[batch.decode32(one)], &[0]);
-        assert_eq!(batch.encode32(acc[0]), scalar.add(after_inf, one, 0));
-    }
-
-    #[test]
-    fn decoded_lut_entries_match_decode_of_products() {
-        let fin = FpFormat::e5m2();
-        let fout = FpFormat::e6m5();
-        let lut = ProductLut::build(fin, fout);
-        let batch = FastAdderBatch::new(fout, AccumRounding::Nearest);
-        let dlut = DecodedLut::build(&lut, &batch);
-        for a in 0..=255u8 {
-            let row = dlut.row(a);
-            for b in 0..=255u8 {
-                assert_eq!(row[b as usize], batch.decode(u64::from(lut.product(a, b))));
-            }
+        // Infinity and NaN operands through the encoding-level add.
+        for (a, b) in [
+            (inf, one),
+            (one, inf),
+            (inf, ninf),
+            (nan, one),
+            (one, nan),
+            (inf, inf),
+        ] {
+            let got = batch.add(&[a; 2], &[b; 2], &[0x123; 2]);
+            let want = scalar.add(a, b, 0x123);
+            assert_eq!(got, [want; 2], "{a:#x}+{b:#x}");
         }
+        // Overflow to infinity inside mac_step, then keep accumulating:
+        // golden special semantics all the way through.
+        let mut acc = [batch.decode(big)];
+        batch.mac_step(&mut acc, &[batch.decode(big)], &[0]);
+        assert_eq!(batch.encode(acc[0]), scalar.add(big, big, 0));
+        let after_inf = batch.encode(acc[0]);
+        batch.mac_step(&mut acc, &[batch.decode(one)], &[0]);
+        assert_eq!(batch.encode(acc[0]), scalar.add(after_inf, one, 0));
     }
 
-    /// The vector write-back against `decode[encode32(w)]` lane by lane:
+    /// The vector write-back against `decode[encode(w)]` lane by lane:
     /// every encoding's lane word (±0, sub-half, normal, ±inf and NaN
     /// words), both subnormal settings of E6M5 plus the 16-bit E8M7, at
     /// 1..=16 live lanes of a 16-lane group and at ragged widths of a
@@ -1841,20 +1423,21 @@ mod tests {
             FpFormat::e6m5().with_subnormals(false),
             FpFormat::e8m7(),
         ] {
-            let batch = FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 11 });
+            let batch =
+                FastAdderBatch::new(fmt, AccumRounding::Stochastic { r: 11 }).expect("fits");
             let decode: Vec<f32> = fmt
                 .iter_encodings()
                 .map(|e| fmt.decode_f64(e) as f32)
                 .collect();
-            let words: Vec<u32> = fmt.iter_encodings().map(|e| batch.decode32(e)).collect();
-            let want = |w: u32| decode[batch.encode32(w) as usize].to_bits();
+            let words: Vec<u32> = fmt.iter_encodings().map(|e| batch.decode(e)).collect();
+            let want = |w: u32| decode[batch.encode(w) as usize].to_bits();
             for group in words.chunks_exact(16) {
                 for live in 1..=16 {
                     let mut out = [sentinel; 32];
                     // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
                     #[allow(unsafe_code)]
                     unsafe {
-                        z16::write_narrow(&batch, &decode, group, &mut out[..live]);
+                        z16::write_back(&batch, &decode, group, &mut out[..live]);
                     }
                     for l in 0..live {
                         assert_eq!(
@@ -1875,7 +1458,7 @@ mod tests {
                 // SAFETY: as above.
                 #[allow(unsafe_code)]
                 unsafe {
-                    z16::write_narrow(&batch, &decode, block, &mut out[..live]);
+                    z16::write_back(&batch, &decode, block, &mut out[..live]);
                 }
                 for l in 0..live {
                     assert_eq!(out[l].to_bits(), want(block[l]), "{fmt}: 64-lane word {l}");
@@ -1888,7 +1471,7 @@ mod tests {
     }
 
     /// The AVX-512 16-lane dot kernel against a reference loop of the
-    /// (scalar-verified) `mac_step32` + `SrLaneStreams` machinery: random
+    /// (scalar-verified) `mac_step` + `SrLaneStreams` machinery: random
     /// compacted-A streams and panel bytes over the full e5m2 code plane —
     /// zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]` scalar
     /// fixup), every 16-lane chunk of 16/32/64-wide panel strides, RN,
@@ -1916,8 +1499,8 @@ mod tests {
             AccumRounding::Stochastic { r: 9 },
         ] {
             let sr = matches!(mode, AccumRounding::Stochastic { .. });
-            let batch = FastAdderBatch::new(FpFormat::e6m5(), mode);
-            let plut = PairLut::build(&lut, &batch).expect("e6m5 fits the narrow envelope");
+            let batch = FastAdderBatch::new(FpFormat::e6m5(), mode).expect("e6m5 fits");
+            let plut = PairLut::build(&lut, &batch);
             for case in 0..160 {
                 let stride = [16usize, 32, 64][case % 3];
                 let lane0 = (case / 3 % (stride / 16)) * 16;
@@ -1939,7 +1522,7 @@ mod tests {
                 }
                 let seeds: [u64; 16] = std::array::from_fn(|_| rng.next_u64());
 
-                // Reference: the scalar-verified narrow step machinery.
+                // Reference: the scalar-verified lane step machinery.
                 let mut streams = SrLaneStreams::new(seeds);
                 let mut acc = [0u32; 16];
                 for (&id, &ca) in ids.iter().zip(&cods) {
@@ -1948,18 +1531,18 @@ mod tests {
                         row[pan[id as usize * stride + lane0 + l] as usize]
                     });
                     let words = if sr {
-                        streams.draw(std::array::from_fn(|l| prods[l] & LANE32_DRAWS != 0))
+                        streams.draw(std::array::from_fn(|l| prods[l] & LANE_DRAWS != 0))
                     } else {
                         [0u64; 16]
                     };
-                    batch.mac_step32(&mut acc, &prods, &words);
+                    batch.mac_step(&mut acc, &prods, &words);
                 }
 
                 // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
                 #[allow(unsafe_code)]
                 let got = unsafe {
                     if sr {
-                        z16::dot16_narrow::<true>(
+                        z16::dot16::<true>(
                             &batch,
                             plut.table(),
                             &ids,
@@ -1970,7 +1553,7 @@ mod tests {
                             &seeds,
                         )
                     } else {
-                        z16::dot16_narrow::<false>(
+                        z16::dot16::<false>(
                             &batch,
                             plut.table(),
                             &ids,
@@ -1998,7 +1581,7 @@ mod tests {
                     unsafe {
                         let (wide, quads) = if sr {
                             (
-                                z16::dot64_narrow::<true>(
+                                z16::dot64::<true>(
                                     &batch,
                                     plut.table(),
                                     &ids,
@@ -2009,7 +1592,7 @@ mod tests {
                                     &seeds64,
                                 ),
                                 std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16_narrow::<true>(
+                                    z16::dot16::<true>(
                                         &batch,
                                         plut.table(),
                                         &ids,
@@ -2023,7 +1606,7 @@ mod tests {
                             )
                         } else {
                             (
-                                z16::dot64_narrow::<false>(
+                                z16::dot64::<false>(
                                     &batch,
                                     plut.table(),
                                     &ids,
@@ -2034,7 +1617,7 @@ mod tests {
                                     &seeds64,
                                 ),
                                 std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16_narrow::<false>(
+                                    z16::dot16::<false>(
                                         &batch,
                                         plut.table(),
                                         &ids,

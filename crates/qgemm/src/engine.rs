@@ -37,7 +37,7 @@ use srmac_tensor::{GemmEngine, PackSide, PackedOperand};
 
 #[cfg(target_arch = "x86_64")]
 use crate::batch::z16;
-use crate::batch::{DecodedLut, FastAdderBatch, LANE32_DRAWS, LANE_DRAWS};
+use crate::batch::{FastAdderBatch, LANE_DRAWS};
 use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
 
@@ -45,10 +45,10 @@ use crate::lut::{PairLut, ProductLut};
 /// [`FastAdderBatch`] advances per step. The per-element accumulation
 /// chain is serial in `k`, so wall-clock is bounded by chain *latency*
 /// unless enough independent column chains are in flight to cover it —
-/// 64 lanes (sixteen 4-wide vector chains under AVX2, eight 8-wide under
-/// AVX-512) measure fastest on current cores. Columns past the last full
-/// block run in 16-lane panel blocks, the last one zero-padded, so
-/// narrow outputs stay on the same vector kernel.
+/// 64 `u32` lanes (eight 8-wide vector chains under AVX2, four 16-wide
+/// under AVX-512) measure fastest on current cores. Columns past the
+/// last full block run in 16-lane panel blocks, the last one
+/// zero-padded, so narrow outputs stay on the same vector kernel.
 const LANES: usize = 64;
 
 /// Most output rows per dispatch rectangle (fewer for thin products; see
@@ -108,12 +108,12 @@ enum SimdTier {
     /// Baseline codegen (any architecture; NEON on `aarch64` is part of
     /// the baseline there).
     Portable,
-    /// AVX2: 4 lanes per `ymm` register.
+    /// AVX2: 8 `u32` lanes per `ymm` register.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// AVX-512 (F/BW/DQ/VL/CD): 8 lanes per `zmm` register, masked
-    /// selects, and — load-bearing for the adder's normalization step —
-    /// `vplzcnt` vector leading-zero counts.
+    /// AVX-512 (F/BW/DQ/VL/CD): 16 `u32` lanes per `zmm` register,
+    /// masked selects, and — load-bearing for the adder's normalization
+    /// step — `vplzcnt` vector leading-zero counts.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -358,6 +358,15 @@ impl std::fmt::Display for ConfigWireError {
 
 impl std::error::Error for ConfigWireError {}
 
+/// The lane kernel of the compacted hot path: the lane-batched adder and
+/// its products pre-decoded into `u32` lane words (256 KiB), built
+/// together for accumulators inside the lane-word envelope.
+#[derive(Debug)]
+struct Lanes {
+    batch: FastAdderBatch,
+    plut: PairLut,
+}
+
 /// The shareable inner accumulation kernel: everything a worker needs to
 /// compute output rows from packed codes. Lives behind an `Arc` so pool
 /// jobs (which must be `'static`) can hold it without copying tables.
@@ -365,14 +374,10 @@ impl std::error::Error for ConfigWireError {}
 struct MacKernel {
     lut: ProductLut,
     adder: FastAdder,
-    /// The lane-batched adder driving the compacted hot path.
-    batch: FastAdderBatch,
-    /// Products pre-decoded into lane words (see `batch.rs`).
-    dlut: DecodedLut,
-    /// Products pre-decoded into *narrow* lane words (256 KiB) — the
-    /// hot-path table whenever the accumulator algebra fits u32 words
-    /// (`None` otherwise; the wide `dlut` then serves the panel loop).
-    plut: Option<PairLut>,
+    /// The lane kernel, `None` when the accumulator algebra does not fit
+    /// the `u32` lane word; every product then runs the scalar
+    /// [`MacKernel::dot`] loop of the dense path.
+    lanes: Option<Lanes>,
     decode: Vec<f32>,
     /// Accumulator-format magnitude mask (all bits except the sign).
     acc_mag_mask: u64,
@@ -422,28 +427,29 @@ impl MacKernel {
     /// (`pan[ci * L + l]` is column `l`'s code at k-index `ci`), so each
     /// k-step is one contiguous `L`-byte load. `ids`/`cods` hold the
     /// k-indices and codes of the A row's non-zero-magnitude entries, in
-    /// ascending k order. Each lane's adds stay in `k` order and its SR
-    /// stream advances once per product with non-zero encoded magnitude,
-    /// so results are bit-identical to `L` scalar [`MacKernel::dot`]s
-    /// whenever B holds no NaN codes: products against a zero-magnitude A
-    /// code are exactly `+/-0` then, which the dense loop skips without
-    /// drawing a rounding word. Accumulators live in decoded lane-word
-    /// form across the whole loop and are packed once at the end.
+    /// ascending k order. Products come pre-decoded from the [`PairLut`].
+    /// Each lane's adds stay in `k` order and its SR stream advances once
+    /// per product with non-zero encoded magnitude, so results are
+    /// bit-identical to `L` scalar [`MacKernel::dot`]s whenever B holds
+    /// no NaN codes: products against a zero-magnitude A code are exactly
+    /// `+/-0` then, which the dense loop skips without drawing a rounding
+    /// word. Accumulators live in decoded lane-word form across the whole
+    /// loop and are packed once at the end.
     #[inline(always)]
-    fn dotn_panel_wide<const L: usize, const SR: bool>(
-        &self,
+    fn dotn_panel<const L: usize, const SR: bool>(
+        lanes: &Lanes,
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
         streams: &mut SrLaneStreams<L>,
     ) -> [u16; L] {
-        let batch = &self.batch;
-        let mut acc = [0u64; L];
+        let batch = &lanes.batch;
+        let mut acc = [0u32; L];
         for (&ci, &ca) in ids.iter().zip(cods) {
-            let row = self.dlut.row(ca);
+            let row = lanes.plut.row(ca);
             let base = ci as usize * L;
             let bc: &[u8; L] = pan[base..base + L].try_into().expect("panel block"); // PANIC-OK: base + L <= panel len by the packer's row stride.
-            let mut prods = [0u64; L];
+            let mut prods = [0u32; L];
             for l in 0..L {
                 prods[l] = row[usize::from(bc[l])];
             }
@@ -461,60 +467,22 @@ impl MacKernel {
         std::array::from_fn(|l| batch.encode(acc[l]) as u16)
     }
 
-    /// The narrow-word panel loop: products come pre-decoded as u32 lane
-    /// words from the [`PairLut`] and accumulate through `mac_step32` —
-    /// half the word width, the same algebra, bit-identical results (the
-    /// exhaustive suites in `batch.rs` pin the kernels against each
-    /// other via the scalar adder).
-    #[inline(always)]
-    fn dotn_panel_narrow<const L: usize, const SR: bool>(
-        &self,
-        plut: &PairLut,
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        streams: &mut SrLaneStreams<L>,
-    ) -> [u16; L] {
-        let batch = &self.batch;
-        let mut acc = [0u32; L];
-        for (&ci, &ca) in ids.iter().zip(cods) {
-            let row = plut.row(ca);
-            let base = ci as usize * L;
-            let bc: &[u8; L] = pan[base..base + L].try_into().expect("panel block"); // PANIC-OK: same stride bound as the dense path.
-            let mut prods = [0u32; L];
-            for l in 0..L {
-                prods[l] = row[usize::from(bc[l])];
-            }
-            let words = if SR {
-                let mut consume = [false; L];
-                for l in 0..L {
-                    consume[l] = prods[l] & LANE32_DRAWS != 0;
-                }
-                streams.draw(consume)
-            } else {
-                [0u64; L]
-            };
-            batch.mac_step32(&mut acc, &prods, &words);
-        }
-        std::array::from_fn(|l| batch.encode32(acc[l]) as u16)
-    }
-
     /// One `L`-wide panel block of output row `i`, columns
-    /// `base .. base + L` (`L` is 64 or 16, the two panel block widths),
-    /// through the narrow loop when the pair LUT is engaged and the wide
-    /// loop otherwise. `out` is the block's slice of the output row and
-    /// may be shorter than `L`: the zero-padded lanes of a remainder
-    /// block are computed and dropped, only live lanes are written.
+    /// `base .. base + L` (`L` is 64 or 16, the two panel block widths).
+    /// `out` is the block's slice of the output row and may be shorter
+    /// than `L`: the zero-padded lanes of a remainder block are computed
+    /// and dropped, only live lanes are written.
     ///
-    /// Under the AVX-512 tier the narrow loop runs through the explicit
-    /// `z16` kernels (16 u32 lanes per `zmm`, accumulators
-    /// register-resident across the whole `k` loop; four interleaved
-    /// chains for a 64-wide block, one for a 16-wide block) and its
-    /// vector write-back; elsewhere it is the portable SWAR loop above,
-    /// auto-vectorized.
+    /// Under the AVX-512 tier the block runs through the explicit `z16`
+    /// kernels (16 u32 lanes per `zmm`, accumulators register-resident
+    /// across the whole `k` loop; four interleaved chains for a 64-wide
+    /// block, one for a 16-wide block) and its vector write-back;
+    /// elsewhere it is the portable SWAR loop above, auto-vectorized.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn panel_block<const L: usize>(
         &self,
+        lanes: &Lanes,
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
@@ -523,52 +491,42 @@ impl MacKernel {
         out: &mut [f32],
     ) {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
-        if let Some(plut) = &self.plut {
-            #[cfg(target_arch = "x86_64")]
-            if self.tier == SimdTier::Avx512 {
-                let (batch, table) = (&self.batch, plut.table());
-                if L == 64 {
-                    let seeds = self.lane_seeds::<64>(i, base);
-                    // SAFETY: `SimdTier::detect` verified every feature
-                    // the z16 kernels enable.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let accs = if sr {
-                            z16::dot64_narrow::<true>(batch, table, ids, cods, pan, 64, 0, &seeds)
-                        } else {
-                            z16::dot64_narrow::<false>(batch, table, ids, cods, pan, 64, 0, &seeds)
-                        };
-                        z16::write_narrow(batch, &self.decode, &accs, out);
-                    }
-                } else {
-                    let seeds = self.lane_seeds::<16>(i, base);
-                    // SAFETY: as above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let accs = if sr {
-                            z16::dot16_narrow::<true>(batch, table, ids, cods, pan, 16, 0, &seeds)
-                        } else {
-                            z16::dot16_narrow::<false>(batch, table, ids, cods, pan, 16, 0, &seeds)
-                        };
-                        z16::write_narrow(batch, &self.decode, &accs, out);
-                    }
+        #[cfg(target_arch = "x86_64")]
+        if self.tier == SimdTier::Avx512 {
+            let (batch, table) = (&lanes.batch, lanes.plut.table());
+            if L == 64 {
+                let seeds = self.lane_seeds::<64>(i, base);
+                // SAFETY: `SimdTier::detect` verified every feature the
+                // z16 kernels enable.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let accs = if sr {
+                        z16::dot64::<true>(batch, table, ids, cods, pan, 64, 0, &seeds)
+                    } else {
+                        z16::dot64::<false>(batch, table, ids, cods, pan, 64, 0, &seeds)
+                    };
+                    z16::write_back(batch, &self.decode, &accs, out);
                 }
-                return;
-            }
-            let mut streams = SrLaneStreams::new(self.lane_seeds(i, base));
-            let accs = if sr {
-                self.dotn_panel_narrow::<L, true>(plut, ids, cods, pan, &mut streams)
             } else {
-                self.dotn_panel_narrow::<L, false>(plut, ids, cods, pan, &mut streams)
-            };
-            self.write_codes(&accs, out);
+                let seeds = self.lane_seeds::<16>(i, base);
+                // SAFETY: as above.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let accs = if sr {
+                        z16::dot16::<true>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                    } else {
+                        z16::dot16::<false>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                    };
+                    z16::write_back(batch, &self.decode, &accs, out);
+                }
+            }
             return;
         }
         let mut streams = SrLaneStreams::new(self.lane_seeds(i, base));
         let accs = if sr {
-            self.dotn_panel_wide::<L, true>(ids, cods, pan, &mut streams)
+            Self::dotn_panel::<L, true>(lanes, ids, cods, pan, &mut streams)
         } else {
-            self.dotn_panel_wide::<L, false>(ids, cods, pan, &mut streams)
+            Self::dotn_panel::<L, false>(lanes, ids, cods, pan, &mut streams)
         };
         self.write_codes(&accs, out);
     }
@@ -596,16 +554,17 @@ impl MacKernel {
         }
     }
 
-    /// Compacted-A rectangle kernel (requires a NaN-free B operand; see
-    /// [`MacKernel::dotn_panel_wide`]): fills output rows `rows` x columns
-    /// `cols` into `block` (row-major, stride `cols.len()`). Bit-identical
-    /// to the scalar path for every tile shape and column range — the
-    /// tiling only reorders *which independent element* is computed
-    /// when. Dispatches once onto the detected [`SimdTier`]'s
-    /// codegen of the (identical) loop body.
+    /// Compacted-A rectangle kernel on the lane kernel `lanes` (requires
+    /// a NaN-free B operand; see [`MacKernel::dotn_panel`]): fills output
+    /// rows `rows` x columns `cols` into `block` (row-major, stride
+    /// `cols.len()`). Bit-identical to the scalar path for every tile
+    /// shape and column range — the tiling only reorders *which
+    /// independent element* is computed when. Dispatches once onto the
+    /// detected [`SimdTier`]'s codegen of the (identical) loop body.
     #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
     fn compute_rect_compact(
         &self,
+        lanes: &Lanes,
         compact: &CompactA,
         panel: &[u8],
         k: usize,
@@ -623,7 +582,7 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx512(
-                        compact, panel, k, n, row_base, rows, cols, block,
+                        lanes, compact, panel, k, n, row_base, rows, cols, block,
                     );
                 }
             }
@@ -633,18 +592,21 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx2(
-                        compact, panel, k, n, row_base, rows, cols, block,
+                        lanes, compact, panel, k, n, row_base, rows, cols, block,
                     );
                 }
             }
             SimdTier::Portable => {
-                self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
+                self.compute_rect_compact_body(
+                    lanes, compact, panel, k, n, row_base, rows, cols, block,
+                );
             }
         }
     }
 
-    /// AVX-512 codegen of the compacted loop: same source, vectorized by
-    /// the compiler with 8-lane `zmm` arithmetic and masked selects.
+    /// AVX-512 codegen of the compacted loop: the panel blocks run the
+    /// explicit `z16` kernels, inlined into a loop compiled with the same
+    /// features.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(
         enable = "avx512f",
@@ -657,6 +619,7 @@ impl MacKernel {
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_avx512(
         &self,
+        lanes: &Lanes,
         compact: &CompactA,
         panel: &[u8],
         k: usize,
@@ -666,15 +629,16 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(lanes, compact, panel, k, n, row_base, rows, cols, block);
     }
 
-    /// AVX2 codegen of the compacted loop (4-lane `ymm` arithmetic).
+    /// AVX2 codegen of the compacted loop (8-lane `ymm` arithmetic).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_avx2(
         &self,
+        lanes: &Lanes,
         compact: &CompactA,
         panel: &[u8],
         k: usize,
@@ -684,7 +648,7 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(lanes, compact, panel, k, n, row_base, rows, cols, block);
     }
 
     /// The tier-independent rectangle body (inlined into each tier wrapper
@@ -701,6 +665,7 @@ impl MacKernel {
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
         &self,
+        lanes: &Lanes,
         compact: &CompactA,
         panel: &[u8],
         k: usize,
@@ -732,14 +697,14 @@ impl MacKernel {
                 let lim64 = c1.min(n64);
                 while j + LANES <= lim64 {
                     let pan = &panel[j * k..(j + LANES) * k];
-                    let o = j - cols.start;
-                    self.panel_block::<LANES>(ids, cods, pan, si, j, &mut out_row[o..o + LANES]);
+                    let out = &mut out_row[j - cols.start..][..LANES];
+                    self.panel_block::<LANES>(lanes, ids, cods, pan, si, j, out);
                     j += LANES;
                 }
                 while j < c1 {
                     let pan = &panel[j * k..(j + 16) * k];
                     let (o, live) = (j - cols.start, (c1 - j).min(16));
-                    self.panel_block::<16>(ids, cods, pan, si, j, &mut out_row[o..o + live]);
+                    self.panel_block::<16>(lanes, ids, cods, pan, si, j, &mut out_row[o..o + live]);
                     j += 16;
                 }
             }
@@ -747,9 +712,10 @@ impl MacKernel {
         }
     }
 
-    /// Dense rectangle kernel — the NaN-fallback counterpart of
-    /// [`MacKernel::compute_rect_compact`] (scalar dots, golden special
-    /// semantics).
+    /// Dense rectangle kernel — the counterpart of
+    /// [`MacKernel::compute_rect_compact`] for a B operand holding NaN
+    /// codes and for accumulators without a lane kernel (scalar dots,
+    /// golden special semantics).
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_dense(
         &self,
@@ -956,7 +922,7 @@ fn build_panel(codes: &[u8], k: usize, n: usize, zero: u8) -> Vec<u8> {
 }
 
 /// The A-side execution plan of one product: compacted when B is NaN-free
-/// (the fast path), dense otherwise.
+/// and the engine has a lane kernel (the fast path), dense otherwise.
 #[derive(Clone, Debug)]
 enum AWork {
     Dense(Arc<Vec<u8>>),
@@ -977,12 +943,16 @@ impl AWork {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        match self {
-            AWork::Dense(codes) => {
+        match (self, &kernel.lanes) {
+            (AWork::Dense(codes), _) => {
                 kernel.compute_rect_dense(codes, bcode_t, k, row_base, rows, cols, block);
             }
-            AWork::Compact(compact) => {
-                kernel.compute_rect_compact(compact, panel, k, n, row_base, rows, cols, block);
+            (AWork::Compact(compact), Some(lanes)) => {
+                kernel
+                    .compute_rect_compact(lanes, compact, panel, k, n, row_base, rows, cols, block);
+            }
+            (AWork::Compact(_), None) => {
+                unreachable!("`gemm_packed` plans a compacted A only with a lane kernel")
             }
         }
     }
@@ -1055,19 +1025,18 @@ impl MacGemm {
         let lut = ProductLut::build(config.mul_fmt, config.acc_fmt);
         let quant = FastQuantizer::new(config.mul_fmt);
         let adder = FastAdder::new(config.acc_fmt, config.rounding);
-        let batch = FastAdderBatch::new(config.acc_fmt, config.rounding);
-        let dlut = DecodedLut::build(&lut, &batch);
+        let lanes = FastAdderBatch::new(config.acc_fmt, config.rounding).map(|batch| Lanes {
+            plut: PairLut::build(&lut, &batch),
+            batch,
+        });
         let decode: Vec<f32> = (0..1u64 << config.acc_fmt.bits())
             .map(|bits| config.acc_fmt.decode_f64(bits) as f32)
             .collect();
         let zero_code = config.mul_fmt.zero_bits(false) as u8;
-        let plut = PairLut::build(&lut, &batch);
         let kernel = Arc::new(MacKernel {
             lut,
             adder,
-            batch,
-            dlut,
-            plut,
+            lanes,
             decode,
             acc_mag_mask: !(1 << (config.acc_fmt.bits() - 1))
                 & srmac_fp::mask(config.acc_fmt.bits()),
@@ -1092,10 +1061,13 @@ impl MacGemm {
         &self.config
     }
 
-    /// Whether the narrow product-pair LUT is engaged.
+    /// Whether the lane kernel and its product-pair LUT are engaged:
+    /// false for accumulators outside the `u32` lane-word envelope (e.g.
+    /// E5M10 at SR13), whose products all run the scalar path of
+    /// [`MacGemm::gemm_reference`].
     #[must_use]
     pub fn pair_lut_active(&self) -> bool {
-        self.kernel.plut.is_some()
+        self.kernel.lanes.is_some()
     }
 
     /// Quantizes a slice to multiplier-format codes.
@@ -1131,13 +1103,6 @@ impl MacGemm {
         if stash.len() < 8 {
             stash.push(buf);
         }
-    }
-
-    /// One full dot product in MAC semantics (exposed for tests and the
-    /// stagnation study): returns the final accumulator encoding.
-    #[must_use]
-    pub fn dot_codes(&self, a: &[u8], b_colmajor: &[u8], rng: &mut SplitMix64) -> u16 {
-        self.kernel.dot(a, b_colmajor, rng)
     }
 
     /// The multiplier-format fingerprint packed operands carry: engines
@@ -1330,14 +1295,16 @@ impl GemmEngine for MacGemm {
         assert_eq!(out.len(), m * n, "out must be m x n");
         let a = self.unpack_a(a, m, k);
         let b = self.unpack_b(b, k, n);
-        let awork = if b.has_nan {
+        // The dense scalar path keeps `0 * NaN = NaN` exact for a B with
+        // NaN codes and serves every product of an engine without a lane
+        // kernel; it alone reads the dense A and column-major B codes.
+        let dense = b.has_nan || self.kernel.lanes.is_none();
+        let awork = if dense {
             AWork::Dense(Arc::clone(a.dense_codes()))
         } else {
             AWork::Compact(Arc::clone(&a.compact))
         };
-        // Column-major codes serve only the NaN dense fallback; the
-        // compacted path reads the panel.
-        let bcode_t = if b.has_nan {
+        let bcode_t = if dense {
             Arc::clone(b.codes_t(k, n))
         } else {
             Arc::default()

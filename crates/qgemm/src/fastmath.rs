@@ -70,14 +70,13 @@ pub(crate) struct AdderSpec {
 }
 
 impl AdderSpec {
-    /// Whether this algebra fits the *narrow* (u32 lane word) kernel of
-    /// `batch.rs`: the pre-shifted significand sum must stay below `2^32`
-    /// (`p + f + 1` bits, so `p + f <= 31`), the exponent field must fit
-    /// the narrow word's 13-bit field, and the raw encoding carried by
-    /// special words its 16 bits. The paper's E6M5 accumulator fits at
-    /// every supported `r` (SR13: `p + f = 6 + 23 = 29`); an E5M10
-    /// accumulator at SR13 (`11 + 28 = 39`) does not and stays on the
-    /// u64 kernel.
+    /// Whether this algebra fits the u32 lane word of `batch.rs`: the
+    /// pre-shifted significand sum must stay below `2^32` (`p + f + 1`
+    /// bits, so `p + f <= 31`), the exponent field must fit the word's
+    /// 13-bit field, and the raw encoding carried by special words its
+    /// 16 bits. The paper's E6M5 accumulator fits at every `r <= 15`
+    /// (SR13: `p + f = 6 + 23 = 29`); an E5M10 accumulator at SR13
+    /// (`11 + 28 = 39`) does not, and its engine runs the scalar path.
     pub(crate) fn fits_narrow(&self) -> bool {
         self.p + self.f <= 31 && self.emask <= 0x1FFF && self.fmt.bits() <= 16
     }

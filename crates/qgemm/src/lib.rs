@@ -66,13 +66,24 @@
 //! output row per step through [`FastAdderBatch`] (default `L = 64`; the
 //! `n % 64` remaining columns run in 16-lane blocks, the last one
 //! zero-padded, so every column stays on the vector kernel). Each lane is
-//! one element's accumulator, carried in a *decoded* `u64` lane word
+//! one element's accumulator, carried in a *decoded* `u32` lane word
 //! (sign / ULP exponent / significand as plain fields — see `batch.rs`),
-//! fed with pre-decoded products from a 512 KiB [`DecodedLut`], and
-//! updated by the scalar adder's exact algebra with every branch replaced
-//! by SWAR mask arithmetic. The branch-free body auto-vectorizes, and
-//! runtime-detected `#[target_feature]` wrappers give it AVX2/AVX-512
-//! codegen without any workspace-wide compiler flags.
+//! fed with pre-decoded products from a 256 KiB [`PairLut`], and updated
+//! by the scalar adder's exact algebra with every branch replaced by SWAR
+//! mask arithmetic. The branch-free body auto-vectorizes, and
+//! runtime-detected `#[target_feature]` wrappers give it AVX2 codegen
+//! without any workspace-wide compiler flags; AVX-512 hosts run its
+//! explicit 16-lane rendition (below).
+//!
+//! The lane word exists when the accumulator algebra fits 32 bits
+//! (`p + f <= 31` for the pre-shifted significand sum, a 13-bit exponent
+//! field, a 16-bit encoding): every RN accumulator the engine accepts and
+//! the paper's E6M5 accumulator at every SR `r <= 15`. Outside that
+//! envelope (e.g. E5M10 at SR13) the engine builds no lane kernel and
+//! every product runs the dense scalar loop of
+//! [`MacGemm::gemm_reference`] — bit-identical and several times
+//! slower; none of the paper's configurations goes there
+//! ([`MacGemm::pair_lut_active`] reports which path runs).
 //!
 //! Column-lane batching preserves the determinism contract *by
 //! construction*: SR streams are position-seeded per output element, so
@@ -107,17 +118,13 @@
 //!   into recycled workspace buffers (a vectorized block quantizer under
 //!   AVX-512) and compact/interleave from there; the one-shot `gemm`
 //!   allocates nothing per call beyond its packed outputs.
-//! * **Product-pair decode LUT** — when the accumulator algebra fits the
-//!   *narrow* u32 lane word (`ef_max + p + 2 <= 29` with the `LANE32_*`
-//!   layout, true for the paper's E6M5 family), a 256 KiB [`PairLut`]
-//!   maps each `(code_a, code_b)` pair directly to the pre-decoded
-//!   product word, and the inner loop runs a fully vectorized
-//!   AVX-512 chain over u32 lanes — no per-step decode, no u64
-//!   widening — whose accumulators are encoded, decoded to `f32` (one
-//!   gather) and stored 16 lanes at a time. Formats outside the
-//!   envelope fall back to the wide u64 path
-//!   ([`MacGemm::pair_lut_active`] reports which one runs); both paths
-//!   are bit-identical to the scalar oracle by construction and by test.
+//! * **Product-pair decode LUT** — a 256 KiB [`PairLut`] maps each
+//!   `(code_a, code_b)` pair directly to the pre-decoded `u32` product
+//!   word, and under AVX-512 the inner loop runs a fully vectorized
+//!   chain over 16 u32 lanes — no per-step decode — whose accumulators
+//!   are encoded, decoded to `f32` (one gather) and stored 16 lanes at a
+//!   time. It is bit-identical to the scalar oracle by construction and
+//!   by test.
 //!
 //! # Example
 //!
@@ -161,16 +168,10 @@ mod fastmath;
 mod lut;
 pub mod spec;
 
-pub use batch::{
-    DecodedLut, FastAdderBatch, LANE32_DRAWS, LANE32_KEY, LANE32_SIGN, LANE32_SPECIAL, LANE_DRAWS,
-    LANE_KEY, LANE_SIGN, LANE_SPECIAL,
-};
+pub use batch::{FastAdderBatch, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
 pub use engine::{ConfigWireError, MacGemm, MacGemmConfig};
 pub use fastmath::{AccumRounding, FastAdder, FastQuantizer};
 pub use lut::{PairLut, ProductLut};
 pub use spec::{
     engine_from_spec, numerics_from_spec, register_engine_specs, EngineSpecError, ParsedMacSpec,
 };
-// The worker pool moved into the shared `srmac-runtime` crate; re-exported
-// here (with the runtime itself) for continuity and convenience.
-pub use srmac_runtime::{Runtime, WorkerPool};

@@ -80,16 +80,14 @@ impl ProductLut {
 }
 
 /// The product-pair decode LUT: the 256 x 256 code plane with every
-/// product stored as a pre-decoded *narrow* (u32) lane word, so the
-/// tiled inner loop loads operands ready for
-/// [`FastAdderBatch::mac_step32`] with no per-element decode at all.
+/// product stored as a pre-decoded `u32` lane word, so the tiled inner
+/// loop loads operands ready for [`FastAdderBatch::mac_step`] with no
+/// per-element decode at all.
 ///
-/// At 256 KiB it is half the footprint of the wide
-/// [`crate::batch::DecodedLut`], which together with the column-tiled B
-/// panel (see `engine.rs`) keeps the whole working set of the hot loop
-/// L2-resident. Construction is gated on the narrow-word envelope:
-/// [`PairLut::build`] returns `None` when the adder's algebra does not
-/// fit u32 lane words, and the engine falls back to the wide path.
+/// At 256 KiB it keeps, together with the column-tiled B panel (see
+/// `engine.rs`), the whole working set of the hot loop L2-resident. It
+/// exists only alongside a [`FastAdderBatch`], i.e. inside the lane-word
+/// envelope; formats outside it run the engine's scalar path.
 #[derive(Clone)]
 pub struct PairLut {
     table: Box<[u32; 1 << 16]>,
@@ -102,29 +100,24 @@ impl std::fmt::Debug for PairLut {
 }
 
 impl PairLut {
-    /// Decodes every entry of `lut` into a narrow lane word, or `None`
-    /// when the adder's algebra exceeds the narrow envelope
-    /// ([`FastAdderBatch::narrow_ok`]).
+    /// Decodes every entry of `lut` into a lane word.
     ///
     /// # Panics
     ///
     /// Panics if the LUT's output format and the adder's format disagree.
     #[must_use]
-    pub fn build(lut: &ProductLut, batch: &FastAdderBatch) -> Option<Self> {
+    pub fn build(lut: &ProductLut, batch: &FastAdderBatch) -> Self {
         assert_eq!(
             lut.output_format(),
             batch.format(),
             "pair LUT must share the adder's format"
         );
-        if !batch.narrow_ok() {
-            return None;
-        }
         let table: Vec<u32> = (0..1usize << 16)
-            .map(|i| batch.decode32(u64::from(lut.product((i >> 8) as u8, i as u8))))
+            .map(|i| batch.decode(u64::from(lut.product((i >> 8) as u8, i as u8))))
             .collect();
-        Some(Self {
+        Self {
             table: table.into_boxed_slice().try_into().expect("table is 65536"), // PANIC-OK: same 65536-entry construction.
-        })
+        }
     }
 
     /// The full 256 x 256 table, indexed `(ca << 8) | cb` — the raw form
@@ -135,7 +128,7 @@ impl PairLut {
         &self.table
     }
 
-    /// The 256-entry narrow decoded product row for left code `ca`.
+    /// The 256-entry decoded product row for left code `ca`.
     #[inline]
     #[must_use]
     pub fn row(&self, ca: u8) -> &[u32; 256] {
@@ -157,16 +150,16 @@ mod tests {
         let fout = FpFormat::e6m5();
         let lut = ProductLut::build(fin, fout);
         for mode in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
-            let batch = FastAdderBatch::new(fout, mode);
-            let plut = PairLut::build(&lut, &batch).expect("e6m5 fits the narrow envelope");
+            let batch = FastAdderBatch::new(fout, mode).expect("e6m5 fits the lane word");
+            let plut = PairLut::build(&lut, &batch);
             for a in 0..=255u8 {
                 let row = plut.row(a);
                 for b in 0..=255u8 {
                     let enc = u64::from(lut.product(a, b));
-                    assert_eq!(row[b as usize], batch.decode32(enc), "{a:#x}*{b:#x}");
-                    // And the narrow word is faithful: re-encoding gives
+                    assert_eq!(row[b as usize], batch.decode(enc), "{a:#x}*{b:#x}");
+                    // And the lane word is faithful: re-encoding gives
                     // back the product encoding.
-                    assert_eq!(batch.encode32(row[b as usize]), enc, "{a:#x}*{b:#x}");
+                    assert_eq!(batch.encode(row[b as usize]), enc, "{a:#x}*{b:#x}");
                 }
             }
         }
@@ -175,12 +168,12 @@ mod tests {
     #[test]
     fn pair_lut_is_gated_by_the_narrow_envelope() {
         // E5M10 at SR13 needs p + f = 11 + 28 bits: over the u32 budget,
-        // so the narrow LUT must refuse and the engine stays wide.
+        // so no lane adder exists to build a pair LUT for, and the engine
+        // runs its scalar path (see `tests/tiled_kernel.rs`). Under RN the
+        // same accumulator fits.
         let fout = FpFormat::e5m10();
-        let lut = ProductLut::build(FpFormat::e5m2(), fout);
-        let batch = FastAdderBatch::new(fout, AccumRounding::Stochastic { r: 13 });
-        assert!(!batch.narrow_ok());
-        assert!(PairLut::build(&lut, &batch).is_none());
+        assert!(FastAdderBatch::new(fout, AccumRounding::Stochastic { r: 13 }).is_none());
+        assert!(FastAdderBatch::new(fout, AccumRounding::Nearest).is_some());
     }
 
     #[test]

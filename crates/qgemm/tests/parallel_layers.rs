@@ -7,11 +7,11 @@
 
 use std::sync::Arc;
 
-use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig, Runtime};
+use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::kaiming_normal;
 use srmac_tensor::layers::{Conv2d, Layer, Linear};
-use srmac_tensor::{F32Engine, GemmEngine, RoleEngines, Tensor};
+use srmac_tensor::{F32Engine, GemmEngine, RoleEngines, Runtime, Tensor};
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = SplitMix64::new(seed);

@@ -1,14 +1,14 @@
 //! Tiled-kernel equivalence suite: the cache-blocked tile grid, the
-//! multi-core tile dispatch and the narrow product-pair LUT must all be
-//! pure performance transforms. Every shape x thread count combination
+//! multi-core tile dispatch and the product-pair LUT must all be pure
+//! performance transforms. Every shape x thread count combination
 //! reproduces the single-threaded scalar oracle
-//! (`MacGemm::gemm_reference`) bit-for-bit — on the pair-LUT kernel the
-//! paper's E6M5 family engages, and on the wide u64 kernel formats
-//! outside the narrow envelope fall back to.
+//! (`MacGemm::gemm_reference`) bit-for-bit — on the pair-LUT lane kernel
+//! the paper's E6M5 family engages, and on the scalar path formats
+//! outside the `u32` lane-word envelope take.
 //!
 //! (Ragged-width equivalence at the default tiling lives in
-//! `tests/lane_batch.rs`; the operand-level narrow/wide adder
-//! equivalence lives next to the implementation in `src/batch.rs`.)
+//! `tests/lane_batch.rs`; the operand-level lane-adder equivalence lives
+//! next to the implementation in `src/batch.rs`.)
 
 use srmac_fp::FpFormat;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
@@ -150,26 +150,37 @@ fn packed_path_is_tile_invariant() {
     }
 }
 
-/// An accumulator outside the narrow envelope (E5M10 at SR13) must
-/// decline the pair LUT and still honor the thread invariance on the
-/// wide kernel it falls back to, across rounding modes, subnormal
-/// handling and ragged shapes, while the paper's E6M5 family engages the
-/// LUT. Under RN every accumulator the engine accepts fits the narrow
-/// word, so E5M10 engages the LUT there and the RN cases check the
-/// narrow kernel on a wider accumulator.
+/// Accumulators outside the `u32` lane-word envelope — E5M10 at SR13,
+/// E6M5 at SR16 and E8M7 at SR12, with and without subnormals — build no
+/// lane kernel and must still reproduce the scalar reference at every
+/// thread count, through the dense scalar path. The paper's E6M5 family
+/// engages the pair LUT, and so does E5M10 under RN, which also checks
+/// the lane kernel on a wider accumulator.
 #[test]
-fn wide_fallback_format_keeps_tile_invariance() {
-    for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
-        for subnormals in [false, true] {
+fn out_of_envelope_formats_take_the_scalar_path() {
+    for subnormals in [false, true] {
+        for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
             assert!(
                 MacGemm::new(MacGemmConfig::fp8_fp12(rounding, subnormals)).pair_lut_active(),
-                "E6M5 family must engage the narrow pair LUT"
+                "E6M5 {rounding:?} must engage the pair LUT"
             );
-            let config = MacGemmConfig::fp8_acc(FpFormat::e5m10(), rounding, subnormals);
+        }
+        for (acc, rounding, lanes) in [
+            (FpFormat::e5m10(), AccumRounding::Nearest, true),
+            (
+                FpFormat::e5m10(),
+                AccumRounding::Stochastic { r: 13 },
+                false,
+            ),
+            (FpFormat::e6m5(), AccumRounding::Stochastic { r: 16 }, false),
+            (FpFormat::e8m7(), AccumRounding::Stochastic { r: 12 }, false),
+        ] {
+            let config =
+                MacGemmConfig::fp8_acc(acc.with_subnormals(subnormals), rounding, subnormals);
             assert_eq!(
                 MacGemm::new(config).pair_lut_active(),
-                rounding == AccumRounding::Nearest,
-                "E5M10 @ SR13 exceeds the narrow envelope; the gate must disengage"
+                lanes,
+                "{acc} {rounding:?}: the lane kernel engages exactly inside the u32 envelope"
             );
             for &(m, k, n) in &SHAPES {
                 let a = rand_vec(m * k, 300 + n as u64, 2.0);
@@ -183,7 +194,7 @@ fn wide_fallback_format_keeps_tile_invariance() {
                         &reference,
                         &out,
                         &format!(
-                            "e5m10 {rounding:?} sub={subnormals} {m}x{k}x{n} threads={threads}"
+                            "{acc} {rounding:?} sub={subnormals} {m}x{k}x{n} threads={threads}"
                         ),
                     );
                 }
