@@ -13,9 +13,8 @@ use std::sync::Arc;
 
 use srmac_io::{CheckpointMeta, SaveReport};
 use srmac_models::{data, resnet, InferenceServer, ServeConfig, TrainConfig, Trainer};
-use srmac_qgemm::{MacGemm, MacGemmConfig};
+use srmac_qgemm::{numerics_from_spec, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::numerics::fold_role_seed;
 use srmac_tensor::{F32Engine, GemmEngine, GemmRole, Numerics, Runtime, Sequential, Tensor};
 
 /// Uniform values in [-0.5, 0.5) — the benches' dense-operand generator.
@@ -130,32 +129,29 @@ pub fn resnet20_role_gemm_shapes(
     shapes
 }
 
+/// The spec of the `mixed_policy` workload: RN forward, SR r=13 on both
+/// backward roles.
+const MIXED_POLICY_SPEC: &str = "fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13";
+
 /// The `mixed_policy` workload's per-role policy — RN forward, SR r=13
 /// on both backward roles — with every engine pinned to **one thread**,
 /// matching the 1-thread pinning of the sibling `gemm_64x128x64` and
 /// `prepared_weight_reuse` groups so the bench times one core's work
-/// whatever the host's core count. Configs come from the
-/// registry grammar (`FromStr`) and the backward seeds are role-folded
-/// exactly as `numerics_from_spec` would fold them; results are bitwise
-/// identical to the registry-built policy (which differs only in thread
-/// count, and results are thread-invariant), which the unit tests pin.
+/// whatever the host's core count. Each role's engine is rebuilt from
+/// its spec atom, which carries the exact role-folded seed, so results
+/// are bitwise identical to the `numerics_from_spec` policy (which
+/// differs only in thread count, and results are thread-invariant),
+/// which the unit tests pin.
 #[must_use]
 pub fn mixed_policy_numerics_1thread() -> Numerics {
-    let fwd: MacGemmConfig = "fp8_fp12_rn".parse().expect("forward atom");
-    let bwd: MacGemmConfig = "fp8_fp12_sr13".parse().expect("backward atom");
-    let engine = |cfg: MacGemmConfig, role: GemmRole| {
-        Arc::new(MacGemm::new(
-            cfg.with_seed(fold_role_seed(cfg.seed, role))
-                .with_threads(1),
-        )) as Arc<dyn srmac_tensor::GemmEngine>
-    };
-    Numerics::builder()
-        .forward(engine(fwd, GemmRole::Forward))
-        .role(GemmRole::BackwardData, engine(bwd, GemmRole::BackwardData))
-        .role(
-            GemmRole::BackwardWeight,
-            engine(bwd, GemmRole::BackwardWeight),
-        )
+    let policy = numerics_from_spec(MIXED_POLICY_SPEC).expect("mixed-policy spec");
+    GemmRole::ALL
+        .iter()
+        .fold(Numerics::builder(), |b, &role| {
+            let atom = policy.engine(role).spec().expect("MAC engines have specs");
+            let cfg: MacGemmConfig = atom.parse().expect("spec atoms reparse");
+            b.role(role, Arc::new(MacGemm::new(cfg.with_threads(1))))
+        })
         .build()
         .expect("all roles assigned")
 }
@@ -384,18 +380,17 @@ mod tests {
     }
 
     #[test]
-    fn mixed_policy_1thread_matches_the_registry_engines() {
+    fn mixed_policy_1thread_matches_the_spec_engines() {
         // The thread-pinned bench policy must resolve to exactly the
         // engines `numerics_from_spec` builds (spec atoms carry the
         // exact role-folded seeds), so the bench measures the real
         // mixed-policy numerics.
         let bench = mixed_policy_numerics_1thread();
-        let registry = srmac_qgemm::numerics_from_spec("fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13")
-            .expect("registry policy");
+        let policy = numerics_from_spec(MIXED_POLICY_SPEC).expect("mixed-policy spec");
         for role in GemmRole::ALL {
             assert_eq!(
                 bench.engine(role).spec(),
-                registry.engine(role).spec(),
+                policy.engine(role).spec(),
                 "{role}"
             );
         }

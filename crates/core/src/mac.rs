@@ -135,11 +135,6 @@ impl MacUnit {
         self.config.acc_fmt.decode_f64(self.acc)
     }
 
-    /// Overwrites the accumulator with an encoding.
-    pub fn set_acc_bits(&mut self, bits: u64) {
-        self.acc = bits & self.config.acc_fmt.bits_mask();
-    }
-
     /// Overwrites the accumulator with the RN quantization of `x`.
     pub fn set_acc_f64(&mut self, x: f64) {
         self.acc = self

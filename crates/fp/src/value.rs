@@ -76,33 +76,12 @@ impl FpValue {
         matches!(self, FpValue::Zero { .. })
     }
 
-    /// True for nonzero finite values.
-    #[must_use]
-    pub fn is_finite_nonzero(&self) -> bool {
-        matches!(self, FpValue::Finite { .. })
-    }
-
     /// Sign of the value (`true` = negative). NaN reports `false`.
     #[must_use]
     pub fn is_negative(&self) -> bool {
         match self {
             FpValue::Nan => false,
             FpValue::Inf { neg } | FpValue::Zero { neg } | FpValue::Finite { neg, .. } => *neg,
-        }
-    }
-
-    /// Returns the value with the sign flipped (NaN unchanged).
-    #[must_use]
-    pub fn negated(self) -> Self {
-        match self {
-            FpValue::Nan => FpValue::Nan,
-            FpValue::Inf { neg } => FpValue::Inf { neg: !neg },
-            FpValue::Zero { neg } => FpValue::Zero { neg: !neg },
-            FpValue::Finite { neg, exp, sig } => FpValue::Finite {
-                neg: !neg,
-                exp,
-                sig,
-            },
         }
     }
 

@@ -48,12 +48,9 @@
 //! v2 writers may still fill it as a single-engine summary — but the
 //! policy field supersedes it and new writers may leave it `None`.
 //! Decoding validates the spec structurally — policy grammar plus every
-//! atom — so no decodable checkpoint can fail the engine rebuild.
-//! Version-1 files simply decode with no policy. Note the validator
-//! knows the two in-tree atom families (`f32` and the MAC grammar):
-//! engines registered by out-of-tree resolvers cannot ride in checkpoint
-//! metadata yet (matching `GemmEngine::spec`'s contract for spec-less
-//! engines).
+//! atom, through `srmac_qgemm::validate_policy_spec`, the same atom
+//! parser the rebuild uses — so no decodable checkpoint can fail the
+//! engine rebuild. Version-1 files simply decode with no policy.
 //!
 //! The **train-state record** (new in version 3; see
 //! [`crate::train_state::TrainState`]) carries the full trainer snapshot —
@@ -75,7 +72,7 @@
 
 use std::path::Path;
 
-use srmac_qgemm::MacGemmConfig;
+use srmac_qgemm::{validate_policy_spec, MacGemmConfig};
 use srmac_tensor::{Param, Sequential};
 
 use crate::error::CheckpointError;
@@ -416,9 +413,9 @@ impl Checkpoint {
                 0 => None,
                 1 => {
                     let spec = r.string()?;
-                    validate_policy_spec(&spec).map_err(|what| CheckpointError::BadPolicySpec {
+                    validate_policy_spec(&spec).map_err(|e| CheckpointError::BadPolicySpec {
                         spec: spec.clone(),
-                        what,
+                        what: e.to_string(),
                     })?;
                     Some(spec)
                 }
@@ -539,9 +536,9 @@ pub fn save_model_with(
     // as a typed error; the panic inside `encode` stays as the backstop
     // for direct misuse of the lower-level API.
     if let Some(spec) = &meta.numerics {
-        validate_policy_spec(spec).map_err(|what| CheckpointError::BadPolicySpec {
+        validate_policy_spec(spec).map_err(|e| CheckpointError::BadPolicySpec {
             spec: spec.clone(),
-            what,
+            what: e.to_string(),
         })?;
     }
     let bytes = Checkpoint::capture(model, meta).encode();
@@ -604,26 +601,6 @@ pub fn load_model(
     let ckpt = read_checkpoint(path)?;
     ckpt.apply_to(model)?;
     Ok(ckpt.meta)
-}
-
-/// Structural validation of a numerics policy spec: the policy grammar
-/// of `srmac_tensor::numerics` plus every atom as either `f32` or a valid
-/// MAC atom — the loader contract is that any decodable checkpoint can
-/// rebuild its engines without panicking. (Engines are *not* built here;
-/// validation is cheap.) Deliberate limitation: this knows the in-tree
-/// atom families only, so atoms from out-of-tree `register_engine_resolver`
-/// extensions are rejected — lifting that needs a build-free "validate
-/// atom" hook on the tensor-side registry, not a wider hardcode here.
-fn validate_policy_spec(spec: &str) -> Result<(), String> {
-    let parsed: srmac_tensor::PolicySpec = spec.parse().map_err(|e| format!("{e}"))?;
-    for atom in parsed.atoms() {
-        if atom == "f32" {
-            continue;
-        }
-        atom.parse::<MacGemmConfig>()
-            .map_err(|e| format!("atom {atom:?}: {e}"))?;
-    }
-    Ok(())
 }
 
 /// FNV-1a 64-bit hash (the trailing integrity checksum).

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use srmac_io::{load_model, read_checkpoint, save_model, Checkpoint, CheckpointMeta};
 use srmac_models::{data, evaluate, resnet, TrainConfig, Trainer};
-use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
+use srmac_qgemm::{numerics_from_spec, AccumRounding, MacGemm, MacGemmConfig};
 use srmac_tensor::layers::Layer;
 use srmac_tensor::{F32Engine, GemmEngine, Numerics, Sequential, Tensor};
 
@@ -359,25 +359,46 @@ fn hostile_policy_specs_are_typed_errors_never_panics() {
 fn save_model_rejects_bad_policy_specs_as_typed_errors() {
     // The fallible save path validates caller-supplied policy strings
     // up front (the panic inside `encode` is only the backstop for
-    // direct misuse of the lower-level API, tested below).
+    // direct misuse of the lower-level API, tested below), and it
+    // accepts exactly the specs the engine rebuild accepts.
     let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
     let mut model = resnet::resnet20_with(&numerics, 4, 10, 23);
-    let path = ckpt_path("never_written.srmc");
-    let err = save_model(
-        &path,
-        &mut model,
-        CheckpointMeta {
-            arch: "a".into(),
-            engine: None,
-            numerics: Some("fwd=warp9;bwd=f32".into()),
-        },
-    )
-    .expect_err("unresolvable spec");
-    assert!(matches!(
-        err,
-        srmac_io::CheckpointError::BadPolicySpec { .. }
-    ));
-    assert!(!path.exists(), "nothing may be written on a rejected spec");
+    for (spec, valid) in [
+        ("f32", true),
+        ("fwd=f32;bwd=fp8_fp12_sr13", true),
+        (" fwd = f32 ; bwd = f32 ", true),
+        ("fp8_e6m5_sr13_seed7", true),
+        ("warp9", false),
+        ("fwd=warp9;bwd=f32", false),
+        ("fp8_fp12_sr31", false),
+        ("fp16_fp12_rn", false),
+        ("fwd=f32", false),
+        ("fwd=f32;fwd=f32;bwd=f32", false),
+    ] {
+        assert_eq!(numerics_from_spec(spec).is_ok(), valid, "{spec:?}");
+        let path = ckpt_path("policy_table.srmc");
+        let _ = std::fs::remove_file(&path);
+        let saved = save_model(
+            &path,
+            &mut model,
+            CheckpointMeta {
+                arch: "a".into(),
+                engine: None,
+                numerics: Some(spec.into()),
+            },
+        );
+        if valid {
+            saved.unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+            let meta = read_checkpoint(&path).expect("read back").meta;
+            assert_eq!(meta.numerics.as_deref(), Some(spec), "stored verbatim");
+        } else {
+            assert!(
+                matches!(saved, Err(srmac_io::CheckpointError::BadPolicySpec { .. })),
+                "{spec:?}"
+            );
+            assert!(!path.exists(), "{spec:?}: nothing may be written");
+        }
+    }
 }
 
 #[test]

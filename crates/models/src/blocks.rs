@@ -6,7 +6,7 @@ use std::sync::Arc;
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::kaiming_normal;
 use srmac_tensor::layers::{BatchNorm2d, Conv2d, Layer, Relu};
-use srmac_tensor::numerics::{NumericsCursor, RoleEngines};
+use srmac_tensor::numerics::RoleEngines;
 use srmac_tensor::{GemmEngine, Param, Sequential, Tensor};
 
 /// Builds `Conv2d(in, out, k, stride, pad)` with Kaiming-initialized
@@ -17,12 +17,12 @@ pub(crate) fn conv(
     k: usize,
     stride: usize,
     pad: usize,
-    engines: RoleEngines,
+    engines: &RoleEngines,
     rng: &mut SplitMix64,
 ) -> Conv2d {
     let fan_in = in_c * k * k;
     let w = kaiming_normal(&[out_c, fan_in], fan_in, rng);
-    Conv2d::per_role(in_c, out_c, k, stride, pad, w, engines)
+    Conv2d::per_role(in_c, out_c, k, stride, pad, w, engines.clone())
 }
 
 /// A residual block: `out = relu(main(x) + shortcut(x))`.
@@ -42,25 +42,24 @@ impl std::fmt::Debug for ResidualBlock {
 }
 
 impl ResidualBlock {
-    /// A basic (two 3x3 convs) block from `in_c` to `out_c` with `stride`,
-    /// drawing each conv's per-role engines from the model's
-    /// [`NumericsCursor`] (construction order: conv1, conv2, then the
-    /// projection when one exists).
+    /// A basic (two 3x3 convs) block from `in_c` to `out_c` with `stride`;
+    /// every conv (the projection too, when one exists) runs on
+    /// `engines`.
     #[must_use]
     pub fn basic_with(
         in_c: usize,
         out_c: usize,
         stride: usize,
-        layers: &mut NumericsCursor<'_>,
+        engines: &RoleEngines,
         rng: &mut SplitMix64,
     ) -> Self {
         let mut main = Sequential::new();
-        main.push(conv(in_c, out_c, 3, stride, 1, layers.next_layer(), rng));
+        main.push(conv(in_c, out_c, 3, stride, 1, engines, rng));
         main.push(BatchNorm2d::new(out_c));
         main.push(Relu::new());
-        main.push(conv(out_c, out_c, 3, 1, 1, layers.next_layer(), rng));
+        main.push(conv(out_c, out_c, 3, 1, 1, engines, rng));
         main.push(BatchNorm2d::new(out_c));
-        let shortcut = Self::projection(in_c, out_c, stride, layers, rng);
+        let shortcut = Self::projection(in_c, out_c, stride, engines, rng);
         Self {
             main,
             shortcut,
@@ -68,29 +67,27 @@ impl ResidualBlock {
         }
     }
 
-    /// A bottleneck (1x1 -> 3x3 -> 1x1, expansion 4) block, drawing each
-    /// conv's per-role engines from the model's [`NumericsCursor`]
-    /// (construction order: the three main convs, then the projection
-    /// when one exists).
+    /// A bottleneck (1x1 -> 3x3 -> 1x1, expansion 4) block; every conv
+    /// (the projection too, when one exists) runs on `engines`.
     #[must_use]
     pub fn bottleneck_with(
         in_c: usize,
         width: usize,
         stride: usize,
-        layers: &mut NumericsCursor<'_>,
+        engines: &RoleEngines,
         rng: &mut SplitMix64,
     ) -> Self {
         let out_c = width * 4;
         let mut main = Sequential::new();
-        main.push(conv(in_c, width, 1, 1, 0, layers.next_layer(), rng));
+        main.push(conv(in_c, width, 1, 1, 0, engines, rng));
         main.push(BatchNorm2d::new(width));
         main.push(Relu::new());
-        main.push(conv(width, width, 3, stride, 1, layers.next_layer(), rng));
+        main.push(conv(width, width, 3, stride, 1, engines, rng));
         main.push(BatchNorm2d::new(width));
         main.push(Relu::new());
-        main.push(conv(width, out_c, 1, 1, 0, layers.next_layer(), rng));
+        main.push(conv(width, out_c, 1, 1, 0, engines, rng));
         main.push(BatchNorm2d::new(out_c));
-        let shortcut = Self::projection(in_c, out_c, stride, layers, rng);
+        let shortcut = Self::projection(in_c, out_c, stride, engines, rng);
         Self {
             main,
             shortcut,
@@ -102,14 +99,14 @@ impl ResidualBlock {
         in_c: usize,
         out_c: usize,
         stride: usize,
-        layers: &mut NumericsCursor<'_>,
+        engines: &RoleEngines,
         rng: &mut SplitMix64,
     ) -> Option<Sequential> {
         if in_c == out_c && stride == 1 {
             return None;
         }
         let mut s = Sequential::new();
-        s.push(conv(in_c, out_c, 1, stride, 0, layers.next_layer(), rng));
+        s.push(conv(in_c, out_c, 1, stride, 0, engines, rng));
         s.push(BatchNorm2d::new(out_c));
         Some(s)
     }
@@ -232,7 +229,7 @@ mod tests {
     #[test]
     fn identity_block_shapes() {
         let mut rng = SplitMix64::new(1);
-        let mut b = ResidualBlock::basic_with(8, 8, 1, &mut numerics().layers(), &mut rng);
+        let mut b = ResidualBlock::basic_with(8, 8, 1, numerics().roles(), &mut rng);
         let x = Tensor::zeros(&[2, 8, 6, 6]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[2, 8, 6, 6]);
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn downsampling_block_shapes() {
         let mut rng = SplitMix64::new(2);
-        let mut b = ResidualBlock::basic_with(8, 16, 2, &mut numerics().layers(), &mut rng);
+        let mut b = ResidualBlock::basic_with(8, 16, 2, numerics().roles(), &mut rng);
         let x = Tensor::zeros(&[2, 8, 8, 8]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[2, 16, 4, 4]);
@@ -254,7 +251,7 @@ mod tests {
     #[test]
     fn bottleneck_block_shapes() {
         let mut rng = SplitMix64::new(3);
-        let mut b = ResidualBlock::bottleneck_with(16, 4, 2, &mut numerics().layers(), &mut rng);
+        let mut b = ResidualBlock::bottleneck_with(16, 4, 2, numerics().roles(), &mut rng);
         let x = Tensor::zeros(&[1, 16, 8, 8]);
         let y = b.forward(&x, true);
         assert_eq!(y.shape(), &[1, 16, 4, 4]); // 4 * expansion 4 = 16
@@ -267,7 +264,7 @@ mod tests {
         // With an identity shortcut, a constant positive output gradient
         // must reach the input both directly and through the convs.
         let mut rng = SplitMix64::new(4);
-        let mut b = ResidualBlock::basic_with(4, 4, 1, &mut numerics().layers(), &mut rng);
+        let mut b = ResidualBlock::basic_with(4, 4, 1, numerics().roles(), &mut rng);
         let mut x = Tensor::zeros(&[1, 4, 4, 4]);
         x.data_mut()
             .iter_mut()
@@ -279,24 +276,5 @@ mod tests {
         // The identity path alone contributes 1.0 wherever relu was active;
         // dx must therefore be nonzero somewhere.
         assert!(dx.data().iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn per_role_block_draws_layers_in_construction_order() {
-        // conv1, conv2, projection — three GEMM layers for a projecting
-        // basic block, two for an identity one.
-        let numerics = numerics();
-        let mut rng = SplitMix64::new(5);
-        let mut cursor = numerics.layers();
-        let _ = ResidualBlock::basic_with(8, 16, 2, &mut cursor, &mut rng);
-        assert_eq!(cursor.assigned(), 3);
-
-        let mut cursor = numerics.layers();
-        let _ = ResidualBlock::basic_with(8, 8, 1, &mut cursor, &mut rng);
-        assert_eq!(cursor.assigned(), 2);
-
-        let mut cursor = numerics.layers();
-        let _ = ResidualBlock::bottleneck_with(16, 4, 2, &mut cursor, &mut rng);
-        assert_eq!(cursor.assigned(), 4);
     }
 }

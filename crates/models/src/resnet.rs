@@ -2,11 +2,9 @@
 //! of the paper's Sec. IV, with a width knob for laptop-scale runs
 //! (`width = 16` reproduces the paper-exact ResNet-20 shape).
 //!
-//! Each builder resolves every GEMM layer's forward/backward engines
-//! through a [`Numerics`] policy — [`Numerics::uniform`] puts one engine
-//! on every role — including its per-layer overrides (GEMM layers are
-//! numbered in construction order: the stem conv is layer 0, then each
-//! block's convs in block order, the classifier head last).
+//! Each builder takes every GEMM layer's forward/backward engines from a
+//! [`Numerics`] policy ([`Numerics::roles`]) — [`Numerics::uniform`] puts
+//! one engine on every role.
 
 use srmac_rng::SplitMix64;
 use srmac_tensor::init::uniform_fan_in;
@@ -34,9 +32,9 @@ pub fn resnet_basic_with(
     seed: u64,
 ) -> Sequential {
     let mut rng = SplitMix64::new(seed);
-    let mut layers = numerics.layers();
+    let engines = numerics.roles();
     let mut net = Sequential::new();
-    net.push(conv(3, width, 3, 1, 1, layers.next_layer(), &mut rng));
+    net.push(conv(3, width, 3, 1, 1, engines, &mut rng));
     net.push(BatchNorm2d::new(width));
     net.push(Relu::new());
     let mut in_c = width;
@@ -45,11 +43,7 @@ pub fn resnet_basic_with(
         for b in 0..nblocks {
             let stride = if stage > 0 && b == 0 { 2 } else { 1 };
             net.push(ResidualBlock::basic_with(
-                in_c,
-                out_c,
-                stride,
-                &mut layers,
-                &mut rng,
+                in_c, out_c, stride, engines, &mut rng,
             ));
             in_c = out_c;
         }
@@ -59,7 +53,7 @@ pub fn resnet_basic_with(
         in_c,
         classes,
         uniform_fan_in(&[classes, in_c], in_c, &mut rng),
-        layers.next_layer(),
+        engines.clone(),
     ));
     net
 }
@@ -71,9 +65,9 @@ pub fn resnet_basic_with(
 #[must_use]
 pub fn resnet50_with(numerics: &Numerics, width: usize, classes: usize, seed: u64) -> Sequential {
     let mut rng = SplitMix64::new(seed);
-    let mut layers = numerics.layers();
+    let engines = numerics.roles();
     let mut net = Sequential::new();
-    net.push(conv(3, width, 3, 1, 1, layers.next_layer(), &mut rng));
+    net.push(conv(3, width, 3, 1, 1, engines, &mut rng));
     net.push(BatchNorm2d::new(width));
     net.push(Relu::new());
     let stages = [3usize, 4, 6, 3];
@@ -83,11 +77,7 @@ pub fn resnet50_with(numerics: &Numerics, width: usize, classes: usize, seed: u6
         for b in 0..nblocks {
             let stride = if stage > 0 && b == 0 { 2 } else { 1 };
             net.push(ResidualBlock::bottleneck_with(
-                in_c,
-                w,
-                stride,
-                &mut layers,
-                &mut rng,
+                in_c, w, stride, engines, &mut rng,
             ));
             in_c = w * 4;
         }
@@ -97,7 +87,7 @@ pub fn resnet50_with(numerics: &Numerics, width: usize, classes: usize, seed: u6
         in_c,
         classes,
         uniform_fan_in(&[classes, in_c], in_c, &mut rng),
-        layers.next_layer(),
+        engines.clone(),
     ));
     net
 }

@@ -368,12 +368,6 @@ impl LatencyHistogram {
         self.count += other.count;
     }
 
-    /// The raw bucket counts (bucket `i` covers `[2^i, 2^(i+1))` ns).
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-
     /// The `p`-th percentile (`0 < p <= 100`) as the **upper edge** of
     /// the log2 bucket containing the `ceil(p/100 * count)`-th smallest
     /// observation — a conservative (never underestimating by more than

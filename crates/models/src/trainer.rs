@@ -1018,7 +1018,7 @@ mod tests {
         // and on the paper's SR MAC engine, whose per-element rounding
         // streams must not notice *when* operands were quantized.
         // Engines by spec name (results are thread-invariant, so the
-        // registry's default thread count changes nothing).
+        // resolver's default thread count changes nothing).
         let engines: Vec<Arc<dyn GemmEngine>> = vec![
             Arc::new(F32Engine::new(2)),
             engine_from_spec("fp8_fp12_sr13").expect("paper's pick"),

@@ -15,9 +15,8 @@ const PLAN: [usize; 18] = [
 ];
 
 /// Builds VGG16-BN for `size x size` inputs (`size` must be divisible by
-/// 32); all channels are divided by `width_div`. Each GEMM layer's
-/// engines come from the [`Numerics`] policy (GEMM layers are numbered in
-/// construction order: the 13 convs, then the classifier).
+/// 32); all channels are divided by `width_div`. Every GEMM layer runs
+/// on the [`Numerics`] policy's role engines.
 ///
 /// # Panics
 ///
@@ -40,7 +39,7 @@ pub fn vgg16_with(
         "width_div must divide 64"
     );
     let mut rng = SplitMix64::new(seed);
-    let mut layers = numerics.layers();
+    let engines = numerics.roles();
     let mut net = Sequential::new();
     let mut in_c = 3usize;
     for &c in &PLAN {
@@ -48,7 +47,7 @@ pub fn vgg16_with(
             net.push(MaxPool2::new());
         } else {
             let out_c = c / width_div;
-            net.push(conv(in_c, out_c, 3, 1, 1, layers.next_layer(), &mut rng));
+            net.push(conv(in_c, out_c, 3, 1, 1, engines, &mut rng));
             net.push(BatchNorm2d::new(out_c));
             net.push(Relu::new());
             in_c = out_c;
@@ -61,7 +60,7 @@ pub fn vgg16_with(
         feat,
         classes,
         uniform_fan_in(&[classes, feat], feat, &mut rng),
-        layers.next_layer(),
+        engines.clone(),
     ));
     net
 }

@@ -70,8 +70,8 @@ const GOLDEN: &[Golden] = &[
 ];
 
 fn run(name: &str) -> History {
-    // Engines resolve through the spec registry (results are
-    // thread-invariant, so the registry's default pool size changes no
+    // Engines resolve through the spec resolver (results are
+    // thread-invariant, so its default pool size changes no
     // bits); the mixed case exercises the per-role policy path with its
     // role-folded backward SR seeds.
     let numerics = match name {

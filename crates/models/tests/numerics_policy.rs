@@ -7,7 +7,7 @@
 use srmac_models::serve::{InferenceServer, ServeConfig, ServeError};
 use srmac_models::{data, evaluate, resnet, TrainConfig, Trainer};
 use srmac_qgemm::{engine_from_spec, numerics_from_spec};
-use srmac_tensor::{GemmRole, Numerics, RoleEngines};
+use srmac_tensor::{GemmRole, Numerics};
 
 fn train_cfg() -> TrainConfig {
     TrainConfig {
@@ -32,7 +32,11 @@ fn uniform_policy_reproduces_the_single_engine_history_bitwise() {
     for label in ["f32", "fp8_fp12_sr13"] {
         let engine = || engine_from_spec(label).expect("spec");
         let shared = Numerics::uniform(engine());
-        let separate = Numerics::per_role(RoleEngines::new(engine(), engine(), engine()));
+        let separate = GemmRole::ALL
+            .iter()
+            .fold(Numerics::builder(), |b, &role| b.role(role, engine()))
+            .build()
+            .expect("all roles assigned");
         let mut shared_net = resnet::resnet20_with(&shared, 4, 10, 77);
         let mut separate_net = resnet::resnet20_with(&separate, 4, 10, 77);
         let a = Trainer::new(&train_cfg()).run(&mut shared_net, &train_ds, &test_ds);

@@ -232,7 +232,7 @@ impl MacGemmConfig {
     /// Validates this configuration against the engine envelope without
     /// building anything — the typed-error twin of the asserts in
     /// [`MacGemm::with_runtime`], used by the wire codec and the spec
-    /// registry so no decodable checkpoint or parseable spec can panic
+    /// parser so no decodable checkpoint or parseable spec can panic
     /// the engine build.
     ///
     /// # Errors
@@ -1314,7 +1314,7 @@ impl GemmEngine for MacGemm {
     }
 
     // The spec atom of this configuration (`spec` module grammar), with
-    // the seed always explicit: the registry folds role ids only into
+    // the seed always explicit: per-role resolution folds role ids only into
     // *default* seeds, so an atom carrying its exact seed rebuilds
     // identical numerics in any position of any policy.
     fn spec(&self) -> Option<String> {

@@ -172,6 +172,4 @@ pub use batch::{FastAdderBatch, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
 pub use engine::{ConfigWireError, MacGemm, MacGemmConfig};
 pub use fastmath::{AccumRounding, FastAdder, FastQuantizer};
 pub use lut::{PairLut, ProductLut};
-pub use spec::{
-    engine_from_spec, numerics_from_spec, register_engine_specs, EngineSpecError, ParsedMacSpec,
-};
+pub use spec::{engine_from_spec, numerics_from_spec, validate_policy_spec, EngineSpecError};

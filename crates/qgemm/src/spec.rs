@@ -1,11 +1,15 @@
-//! The named-spec registry: text names for GEMM engine configurations.
+//! Named specs: text names for GEMM engine configurations, and the one
+//! place engine atoms resolve.
 //!
-//! A spec *atom* names one engine — `"f32"` (handled by `srmac-tensor`'s
-//! built-in resolver) or a [`MacGemmConfig`] in the grammar below — and a
-//! policy spec combines atoms per GEMM role (see
-//! [`srmac_tensor::numerics`]). One string therefore describes a whole
-//! mixed-precision experiment, in an example, a bench table, or a
-//! checkpoint.
+//! A spec *atom* names one engine — `"f32"` (the exact baseline) or a
+//! [`MacGemmConfig`] in the grammar below — and a policy spec combines
+//! atoms per GEMM role (see [`srmac_tensor::numerics`]). One string
+//! therefore describes a whole mixed-precision experiment, in an
+//! example, a bench table, or a checkpoint. Every atom is parsed by this
+//! module's one atom parser, behind three entry points:
+//! [`engine_from_spec`] (one engine), [`numerics_from_spec`] (a whole
+//! policy) and [`validate_policy_spec`] (checks a policy, builds
+//! nothing).
 //!
 //! # MAC atom grammar
 //!
@@ -38,11 +42,11 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 use srmac_fp::FpFormat;
-use srmac_tensor::numerics::{fold_role_seed, register_engine_resolver};
-use srmac_tensor::{GemmEngine, GemmRole, Numerics, SpecError};
+use srmac_tensor::numerics::fold_role_seed;
+use srmac_tensor::{F32Engine, GemmEngine, Numerics, PolicySpec, SpecError};
 
 use crate::engine::{ConfigWireError, MacGemmConfig};
 use crate::fastmath::AccumRounding;
@@ -95,12 +99,10 @@ impl std::error::Error for EngineSpecError {}
 
 /// A parsed MAC atom, remembering whether the seed was written out (the
 /// per-role folding rule needs the distinction; see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct ParsedMacSpec {
-    /// The configuration the atom names.
-    pub config: MacGemmConfig,
-    /// True when the atom carried an explicit `seed` token.
-    pub explicit_seed: bool,
+#[derive(Debug)]
+struct ParsedMacSpec {
+    config: MacGemmConfig,
+    explicit_seed: bool,
 }
 
 fn parse_format(tok: &str) -> Option<FpFormat> {
@@ -135,11 +137,7 @@ fn format_alias(fmt: FpFormat, multiplier: bool) -> String {
 }
 
 /// Parses a MAC atom (see the module docs for the grammar).
-///
-/// # Errors
-///
-/// Returns [`EngineSpecError`] on any grammar or envelope violation.
-pub fn parse_mac_spec(atom: &str) -> Result<ParsedMacSpec, EngineSpecError> {
+fn parse_mac_spec(atom: &str) -> Result<ParsedMacSpec, EngineSpecError> {
     let atom = atom.trim();
     if atom.is_empty() {
         return Err(EngineSpecError::Empty);
@@ -249,6 +247,34 @@ impl fmt::Display for MacGemmConfig {
     }
 }
 
+/// An engine atom: the exact baseline or a MAC configuration.
+enum Atom {
+    F32,
+    Mac(ParsedMacSpec),
+}
+
+/// The one atom parser: `"f32"`, otherwise the MAC grammar.
+fn parse_atom(atom: &str) -> Result<Atom, EngineSpecError> {
+    if atom.trim() == "f32" {
+        return Ok(Atom::F32);
+    }
+    parse_mac_spec(atom).map(Atom::Mac)
+}
+
+fn build(atom: Atom) -> Arc<dyn GemmEngine> {
+    match atom {
+        Atom::F32 => Arc::new(F32Engine::default()),
+        Atom::Mac(parsed) => Arc::new(MacGemm::new(parsed.config)),
+    }
+}
+
+fn atom_error(atom: &str, e: EngineSpecError) -> SpecError {
+    SpecError::Engine {
+        atom: atom.to_owned(),
+        reason: e.to_string(),
+    }
+}
+
 /// Builds one engine from a spec atom: `"f32"` for the exact baseline,
 /// otherwise the MAC atom grammar. This is the single-engine entry point
 /// the construction boilerplate across the stack routes through; for a
@@ -259,53 +285,42 @@ impl fmt::Display for MacGemmConfig {
 /// Returns [`EngineSpecError`] when the atom is not `"f32"` and fails
 /// the MAC grammar.
 pub fn engine_from_spec(atom: &str) -> Result<Arc<dyn GemmEngine>, EngineSpecError> {
-    if atom.trim() == "f32" {
-        return Ok(Arc::new(srmac_tensor::F32Engine::default()));
-    }
-    Ok(Arc::new(MacGemm::new(parse_mac_spec(atom)?.config)))
+    parse_atom(atom).map(build)
 }
 
-/// The [`srmac_tensor::numerics`] resolver for MAC atoms. Runs after the
-/// built-in `"f32"` atom and claims everything else (its error messages
-/// therefore double as the "unknown spec" diagnostics of the registry).
-fn mac_resolver(
-    atom: &str,
-    role: Option<GemmRole>,
-) -> Option<Result<Arc<dyn GemmEngine>, SpecError>> {
-    let parsed = match parse_mac_spec(atom) {
-        Ok(p) => p,
-        Err(e) => {
-            return Some(Err(SpecError::Engine {
-                atom: atom.to_owned(),
-                reason: e.to_string(),
-            }))
-        }
-    };
-    let mut config = parsed.config;
-    if let (Some(role), false) = (role, parsed.explicit_seed) {
-        config = config.with_seed(fold_role_seed(config.seed, role));
-    }
-    Some(Ok(Arc::new(MacGemm::new(config))))
-}
-
-/// Registers the MAC atom grammar with the [`srmac_tensor::numerics`]
-/// spec registry (idempotent). After this, `Numerics::from_spec` resolves
-/// atoms like `fp8_fp12_sr13`; [`numerics_from_spec`] calls it for you.
-pub fn register_engine_specs() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| register_engine_resolver(mac_resolver));
-}
-
-/// Builds a per-role [`Numerics`] policy from a spec string, with the MAC
-/// atom grammar registered — e.g.
-/// `numerics_from_spec("fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13")`.
+/// Builds a per-role [`Numerics`] policy from a spec string — e.g.
+/// `numerics_from_spec("fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13")`. Per-role
+/// MAC atoms without an explicit seed get the role folded into their
+/// seed (see the module docs).
 ///
 /// # Errors
 ///
 /// Returns [`SpecError`] on bad policy syntax or a bad engine atom.
 pub fn numerics_from_spec(spec: &str) -> Result<Numerics, SpecError> {
-    register_engine_specs();
-    Numerics::from_spec(spec)
+    Numerics::from_spec(spec, |atom, role| {
+        let mut parsed = parse_atom(atom).map_err(|e| atom_error(atom, e))?;
+        if let (Atom::Mac(mac), Some(role)) = (&mut parsed, role) {
+            if !mac.explicit_seed {
+                mac.config = mac.config.with_seed(fold_role_seed(mac.config.seed, role));
+            }
+        }
+        Ok(build(parsed))
+    })
+}
+
+/// Checks a policy spec without building any engine: the policy grammar
+/// plus every atom, exactly as [`numerics_from_spec`] parses them — so
+/// a spec that passes here always builds.
+///
+/// # Errors
+///
+/// Returns [`SpecError`] on bad policy syntax or a bad engine atom.
+pub fn validate_policy_spec(spec: &str) -> Result<(), SpecError> {
+    let parsed: PolicySpec = spec.parse()?;
+    for atom in parsed.atoms() {
+        parse_atom(atom).map_err(|e| atom_error(atom, e))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -428,5 +443,22 @@ mod tests {
         let mac = engine_from_spec("fp8_fp12_sr13").expect("mac");
         assert!(mac.name().contains("SR r=13"));
         assert!(engine_from_spec("nonsense").is_err());
+    }
+
+    #[test]
+    fn from_spec_reports_unknown_atoms() {
+        for spec in ["warp9", "fwd=warp9;bwd=f32"] {
+            assert!(
+                matches!(
+                    numerics_from_spec(spec).unwrap_err(),
+                    SpecError::Engine { atom, .. } if atom == "warp9"
+                ),
+                "{spec}"
+            );
+            assert!(matches!(
+                validate_policy_spec(spec).unwrap_err(),
+                SpecError::Engine { atom, .. } if atom == "warp9"
+            ));
+        }
     }
 }

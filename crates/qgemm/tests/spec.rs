@@ -1,4 +1,4 @@
-//! Property tests of the engine-spec registry: `Display` → `FromStr` is
+//! Property tests of the engine-spec grammar: `Display` → `FromStr` is
 //! the identity on every representable `MacGemmConfig`, the policy-spec
 //! grammar round-trips, and corrupted spec strings come back as typed
 //! errors, never panics or silently different configs.
@@ -66,7 +66,7 @@ proptest! {
     }
 
     /// Uniform policy specs of valid atoms round-trip through the full
-    /// registry: spec -> Numerics -> to_spec -> Numerics rebuilds engines
+    /// resolver: spec -> Numerics -> to_spec -> Numerics rebuilds engines
     /// with identical spec atoms.
     #[test]
     fn uniform_policy_rebuild_is_exact(x in any::<u64>()) {

@@ -160,12 +160,12 @@ pub trait GemmEngine: Send + Sync {
     /// Short human-readable description (used in experiment tables).
     fn name(&self) -> String;
 
-    /// The engine's spec atom for the [`crate::numerics`] registry, when
-    /// it has one: `Engine::spec()` fed back through the registry must
-    /// rebuild an engine with identical numerics (format, rounding, seed
-    /// — never machine state like thread counts). `None` for engines
-    /// without a spec form; such engines cannot ride in a checkpoint's
-    /// numerics metadata.
+    /// The engine's [`crate::numerics`] spec atom, when it has one:
+    /// `Engine::spec()` fed back through the atom resolver
+    /// (`srmac_qgemm::engine_from_spec`) must rebuild an engine with
+    /// identical numerics (format, rounding, seed — never machine state
+    /// like thread counts). `None` for engines without a spec form; such
+    /// engines cannot ride in a checkpoint's numerics metadata.
     fn spec(&self) -> Option<String> {
         None
     }

@@ -5,9 +5,10 @@
 //! rounding modes across the forward and backward passes. A [`Numerics`]
 //! policy makes those experiments expressible: it resolves an engine per
 //! [`GemmRole`] — [`GemmRole::Forward`], [`GemmRole::BackwardData`]
-//! (`dX = dY · W`), [`GemmRole::BackwardWeight`] (`dW = dYᵀ · X`) — with
-//! optional per-layer overrides, so e.g. "round-to-nearest forward, SR
-//! backward" is one object instead of a fork of the model code.
+//! (`dX = dY · W`), [`GemmRole::BackwardWeight`] (`dW = dYᵀ · X`) — so
+//! e.g. "round-to-nearest forward, SR backward" is one object instead of
+//! a fork of the model code. Every GEMM layer of a model runs its role's
+//! engine: policies differ by role, never by layer.
 //!
 //! # Building a policy
 //!
@@ -15,15 +16,13 @@
 //!   single-engine behavior this module replaced, bit for bit (all roles
 //!   share the *same* engine object, so its SR streams are consumed
 //!   exactly as before).
-//! - [`NumericsBuilder`] assigns engines per role (and per layer) in code.
+//! - [`Numerics::builder`] assigns one engine per role in code.
 //! - [`Numerics::from_spec`] parses a **named spec** such as
 //!   `"fwd=f32;bwd=f32"` — one string describes a whole mixed-precision
-//!   experiment. The spec grammar is [`PolicySpec`]; engine *atoms* are
-//!   resolved through a registry: `"f32"` is built in, and other crates
-//!   register their own resolvers via [`register_engine_resolver`] (the
-//!   `srmac-qgemm` crate registers the MAC-engine atoms like
-//!   `fp8_fp12_sr13` — call its `register_engine_specs()`, or use its
-//!   `numerics_from_spec` wrapper which does so automatically).
+//!   experiment. The spec grammar is [`PolicySpec`]; each engine *atom*
+//!   is handed to the caller's resolver. `srmac-qgemm`'s
+//!   `numerics_from_spec` is the one resolver in the workspace: it knows
+//!   `"f32"` and the MAC-engine atoms like `fp8_fp12_sr13`.
 //!
 //! # The per-role SR seeding rule
 //!
@@ -38,12 +37,11 @@
 //! which is what keeps every role of [`Numerics::uniform`] on the one
 //! engine's streams, bit for bit.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::engine::{F32Engine, GemmEngine};
+use crate::engine::GemmEngine;
 
 /// The three kinds of matrix product a training step performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -105,7 +103,7 @@ pub fn fold_role_seed(seed: u64, role: GemmRole) -> u64 {
     z ^ (z >> 32)
 }
 
-/// The engines of one layer (or one whole policy), one per [`GemmRole`].
+/// The engines of a policy, one per [`GemmRole`].
 ///
 /// Cheap to clone (three `Arc`s). A *uniform* triple shares a single
 /// engine object across the roles.
@@ -180,9 +178,7 @@ pub enum SpecError {
     DuplicateRole(&'static str),
     /// A role was never assigned.
     MissingRole(&'static str),
-    /// No registered resolver recognized the engine atom.
-    UnknownEngine(String),
-    /// A resolver recognized the atom but rejected it.
+    /// The resolver rejected an engine atom.
     Engine {
         /// The offending atom.
         atom: String,
@@ -204,11 +200,6 @@ impl fmt::Display for SpecError {
                 write!(f, "role {role} assigned more than once")
             }
             SpecError::MissingRole(role) => write!(f, "role {role} was never assigned"),
-            SpecError::UnknownEngine(atom) => write!(
-                f,
-                "unknown engine spec {atom:?} (is the crate providing it \
-                 registered? e.g. srmac_qgemm::register_engine_specs())"
-            ),
             SpecError::Engine { atom, reason } => {
                 write!(f, "bad engine spec {atom:?}: {reason}")
             }
@@ -335,50 +326,11 @@ impl fmt::Display for PolicySpec {
     }
 }
 
-/// An engine-atom resolver: returns `None` when the atom belongs to some
-/// other resolver, `Some(result)` when it claims the atom. `role` is
-/// `Some` for per-role resolution (where SR seed folding applies — see
-/// the module docs) and `None` for uniform atoms.
-pub type EngineResolver =
-    fn(&str, Option<GemmRole>) -> Option<Result<Arc<dyn GemmEngine>, SpecError>>;
-
-static RESOLVERS: Mutex<Vec<EngineResolver>> = Mutex::new(Vec::new());
-
-/// Registers an [`EngineResolver`] for [`Numerics::from_spec`]
-/// (idempotent per function pointer). Resolvers are tried in
-/// registration order, after the built-in `"f32"` atom.
-pub fn register_engine_resolver(resolver: EngineResolver) {
-    let mut resolvers = RESOLVERS.lock().expect("resolver registry poisoned"); // PANIC-OK: a poisoned registry means a registrant panicked — propagate the abort.
-    if !resolvers.iter().any(|r| std::ptr::fn_addr_eq(*r, resolver)) {
-        resolvers.push(resolver);
-    }
-}
-
-/// Resolves one engine atom through the built-ins and the registry.
-fn resolve_atom(atom: &str, role: Option<GemmRole>) -> Result<Arc<dyn GemmEngine>, SpecError> {
-    if atom == "f32" {
-        return Ok(Arc::new(F32Engine::default()));
-    }
-    let resolvers: Vec<EngineResolver> = RESOLVERS
-        .lock()
-        .expect("resolver registry poisoned") // PANIC-OK: same poisoning policy.
-        .clone();
-    for resolver in resolvers {
-        if let Some(result) = resolver(atom, role) {
-            return result;
-        }
-    }
-    Err(SpecError::UnknownEngine(atom.to_owned()))
-}
-
-/// A per-role (and optionally per-layer) engine policy — see the module
-/// docs for the three ways to build one.
+/// A per-role engine policy — see the module docs for the three ways to
+/// build one.
 #[derive(Clone)]
 pub struct Numerics {
     base: RoleEngines,
-    /// GEMM-layer-index → engines, in model construction order (see
-    /// [`Numerics::layers`]).
-    overrides: BTreeMap<usize, RoleEngines>,
     /// The spec this policy was parsed from, when it was ([`Numerics::to_spec`]
     /// returns it verbatim so spec → policy → spec is lossless).
     spec: Option<PolicySpec>,
@@ -386,34 +338,18 @@ pub struct Numerics {
 
 impl fmt::Debug for Numerics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Numerics({}, {} layer overrides)",
-            self.describe(),
-            self.overrides.len()
-        )
+        write!(f, "Numerics({})", self.describe())
     }
 }
 
 impl Numerics {
-    /// One engine for every role and layer. All roles share the engine
-    /// *object*, so every product runs on that one engine (no role seed
-    /// folding happens here).
+    /// One engine for every role. All roles share the engine *object*,
+    /// so every product runs on that one engine (no role seed folding
+    /// happens here).
     #[must_use]
     pub fn uniform(engine: Arc<dyn GemmEngine>) -> Self {
         Self {
             base: RoleEngines::uniform(engine),
-            overrides: BTreeMap::new(),
-            spec: None,
-        }
-    }
-
-    /// A policy from explicit per-role engines.
-    #[must_use]
-    pub fn per_role(roles: RoleEngines) -> Self {
-        Self {
-            base: roles,
-            overrides: BTreeMap::new(),
             spec: None,
         }
     }
@@ -421,73 +357,57 @@ impl Numerics {
     /// Starts a [`NumericsBuilder`].
     #[must_use]
     pub fn builder() -> NumericsBuilder {
-        NumericsBuilder::new()
+        NumericsBuilder::default()
     }
 
-    /// Builds a policy from a [`PolicySpec`] string (see the module docs
-    /// for the grammar and the registry).
+    /// Builds a policy from a [`PolicySpec`] string, turning each engine
+    /// atom into an engine with `resolve(atom, role)` (see the module
+    /// docs; `srmac-qgemm`'s `numerics_from_spec` supplies the resolver).
     ///
-    /// A uniform spec builds **one shared engine** (bitwise identical to
-    /// [`Numerics::uniform`] of that engine); a per-role spec builds one
-    /// engine per role, folding the role id into default SR seeds.
+    /// A uniform spec resolves its atom once with `role = None` and
+    /// shares that **one engine** across the roles (bitwise identical to
+    /// [`Numerics::uniform`] of it); a per-role spec resolves one engine
+    /// per role, passing `Some(role)` so the resolver can fold the role
+    /// id into default SR seeds.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] on bad syntax or an atom no resolver
-    /// accepts.
-    pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
+    /// Returns [`SpecError`] on bad syntax or an atom `resolve` rejects.
+    pub fn from_spec(
+        spec: &str,
+        resolve: impl Fn(&str, Option<GemmRole>) -> Result<Arc<dyn GemmEngine>, SpecError>,
+    ) -> Result<Self, SpecError> {
         let parsed: PolicySpec = spec.parse()?;
         let base = match &parsed {
-            PolicySpec::Uniform(atom) => RoleEngines::uniform(resolve_atom(atom, None)?),
+            PolicySpec::Uniform(atom) => RoleEngines::uniform(resolve(atom, None)?),
             PolicySpec::PerRole { fwd, dgrad, wgrad } => RoleEngines::new(
-                resolve_atom(fwd, Some(GemmRole::Forward))?,
-                resolve_atom(dgrad, Some(GemmRole::BackwardData))?,
-                resolve_atom(wgrad, Some(GemmRole::BackwardWeight))?,
+                resolve(fwd, Some(GemmRole::Forward))?,
+                resolve(dgrad, Some(GemmRole::BackwardData))?,
+                resolve(wgrad, Some(GemmRole::BackwardWeight))?,
             ),
         };
         Ok(Self {
             base,
-            overrides: BTreeMap::new(),
             spec: Some(parsed),
         })
     }
 
-    /// The policy-wide engine for `role` (ignoring layer overrides).
+    /// The engine for `role`.
     #[must_use]
     pub fn engine(&self, role: GemmRole) -> &Arc<dyn GemmEngine> {
         self.base.get(role)
     }
 
-    /// The policy-wide role engines.
+    /// The role engines every GEMM layer of a model is built with.
     #[must_use]
     pub fn roles(&self) -> &RoleEngines {
         &self.base
     }
 
-    /// The engines of GEMM layer `index` (construction order — see
-    /// [`Numerics::layers`]): the override when one exists, the base
-    /// policy otherwise.
-    #[must_use]
-    pub fn for_layer(&self, index: usize) -> RoleEngines {
-        self.overrides.get(&index).unwrap_or(&self.base).clone()
-    }
-
-    /// A cursor handing out [`RoleEngines`] per GEMM layer in model
-    /// construction order — the hook model builders use so per-layer
-    /// overrides land on deterministic indices (layer 0 is the first
-    /// GEMM-backed layer constructed, and so on).
-    #[must_use]
-    pub fn layers(&self) -> NumericsCursor<'_> {
-        NumericsCursor {
-            numerics: self,
-            next: 0,
-        }
-    }
-
-    /// True when every role and every layer runs one shared engine.
+    /// True when every role runs one shared engine.
     #[must_use]
     pub fn is_uniform(&self) -> bool {
-        self.overrides.is_empty() && self.base.is_uniform()
+        self.base.is_uniform()
     }
 
     /// The canonical spec string this policy can be rebuilt from:
@@ -498,13 +418,9 @@ impl Numerics {
     ///   [`GemmEngine::spec`], with per-role atoms carrying their exact
     ///   seeds, so rebuilding never re-folds a role seed.
     ///
-    /// Returns `None` when the policy cannot be expressed as one string
-    /// (an engine without a spec form, or per-layer overrides).
+    /// Returns `None` when an engine has no spec form.
     #[must_use]
     pub fn to_spec(&self) -> Option<String> {
-        if !self.overrides.is_empty() {
-            return None;
-        }
         if let Some(spec) = &self.spec {
             return Some(spec.to_string());
         }
@@ -519,28 +435,19 @@ impl Numerics {
         Some(spec.to_string())
     }
 
-    /// Checks that every engine the policy would use for forward products
-    /// (the base policy and every layer override) is position-invariant
-    /// — the serving determinism contract. On failure returns the name of
-    /// the first offending engine.
+    /// Checks that the engine the policy uses for forward products is
+    /// position-invariant — the serving determinism contract.
     ///
     /// # Errors
     ///
     /// Returns the offending engine's [`GemmEngine::name`].
     pub fn forward_position_invariant(&self) -> Result<(), String> {
-        let check = |roles: &RoleEngines| {
-            let fwd = roles.get(GemmRole::Forward);
-            if fwd.position_invariant() {
-                Ok(())
-            } else {
-                Err(fwd.name())
-            }
-        };
-        check(&self.base)?;
-        for roles in self.overrides.values() {
-            check(roles)?;
+        let fwd = self.engine(GemmRole::Forward);
+        if fwd.position_invariant() {
+            Ok(())
+        } else {
+            Err(fwd.name())
         }
-        Ok(())
     }
 
     /// Short human-readable description (engine names per role).
@@ -559,71 +466,28 @@ impl Numerics {
     }
 }
 
-/// Hands out per-layer [`RoleEngines`] in construction order (see
-/// [`Numerics::layers`]).
-#[derive(Debug)]
-pub struct NumericsCursor<'a> {
-    numerics: &'a Numerics,
-    next: usize,
-}
-
-impl NumericsCursor<'_> {
-    /// The engines for the next GEMM layer (advances the cursor).
-    pub fn next_layer(&mut self) -> RoleEngines {
-        let roles = self.numerics.for_layer(self.next);
-        self.next += 1;
-        roles
-    }
-
-    /// How many GEMM layers have been handed out so far.
-    #[must_use]
-    pub fn assigned(&self) -> usize {
-        self.next
-    }
-}
-
-/// Builds a [`Numerics`] policy in code (see [`Numerics::builder`]).
+/// Builds a [`Numerics`] policy in code, one engine per role (see
+/// [`Numerics::builder`]).
 #[derive(Default)]
 pub struct NumericsBuilder {
     fwd: Option<Arc<dyn GemmEngine>>,
     dgrad: Option<Arc<dyn GemmEngine>>,
     wgrad: Option<Arc<dyn GemmEngine>>,
-    overrides: BTreeMap<usize, RoleEngines>,
 }
 
 impl fmt::Debug for NumericsBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "NumericsBuilder(fwd: {}, dgrad: {}, wgrad: {}, {} overrides)",
+            "NumericsBuilder(fwd: {}, dgrad: {}, wgrad: {})",
             self.fwd.as_ref().map_or("unset".into(), |e| e.name()),
             self.dgrad.as_ref().map_or("unset".into(), |e| e.name()),
-            self.wgrad.as_ref().map_or("unset".into(), |e| e.name()),
-            self.overrides.len()
+            self.wgrad.as_ref().map_or("unset".into(), |e| e.name())
         )
     }
 }
 
 impl NumericsBuilder {
-    /// An empty builder ([`NumericsBuilder::build`] requires every role
-    /// to be assigned).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from one engine shared by every role (the roles can then
-    /// be overridden selectively).
-    #[must_use]
-    pub fn uniform(engine: Arc<dyn GemmEngine>) -> Self {
-        Self {
-            fwd: Some(Arc::clone(&engine)),
-            dgrad: Some(Arc::clone(&engine)),
-            wgrad: Some(engine),
-            overrides: BTreeMap::new(),
-        }
-    }
-
     /// Assigns the engine of one role.
     #[must_use]
     pub fn role(mut self, role: GemmRole, engine: Arc<dyn GemmEngine>) -> Self {
@@ -632,28 +496,6 @@ impl NumericsBuilder {
             GemmRole::BackwardData => self.dgrad = Some(engine),
             GemmRole::BackwardWeight => self.wgrad = Some(engine),
         }
-        self
-    }
-
-    /// Assigns the forward engine.
-    #[must_use]
-    pub fn forward(self, engine: Arc<dyn GemmEngine>) -> Self {
-        self.role(GemmRole::Forward, engine)
-    }
-
-    /// Assigns both backward engines (data and weight gradients) to one
-    /// engine object.
-    #[must_use]
-    pub fn backward(self, engine: Arc<dyn GemmEngine>) -> Self {
-        self.role(GemmRole::BackwardData, Arc::clone(&engine))
-            .role(GemmRole::BackwardWeight, engine)
-    }
-
-    /// Overrides the engines of GEMM layer `index` (construction order;
-    /// see [`Numerics::layers`]).
-    #[must_use]
-    pub fn layer_override(mut self, index: usize, roles: RoleEngines) -> Self {
-        self.overrides.insert(index, roles);
         self
     }
 
@@ -669,7 +511,6 @@ impl NumericsBuilder {
                 self.dgrad.ok_or(SpecError::MissingRole("dgrad"))?,
                 self.wgrad.ok_or(SpecError::MissingRole("wgrad"))?,
             ),
-            overrides: self.overrides,
             spec: None,
         })
     }
@@ -678,9 +519,22 @@ impl NumericsBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::F32Engine;
 
     fn f32_engine() -> Arc<dyn GemmEngine> {
         Arc::new(F32Engine::new(1))
+    }
+
+    /// A resolver that knows the one atom this crate can build.
+    fn f32_only(atom: &str, _: Option<GemmRole>) -> Result<Arc<dyn GemmEngine>, SpecError> {
+        if atom == "f32" {
+            Ok(f32_engine())
+        } else {
+            Err(SpecError::Engine {
+                atom: atom.to_owned(),
+                reason: "not f32".to_owned(),
+            })
+        }
     }
 
     #[test]
@@ -744,24 +598,16 @@ mod tests {
 
     #[test]
     fn from_spec_builds_f32_policies() {
-        let uniform = Numerics::from_spec("f32").expect("uniform f32");
+        let uniform = Numerics::from_spec("f32", f32_only).expect("uniform f32");
         assert!(uniform.is_uniform());
         assert_eq!(uniform.to_spec().as_deref(), Some("f32"));
 
-        let per_role = Numerics::from_spec("fwd=f32;bwd=f32").expect("per-role f32");
+        let per_role = Numerics::from_spec("fwd=f32;bwd=f32", f32_only).expect("per-role f32");
         assert!(
             !per_role.is_uniform(),
             "per-role engines are distinct objects"
         );
         assert_eq!(per_role.to_spec().as_deref(), Some("fwd=f32;bwd=f32"));
-    }
-
-    #[test]
-    fn from_spec_reports_unknown_atoms() {
-        assert_eq!(
-            Numerics::from_spec("warp9").unwrap_err(),
-            SpecError::UnknownEngine("warp9".into())
-        );
     }
 
     #[test]
@@ -783,34 +629,42 @@ mod tests {
     }
 
     #[test]
-    fn builder_assigns_roles_and_overrides() {
+    fn builder_assigns_roles_and_rejects_missing_ones() {
         let a = f32_engine();
         let b = f32_engine();
-        let n = NumericsBuilder::uniform(Arc::clone(&a))
-            .backward(Arc::clone(&b))
-            .layer_override(2, RoleEngines::uniform(Arc::clone(&b)))
+        let n = Numerics::builder()
+            .role(GemmRole::Forward, Arc::clone(&a))
+            .role(GemmRole::BackwardData, Arc::clone(&b))
+            .role(GemmRole::BackwardWeight, Arc::clone(&b))
             .build()
             .expect("complete builder");
         assert!(Arc::ptr_eq(n.engine(GemmRole::Forward), &a));
         assert!(Arc::ptr_eq(n.engine(GemmRole::BackwardData), &b));
         assert!(Arc::ptr_eq(n.engine(GemmRole::BackwardWeight), &b));
         assert!(!n.is_uniform());
-        assert!(n.to_spec().is_none(), "layer overrides have no spec form");
-
-        let mut cursor = n.layers();
-        let l0 = cursor.next_layer();
-        let _l1 = cursor.next_layer();
-        let l2 = cursor.next_layer();
-        assert!(Arc::ptr_eq(l0.get(GemmRole::Forward), &a));
-        assert!(
-            Arc::ptr_eq(l2.get(GemmRole::Forward), &b),
-            "override applies"
-        );
-        assert_eq!(cursor.assigned(), 3);
+        assert_eq!(n.to_spec().as_deref(), Some("fwd=f32;bwd=f32"));
 
         assert_eq!(
-            NumericsBuilder::new().forward(a).build().unwrap_err(),
+            Numerics::builder()
+                .role(GemmRole::Forward, Arc::clone(&a))
+                .build()
+                .unwrap_err(),
             SpecError::MissingRole("dgrad")
+        );
+        assert_eq!(
+            Numerics::builder()
+                .role(GemmRole::Forward, Arc::clone(&a))
+                .role(GemmRole::BackwardData, a)
+                .build()
+                .unwrap_err(),
+            SpecError::MissingRole("wgrad")
+        );
+        assert_eq!(
+            Numerics::builder()
+                .role(GemmRole::BackwardWeight, b)
+                .build()
+                .unwrap_err(),
+            SpecError::MissingRole("fwd")
         );
     }
 

@@ -19,8 +19,8 @@
 //! - [`tensor`] — the minimal deep-learning framework, including the
 //!   [`tensor::Numerics`] policy that resolves a GEMM engine per role
 //!   (forward / data gradient / weight gradient);
-//! - [`qgemm`] — the bit-exact low-precision GEMM engine and the
-//!   named-spec registry ([`qgemm::numerics_from_spec`]) that turns
+//! - [`qgemm`] — the bit-exact low-precision GEMM engine and the one
+//!   spec-atom resolver ([`qgemm::numerics_from_spec`]) that turns
 //!   strings like `"fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13"` into whole
 //!   mixed-precision experiment policies;
 //! - [`models`] — ResNet-20/50, VGG16, synthetic datasets, trainer, and
