@@ -31,8 +31,8 @@ use srmac_io::{
 use srmac_rng::SplitMix64;
 use srmac_tensor::layers::Layer;
 use srmac_tensor::{
-    count_correct, flatten_grads, scatter_grads, softmax_cross_entropy, CosineLr, LossScaler,
-    Runtime, Sequential, Sgd, Tensor,
+    count_correct, flatten_grads, scatter_grads, softmax_cross_entropy, tree_reduce, CosineLr,
+    LossScaler, Runtime, Sequential, Sgd, Tensor,
 };
 
 use crate::ckpt::{
@@ -231,8 +231,9 @@ fn write_state(model: &mut Sequential, flat: &[f32]) {
 ///    `TrainConfig::replicas` controls only how shards are grouped onto
 ///    concurrent jobs; every grouping computes identical shard results.
 /// 4. **Reduce** — per-shard gradient vectors combine through a fixed
-///    binary tree in shard order ([`Runtime::tree_reduce`]); the tree
-///    shape is a pure function of `S`, never of thread or replica count.
+///    binary tree in shard order ([`tree_reduce`], serial on the calling
+///    thread); the tree shape is a pure function of `S`, never of thread
+///    or replica count.
 ///    The batch loss and batch-norm running statistics combine
 ///    count-weighted in `f64`, also in shard order.
 /// 5. **Step** — one [`Sgd::step`] on the primary model (or one skip,
@@ -307,14 +308,11 @@ impl Trainer {
         }
     }
 
-    /// Replaces the runtime used for batch assembly, replica dispatch,
-    /// gradient reduction, and the optimizer's chunked update (default:
-    /// [`Runtime::global`]). Training bits never depend on the choice.
-    /// Restored optimizer state (a resumed trainer's momentum buffers)
-    /// survives the swap.
+    /// Replaces the runtime used for batch assembly and replica dispatch
+    /// (default: [`Runtime::global`]). Training bits never depend on the
+    /// choice.
     #[must_use]
     pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
-        self.opt.set_runtime(Arc::clone(&runtime));
         self.runtime = runtime;
         self
     }
@@ -817,7 +815,7 @@ impl Trainer {
             .iter_mut()
             .map(|r| std::mem::take(&mut r.3))
             .collect();
-        self.runtime.tree_reduce(&mut bufs);
+        tree_reduce(&mut bufs);
         let reduced = &bufs[0];
 
         // Count-weighted batch loss in f64 (a non-finite shard loss

@@ -31,7 +31,7 @@ pub(crate) fn in_worker() -> bool {
 
 /// A fixed-size pool of worker threads executing boxed jobs in FIFO order.
 #[derive(Debug)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }

@@ -1,10 +1,9 @@
-//! Property tests for [`Runtime::tree_reduce`]: the reduction order is a
-//! pure function of the buffer count — never of the pool size — so
-//! replica-summed gradients are bitwise pinned (the data-parallel
-//! determinism contract of the trainer).
+//! Property tests for [`tree_reduce`]: the reduction order is a pure
+//! function of the buffer count, so replica-summed gradients are bitwise
+//! pinned (the data-parallel determinism contract of the trainer).
 
 use proptest::prelude::*;
-use srmac_runtime::Runtime;
+use srmac_runtime::tree_reduce;
 
 /// Deterministic pseudo-random f32 with a wide dynamic range, so partial
 /// sums actually lose low-order bits and any reassociation shows up.
@@ -43,9 +42,9 @@ fn tree_reference(bufs: &[Vec<f32>]) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For random buffer lengths and replica counts, every pool size
-    /// produces the identical bit pattern — and it equals the fixed
-    /// adjacent-pair tree computed by hand.
+    /// For random buffer lengths and replica counts, `tree_reduce`
+    /// produces the bit pattern of the fixed adjacent-pair tree computed
+    /// by hand. It takes no runtime, so no pool size can change it.
     #[test]
     fn order_is_fixed_for_every_pool_size(
         seed in any::<u64>(),
@@ -56,20 +55,17 @@ proptest! {
             .map(|r| (0..len).map(|i| val(seed, r, i)).collect())
             .collect();
         let want = tree_reference(&bufs);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let rt = Runtime::new(threads);
-            let mut work = bufs.clone();
-            rt.tree_reduce(&mut work);
-            let same = want
-                .iter()
-                .zip(&work[0])
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            prop_assert!(
-                same,
-                "count {} len {} threads {}: tree_reduce diverged from the pinned order",
-                count, len, threads
-            );
-        }
+        let mut work = bufs.clone();
+        tree_reduce(&mut work);
+        let same = want
+            .iter()
+            .zip(&work[0])
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        prop_assert!(
+            same,
+            "count {} len {}: tree_reduce diverged from the pinned order",
+            count, len
+        );
     }
 }
 
@@ -85,9 +81,8 @@ fn three_replica_association_witness() {
     //                back down (ties-to-even), so the result is 2^24;
     //   right-first: 2^24 + (1 + 1) = 2^24 + 2 = 16777218, representable.
     let two24 = 16_777_216.0f32;
-    let rt = Runtime::serial();
     let mut bufs = vec![vec![two24], vec![1.0f32], vec![1.0f32]];
-    rt.tree_reduce(&mut bufs);
+    tree_reduce(&mut bufs);
     assert_eq!(bufs[0][0].to_bits(), two24.to_bits(), "pinned (b0+b1)+b2");
     let right_first = two24 + (1.0f32 + 1.0f32);
     assert_eq!(right_first, 16_777_218.0f32);

@@ -1,6 +1,6 @@
 //! Gradient plumbing for data-parallel training: flattening a model's
 //! parameter gradients into one contiguous buffer (the unit
-//! [`srmac_runtime::Runtime::tree_reduce`] reduces over) and scattering a
+//! [`tree_reduce`](crate::tree_reduce) reduces over) and scattering a
 //! reduced buffer back into the primary model's gradient tensors.
 //!
 //! Both directions walk the model through [`Layer::visit_params`], so the

@@ -71,5 +71,5 @@ pub use numerics::{GemmRole, Numerics, NumericsBuilder, PolicySpec, RoleEngines,
 pub use optim::{CosineLr, LossScaler, Sgd};
 // The parallel runtime all data movement (and the qgemm engine) dispatches
 // through; re-exported so downstream crates need no direct dependency.
-pub use srmac_runtime::{available_threads, Runtime, Workspace};
+pub use srmac_runtime::{available_threads, tree_reduce, Runtime, Workspace};
 pub use tensor::Tensor;

@@ -668,9 +668,65 @@ mod tests {
         );
     }
 
+    /// An exact engine that reports position-dependent numerics, standing
+    /// in for a position-seeded SR engine.
+    struct PositionVariant(F32Engine);
+
+    impl GemmEngine for PositionVariant {
+        fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> crate::PackedOperand {
+            self.0.pack_a(rows, cols, a)
+        }
+        fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> crate::PackedOperand {
+            self.0.pack_b(rows, cols, b)
+        }
+        fn gemm_packed(
+            &self,
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &crate::PackedOperand,
+            b: &crate::PackedOperand,
+            out: &mut [f32],
+        ) {
+            self.0.gemm_packed(m, k, n, a, b, out);
+        }
+        fn name(&self) -> String {
+            "position-variant stub".to_owned()
+        }
+        fn position_invariant(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
-    fn forward_position_invariance_checks_base_and_overrides() {
-        let n = Numerics::uniform(f32_engine());
-        assert!(n.forward_position_invariant().is_ok());
+    fn forward_position_invariance_checks_only_the_forward_role() {
+        assert!(Numerics::uniform(f32_engine())
+            .forward_position_invariant()
+            .is_ok());
+        let stub: Arc<dyn GemmEngine> = Arc::new(PositionVariant(F32Engine::new(1)));
+        let with = |role| {
+            GemmRole::ALL
+                .into_iter()
+                .fold(Numerics::builder(), |b, r| {
+                    let engine = if r == role {
+                        Arc::clone(&stub)
+                    } else {
+                        f32_engine()
+                    };
+                    b.role(r, engine)
+                })
+                .build()
+                .unwrap()
+        };
+        assert_eq!(
+            with(GemmRole::Forward).forward_position_invariant(),
+            Err("position-variant stub".to_owned())
+        );
+        for role in [GemmRole::BackwardData, GemmRole::BackwardWeight] {
+            assert!(
+                with(role).forward_position_invariant().is_ok(),
+                "{role:?} is not a forward product"
+            );
+        }
     }
 }

@@ -2,23 +2,16 @@
 //! learning-rate schedule, and dynamic loss scaling — exactly the training
 //! recipe of the paper's Sec. IV-A.
 
-use std::sync::Arc;
-
-use srmac_runtime::Runtime;
-
 use crate::layers::Layer;
 use crate::Tensor;
 
-/// Parameter element count above which [`Sgd::step`] dispatches the update
-/// loop onto the runtime; below it dispatch overhead dominates. The update
-/// is purely elementwise, so the parallel path is bitwise identical to the
-/// serial one at every thread count.
-const PARALLEL_NUMEL: usize = 4096;
-/// Minimum elements per runtime chunk for the parallel update.
-const PARALLEL_GRAIN: usize = 1024;
-
 /// Stochastic gradient descent with classical momentum and decoupled-ish
 /// (L2) weight decay: `v <- mu*v + (g + wd*w); w <- w - lr*v`.
+///
+/// The update is one serial elementwise pass on the caller's thread. It
+/// is too little work per element to amortise a pool dispatch: on a
+/// 2-vCPU host a width-8 ResNet-20 step (68,786 parameters) took 28–43 µs
+/// serial against 267–355 µs on a 2-thread pool.
 #[derive(Debug)]
 pub struct Sgd {
     /// Momentum coefficient (the paper uses 0.9).
@@ -26,7 +19,6 @@ pub struct Sgd {
     /// L2 weight-decay coefficient (applied to parameters flagged `decay`).
     pub weight_decay: f32,
     velocities: Vec<Tensor>,
-    runtime: Arc<Runtime>,
 }
 
 impl Sgd {
@@ -37,38 +29,16 @@ impl Sgd {
             momentum,
             weight_decay,
             velocities: Vec::new(),
-            runtime: Arc::clone(Runtime::global()),
         }
-    }
-
-    /// Replaces the parallel runtime used for large-parameter updates
-    /// (default: the process-wide [`Runtime::global`]). Results are
-    /// bitwise identical for every runtime size.
-    #[must_use]
-    pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// In-place variant of [`Sgd::with_runtime`]: swaps the runtime while
-    /// keeping the accumulated momentum buffers — a resumed trainer moving
-    /// onto a private pool must not lose its restored optimizer state.
-    pub fn set_runtime(&mut self, runtime: Arc<Runtime>) {
-        self.runtime = runtime;
     }
 
     /// Applies one update with learning rate `lr`, consuming the gradients
     /// currently stored in the model (scaled by `grad_scale`), then zeroes
     /// them. Velocity slots are keyed by parameter visit order.
-    ///
-    /// Large parameters update through the runtime in disjoint chunks; the
-    /// update is elementwise, so chunking changes no arithmetic and the
-    /// result is bitwise identical to the serial loop.
     pub fn step(&mut self, model: &mut dyn Layer, lr: f32, grad_scale: f32) {
         let mut idx = 0usize;
         let velocities = &mut self.velocities;
         let (mu, wd) = (self.momentum, self.weight_decay);
-        let runtime = &self.runtime;
         model.visit_params(&mut |p| {
             if velocities.len() == idx {
                 velocities.push(Tensor::zeros(p.value.shape()));
@@ -80,38 +50,15 @@ impl Sgd {
                 "model structure changed mid-training"
             );
             let decay = if p.decay { wd } else { 0.0 };
-            let numel = p.value.numel();
-            if numel >= PARALLEL_NUMEL && runtime.threads() > 1 {
-                // Snapshot the old values (CoW `Arc`s — no copies), then
-                // fill fresh velocity/weight storage chunk by chunk.
-                let v_old = v.shared_data();
-                let w_old = p.value.shared_data();
-                let g = p.grad.shared_data();
-                runtime.parallel_fill_pair(
-                    numel,
-                    PARALLEL_GRAIN,
-                    v.data_mut(),
-                    p.value.data_mut(),
-                    move |range, vs, ws| {
-                        for (k, i) in range.enumerate() {
-                            let gi = g[i] * grad_scale + decay * w_old[i];
-                            let vn = mu * v_old[i] + gi;
-                            vs[k] = vn;
-                            ws[k] = w_old[i] - lr * vn;
-                        }
-                    },
-                );
-            } else {
-                for ((vi, wi), gi) in v
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.value.data_mut())
-                    .zip(p.grad.data())
-                {
-                    let g = gi * grad_scale + decay * *wi;
-                    *vi = mu * *vi + g;
-                    *wi -= lr * *vi;
-                }
+            for ((vi, wi), gi) in v
+                .data_mut()
+                .iter_mut()
+                .zip(p.value.data_mut())
+                .zip(p.grad.data())
+            {
+                let g = gi * grad_scale + decay * *wi;
+                *vi = mu * *vi + g;
+                *wi -= lr * *vi;
             }
             // The data_mut() above bumped the value's generation, which
             // invalidates the layers' packed-operand caches for this weight.
@@ -340,37 +287,6 @@ mod tests {
         let mut opt = Sgd::new(0.0, 0.1);
         opt.step(&mut m, 1.0, 1.0);
         assert_eq!(m.p.value.data()[0], 1.0);
-    }
-
-    #[test]
-    fn parallel_update_matches_serial_bitwise() {
-        // Big enough to cross PARALLEL_NUMEL, ragged so the last chunk is
-        // partial; three steps so momentum state flows through both paths.
-        let n = 3 * PARALLEL_NUMEL + 17;
-        let init: Vec<f32> = (0..n)
-            .map(|i| ((i.wrapping_mul(2_654_435_761) % 2000) as f32 - 1000.0) * 1e-3)
-            .collect();
-        let grad_at = |step: usize, i: usize| {
-            ((i.wrapping_mul(40_503).wrapping_add(step * 97) % 2000) as f32 - 1000.0) * 1e-3
-        };
-        let mut results: Vec<Vec<u32>> = Vec::new();
-        for threads in [1usize, 4] {
-            let mut m = OneParam {
-                p: Param::new(Tensor::from_vec(init.clone(), &[n]), true),
-            };
-            let mut opt =
-                Sgd::new(0.9, 5e-4).with_runtime(Arc::new(srmac_runtime::Runtime::new(threads)));
-            for step in 0..3 {
-                m.p.grad
-                    .data_mut()
-                    .iter_mut()
-                    .enumerate()
-                    .for_each(|(i, g)| *g = grad_at(step, i));
-                opt.step(&mut m, 0.05, 1.0 / 1024.0);
-            }
-            results.push(m.p.value.data().iter().map(|x| x.to_bits()).collect());
-        }
-        assert_eq!(results[0], results[1], "parallel Sgd::step changed bits");
     }
 
     #[test]
