@@ -7,6 +7,8 @@
 //! what that choice costs relative to reduction trees that need extra
 //! adder hardware.
 
+#![forbid(unsafe_code)]
+
 use srmac_bench::table;
 use srmac_core::{EagerCorrection, FpAdder, MacConfig, MacUnit, RoundingDesign};
 use srmac_fp::{FpFormat, RoundMode};

@@ -31,6 +31,8 @@
 //! move them. The checkpoint row is the amortized auto-checkpointing tax
 //! at `every = CKPT_SEGMENT_STEPS`, gated at < 5%.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -137,8 +139,8 @@ fn time_ns<T>(run: impl FnOnce() -> T) -> f64 {
     t.elapsed().as_nanos() as f64
 }
 
-/// The `gemm_64x128x64` one-shot SR13 product (same shape, seeds and
-/// engine config as `benches/gemm.rs`): the single-threaded scalar
+/// The `gemm_64x128x64` one-shot SR13 product (the headline shape of
+/// `probe_tune kernel`): the single-threaded scalar
 /// oracle `MacGemm::gemm_reference` over the lane-batched kernel on a
 /// `threads`-thread engine.
 fn gemm_batching(threads: usize) -> Sampler {

@@ -3,6 +3,8 @@
 //! variants. Prints each panel as CSV (paper series and model series) plus
 //! an ASCII bar chart of the paper data.
 
+#![forbid(unsafe_code)]
+
 use srmac_fp::FpFormat;
 use srmac_hwcost::paper::{table1, table1_formats, AdderConfig, DesignKind};
 use srmac_hwcost::AsicModel;

@@ -11,6 +11,8 @@
 //! repetitions of the headline shape; other shapes scale theirs to time
 //! about as many MAC steps.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use srmac_bench::env_or;

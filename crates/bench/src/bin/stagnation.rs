@@ -10,6 +10,8 @@
 //! unbiased; SR with tiny r truncates sub-2^-r-ULP increments and collapses
 //! hardest of all.
 
+#![forbid(unsafe_code)]
+
 use srmac_bench::table;
 use srmac_core::{EagerCorrection, MacConfig, MacUnit, RoundingDesign};
 use srmac_rng::SplitMix64;

@@ -8,6 +8,8 @@
 //! the error column quantifies the fit. The footer prints the paper's
 //! headline eager-vs-lazy savings computed from both sources.
 
+#![forbid(unsafe_code)]
+
 use srmac_bench::table;
 use srmac_hwcost::paper::table1;
 use srmac_hwcost::{relative_errors, AsicModel, DesignKind};

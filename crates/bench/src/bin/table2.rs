@@ -1,6 +1,8 @@
 //! Table II: FPGA (Virtex UltraScale+ VU9P) implementation results for the
 //! FP adder designs — LUT/FF/delay, paper vs the calibrated FPGA model.
 
+#![forbid(unsafe_code)]
+
 use srmac_bench::table;
 use srmac_hwcost::paper::table2;
 use srmac_hwcost::FpgaModel;

@@ -7,6 +7,8 @@
 //! the *shape* — which configurations track the FP32 baseline, and where
 //! accuracy collapses — not absolute values (see DESIGN.md §3).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use srmac_bench::configs::AccumSetup;

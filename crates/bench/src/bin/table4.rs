@@ -2,6 +2,8 @@
 //! ResNet-50 on (Synth)Imagewoof — for FP32, RN FP16, and the recommended
 //! SR E6M5 r=13 W/O Sub configuration.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use srmac_bench::configs::AccumSetup;

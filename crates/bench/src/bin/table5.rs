@@ -3,6 +3,8 @@
 //! reference rows. Only the r = 9 point was used in calibration (via
 //! Table I); the other r values are held-out model predictions.
 
+#![forbid(unsafe_code)]
+
 use srmac_bench::table;
 use srmac_fp::FpFormat;
 use srmac_hwcost::paper::{table5_references, table5_sweep, AdderConfig, DesignKind};

@@ -14,6 +14,8 @@
 //! and (3) quantify the bias of the literal "sum-bit" reading of the prose
 //! (DESIGN.md §2.2) that the Exact reading avoids.
 
+#![forbid(unsafe_code)]
+
 use srmac_core::{EagerCorrection, FpAdder, RoundingDesign};
 use srmac_fp::{FpFormat, FpValue, RoundMode};
 

@@ -1,11 +1,8 @@
-//! Shared workload definitions for the criterion benches and the
-//! `bench_guard` binary.
+//! The workload definitions of the `bench_guard` binary.
 //!
-//! Every workload a `bench_guard` gate measures lives here, next to the
-//! criterion group that benches it, so both always run the same model,
-//! data (seeds included) and engines. The guard compares two variants of
-//! one workload on the host in hand; nothing here reads a recorded
-//! median.
+//! Each gate compares two variants of one workload defined here, run on
+//! the same model, data (seeds included) and engines on the host in
+//! hand; nothing here reads a recorded median.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,147 +10,15 @@ use std::sync::Arc;
 
 use srmac_io::{CheckpointMeta, SaveReport};
 use srmac_models::{data, resnet, InferenceServer, ServeConfig, TrainConfig, Trainer};
-use srmac_qgemm::{numerics_from_spec, MacGemm, MacGemmConfig};
+use srmac_qgemm::{MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::{F32Engine, GemmEngine, GemmRole, Numerics, Runtime, Sequential, Tensor};
+use srmac_tensor::{F32Engine, GemmEngine, Numerics, Runtime, Sequential, Tensor};
 
-/// Uniform values in [-0.5, 0.5) — the benches' dense-operand generator.
+/// Uniform values in [-0.5, 0.5) — the gates' dense-operand generator.
 #[must_use]
 pub fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = SplitMix64::new(seed);
     (0..n).map(|_| rng.next_f32() - 0.5).collect()
-}
-
-/// Activation-like data: `sparsity` of the entries are exact zeros, the
-/// profile post-ReLU feature maps (plus im2row padding) actually show.
-#[must_use]
-pub fn relu_sparse_vec(n: usize, seed: u64, sparsity: f64) -> Vec<f32> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|_| {
-            let v = rng.next_f32() - 0.5;
-            if rng.next_f64() < sparsity {
-                0.0
-            } else {
-                v
-            }
-        })
-        .collect()
-}
-
-/// The forward GEMM shapes of a (width-scaled) ResNet-20; with
-/// `with_backward`, also the data-gradient products that reuse the same
-/// weights. Shared by the `resnet20_train_step`/`resnet20_eval_stream`
-/// criterion groups and the regression guard, so both always measure the
-/// same sequence.
-#[must_use]
-pub fn resnet20_weight_gemm_shapes(
-    batch: usize,
-    size: usize,
-    width: usize,
-    with_backward: bool,
-) -> Vec<(usize, usize, usize)> {
-    let mut shapes = Vec::new();
-    let mut s = size;
-    // Stem 3x3 conv.
-    shapes.push((batch * s * s, 27, width));
-    let mut in_c = width;
-    for stage in 0..3usize {
-        let out_c = width << stage;
-        for block in 0..3usize {
-            let stride = if stage > 0 && block == 0 { 2 } else { 1 };
-            if stride == 2 {
-                s /= 2;
-            }
-            shapes.push((batch * s * s, in_c * 9, out_c)); // conv1 forward
-            shapes.push((batch * s * s, out_c * 9, out_c)); // conv2 forward
-            if in_c != out_c || stride != 1 {
-                shapes.push((batch * s * s, in_c, out_c)); // 1x1 projection
-            }
-            if with_backward {
-                // Data-gradient products of the two convs (dY * W).
-                shapes.push((batch * s * s, out_c, in_c * 9));
-                shapes.push((batch * s * s, out_c, out_c * 9));
-            }
-            in_c = out_c;
-        }
-    }
-    // Classifier head (and its data gradient when training).
-    shapes.push((batch, in_c, 10));
-    if with_backward {
-        shapes.push((batch, 10, in_c));
-    }
-    shapes
-}
-
-/// The full role-tagged GEMM sequence of one (width-scaled) ResNet-20
-/// training step: per conv, the forward product (`Forward`), the
-/// data-gradient product (`BackwardData`) and the weight-gradient product
-/// (`BackwardWeight`), plus the classifier head's three products. The
-/// `mixed_policy` guard workload runs each product on the engine its role
-/// resolves to under a per-role `Numerics` policy — the execution shape
-/// of a mixed-precision experiment like `fwd=rn;bwd=sr13`.
-#[must_use]
-pub fn resnet20_role_gemm_shapes(
-    batch: usize,
-    size: usize,
-    width: usize,
-) -> Vec<(GemmRole, usize, usize, usize)> {
-    let mut shapes = Vec::new();
-    let mut s = size;
-    let push3 = |shapes: &mut Vec<_>, m: usize, k: usize, n: usize| {
-        shapes.push((GemmRole::Forward, m, k, n));
-        shapes.push((GemmRole::BackwardData, m, n, k));
-        shapes.push((GemmRole::BackwardWeight, n, m, k));
-    };
-    // Stem 3x3 conv.
-    push3(&mut shapes, batch * s * s, 27, width);
-    let mut in_c = width;
-    for stage in 0..3usize {
-        let out_c = width << stage;
-        for block in 0..3usize {
-            let stride = if stage > 0 && block == 0 { 2 } else { 1 };
-            if stride == 2 {
-                s /= 2;
-            }
-            push3(&mut shapes, batch * s * s, in_c * 9, out_c); // conv1
-            push3(&mut shapes, batch * s * s, out_c * 9, out_c); // conv2
-            if in_c != out_c || stride != 1 {
-                push3(&mut shapes, batch * s * s, in_c, out_c); // 1x1 proj
-            }
-            in_c = out_c;
-        }
-    }
-    // Classifier head.
-    push3(&mut shapes, batch, in_c, 10);
-    shapes
-}
-
-/// The spec of the `mixed_policy` workload: RN forward, SR r=13 on both
-/// backward roles.
-const MIXED_POLICY_SPEC: &str = "fwd=fp8_fp12_rn;bwd=fp8_fp12_sr13";
-
-/// The `mixed_policy` workload's per-role policy — RN forward, SR r=13
-/// on both backward roles — with every engine pinned to **one thread**,
-/// matching the 1-thread pinning of the sibling `gemm_64x128x64` and
-/// `prepared_weight_reuse` groups so the bench times one core's work
-/// whatever the host's core count. Each role's engine is rebuilt from
-/// its spec atom, which carries the exact role-folded seed, so results
-/// are bitwise identical to the `numerics_from_spec` policy (which
-/// differs only in thread count, and results are thread-invariant),
-/// which the unit tests pin.
-#[must_use]
-pub fn mixed_policy_numerics_1thread() -> Numerics {
-    let policy = numerics_from_spec(MIXED_POLICY_SPEC).expect("mixed-policy spec");
-    GemmRole::ALL
-        .iter()
-        .fold(Numerics::builder(), |b, &role| {
-            let atom = policy.engine(role).spec().expect("MAC engines have specs");
-            let cfg: MacGemmConfig = atom.parse().expect("spec atoms reparse");
-            b.role(role, Arc::new(MacGemm::new(cfg.with_threads(1))))
-        })
-        .build()
-        .expect("all roles assigned")
 }
 
 /// Minibatch size of the `train_scaling` workload — sharded 4 ways, so
@@ -169,9 +34,7 @@ pub const TRAIN_SCALING_BATCH: usize = 32;
 /// counts then compute the *same bits*, and a timing ratio between them
 /// measures pure scheduling. Returns a closure running one step per call
 /// (optimizer and loss-scaler state carry across calls, like real
-/// training) and yielding the step loss. Shared by the `train_scaling`
-/// criterion group and `bench_guard`, so both always measure the same
-/// model, data and engine.
+/// training) and yielding the step loss.
 pub fn train_scaling_step(replicas: usize, threads: usize) -> impl FnMut() -> f32 {
     let atom: MacGemmConfig = "fp8_fp12_sr13".parse().expect("engine atom");
     let engine = Arc::new(MacGemm::new(atom.with_threads(1))) as Arc<dyn GemmEngine>;
@@ -205,9 +68,7 @@ pub const CKPT_SEGMENT_STEPS: usize = 10;
 /// steps. The engine is the exact 1-thread f32 GEMM: the save cost is
 /// engine-independent, so the fast engine keeps the workload cheap while
 /// making the overhead fraction a conservative (worst-case) estimate —
-/// slower MAC-emulation steps only shrink it. Shared by the
-/// `checkpoint_save` criterion group and `bench_guard`, so both always
-/// time the same model, data and save path. Dropping it removes the
+/// slower MAC-emulation steps only shrink it. Dropping it removes the
 /// rotation files it wrote.
 pub struct CheckpointBench {
     trainer: Trainer,
@@ -313,8 +174,6 @@ pub const SERVE_SCALING_STREAM: usize = 32;
 /// worker counts measures pure serving scale-out. Returns a closure
 /// running one stream per call (the server persists across calls, like a
 /// real deployment) and yielding the number of predictions served.
-/// Shared by the `serve_scaling` criterion group and `bench_guard`, so
-/// both always measure the same model, data and engine.
 ///
 /// # Panics
 ///
@@ -372,31 +231,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resnet20_shapes_cover_forward_and_backward() {
-        let fwd = resnet20_weight_gemm_shapes(1, 16, 8, false);
-        let train = resnet20_weight_gemm_shapes(4, 16, 8, true);
-        assert!(train.len() > fwd.len());
-        assert!(fwd.iter().all(|&(m, k, n)| m * k * n > 0));
-    }
-
-    #[test]
-    fn mixed_policy_1thread_matches_the_spec_engines() {
-        // The thread-pinned bench policy must resolve to exactly the
-        // engines `numerics_from_spec` builds (spec atoms carry the
-        // exact role-folded seeds), so the bench measures the real
-        // mixed-policy numerics.
-        let bench = mixed_policy_numerics_1thread();
-        let policy = numerics_from_spec(MIXED_POLICY_SPEC).expect("mixed-policy spec");
-        for role in GemmRole::ALL {
-            assert_eq!(
-                bench.engine(role).spec(),
-                policy.engine(role).spec(),
-                "{role}"
-            );
-        }
-    }
-
-    #[test]
     fn train_scaling_variants_compute_the_same_bits() {
         // The bench's speedup ratio is only meaningful if the replica
         // counts really run identical numerics — pinned grad_shards = 4
@@ -449,22 +283,5 @@ mod tests {
             SERVE_SCALING_STREAM,
             "server survives across calls"
         );
-    }
-
-    #[test]
-    fn role_shapes_cover_every_role_per_product() {
-        let shapes = resnet20_role_gemm_shapes(4, 16, 8);
-        for role in GemmRole::ALL {
-            assert_eq!(
-                shapes.iter().filter(|(r, ..)| *r == role).count(),
-                shapes.len() / 3,
-                "{role}: one product of each role per layer"
-            );
-        }
-        assert!(shapes.iter().all(|&(_, m, k, n)| m * k * n > 0));
-        // Forward and data-gradient products of one layer share the
-        // weight operand transposed: (m, k, n) vs (m, n, k).
-        assert_eq!(shapes[0].2, shapes[1].3);
-        assert_eq!(shapes[0].3, shapes[1].2);
     }
 }

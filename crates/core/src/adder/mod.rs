@@ -318,8 +318,16 @@ fn close_path(
 ) -> u64 {
     let p = fmt.precision();
     // One fractional position suffices: units of 2^(ex - 1).
-    let x = i64::try_from(mx << 1).expect("significand fits"); // PANIC-OK: precision is bounded far below 63 bits, so the shifted significand fits i64.
-    let y = i64::try_from(my << (1 - d)).expect("significand fits"); // PANIC-OK: same bound as above.
+    #[expect(
+        clippy::expect_used,
+        reason = "precision is bounded far below 63 bits, so the shifted significand fits i64"
+    )]
+    let x = i64::try_from(mx << 1).expect("significand fits");
+    #[expect(
+        clippy::expect_used,
+        reason = "precision is bounded far below 63 bits, so the shifted significand fits i64"
+    )]
+    let y = i64::try_from(my << (1 - d)).expect("significand fits");
     let s = if sub { x - y } else { x + y };
     debug_assert!(s >= 0, "operands were magnitude-ordered");
     if s == 0 {

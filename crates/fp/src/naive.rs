@@ -76,13 +76,17 @@ impl Grid {
         pairs.push((scaled(fmt.emax() + 2, 1), None));
         pairs.sort_by_key(|(v, _)| *v);
         pairs.dedup_by_key(|(v, _)| *v);
+        #[expect(
+            clippy::expect_used,
+            reason = "every format encodes at least one finite value"
+        )]
         let max_finite = scaled(0, 0).max(
             pairs
                 .iter()
                 .filter(|(_, e)| e.is_some())
                 .map(|(v, _)| *v)
                 .max()
-                .expect("grid has finite values"), // PANIC-OK: every format encodes at least one finite value.
+                .expect("grid has finite values"),
         );
         let (values, encodings) = pairs.into_iter().unzip();
         Self {
@@ -193,8 +197,16 @@ impl Grid {
             (false, true) => return b,
             _ => {}
         }
-        let xa = self.exact(a).expect("finite"); // PANIC-OK: non-finite operands were handled by the match above.
-        let xb = self.exact(b).expect("finite"); // PANIC-OK: same.
+        #[expect(
+            clippy::expect_used,
+            reason = "non-finite operands were handled by the match above"
+        )]
+        let xa = self.exact(a).expect("finite");
+        #[expect(
+            clippy::expect_used,
+            reason = "non-finite operands were handled by the match above"
+        )]
+        let xb = self.exact(b).expect("finite");
         if xa == 0 && xb == 0 {
             let (sa, _, _) = f.unpack(a);
             let (sb, _, _) = f.unpack(b);
@@ -216,11 +228,15 @@ impl Grid {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the asserts above bound sh, and the significand fits i128"
+)]
 fn scaled(exp: i32, sig: u128) -> i128 {
     let sh = exp + SCALE;
     assert!(sh >= 0, "value finer than the oracle scale");
     assert!(sh < 100, "value beyond the oracle range");
-    i128::try_from(sig).expect("significand fits") << sh // PANIC-OK: the asserts above bound sh, and the significand fits i128.
+    i128::try_from(sig).expect("significand fits") << sh
 }
 
 #[cfg(test)]

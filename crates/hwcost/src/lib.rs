@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod asic;
 pub mod fpga;

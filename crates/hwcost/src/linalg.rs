@@ -32,8 +32,9 @@ pub fn nnls(a: &[Vec<f64>], y: &[f64], w: &[f64]) -> Vec<f64> {
     }
 }
 
+#[expect(clippy::expect_used, reason = "callers only pass j drawn from idx")]
 fn pos(idx: &[usize], j: usize) -> usize {
-    idx.iter().position(|&k| k == j).expect("index present") // PANIC-OK: callers only pass j drawn from idx.
+    idx.iter().position(|&k| k == j).expect("index present")
 }
 
 /// Weighted least squares restricted to the columns in `idx`.
@@ -61,9 +62,13 @@ fn solve_wls(a: &[Vec<f64>], y: &[f64], w: &[f64], idx: &[usize]) -> Vec<f64> {
 fn gauss_solve(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "cost-model matrices are finite, so partial_cmp is total here; col..n is non-empty for col < n"
+        )]
         let piv = (col..n)
-            .max_by(|&i, &j| m[i][col].abs().partial_cmp(&m[j][col].abs()).unwrap()) // PANIC-OK: cost-model matrices are finite, so partial_cmp is total here.
-            .unwrap(); // PANIC-OK: col..n is non-empty for col < n.
+            .max_by(|&i, &j| m[i][col].abs().partial_cmp(&m[j][col].abs()).unwrap())
+            .unwrap();
         m.swap(col, piv);
         b.swap(col, piv);
         assert!(m[col][col].abs() > 1e-14, "degenerate calibration system");

@@ -340,9 +340,13 @@ impl Checkpoint {
             for p in &layer.params {
                 push_u32(&mut out, len_u32(p.shape.len(), "tensor rank"));
                 let mut numel = 1usize;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "refusing to save a >usize-element tensor; aborting beats silent truncation"
+                )]
                 for &d in &p.shape {
                     push_u32(&mut out, len_u32(d, "tensor dim"));
-                    numel = numel.checked_mul(d).expect("tensor too large"); // PANIC-OK: refusing to save a >usize-element tensor; aborting beats silent truncation.
+                    numel = numel.checked_mul(d).expect("tensor too large");
                 }
                 assert_eq!(numel, p.data.len(), "tensor record shape/data mismatch");
                 push_f32s(&mut out, &p.data);
@@ -375,14 +379,19 @@ impl Checkpoint {
             });
         }
         let (body, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer")); // PANIC-OK: split_at(len - 8) makes the footer exactly 8 bytes.
+        #[expect(
+            clippy::expect_used,
+            reason = "split_at(len - 8) makes the footer exactly 8 bytes"
+        )]
+        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
         let computed = fnv1a64(body);
         if stored != computed {
             return Err(CheckpointError::ChecksumMismatch { stored, computed });
         }
 
         let mut r = Reader::new(body);
-        let magic: [u8; 4] = r.take(4)?.try_into().expect("4 bytes"); // PANIC-OK: take(4) returned exactly 4 bytes.
+        #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
+        let magic: [u8; 4] = r.take(4)?.try_into().expect("4 bytes");
         if magic != MAGIC {
             return Err(CheckpointError::BadMagic(magic));
         }
@@ -398,10 +407,14 @@ impl Checkpoint {
         let engine = match r.u8()? {
             0 => None,
             1 => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "take(WIRE_BYTES) returned exactly that many bytes"
+                )]
                 let wire: [u8; MacGemmConfig::WIRE_BYTES] = r
                     .take(MacGemmConfig::WIRE_BYTES)?
                     .try_into()
-                    .expect("wire record"); // PANIC-OK: take(WIRE_BYTES) returned exactly that many bytes.
+                    .expect("wire record");
                 Some(MacGemmConfig::from_wire(&wire)?)
             }
             _ => return Err(r.malformed("engine-meta tag must be 0 or 1")),
@@ -580,8 +593,9 @@ pub fn wire_version(bytes: &[u8]) -> Result<u16, CheckpointError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != MAGIC {
+        #[expect(clippy::expect_used, reason = "the magic slice is exactly 4 bytes")]
         return Err(CheckpointError::BadMagic(
-            magic.try_into().expect("4 bytes"), // PANIC-OK: the magic slice is exactly 4 bytes.
+            magic.try_into().expect("4 bytes"),
         ));
     }
     r.u16()
@@ -679,21 +693,24 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[expect(clippy::expect_used, reason = "take(2) returned exactly 2 bytes")]
     fn u16(&mut self) -> Result<u16, CheckpointError> {
         Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"), // PANIC-OK: take(2) returned exactly 2 bytes.
+            self.take(2)?.try_into().expect("2 bytes"),
         ))
     }
 
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
     pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"), // PANIC-OK: take(4) returned exactly 4 bytes.
+            self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"), // PANIC-OK: take(8) returned exactly 8 bytes.
+            self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
@@ -713,6 +730,7 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.malformed("string is not UTF-8"))
     }
 
+    #[expect(clippy::expect_used, reason = "chunks_exact(4) yields 4-byte chunks")]
     pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
         let need = n
             .checked_mul(4)
@@ -720,7 +738,7 @@ impl<'a> Reader<'a> {
         let raw = self.take(need)?;
         Ok(raw
             .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes")))) // PANIC-OK: chunks_exact(4) yields 4-byte chunks.
+            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
             .collect())
     }
 }

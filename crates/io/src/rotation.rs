@@ -121,6 +121,10 @@ fn shift_slots(storage: &dyn Storage, path: &Path, keep: usize) {
 /// the retry budget is exhausted. The rotation set is left in whatever
 /// consistent state the last attempt reached (previous generations
 /// intact; no partial file under the head name).
+#[expect(
+    clippy::expect_used,
+    reason = "the retry loop runs at least once, so a failure to return above always recorded an error here"
+)]
 pub fn save_rotating(
     storage: &dyn Storage,
     path: &Path,
@@ -148,8 +152,6 @@ pub fn save_rotating(
             Err(e) => last_err = Some(e),
         }
     }
-    // PANIC-OK: the retry loop runs at least once, so a failure to
-    // return above always recorded an error here.
     Err(CheckpointError::Io(last_err.expect("at least one attempt")))
 }
 

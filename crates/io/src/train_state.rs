@@ -138,20 +138,36 @@ impl TrainState {
         push_u32(out, c.grad_shards);
         push_u64(out, c.train_len);
         let h = &self.history;
-        push_u32(out, h.train_loss.len().try_into().expect("loss count")); // PANIC-OK: history lengths are epoch counts, far below u32::MAX.
+        #[expect(
+            clippy::expect_used,
+            reason = "history lengths are epoch counts, far below u32::MAX"
+        )]
+        push_u32(out, h.train_loss.len().try_into().expect("loss count"));
         push_f32s(out, &h.train_loss);
-        push_u32(out, h.test_acc.len().try_into().expect("acc count")); // PANIC-OK: same bound.
+        #[expect(
+            clippy::expect_used,
+            reason = "history lengths are epoch counts, far below u32::MAX"
+        )]
+        push_u32(out, h.test_acc.len().try_into().expect("acc count"));
         push_f32s(out, &h.test_acc);
         push_u64(out, h.skipped_steps);
         push_u64(out, h.nonfinite_batches);
         push_f32_bits(out, h.final_scale);
         push_u64(out, h.ckpt_save_failures);
+        #[expect(
+            clippy::expect_used,
+            reason = "one velocity buffer per parameter tensor — far below u32::MAX"
+        )]
         push_u32(
             out,
-            self.velocities.len().try_into().expect("velocity count"), // PANIC-OK: one velocity buffer per parameter tensor — far below u32::MAX.
+            self.velocities.len().try_into().expect("velocity count"),
         );
         for v in &self.velocities {
-            push_u32(out, v.len().try_into().expect("velocity len")); // PANIC-OK: velocity lengths are tensor element counts, validated at u32 scale on save.
+            #[expect(
+                clippy::expect_used,
+                reason = "velocity lengths are tensor element counts, validated at u32 scale on save"
+            )]
+            push_u32(out, v.len().try_into().expect("velocity len"));
             push_f32s(out, v);
         }
     }

@@ -38,6 +38,9 @@ pub mod codes {
     /// A training run resumed from a checkpoint (records the wire-format
     /// version and the slot it came from).
     pub const RESUME: DiagCode = DiagCode::new("train", 1, "resume-version");
+
+    /// Every checkpoint and training code, in id order per namespace.
+    pub const ALL: [DiagCode; 4] = [SAVE_FAILED, RETRY_EXHAUSTED, CORRUPT_HEAD_FALLBACK, RESUME];
 }
 
 /// The auto-checkpoint policy a [`crate::trainer::Trainer`] carries:

@@ -67,8 +67,8 @@
 //! declared policy.
 
 // The serving layer is the workspace's sanctioned wall-clock/spawn user
-// (deadlines, straggler timers, worker threads) — allowlisted by
-// srmac-lint's policy table and exempted from clippy.toml's ban here.
+// (deadlines, straggler timers, worker threads): its results never feed
+// arithmetic, so clippy.toml's determinism ban is lifted for this module.
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -108,6 +108,20 @@ pub mod codes {
     pub const ROUTER_VANISHED: DiagCode = DiagCode::new("serve", 9, "router-vanished");
     /// Clean shutdown: totals for the whole serving session.
     pub const SHUTDOWN: DiagCode = DiagCode::new("serve", 10, "shutdown");
+
+    /// Every serving code, in id order.
+    pub const ALL: [DiagCode; 10] = [
+        BAD_INPUT,
+        CLOSED,
+        STOCHASTIC_FORWARD,
+        OVERLOADED,
+        DEADLINE_EXCEEDED,
+        NOT_REPLICABLE,
+        WORKER_PANIC,
+        WORKER_LOST,
+        ROUTER_VANISHED,
+        SHUTDOWN,
+    ];
 }
 
 /// Batching, replication and admission policy of an [`InferenceServer`].
@@ -683,10 +697,14 @@ impl InferenceServer {
         for (i, m) in models.into_iter().enumerate() {
             let (ltx, lrx) = mpsc::sync_channel::<WorkerMsg>(lane_depth);
             let worker_sink = sink.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "failing to spawn a worker at startup is unrecoverable — abort before serving"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("srmac-serve-{i}"))
                 .spawn(move || worker_loop(m, image_size, cfg, &lrx, &worker_sink, i))
-                .expect("spawn serve worker"); // PANIC-OK: failing to spawn a worker at startup is unrecoverable — abort before serving.
+                .expect("spawn serve worker");
             lanes.push(ltx);
             workers.push(handle);
         }
@@ -694,10 +712,14 @@ impl InferenceServer {
         let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_depth);
         let router_sink = sink.clone();
         let router_poisoned = Arc::clone(&poisoned);
+        #[expect(
+            clippy::expect_used,
+            reason = "failing to spawn the router at startup is unrecoverable — no router, no server"
+        )]
         let router = std::thread::Builder::new()
             .name("srmac-serve-router".into())
             .spawn(move || router_loop(&rx, lanes, &router_sink, &router_poisoned))
-            .expect("spawn serve router"); // PANIC-OK: same — no router, no server.
+            .expect("spawn serve router");
 
         Ok(Self {
             tx: Some(tx),
@@ -744,9 +766,13 @@ impl InferenceServer {
     /// A handle for submitting requests (cloneable, usable from any
     /// thread).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "tx is Some for the whole life of a running server; client() is only reachable then"
+    )]
     pub fn client(&self) -> ServeClient {
         ServeClient {
-            tx: self.tx.clone().expect("server running"), // PANIC-OK: tx is Some for the whole life of a running server; client() is only reachable then.
+            tx: self.tx.clone().expect("server running"),
             sample_len: self.sample_len,
             queue_depth: self.queue_depth,
             shed: Arc::clone(&self.shed),
@@ -794,12 +820,16 @@ impl InferenceServer {
     /// [`ServeError::WorkerPanicked`] when any serving thread panicked;
     /// the panic is also recorded as a `serve::worker-panic` diagnostic
     /// (grab [`InferenceServer::diag_sink`] first to inspect it).
+    #[expect(
+        clippy::expect_used,
+        reason = "reap() reported no failure, so worker 0 returned the model"
+    )]
     pub fn shutdown(mut self) -> Result<(Sequential, ServeStats), ServeError> {
         let (model, stats, failure) = self.reap();
         if let Some(err) = failure {
             return Err(err);
         }
-        Ok((model.expect("worker 0 returns the model"), stats)) // PANIC-OK: reap() reported no failure, so worker 0 returned the model.
+        Ok((model.expect("worker 0 returns the model"), stats))
     }
 
     /// Records a panic payload from a joined thread: flips the poisoned
@@ -1096,9 +1126,13 @@ fn route(
             if lanes[idx].is_none() {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "idx was drawn from the live-lane scan above"
+            )]
             match lanes[idx]
                 .as_ref()
-                .expect("live lane") // PANIC-OK: idx was drawn from the live-lane scan above.
+                .expect("live lane")
                 .try_send(WorkerMsg::Request(req))
             {
                 Ok(()) => {
@@ -1122,9 +1156,13 @@ fn route(
         // admission queue (and with it the clients) feels backpressure.
         match first_full {
             Some(idx) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "first_full indexes a lane observed live in pass 1"
+                )]
                 match lanes[idx]
                     .as_ref()
-                    .expect("live lane") // PANIC-OK: first_full indexes a lane observed live in pass 1.
+                    .expect("live lane")
                     .send(WorkerMsg::Request(req))
                 {
                     Ok(()) => {
@@ -1208,7 +1246,8 @@ fn worker_loop(
             run_batch(&mut model, &mut x, image_size, &mut batch, &mut stats);
         }
     }
-    let reason = reason.expect("loop exits with a reason"); // PANIC-OK: every loop exit assigned a StopReason.
+    #[expect(clippy::expect_used, reason = "every loop exit assigned a StopReason")]
+    let reason = reason.expect("loop exits with a reason");
     if reason == StopReason::Disconnected {
         sink.emit(
             Diagnostic::new(

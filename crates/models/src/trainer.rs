@@ -395,10 +395,14 @@ impl Trainer {
         self
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "documented API-misuse panic — checkpoint_every(..) must be configured first"
+    )]
     fn ckpt_options_mut(&mut self) -> &mut CkptOptions {
         self.ckpt
             .as_mut()
-            .expect("configure checkpointing with checkpoint_every(..) first") // PANIC-OK: documented API-misuse panic — checkpoint_every(..) must be configured first.
+            .expect("configure checkpointing with checkpoint_every(..) first")
     }
 
     /// The resolved gradient-shard count `S` (after `0 -> replicas`).
@@ -509,12 +513,16 @@ impl Trainer {
                 f32::NAN
             });
             self.history.test_acc.push(acc);
+            #[expect(
+                clippy::unwrap_used,
+                reason = "this epoch's loss was pushed just above"
+            )]
             if cfg.verbose {
                 eprintln!(
                     "  epoch {:>3}: lr {:.4}  loss {:.4}  test acc {:.2}%  (scale {})",
                     epoch + 1,
                     lr,
-                    self.history.train_loss.last().unwrap(), // PANIC-OK: this epoch's loss was pushed just above.
+                    self.history.train_loss.last().unwrap(),
                     acc,
                     self.scaler.scale(),
                 );
@@ -587,10 +595,14 @@ impl Trainer {
         model: &mut Sequential,
     ) -> Result<SaveReport, CheckpointError> {
         let state = self.capture_train_state();
+        #[expect(
+            clippy::expect_used,
+            reason = "only reached from the checkpointing path, where ckpt is configured"
+        )]
         let opts = self
             .ckpt
             .as_ref()
-            .expect("configure checkpointing with checkpoint_every(..) first"); // PANIC-OK: only reached from the checkpointing path, where ckpt is configured.
+            .expect("configure checkpointing with checkpoint_every(..) first");
         let bytes = srmac_io::Checkpoint::capture(model, opts.meta.clone())
             .with_train_state(state)
             .encode();
@@ -769,9 +781,13 @@ impl Trainer {
         let scale = self.scaler.scale();
         let mut shard_work = Vec::with_capacity(spans.len());
         for (idx, sp) in spans.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented contract — data-parallel training requires replicable layers"
+            )]
             let mut replica = model
                 .try_clone()
-                .expect("data-parallel training needs every layer to support clone_layer"); // PANIC-OK: documented contract — data-parallel training requires replicable layers.
+                .expect("data-parallel training needs every layer to support clone_layer");
             replica.set_batch_offset(sp.start);
             let mut shape = x.shape().to_vec();
             shape[0] = sp.len();

@@ -817,8 +817,9 @@ pub(crate) mod z16 {
          [$(($acc:ident, $slo:ident, $shi:ident, $q:literal)),+]) => {{
             let c = $c;
             let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
+            // Infallible: q indexes whole 8-lane groups of the seed array.
             let seed8 =
-                |q: usize| from_u64s($seeds[q * 8..q * 8 + 8].try_into().expect("8 seeds")); // PANIC-OK: q indexes whole 8-lane groups of the seed array.
+                |q: usize| from_u64s($seeds[q * 8..q * 8 + 8].try_into().expect("8 seeds"));
             $(
                 let mut $slo = seed8(2 * $q);
                 let mut $shi = seed8(2 * $q + 1);
@@ -826,7 +827,8 @@ pub(crate) mod z16 {
             )+
             for (&ci, &ca) in $ids.iter().zip($cods) {
                 let base = ci as usize * $stride + $lane0;
-                let bc: &[u8; $w] = $pan[base..base + $w].try_into().expect("panel block"); // PANIC-OK: base + $w <= panel len by the packer's row stride.
+                // Infallible: base + $w <= panel len by the packer's row stride.
+                let bc: &[u8; $w] = $pan[base..base + $w].try_into().expect("panel block");
                 let row = $table.as_ptr().wrapping_add(usize::from(ca) << 8);
                 $(chain_step!($sr, c, $batch, gamma, bc, row, $acc, $slo, $shi, $q);)+
             }

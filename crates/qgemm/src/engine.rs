@@ -218,10 +218,14 @@ impl MacGemmConfig {
         w[3] = self.acc_fmt.exp_bits() as u8;
         w[4] = self.acc_fmt.man_bits() as u8;
         w[5] = u8::from(self.acc_fmt.subnormals());
+        #[expect(
+            clippy::expect_used,
+            reason = "envelope-checked above — r fits u8 losslessly"
+        )]
         let (tag, r) = match self.rounding {
             AccumRounding::Nearest => (0u8, 0u8),
             // Envelope-checked above: r fits u8 losslessly.
-            AccumRounding::Stochastic { r } => (1, u8::try_from(r).expect("r <= 24")), // PANIC-OK: envelope-checked above — r fits u8 losslessly.
+            AccumRounding::Stochastic { r } => (1, u8::try_from(r).expect("r <= 24")),
         };
         w[6] = tag;
         w[7] = r;
@@ -278,6 +282,7 @@ impl MacGemmConfig {
     ///
     /// Returns [`ConfigWireError`] on invalid formats, an unknown rounding
     /// tag, or an out-of-range SR bit count.
+    #[expect(clippy::expect_used, reason = "w[8..16] is exactly 8 bytes")]
     pub fn from_wire(w: &[u8; Self::WIRE_BYTES]) -> Result<Self, ConfigWireError> {
         let fmt = |exp: u8, man: u8, sub: u8| -> Result<FpFormat, ConfigWireError> {
             if sub > 1 {
@@ -302,7 +307,7 @@ impl MacGemmConfig {
             mul_fmt,
             acc_fmt,
             rounding,
-            seed: u64::from_le_bytes(w[8..16].try_into().expect("8-byte slice")), // PANIC-OK: w[8..16] is exactly 8 bytes.
+            seed: u64::from_le_bytes(w[8..16].try_into().expect("8-byte slice")),
             threads: srmac_tensor::available_threads(),
         })
     }
@@ -448,7 +453,11 @@ impl MacKernel {
         for (&ci, &ca) in ids.iter().zip(cods) {
             let row = lanes.plut.row(ca);
             let base = ci as usize * L;
-            let bc: &[u8; L] = pan[base..base + L].try_into().expect("panel block"); // PANIC-OK: base + L <= panel len by the packer's row stride.
+            #[expect(
+                clippy::expect_used,
+                reason = "base + L <= panel len by the packer's row stride"
+            )]
+            let bc: &[u8; L] = pan[base..base + L].try_into().expect("panel block");
             let mut prods = [0u32; L];
             for l in 0..L {
                 prods[l] = row[usize::from(bc[l])];
@@ -1088,10 +1097,14 @@ impl MacGemm {
     }
 
     /// Pops a recycled byte buffer (or a fresh empty one).
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned stash means a worker already panicked — propagate the abort"
+    )]
     fn take_codes_buf(&self) -> Vec<u8> {
         self.codes_scratch
             .lock()
-            .expect("codes scratch poisoned") // PANIC-OK: a poisoned stash means a worker already panicked — propagate the abort.
+            .expect("codes scratch poisoned")
             .pop()
             .unwrap_or_default()
     }
@@ -1099,7 +1112,11 @@ impl MacGemm {
     /// Returns a byte buffer to the bounded free list.
     fn recycle_codes_buf(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut stash = self.codes_scratch.lock().expect("codes scratch poisoned"); // PANIC-OK: same poisoning policy.
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned stash means a worker already panicked — propagate the abort"
+        )]
+        let mut stash = self.codes_scratch.lock().expect("codes scratch poisoned");
         if stash.len() < 8 {
             stash.push(buf);
         }
@@ -1119,9 +1136,13 @@ impl MacGemm {
             (rows, cols),
             "packed operand shape mismatch"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — operands must come from this engine's pack_a/pack_b"
+        )]
         let payload = p
             .payload::<MacPackedA>()
-            .expect("operand was not packed by a MacGemm engine"); // PANIC-OK: documented contract — operands must come from this engine's pack_a/pack_b.
+            .expect("operand was not packed by a MacGemm engine");
         assert_eq!(
             payload.fingerprint,
             self.fingerprint(),
@@ -1137,9 +1158,13 @@ impl MacGemm {
             (rows, cols),
             "packed operand shape mismatch"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — operands must come from this engine's pack_b"
+        )]
         let payload = p
             .payload::<MacPackedB>()
-            .expect("operand was not packed by a MacGemm engine"); // PANIC-OK: same pack-type contract.
+            .expect("operand was not packed by a MacGemm engine");
         assert_eq!(
             payload.fingerprint,
             self.fingerprint(),

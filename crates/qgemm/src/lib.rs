@@ -161,6 +161,8 @@
 // Everything else in this crate remains unsafe-free, and new `unsafe`
 // must justify itself the same way.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod batch;
 mod engine;

@@ -29,6 +29,10 @@ impl ProductLut {
     /// Panics if the input format is wider than 8 bits or the output format
     /// wider than 16.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the collect above produced exactly 65536 entries"
+    )]
     pub fn build(fmt_in: FpFormat, fmt_out: FpFormat) -> Self {
         assert!(
             fmt_in.bits() <= 8,
@@ -55,7 +59,7 @@ impl ProductLut {
         Self {
             fmt_in,
             fmt_out,
-            table: table.into_boxed_slice().try_into().expect("table is 65536"), // PANIC-OK: the collect above produced exactly 65536 entries.
+            table: table.into_boxed_slice().try_into().expect("table is 65536"),
         }
     }
 
@@ -106,6 +110,10 @@ impl PairLut {
     ///
     /// Panics if the LUT's output format and the adder's format disagree.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the collect above produced exactly 65536 entries"
+    )]
     pub fn build(lut: &ProductLut, batch: &FastAdderBatch) -> Self {
         assert_eq!(
             lut.output_format(),
@@ -116,7 +124,7 @@ impl PairLut {
             .map(|i| batch.decode(u64::from(lut.product((i >> 8) as u8, i as u8))))
             .collect();
         Self {
-            table: table.into_boxed_slice().try_into().expect("table is 65536"), // PANIC-OK: same 65536-entry construction.
+            table: table.into_boxed_slice().try_into().expect("table is 65536"),
         }
     }
 
@@ -131,11 +139,15 @@ impl PairLut {
     /// The 256-entry decoded product row for left code `ca`.
     #[inline]
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "start + 256 <= 65536 for any u8 row index"
+    )]
     pub fn row(&self, ca: u8) -> &[u32; 256] {
         let start = (ca as usize) << 8;
         self.table[start..start + 256]
             .try_into()
-            .expect("row is 256") // PANIC-OK: start + 256 <= 65536 for any u8 row index.
+            .expect("row is 256")
     }
 }
 

@@ -143,7 +143,11 @@ fn parse_mac_spec(atom: &str) -> Result<ParsedMacSpec, EngineSpecError> {
         return Err(EngineSpecError::Empty);
     }
     let mut tokens = atom.split('_');
-    let mul_tok = tokens.next().expect("split yields at least one token"); // PANIC-OK: split() always yields at least one token.
+    #[expect(
+        clippy::expect_used,
+        reason = "split() always yields at least one token"
+    )]
+    let mul_tok = tokens.next().expect("split yields at least one token");
     let mul_fmt =
         parse_format(mul_tok).ok_or_else(|| EngineSpecError::BadFormat(mul_tok.to_owned()))?;
     let acc_tok = tokens

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// A source of uniformly distributed random words of a requested width.
 pub trait RandomBits {

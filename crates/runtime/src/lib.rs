@@ -65,6 +65,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod pool;
 
@@ -208,10 +209,14 @@ impl Runtime {
         };
         let job = Arc::new(job);
         let tasks = (0..jobs).map(|ji| {
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned stash means a worker already panicked — propagate the abort"
+            )]
             let mut block = self
                 .scratch
                 .lock()
-                .expect("scratch poisoned") // PANIC-OK: a poisoned stash means a worker already panicked — propagate the abort.
+                .expect("scratch poisoned")
                 .pop()
                 .unwrap_or_default();
             let job = Arc::clone(&job);
@@ -251,6 +256,10 @@ impl Runtime {
     /// # Panics
     ///
     /// Panics if a worker job dies before returning a result.
+    #[expect(
+        clippy::expect_used,
+        reason = "dispatch asserted every job ran; each slot was filled exactly once"
+    )]
     pub fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -260,7 +269,7 @@ impl Runtime {
         self.dispatch(jobs.into_iter(), |i, out| slots[i] = Some(out));
         slots
             .into_iter()
-            .map(|s| s.expect("every job completed")) // PANIC-OK: dispatch asserted every job ran; each slot was filled exactly once.
+            .map(|s| s.expect("every job completed"))
             .collect()
     }
 
@@ -311,7 +320,8 @@ impl Runtime {
 
     fn recycle(&self, block: Vec<f32>) {
         // Bound the free list by the only concurrency the pool can reach.
-        let mut stash = self.scratch.lock().expect("scratch poisoned"); // PANIC-OK: poisoned stash — propagate the abort.
+        #[expect(clippy::expect_used, reason = "poisoned stash — propagate the abort")]
+        let mut stash = self.scratch.lock().expect("scratch poisoned");
         if stash.len() < 2 * self.threads() {
             stash.push(block);
         }

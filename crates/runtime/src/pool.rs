@@ -42,6 +42,8 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
+        #[expect(clippy::expect_used, reason = "failing to spawn pool workers at construction is unrecoverable")]
+        #[expect(clippy::disallowed_methods, reason = "the runtime pool is the one place numerics threads come from; every dispatch keeps its fixed partition")]
         let workers = (0..threads.max(1))
             .map(|i| {
                 let receiver: Arc<Mutex<Receiver<Job>>> = Arc::clone(&receiver);
@@ -53,7 +55,8 @@ impl WorkerPool {
                             // Holding the lock only while dequeueing;
                             // disconnect (pool drop) ends the loop.
                             let job = {
-                                let rx = receiver.lock().expect("pool receiver poisoned"); // PANIC-OK: a poisoned receiver means a worker already panicked — propagate the abort.
+                                #[expect(clippy::expect_used, reason = "a poisoned receiver means a worker already panicked — propagate the abort")]
+                                let rx = receiver.lock().expect("pool receiver poisoned");
                                 rx.recv()
                             };
                             match job {
@@ -79,7 +82,7 @@ impl WorkerPool {
                             }
                         }
                     })
-                    .expect("failed to spawn runtime worker") // PANIC-OK: failing to spawn pool workers at construction is unrecoverable.
+                    .expect("failed to spawn runtime worker")
             })
             .collect();
         Self {
@@ -101,11 +104,15 @@ impl WorkerPool {
     /// Panics if the pool has already shut down (cannot happen while the
     /// pool is alive: workers only exit when the sender is dropped).
     pub fn execute(&self, job: Job) {
+        #[expect(
+            clippy::expect_used,
+            reason = "submitting after shutdown() is an API-misuse bug worth aborting on, and workers only disconnect after a panic — propagate the abort"
+        )]
         self.sender
             .as_ref()
-            .expect("pool already shut down") // PANIC-OK: submitting after shutdown() is an API-misuse bug worth aborting on.
+            .expect("pool already shut down")
             .send(job)
-            .expect("runtime worker pool disconnected"); // PANIC-OK: workers only disconnect after a panic — propagate the abort.
+            .expect("runtime worker pool disconnected");
     }
 }
 

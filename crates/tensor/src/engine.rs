@@ -232,9 +232,13 @@ impl F32Engine {
             (rows, cols),
             "packed operand shape mismatch"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — operands must come from this engine's pack_a/pack_b"
+        )]
         let payload = p
             .payload::<F32Packed>()
-            .expect("operand was not packed by an F32Engine"); // PANIC-OK: documented contract — operands must come from this engine's pack_a/pack_b.
+            .expect("operand was not packed by an F32Engine");
         &payload.0
     }
 
@@ -245,11 +249,13 @@ impl F32Engine {
             self.threads
         };
         let chunk = m.div_ceil(threads.max(1)).max(1);
-        // DETERMINISM-OK: fixed row partition into disjoint chunks — bitwise thread-invariant.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fixed row partition into disjoint chunks — bitwise thread-invariant"
+        )]
         std::thread::scope(|scope| {
             for (ci, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
                 let a = &a[ci * chunk * k..];
-                // DETERMINISM-OK: same fixed partition.
                 scope.spawn(move || {
                     for (row_o, out_row) in out_chunk.chunks_mut(n).enumerate() {
                         let a_row = &a[row_o * k..row_o * k + k];

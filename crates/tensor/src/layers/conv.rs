@@ -231,7 +231,11 @@ impl Layer for Conv2d {
         if self.use_packed(GemmRole::Forward) {
             self.ensure_forward_pack();
             let engine = self.role_engine(GemmRole::Forward, row_base);
-            let (_, wt_pack) = self.fwd_pack.as_ref().expect("just ensured"); // PANIC-OK: ensure_forward_pack() just populated it.
+            #[expect(
+                clippy::expect_used,
+                reason = "ensure_forward_pack() just populated it"
+            )]
+            let (_, wt_pack) = self.fwd_pack.as_ref().expect("just ensured");
             let ra = engine.pack_a(ns, kdim, &rows);
             engine.gemm_packed(ns, kdim, self.out_c, &ra, wt_pack, yt);
         } else {
@@ -265,10 +269,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — backward requires a prior forward(train=true)"
+        )]
         let cache = self
             .cache
             .take()
-            .expect("backward before forward(train=true)"); // PANIC-OK: documented contract — backward requires a prior forward(train=true).
+            .expect("backward before forward(train=true)");
         let [n, _, _, _] = cache.in_shape;
         let (oh, ow) = cache.out_hw;
         let spatial = oh * ow;
@@ -309,7 +317,11 @@ impl Layer for Conv2d {
         if self.use_packed(GemmRole::BackwardData) {
             self.ensure_backward_pack();
             let engine = self.role_engine(GemmRole::BackwardData, row_base);
-            let (_, w_pack) = self.bwd_pack.as_ref().expect("just ensured"); // PANIC-OK: ensure_backward_pack() just populated it.
+            #[expect(
+                clippy::expect_used,
+                reason = "ensure_backward_pack() just populated it"
+            )]
+            let (_, w_pack) = self.bwd_pack.as_ref().expect("just ensured");
             let ga = engine.pack_a(ns, self.out_c, &dy_nsoc);
             engine.gemm_packed(ns, self.out_c, kdim, &ga, w_pack, drows);
         } else {

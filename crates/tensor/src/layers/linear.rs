@@ -160,7 +160,11 @@ impl Layer for Linear {
         if self.use_packed(GemmRole::Forward) {
             self.ensure_forward_pack();
             let engine = self.role_engine(GemmRole::Forward, row_base);
-            let (_, wt_pack) = self.fwd_pack.as_ref().expect("just ensured"); // PANIC-OK: ensure_forward_pack() just populated it.
+            #[expect(
+                clippy::expect_used,
+                reason = "ensure_forward_pack() just populated it"
+            )]
+            let (_, wt_pack) = self.fwd_pack.as_ref().expect("just ensured");
             let xa = engine.pack_a(n, self.in_f, x.data());
             engine.gemm_packed(n, self.in_f, self.out_f, &xa, wt_pack, y.data_mut());
         } else {
@@ -187,10 +191,14 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — backward requires a prior forward(train=true)"
+        )]
         let x = self
             .cache
             .take()
-            .expect("backward before forward(train=true)"); // PANIC-OK: documented contract — backward requires a prior forward(train=true).
+            .expect("backward before forward(train=true)");
         let n = x.shape()[0];
 
         // dW (out x in) = dY^T (out x N) * X (N x in) — both operands are
@@ -229,7 +237,11 @@ impl Layer for Linear {
         if self.use_packed(GemmRole::BackwardData) {
             self.ensure_backward_pack();
             let engine = self.role_engine(GemmRole::BackwardData, row_base);
-            let (_, w_pack) = self.bwd_pack.as_ref().expect("just ensured"); // PANIC-OK: ensure_backward_pack() just populated it.
+            #[expect(
+                clippy::expect_used,
+                reason = "ensure_backward_pack() just populated it"
+            )]
+            let (_, w_pack) = self.bwd_pack.as_ref().expect("just ensured");
             let ga = engine.pack_a(n, self.out_f, grad.data());
             engine.gemm_packed(n, self.out_f, self.in_f, &ga, w_pack, dx.data_mut());
         } else {

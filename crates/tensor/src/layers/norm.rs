@@ -121,10 +121,14 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — backward requires a prior forward(train=true)"
+        )]
         let cache = self
             .cache
             .take()
-            .expect("backward before forward(train=true)"); // PANIC-OK: documented contract — backward requires a prior forward(train=true).
+            .expect("backward before forward(train=true)");
         let [n, c, h, w] = cache.shape;
         let plane = h * w;
         let count = (n * plane) as f32;

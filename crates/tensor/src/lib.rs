@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod engine;
 pub mod grads;

@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub use srmac_fp as fp;
 pub use srmac_hwcost as hwcost;
