@@ -204,14 +204,16 @@ pub fn serve_scaling_stream(workers: usize) -> impl FnMut() -> usize {
     )
     .expect("RN forward engine serves");
     let client = server.client();
-    // Warm every replica's packed-weight path before timing.
+    // Warm the serving path before timing. Packs are shared by every
+    // replica (`warm_weight_packs` at start), so whichever worker pulls
+    // these warms them all.
     for s in samples.iter().take(workers.max(1)) {
         client.predict(s.clone()).expect("warmup prediction");
     }
     move || {
         // Owning the server keeps it (and its workers) alive across
         // closure calls; the stream is pipelined so batches form and
-        // the router spreads requests over every replica.
+        // every idle replica pulls its share from the admission queue.
         debug_assert_eq!(server.workers(), workers);
         let pending: Vec<_> = samples
             .iter()

@@ -2,18 +2,20 @@
 //! and latency observability.
 //!
 //! A single [`InferenceServer`] owns `N` worker replicas of one model
-//! ([`ServeConfig::workers`]): a **router** thread pulls requests off a
-//! **bounded** admission queue and shards them across per-worker queues;
-//! each worker assembles its own dynamic batches (up to
-//! [`ServeConfig::max_batch`], dispatching early when its queue runs
-//! dry), runs each batch through the model's prepared-operand GEMM path,
-//! and answers every request with its logits/argmax. Replicas are
-//! copy-on-write clones ([`Sequential::try_clone`]): parameter tensors
-//! are `Arc`-shared and the packed-weight caches are warmed on the
-//! original before cloning, so `N` workers serve one model with **zero
-//! weight duplication** — on a multi-core host, req/s scales with the
-//! worker count because the MAC arithmetic is the bottleneck and each
-//! replica owns a core's worth of it.
+//! ([`ServeConfig::workers`]) behind one **bounded** admission queue.
+//! Workers pull from that queue directly: an idle worker takes the
+//! queue's lock, assembles a dynamic batch (up to
+//! [`ServeConfig::max_batch`], dispatching early when the queue runs
+//! dry), releases the lock, runs the batch through the model's
+//! prepared-operand GEMM path, and answers every request with its
+//! logits/argmax. A request therefore never waits behind a busy worker
+//! while another one idles. Replicas are copy-on-write clones
+//! ([`Sequential::try_clone`]): parameter tensors are `Arc`-shared and
+//! the packed-weight caches are warmed on the original before cloning,
+//! so `N` workers serve one model with **zero weight duplication** — on
+//! a multi-core host, req/s scales with the worker count because the MAC
+//! arithmetic is the bottleneck and each replica owns a core's worth of
+//! it.
 //!
 //! # Admission control and deadlines
 //!
@@ -35,7 +37,7 @@
 //! (dispatch → reply) — aggregated into log2-bucketed
 //! [`LatencyHistogram`]s with p50/p95/p99 in [`ServeStats`], which also
 //! counts shed and expired requests and per-worker request totals.
-//! Operational events (worker panics, lost workers, shutdown) become
+//! Operational events (worker panics, shutdown) become
 //! structured, code-tagged [`Diagnostic`]s (see [`codes`]) collected in
 //! a [`DiagSink`] whose handle survives the server — a crashed worker is
 //! *recorded*, never silently swallowed, and additionally flips the
@@ -72,7 +74,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use srmac_tensor::layers::Layer;
@@ -98,19 +100,13 @@ pub mod codes {
     pub const DEADLINE_EXCEEDED: DiagCode = DiagCode::new("serve", 5, "deadline-exceeded");
     /// The model cannot be CoW-replicated for `workers > 1`.
     pub const NOT_REPLICABLE: DiagCode = DiagCode::new("serve", 6, "not-replicable");
-    /// A worker (or the router) thread panicked; recorded at join.
+    /// A worker thread panicked; recorded at join.
     pub const WORKER_PANIC: DiagCode = DiagCode::new("serve", 7, "worker-panic");
-    /// The router found a worker's queue disconnected mid-serve (the
-    /// worker died without a shutdown marker) and rerouted around it.
-    pub const WORKER_LOST: DiagCode = DiagCode::new("serve", 8, "worker-lost");
-    /// A worker's queue disconnected without a shutdown marker — the
-    /// router vanished; the worker served what it had and stopped.
-    pub const ROUTER_VANISHED: DiagCode = DiagCode::new("serve", 9, "router-vanished");
     /// Clean shutdown: totals for the whole serving session.
-    pub const SHUTDOWN: DiagCode = DiagCode::new("serve", 10, "shutdown");
+    pub const SHUTDOWN: DiagCode = DiagCode::new("serve", 8, "shutdown");
 
     /// Every serving code, in id order.
-    pub const ALL: [DiagCode; 10] = [
+    pub const ALL: [DiagCode; 8] = [
         BAD_INPUT,
         CLOSED,
         STOCHASTIC_FORWARD,
@@ -118,8 +114,6 @@ pub mod codes {
         DEADLINE_EXCEEDED,
         NOT_REPLICABLE,
         WORKER_PANIC,
-        WORKER_LOST,
-        ROUTER_VANISHED,
         SHUTDOWN,
     ];
 }
@@ -134,11 +128,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Hard cap on assembled batch size (per worker).
     pub max_batch: usize,
-    /// When a worker's queue runs dry with fewer than this many requests
-    /// in the batch, the assembler waits [`ServeConfig::straggler_wait`]
-    /// for more before dispatching; at or above it, it dispatches
-    /// immediately. `1` dispatches as soon as the queue empties
-    /// (latency-first).
+    /// When the admission queue runs dry with fewer than this many
+    /// requests in the batch a worker is assembling, the worker waits
+    /// [`ServeConfig::straggler_wait`] for more before dispatching; at or
+    /// above it, it dispatches immediately. `1` dispatches as soon as the
+    /// queue empties (latency-first).
     pub max_wait_items: usize,
     /// How long to wait for stragglers below `max_wait_items`.
     pub straggler_wait: Duration,
@@ -210,10 +204,10 @@ pub enum ServeError {
     /// `workers > 1` was requested but the model has a layer without
     /// CoW-replication support ([`srmac_tensor::layers::Layer::clone_layer`]).
     NotReplicable,
-    /// A serving thread panicked; the panic was recorded in the server's
+    /// A worker thread panicked; the panic was recorded in the server's
     /// diagnostics (code `serve::worker-panic`) rather than swallowed.
     WorkerPanicked {
-        /// Thread name (`srmac-serve-3`, `srmac-serve-router`).
+        /// Thread name (`srmac-serve-3` is worker 3).
         thread: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -443,7 +437,7 @@ impl LatencyHistogram {
 }
 
 /// Counters and latency histograms for one serving session, merged
-/// across the router and every worker at shutdown.
+/// across every worker at shutdown.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests answered with a prediction.
@@ -530,33 +524,14 @@ struct Request {
     deadline: Option<Instant>,
 }
 
-/// Admission-queue protocol: requests, or the explicit stop marker.
-/// Clients may outlive the server (their sender clones keep the channel
-/// open), so the router stops on this marker — never by waiting for
-/// disconnection. The channel is ordered, so every request admitted
-/// before shutdown is routed (and served) before the marker is seen.
+/// Admission-queue protocol: requests, or a stop marker. Clients may
+/// outlive the server (their sender clones keep the channel open), so
+/// workers stop on a marker — shutdown sends one per worker — never by
+/// waiting for disconnection. The channel is ordered, so every request
+/// admitted before shutdown is served before any marker is seen.
 enum Msg {
     Request(Request),
     Shutdown,
-}
-
-/// Per-worker queue protocol: the router forwards requests and fans the
-/// shutdown marker out to every worker lane. A worker that sees its lane
-/// *disconnect* without a marker knows the router died abnormally — the
-/// two conditions are deliberately distinct (see [`StopReason`]).
-enum WorkerMsg {
-    Request(Request),
-    Shutdown,
-}
-
-/// Why a worker's serve loop ended. `Marker` is the deliberate path;
-/// `Disconnected` means the lane hung up without a marker (the router
-/// vanished mid-serve) — reported as a `serve::router-vanished` warning
-/// so an abnormal stop is never mistaken for a clean one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StopReason {
-    Marker,
-    Disconnected,
 }
 
 /// One request staged in a worker's batch, stamped when it joined.
@@ -577,25 +552,26 @@ struct WorkerStats {
 }
 
 /// What a worker thread hands back at join: its model (worker 0 owns
-/// the original; others own CoW replicas), its local stats, and why it
-/// stopped.
+/// the original; others own CoW replicas) and its local stats.
 struct WorkerExit {
     model: Sequential,
     stats: WorkerStats,
-    reason: StopReason,
 }
 
-#[derive(Default)]
-struct RouterOutcome {
-    /// Requests answered `DeadlineExceeded` by the router before
-    /// reaching any worker lane.
-    expired: usize,
-    /// Requests answered `Closed` because no live worker remained.
-    refused: usize,
+/// Flips the server's poisoned flag when its worker thread unwinds, so
+/// a crash is visible at once rather than only at join.
+struct PoisonOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 /// A replicated, micro-batching inference server: owns `workers` model
-/// replicas behind a router and a bounded admission queue, and serves
+/// replicas pulling from one bounded admission queue, and serves
 /// cloneable [`ServeClient`] handles.
 ///
 /// # Example
@@ -627,7 +603,6 @@ struct RouterOutcome {
 #[derive(Debug)]
 pub struct InferenceServer {
     tx: Option<mpsc::SyncSender<Msg>>,
-    router: Option<std::thread::JoinHandle<RouterOutcome>>,
     workers: Vec<std::thread::JoinHandle<WorkerExit>>,
     sample_len: usize,
     worker_count: usize,
@@ -640,7 +615,7 @@ pub struct InferenceServer {
 impl InferenceServer {
     /// Takes ownership of `model` (expecting `[B, 3, s, s]` inputs with
     /// `s = image_size`), builds `cfg.workers - 1` CoW replicas, and
-    /// starts the router and worker threads.
+    /// starts the worker threads.
     ///
     /// The batch-invariance guard runs on **this** path too: the engines
     /// the model actually carries are inspected via
@@ -689,41 +664,28 @@ impl InferenceServer {
         }
         models.insert(0, model);
 
-        // Worker lanes are bounded too, so admission-queue backpressure
-        // propagates instead of evaporating into unbounded lane queues.
-        let lane_depth = cfg.max_batch.max(cfg.queue_depth.div_ceil(cfg.workers));
-        let mut lanes = Vec::with_capacity(cfg.workers);
+        // Only the workers hold the receiver: when the last one dies it
+        // drops, queued requests drop their reply senders, and clients
+        // see `Closed` instead of hanging.
+        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_depth);
+        let queue = Arc::new(Mutex::new(rx));
         let mut workers = Vec::with_capacity(cfg.workers);
         for (i, m) in models.into_iter().enumerate() {
-            let (ltx, lrx) = mpsc::sync_channel::<WorkerMsg>(lane_depth);
-            let worker_sink = sink.clone();
+            let queue = Arc::clone(&queue);
+            let poisoned = Arc::clone(&poisoned);
             #[expect(
                 clippy::expect_used,
                 reason = "failing to spawn a worker at startup is unrecoverable — abort before serving"
             )]
             let handle = std::thread::Builder::new()
                 .name(format!("srmac-serve-{i}"))
-                .spawn(move || worker_loop(m, image_size, cfg, &lrx, &worker_sink, i))
+                .spawn(move || worker_loop(m, image_size, cfg, &queue, &poisoned))
                 .expect("spawn serve worker");
-            lanes.push(ltx);
             workers.push(handle);
         }
 
-        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_depth);
-        let router_sink = sink.clone();
-        let router_poisoned = Arc::clone(&poisoned);
-        #[expect(
-            clippy::expect_used,
-            reason = "failing to spawn the router at startup is unrecoverable — no router, no server"
-        )]
-        let router = std::thread::Builder::new()
-            .name("srmac-serve-router".into())
-            .spawn(move || router_loop(&rx, lanes, &router_sink, &router_poisoned))
-            .expect("spawn serve router");
-
         Ok(Self {
             tx: Some(tx),
-            router: Some(router),
             workers,
             sample_len,
             worker_count: cfg.workers,
@@ -766,13 +728,14 @@ impl InferenceServer {
     /// A handle for submitting requests (cloneable, usable from any
     /// thread).
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "tx is Some for the whole life of a running server; client() is only reachable then"
-    )]
     pub fn client(&self) -> ServeClient {
+        #[expect(
+            clippy::expect_used,
+            reason = "tx is Some for the whole life of a running server; client() is only reachable then"
+        )]
+        let tx = self.tx.clone().expect("server running");
         ServeClient {
-            tx: self.tx.clone().expect("server running"),
+            tx,
             sample_len: self.sample_len,
             queue_depth: self.queue_depth,
             shed: Arc::clone(&self.shed),
@@ -800,19 +763,19 @@ impl InferenceServer {
         self.sink.snapshot()
     }
 
-    /// True once any serving thread has died abnormally (a panicked
-    /// worker detected by the router mid-serve, or recorded at join).
-    /// The corresponding `serve::worker-panic` / `serve::worker-lost`
-    /// diagnostics carry the details.
+    /// True once any worker thread has panicked: the worker flips it as
+    /// it unwinds, before its unanswered requests see
+    /// [`ServeError::Closed`]. The `serve::worker-panic` diagnostic,
+    /// recorded at join, carries the details.
     #[must_use]
     pub fn poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
     }
 
     /// Stops every worker after all already-admitted requests have been
-    /// served (the admission and lane queues are ordered, and the
-    /// shutdown marker trails them), and returns the original model with
-    /// the merged serving stats. Clients that submit afterwards get
+    /// served (the admission queue is ordered, and the shutdown markers
+    /// trail them), and returns the original model with the merged
+    /// serving stats. Clients that submit afterwards get
     /// [`ServeError::Closed`].
     ///
     /// # Errors
@@ -820,16 +783,17 @@ impl InferenceServer {
     /// [`ServeError::WorkerPanicked`] when any serving thread panicked;
     /// the panic is also recorded as a `serve::worker-panic` diagnostic
     /// (grab [`InferenceServer::diag_sink`] first to inspect it).
-    #[expect(
-        clippy::expect_used,
-        reason = "reap() reported no failure, so worker 0 returned the model"
-    )]
     pub fn shutdown(mut self) -> Result<(Sequential, ServeStats), ServeError> {
         let (model, stats, failure) = self.reap();
         if let Some(err) = failure {
             return Err(err);
         }
-        Ok((model.expect("worker 0 returns the model"), stats))
+        #[expect(
+            clippy::expect_used,
+            reason = "reap() reported no failure, so worker 0 returned the model"
+        )]
+        let model = model.expect("worker 0 returns the model");
+        Ok((model, stats))
     }
 
     /// Records a panic payload from a joined thread: flips the poisoned
@@ -853,13 +817,16 @@ impl InferenceServer {
         err
     }
 
-    /// Sends the shutdown marker, joins the router and every worker,
-    /// merges their stats, and records (never swallows) any panic.
-    /// Idempotent: both [`InferenceServer::shutdown`] and `Drop` call
-    /// it; the second call finds nothing left to do.
+    /// Sends one shutdown marker per worker, joins every worker, merges
+    /// their stats, and records (never swallows) any panic. Idempotent:
+    /// both [`InferenceServer::shutdown`] and `Drop` call it; the second
+    /// call finds nothing left to do.
     fn reap(&mut self) -> (Option<Sequential>, ServeStats, Option<ServeError>) {
         if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Msg::Shutdown);
+            // A send fails only once every worker is gone.
+            for _ in 0..self.worker_count {
+                let _ = tx.send(Msg::Shutdown);
+            }
         }
         let mut stats = ServeStats {
             workers: self.worker_count,
@@ -867,15 +834,6 @@ impl InferenceServer {
             ..ServeStats::default()
         };
         let mut failure: Option<ServeError> = None;
-        if let Some(router) = self.router.take() {
-            match router.join() {
-                Ok(outcome) => stats.expired += outcome.expired,
-                Err(payload) => {
-                    let err = self.record_panic("srmac-serve-router", payload.as_ref());
-                    failure.get_or_insert(err);
-                }
-            }
-        }
         let mut model = None;
         let handles: Vec<_> = self.workers.drain(..).collect();
         for (i, handle) in handles.into_iter().enumerate() {
@@ -889,10 +847,6 @@ impl InferenceServer {
                     stats.queue_wait.merge(&exit.stats.queue_wait);
                     stats.batch_assembly.merge(&exit.stats.batch_assembly);
                     stats.inference.merge(&exit.stats.inference);
-                    debug_assert!(matches!(
-                        exit.reason,
-                        StopReason::Marker | StopReason::Disconnected
-                    ));
                     if i == 0 {
                         model = Some(exit.model);
                     }
@@ -955,8 +909,9 @@ impl PendingPrediction {
     /// # Errors
     ///
     /// [`ServeError::DeadlineExceeded`] if the request's deadline passed
-    /// in queue, and [`ServeError::Closed`] if the server shut down (or
-    /// its worker died) first.
+    /// in queue, and [`ServeError::Closed`] if no answer can come: the
+    /// worker that took the request died, or the server shut down (or
+    /// every worker died) before any worker took it.
     pub fn wait(self) -> Result<Prediction, ServeError> {
         match self.rx.recv() {
             Ok(reply) => reply,
@@ -1052,237 +1007,72 @@ impl ServeClient {
     }
 }
 
-/// The router: pulls admitted requests off the bounded queue and shards
-/// them across worker lanes round-robin, skipping full lanes (and, when
-/// every live lane is full, blocking on one so backpressure propagates
-/// to admission instead of evaporating). Expired deadlines are answered
-/// here without touching any lane; a disconnected lane means its worker
-/// died — the router records the loss, poisons the server, and reroutes.
-fn router_loop(
-    rx: &mpsc::Receiver<Msg>,
-    lanes: Vec<mpsc::SyncSender<WorkerMsg>>,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) -> RouterOutcome {
-    let mut lanes: Vec<Option<mpsc::SyncSender<WorkerMsg>>> = lanes.into_iter().map(Some).collect();
-    let mut outcome = RouterOutcome::default();
-    let mut next = 0usize;
-    // The marker is the deliberate stop; a disconnect of every admission
-    // sender (server and all clients gone) is treated the same — nothing
-    // can submit anymore.
-    while let Ok(Msg::Request(req)) = rx.recv() {
-        route(req, &mut lanes, &mut next, &mut outcome, sink, poisoned);
-    }
-    for lane in lanes.iter().flatten() {
-        let _ = lane.send(WorkerMsg::Shutdown);
-    }
-    outcome
-}
-
-/// Marks a worker lane dead (its receiver disconnected without a
-/// shutdown marker: the worker panicked mid-serve).
-fn lose_lane(
-    lanes: &mut [Option<mpsc::SyncSender<WorkerMsg>>],
-    idx: usize,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) {
-    lanes[idx] = None;
-    poisoned.store(true, Ordering::SeqCst);
-    sink.emit(
-        Diagnostic::new(
-            Severity::Error,
-            codes::WORKER_LOST,
-            format!("worker {idx} queue disconnected mid-serve (worker died); rerouting"),
-        )
-        .field("worker", idx.to_string()),
-    );
-}
-
-fn route(
-    mut req: Request,
-    lanes: &mut [Option<mpsc::SyncSender<WorkerMsg>>],
-    next: &mut usize,
-    outcome: &mut RouterOutcome,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) {
-    let now = Instant::now();
-    if let Some(deadline) = req.deadline {
-        if now > deadline {
-            outcome.expired += 1;
-            let _ = req.reply.send(Err(ServeError::DeadlineExceeded {
-                missed_by: now - deadline,
-            }));
-            return;
-        }
-    }
-    let n = lanes.len();
-    loop {
-        // Pass 1: round-robin try_send over live lanes.
-        let mut first_full = None;
-        for i in 0..n {
-            let idx = (*next + i) % n;
-            if lanes[idx].is_none() {
-                continue;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "idx was drawn from the live-lane scan above"
-            )]
-            match lanes[idx]
-                .as_ref()
-                .expect("live lane")
-                .try_send(WorkerMsg::Request(req))
-            {
-                Ok(()) => {
-                    *next = (idx + 1) % n;
-                    return;
-                }
-                Err(mpsc::TrySendError::Full(WorkerMsg::Request(r))) => {
-                    req = r;
-                    if first_full.is_none() {
-                        first_full = Some(idx);
-                    }
-                }
-                Err(mpsc::TrySendError::Disconnected(WorkerMsg::Request(r))) => {
-                    req = r;
-                    lose_lane(lanes, idx, sink, poisoned);
-                }
-                Err(_) => unreachable!("router only forwards requests"),
-            }
-        }
-        // Pass 2: every live lane is full — block on one, so the
-        // admission queue (and with it the clients) feels backpressure.
-        match first_full {
-            Some(idx) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "first_full indexes a lane observed live in pass 1"
-                )]
-                match lanes[idx]
-                    .as_ref()
-                    .expect("live lane")
-                    .send(WorkerMsg::Request(req))
-                {
-                    Ok(()) => {
-                        *next = (idx + 1) % n;
-                        return;
-                    }
-                    Err(mpsc::SendError(WorkerMsg::Request(r))) => {
-                        req = r;
-                        lose_lane(lanes, idx, sink, poisoned);
-                        // Retry the surviving lanes.
-                    }
-                    Err(_) => unreachable!("router only forwards requests"),
-                }
-            }
-            None => {
-                // No live worker remains: refuse rather than strand.
-                outcome.refused += 1;
-                let _ = req.reply.send(Err(ServeError::Closed));
-                return;
-            }
-        }
-    }
-}
-
-/// One worker: block for the first request on its lane, greedily drain
-/// up to `max_batch` (briefly waiting for stragglers below
-/// `max_wait_items`), run the batch through its replica, reply per
-/// request — and stop *deliberately*: on the shutdown marker
-/// ([`StopReason::Marker`]), or on lane disconnect without a marker
-/// ([`StopReason::Disconnected`], reported as `serve::router-vanished`).
-/// A straggler-wait timeout dispatches the partial batch and keeps
-/// serving; it is never conflated with disconnection.
+/// One worker: take the admission queue's lock, block for a first
+/// message, greedily drain up to `max_batch` (briefly waiting for
+/// stragglers below `max_wait_items`), release the lock, then run the
+/// batch through its replica and reply per request. A shutdown marker or
+/// a disconnected queue stops it once its batch is served; a
+/// straggler-wait timeout only dispatches the partial batch.
 fn worker_loop(
     mut model: Sequential,
     image_size: usize,
     cfg: ServeConfig,
-    rx: &mpsc::Receiver<WorkerMsg>,
-    sink: &DiagSink,
-    worker: usize,
+    queue: &Mutex<mpsc::Receiver<Msg>>,
+    poisoned: &AtomicBool,
 ) -> WorkerExit {
     let mut stats = WorkerStats::default();
     let mut batch: Vec<Pending> = Vec::with_capacity(cfg.max_batch);
     // One reused input tensor, exactly like the trainer's evaluate loop:
     // only a batch-size change reshapes it.
     let mut x = Tensor::zeros(&[1, 3, image_size, image_size]);
-    let mut reason = None;
-    while reason.is_none() {
-        match rx.recv() {
-            Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-            Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-            Err(_) => reason = Some(StopReason::Disconnected),
+    // Declared after `batch` so it drops first on a panic: the flag is
+    // set before the staged requests' reply senders drop.
+    let _poison = PoisonOnPanic(poisoned);
+    let mut open = true;
+    while open {
+        // A panic never leaves the receiver half-updated, so a poisoned
+        // lock is safe to keep using.
+        let rx = queue.lock().unwrap_or_else(PoisonError::into_inner);
+        open = admit(rx.recv().ok(), &mut batch, &mut stats);
+        while open && batch.len() < cfg.max_batch {
+            let msg = match rx.try_recv() {
+                Err(mpsc::TryRecvError::Empty) if batch.len() >= cfg.max_wait_items => break,
+                Err(mpsc::TryRecvError::Empty) => match rx.recv_timeout(cfg.straggler_wait) {
+                    Err(mpsc::RecvTimeoutError::Timeout) => break,
+                    got => got.ok(),
+                },
+                got => got.ok(),
+            };
+            open = admit(msg, &mut batch, &mut stats);
         }
-        while batch.len() < cfg.max_batch && reason.is_none() {
-            match rx.try_recv() {
-                Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-                Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    reason = Some(StopReason::Disconnected);
-                }
-                Err(mpsc::TryRecvError::Empty) => {
-                    if batch.len() >= cfg.max_wait_items {
-                        break;
-                    }
-                    match rx.recv_timeout(cfg.straggler_wait) {
-                        Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-                        Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-                        // A timeout dispatches what we have and keeps
-                        // serving; a disconnect is an explicit stop.
-                        // The two are distinct on purpose — the old loop
-                        // collapsed them (`Err(_) => break`) and relied
-                        // on the next outer recv to notice the hangup.
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            reason = Some(StopReason::Disconnected);
-                        }
-                    }
-                }
-            }
-        }
+        // Another worker may assemble while this one runs the model.
+        drop(rx);
         if !batch.is_empty() {
             run_batch(&mut model, &mut x, image_size, &mut batch, &mut stats);
         }
     }
-    #[expect(clippy::expect_used, reason = "every loop exit assigned a StopReason")]
-    let reason = reason.expect("loop exits with a reason");
-    if reason == StopReason::Disconnected {
-        sink.emit(
-            Diagnostic::new(
-                Severity::Warning,
-                codes::ROUTER_VANISHED,
-                format!(
-                    "worker {worker} stopping: lane disconnected without a shutdown marker \
-                     (router vanished)"
-                ),
-            )
-            .field("worker", worker.to_string()),
-        );
-    }
-    WorkerExit {
-        model,
-        stats,
-        reason,
-    }
+    WorkerExit { model, stats }
 }
 
-/// Stages one routed request into the batch — unless its deadline has
+/// Stages one pulled request into the batch — unless its deadline has
 /// already passed, in which case it is answered right here, without
-/// touching the model.
-fn admit(req: Request, batch: &mut Vec<Pending>, stats: &mut WorkerStats) {
+/// touching the model. Returns `false` on a shutdown marker or a
+/// disconnected queue (`None`): the worker stops after this batch.
+fn admit(msg: Option<Msg>, batch: &mut Vec<Pending>, stats: &mut WorkerStats) -> bool {
+    let Some(Msg::Request(req)) = msg else {
+        return false;
+    };
     let now = Instant::now();
-    if let Some(deadline) = req.deadline {
-        if now > deadline {
+    match req.deadline {
+        Some(deadline) if now > deadline => {
             stats.expired += 1;
             let _ = req.reply.send(Err(ServeError::DeadlineExceeded {
                 missed_by: now - deadline,
             }));
-            return;
         }
+        _ => batch.push(Pending { req, joined: now }),
     }
-    batch.push(Pending { req, joined: now });
+    true
 }
 
 fn run_batch(
@@ -1494,65 +1284,6 @@ mod tests {
         let err = InferenceServer::start_with_numerics(model, SIZE, ServeConfig::default(), &sr)
             .expect_err("the policy path must also refuse");
         assert!(matches!(err, ServeError::StochasticForward { .. }));
-    }
-
-    #[test]
-    fn worker_distinguishes_disconnect_from_straggler_timeout() {
-        // Regression for the straggler-wait disconnect bug: the old loop
-        // treated `RecvTimeoutError::Disconnected` as a timeout
-        // (`Err(_) => break`), leaving the worker to discover the hangup
-        // on its next outer recv. The worker must (a) still serve the
-        // batch it was assembling, and (b) stop *because of the
-        // disconnect* — promptly, not after the straggler timeout, and
-        // with the abnormal stop recorded.
-        let numerics = Numerics::uniform(Arc::new(F32Engine::new(1)));
-        let model = resnet20_with(&numerics, 4, 10, 1);
-        let cfg = ServeConfig {
-            max_batch: 8,
-            max_wait_items: 8,                       // always wait for stragglers
-            straggler_wait: Duration::from_secs(30), // a timeout would hang the test
-            ..ServeConfig::default()
-        };
-        let (ltx, lrx) = mpsc::sync_channel::<WorkerMsg>(16);
-        let sink = DiagSink::default();
-        let worker_sink = sink.clone();
-        let handle =
-            std::thread::spawn(move || worker_loop(model, SIZE, cfg, &lrx, &worker_sink, 0));
-
-        let ds = synth_cifar10(2, SIZE, 5);
-        let pending: Vec<_> = (0..2)
-            .map(|i| {
-                let (reply, rx) = mpsc::channel();
-                ltx.send(WorkerMsg::Request(Request {
-                    sample: sample(&ds, i),
-                    reply,
-                    submitted: Instant::now(),
-                    deadline: None,
-                }))
-                .expect("send");
-                rx
-            })
-            .collect();
-        // Hang up mid-straggler-wait, with no shutdown marker.
-        drop(ltx);
-        let exit = handle.join().expect("worker exits cleanly");
-        assert_eq!(
-            exit.reason,
-            StopReason::Disconnected,
-            "a hangup without a marker is an explicit disconnect stop"
-        );
-        // The in-flight batch was still served before stopping.
-        for rx in pending {
-            let got = rx.recv().expect("reply").expect("prediction");
-            assert_eq!(got.logits.len(), 10);
-        }
-        assert_eq!(exit.stats.requests, 2);
-        // The abnormal stop is recorded, not silent.
-        let diags = sink.snapshot();
-        assert!(
-            diags.iter().any(|d| d.code == codes::ROUTER_VANISHED),
-            "expected a serve::router-vanished diagnostic, got {diags:?}"
-        );
     }
 
     #[test]

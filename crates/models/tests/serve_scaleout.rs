@@ -1,6 +1,7 @@
 //! Scale-out serving integration tests: replicated workers vs batch-1
 //! bitwise, admission control (shed load + deadlines), shutdown with
-//! in-flight requests, and worker-panic surfacing.
+//! in-flight requests, work pulling around a wedged or dead replica, and
+//! worker-panic surfacing.
 //!
 //! The gated/panicking layers here stand in for a slow or crashing
 //! model so the tests control *when* a forward pass runs (or whether it
@@ -28,23 +29,27 @@ fn sample(ds: &Dataset, i: usize) -> Vec<f32> {
     x.data().to_vec()
 }
 
-/// An identity layer whose forward pass blocks until the shared gate
-/// opens, signalling entry and counting invocations — the test's handle
-/// on "a model is busy right now" and "the model ran N times".
+/// An identity layer whose first `blocking` forward passes (counted
+/// across its CoW replicas) block until the shared gate opens,
+/// signalling entry and counting invocations — the test's handle on "a
+/// model is busy right now" and "the model ran N times".
 struct GateLayer {
     gate: Arc<(Mutex<bool>, Condvar)>,
     entered: mpsc::Sender<()>,
     forwards: Arc<AtomicUsize>,
+    blocking: usize,
 }
 
 impl Layer for GateLayer {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.forwards.fetch_add(1, Ordering::SeqCst);
+        let n = self.forwards.fetch_add(1, Ordering::SeqCst);
         let _ = self.entered.send(());
-        let (lock, cvar) = &*self.gate;
-        let mut open = lock.lock().unwrap();
-        while !*open {
-            open = cvar.wait(open).unwrap();
+        if n < self.blocking {
+            let (lock, cvar) = &*self.gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cvar.wait(open).unwrap();
+            }
         }
         x.clone()
     }
@@ -52,8 +57,21 @@ impl Layer for GateLayer {
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         grad.clone()
     }
+
+    fn clone_layer(&self) -> Option<Box<dyn Layer>> {
+        Some(Box::new(GateLayer {
+            gate: Arc::clone(&self.gate),
+            entered: self.entered.clone(),
+            forwards: Arc::clone(&self.forwards),
+            blocking: self.blocking,
+        }))
+    }
 }
 
+/// The test's side of a [`GateLayer`]. Dropping it opens the gate: tests
+/// re-bind it after starting the server (`let gate = gate;`) so it drops
+/// first, and a failing assertion cannot leave the server's join hanging
+/// on a wedged worker.
 struct Gate {
     gate: Arc<(Mutex<bool>, Condvar)>,
     entered: mpsc::Receiver<()>,
@@ -61,7 +79,9 @@ struct Gate {
 }
 
 impl Gate {
-    fn model() -> (Sequential, Gate) {
+    /// A one-layer model whose first `blocking` forward passes wait for
+    /// the gate; later ones pass straight through.
+    fn model(blocking: usize) -> (Sequential, Gate) {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let forwards = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
@@ -70,6 +90,7 @@ impl Gate {
             gate: Arc::clone(&gate),
             entered: tx,
             forwards: Arc::clone(&forwards),
+            blocking,
         });
         (
             model,
@@ -88,17 +109,44 @@ impl Gate {
     }
 }
 
-/// A layer whose forward pass always panics — a stand-in for a worker
-/// crashing mid-inference.
-struct PanicLayer;
+impl Drop for Gate {
+    fn drop(&mut self) {
+        self.open();
+    }
+}
+
+/// A layer whose first forward pass (counted across its CoW replicas)
+/// panics — a stand-in for a worker crashing mid-inference.
+struct PanicLayer {
+    forwards: Arc<AtomicUsize>,
+}
+
+impl PanicLayer {
+    fn model() -> Sequential {
+        let mut model = Sequential::new();
+        model.push(PanicLayer {
+            forwards: Arc::new(AtomicUsize::new(0)),
+        });
+        model
+    }
+}
 
 impl Layer for PanicLayer {
-    fn forward(&mut self, _x: &Tensor, _train: bool) -> Tensor {
-        panic!("boom");
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        if self.forwards.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("boom");
+        }
+        x.clone()
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         grad.clone()
+    }
+
+    fn clone_layer(&self) -> Option<Box<dyn Layer>> {
+        Some(Box::new(PanicLayer {
+            forwards: Arc::clone(&self.forwards),
+        }))
     }
 }
 
@@ -200,10 +248,10 @@ fn multithreaded_clients_on_replicas_match_batch1_bitwise() {
 #[test]
 fn full_admission_queue_sheds_with_typed_overloaded() {
     // With the single worker wedged inside a gated forward pass and a
-    // 2-deep admission queue, a 32-request burst must shed most of the
-    // load as `Overloaded` *immediately* (no blocking), and every
+    // 2-deep admission queue, a 32-request burst must shed all but 2 of
+    // its requests as `Overloaded` *immediately* (no blocking), and every
     // accepted request must still be answered once the gate opens.
-    let (model, gate) = Gate::model();
+    let (model, gate) = Gate::model(usize::MAX);
     let server = InferenceServer::start(
         model,
         GATED_SIZE,
@@ -215,6 +263,7 @@ fn full_admission_queue_sheds_with_typed_overloaded() {
         },
     )
     .expect("gate layer has no GEMM engines");
+    let gate = gate;
     let client = server.client();
 
     // Wedge the worker: the first request enters the (closed) gate.
@@ -235,10 +284,9 @@ fn full_admission_queue_sheds_with_typed_overloaded() {
             Err(e) => panic!("expected Overloaded, got {e:?}"),
         }
     }
-    // Total in-flight capacity with the worker wedged: the admission
-    // queue (2) + the worker lane (2) + one request held by the router's
-    // blocking reroute. Everything else must have been shed.
-    assert!(shed >= 24, "expected >= 24 shed of 32, got {shed}");
+    // With the only worker wedged, the 2-deep admission queue is the
+    // only buffer: exactly 2 are admitted and the other 30 are shed.
+    assert_eq!(shed, 30, "expected 30 shed of 32, got {shed}");
     assert_eq!(accepted.len() + shed, 32);
 
     gate.open();
@@ -250,6 +298,11 @@ fn full_admission_queue_sheds_with_typed_overloaded() {
     let (_, stats) = server.shutdown().expect("clean shutdown");
     assert_eq!(stats.shed, shed, "stats must count every shed request");
     assert_eq!(stats.requests, 1 + n_accepted);
+    assert_eq!(
+        stats.requests + stats.shed + stats.expired,
+        33,
+        "32 submitted plus the wedge, each served, shed or expired once"
+    );
 }
 
 #[test]
@@ -257,7 +310,7 @@ fn expired_deadline_is_answered_without_touching_a_model() {
     // Request A wedges the worker inside the gate; request B carries a
     // 1 ms deadline and must be answered `DeadlineExceeded` — and the
     // forward counter proves no model ever ran for it.
-    let (model, gate) = Gate::model();
+    let (model, gate) = Gate::model(usize::MAX);
     let server = InferenceServer::start(
         model,
         GATED_SIZE,
@@ -268,6 +321,7 @@ fn expired_deadline_is_answered_without_touching_a_model() {
         },
     )
     .expect("gate layer has no GEMM engines");
+    let gate = gate;
     let client = server.client();
 
     let a = client.submit(gated_sample(1.0)).expect("submit A");
@@ -330,10 +384,54 @@ fn shutdown_serves_in_flight_requests_across_replicas() {
 }
 
 #[test]
+fn wedged_replica_strands_nothing() {
+    // Two replicas; the first forward pass wedges one of them. Workers
+    // pull from the shared admission queue, so the idle replica must
+    // answer all 8 later requests while the gate is still closed — none
+    // may wait behind the wedged one.
+    let (model, gate) = Gate::model(1);
+    let server = InferenceServer::start(
+        model,
+        GATED_SIZE,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("gate layer has no GEMM engines");
+    let gate = gate;
+    let client = server.client();
+    let wedge = client.submit(gated_sample(0.0)).expect("submit wedge");
+    gate.entered.recv().expect("worker entered forward");
+
+    let pending: Vec<_> = (0..8)
+        .map(|i| client.submit(gated_sample(i as f32)).expect("submit"))
+        .collect();
+    let (tx, rx) = mpsc::channel();
+    let redeemer = std::thread::spawn(move || {
+        for p in pending {
+            let _ = tx.send(p.wait());
+        }
+    });
+    for i in 0..8 {
+        let reply = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("request {i} stranded behind the wedged replica: {e:?}"));
+        assert_eq!(reply.expect("served").logits.len(), 3);
+    }
+
+    gate.open();
+    assert_eq!(wedge.wait().expect("wedge served").logits.len(), 3);
+    redeemer.join().expect("redeemer thread");
+    let (_, stats) = server.shutdown().expect("clean shutdown");
+    let mut per_worker = stats.worker_requests;
+    per_worker.sort_unstable();
+    assert_eq!(per_worker, [1, 8], "the free replica served all 8");
+}
+
+#[test]
 fn worker_panic_is_recorded_not_swallowed() {
-    let mut model = Sequential::new();
-    model.push(PanicLayer);
-    let server = InferenceServer::start(model, GATED_SIZE, ServeConfig::default())
+    let server = InferenceServer::start(PanicLayer::model(), GATED_SIZE, ServeConfig::default())
         .expect("panic layer has no GEMM engines");
     let sink = server.diag_sink();
     let client = server.client();
@@ -345,24 +443,16 @@ fn worker_panic_is_recorded_not_swallowed() {
         other => panic!("expected Closed from a dead worker, got {other:?}"),
     }
 
-    // The router discovers the corpse when it next routes to the lane;
-    // keep submitting until the poisoned flag flips (bounded wait).
+    // The dying worker flips the poisoned flag itself; nothing more
+    // needs to be submitted for the server to notice (bounded wait).
     let deadline = Instant::now() + Duration::from_secs(10);
     while !server.poisoned() {
         assert!(
             Instant::now() < deadline,
             "server never noticed the dead worker"
         );
-        let _ = client.predict(gated_sample(0.0));
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(
-        server
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == codes::WORKER_LOST && d.severity == Severity::Error),
-        "the router must record the lost worker"
-    );
 
     // Shutdown surfaces the panic as a typed error...
     match server.shutdown() {
@@ -384,13 +474,49 @@ fn worker_panic_is_recorded_not_swallowed() {
 }
 
 #[test]
+fn surviving_replica_serves_after_a_worker_panic() {
+    // Two replicas; the first forward pass kills whichever worker ran
+    // it. The survivor keeps pulling from the shared queue, so every
+    // later request is served, and shutdown still names the dead one.
+    let server = InferenceServer::start(
+        PanicLayer::model(),
+        GATED_SIZE,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("panic layer has no GEMM engines");
+    let client = server.client();
+    assert!(matches!(
+        client.predict(gated_sample(0.0)),
+        Err(ServeError::Closed)
+    ));
+    for i in 1..=8 {
+        let p = client
+            .predict(gated_sample(i as f32))
+            .expect("the surviving replica serves");
+        assert_eq!(p.logits, gated_sample(i as f32));
+    }
+    assert!(server.poisoned());
+    match server.shutdown() {
+        Err(ServeError::WorkerPanicked { thread, message }) => {
+            assert!(
+                thread == "srmac-serve-0" || thread == "srmac-serve-1",
+                "thread = {thread}"
+            );
+            assert_eq!(message, "boom");
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+}
+
+#[test]
 fn dropped_server_still_records_worker_panics() {
     // The Drop path must record the panic too — the old Drop impl
     // did `let _ = w.join();`, making a crashed worker indistinguishable
     // from a clean shutdown.
-    let mut model = Sequential::new();
-    model.push(PanicLayer);
-    let server = InferenceServer::start(model, GATED_SIZE, ServeConfig::default())
+    let server = InferenceServer::start(PanicLayer::model(), GATED_SIZE, ServeConfig::default())
         .expect("panic layer has no GEMM engines");
     let sink = server.diag_sink();
     let client = server.client();
