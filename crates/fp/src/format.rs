@@ -87,12 +87,13 @@ impl FpFormat {
     ///
     /// Panics if the widths are outside the supported range.
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "of() is the documented panicking constructor; fallible callers use new()"
-    )]
     pub fn of(exp_bits: u32, man_bits: u32) -> Self {
-        Self::new(exp_bits, man_bits).expect("invalid floating-point format")
+        #[expect(
+            clippy::expect_used,
+            reason = "of() is the documented panicking constructor; fallible callers use new()"
+        )]
+        let format = Self::new(exp_bits, man_bits).expect("invalid floating-point format");
+        format
     }
 
     /// Returns a copy of this format with subnormal support set to `enabled`.

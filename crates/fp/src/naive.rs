@@ -228,15 +228,16 @@ impl Grid {
     }
 }
 
-#[expect(
-    clippy::expect_used,
-    reason = "the asserts above bound sh, and the significand fits i128"
-)]
 fn scaled(exp: i32, sig: u128) -> i128 {
     let sh = exp + SCALE;
     assert!(sh >= 0, "value finer than the oracle scale");
     assert!(sh < 100, "value beyond the oracle range");
-    i128::try_from(sig).expect("significand fits") << sh
+    #[expect(
+        clippy::expect_used,
+        reason = "the asserts above bound sh, and the significand fits i128"
+    )]
+    let sig = i128::try_from(sig).expect("significand fits");
+    sig << sh
 }
 
 #[cfg(test)]

@@ -32,9 +32,10 @@ pub fn nnls(a: &[Vec<f64>], y: &[f64], w: &[f64]) -> Vec<f64> {
     }
 }
 
-#[expect(clippy::expect_used, reason = "callers only pass j drawn from idx")]
 fn pos(idx: &[usize], j: usize) -> usize {
-    idx.iter().position(|&k| k == j).expect("index present")
+    #[expect(clippy::expect_used, reason = "callers only pass j drawn from idx")]
+    let p = idx.iter().position(|&k| k == j).expect("index present");
+    p
 }
 
 /// Weighted least squares restricted to the columns in `idx`.

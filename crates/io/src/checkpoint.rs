@@ -693,25 +693,25 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    #[expect(clippy::expect_used, reason = "take(2) returned exactly 2 bytes")]
     fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        let bytes = self.take(2)?;
+        #[expect(clippy::expect_used, reason = "take(2) returned exactly 2 bytes")]
+        let bytes = bytes.try_into().expect("2 bytes");
+        Ok(u16::from_le_bytes(bytes))
     }
 
-    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
     pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        let bytes = self.take(4)?;
+        #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
+        let bytes = bytes.try_into().expect("4 bytes");
+        Ok(u32::from_le_bytes(bytes))
     }
 
-    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        let bytes = self.take(8)?;
+        #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
+        let bytes = bytes.try_into().expect("8 bytes");
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// A record count: each record needs at least one more byte, so a
@@ -730,15 +730,16 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.malformed("string is not UTF-8"))
     }
 
-    #[expect(clippy::expect_used, reason = "chunks_exact(4) yields 4-byte chunks")]
     pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
         let need = n
             .checked_mul(4)
             .ok_or_else(|| self.malformed("f32 payload length overflows"))?;
         let raw = self.take(need)?;
-        Ok(raw
+        #[expect(clippy::expect_used, reason = "chunks_exact(4) yields 4-byte chunks")]
+        let floats = raw
             .chunks_exact(4)
             .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect())
+            .collect();
+        Ok(floats)
     }
 }

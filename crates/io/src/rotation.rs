@@ -121,10 +121,6 @@ fn shift_slots(storage: &dyn Storage, path: &Path, keep: usize) {
 /// the retry budget is exhausted. The rotation set is left in whatever
 /// consistent state the last attempt reached (previous generations
 /// intact; no partial file under the head name).
-#[expect(
-    clippy::expect_used,
-    reason = "the retry loop runs at least once, so a failure to return above always recorded an error here"
-)]
 pub fn save_rotating(
     storage: &dyn Storage,
     path: &Path,
@@ -152,7 +148,12 @@ pub fn save_rotating(
             Err(e) => last_err = Some(e),
         }
     }
-    Err(CheckpointError::Io(last_err.expect("at least one attempt")))
+    #[expect(
+        clippy::expect_used,
+        reason = "the retry loop runs at least once, so a failure to return above always recorded an error here"
+    )]
+    let err = last_err.expect("at least one attempt");
+    Err(CheckpointError::Io(err))
 }
 
 /// A checkpoint recovered from a rotation set.

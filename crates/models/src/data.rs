@@ -42,8 +42,7 @@ pub fn shard_spans(n: usize, shards: usize) -> Vec<Range<usize>> {
 
 /// An in-memory labelled image dataset (NCHW, 3 channels).
 ///
-/// Images live behind an `Arc` so batch assembly can hand them to the
-/// shared parallel runtime's `'static` jobs without copying.
+/// Images live behind an `Arc`, so clones share one image buffer.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     images: Arc<Vec<f32>>,
@@ -105,21 +104,35 @@ impl Dataset {
     pub fn batch(&self, idx: &[usize]) -> (Tensor, Vec<usize>) {
         let mut x = Tensor::zeros(&[idx.len(), 3, self.size, self.size]);
         let mut labels = Vec::with_capacity(idx.len());
-        self.batch_into(Runtime::global(), idx, &mut x, &mut labels);
+        self.gather(idx, &mut x, &mut labels);
         (x, labels)
     }
 
     /// Assembles a batch into a caller-owned tensor and label buffer —
     /// the allocation-free path for streaming loops ([`Tensor::data_mut`]
-    /// reuses the buffer whenever no stale share is alive). The sample
-    /// gather runs on `rt`, partitioned per sample; results are bitwise
-    /// identical to [`Dataset::batch`] at every thread count.
+    /// reuses the buffer whenever no stale share is alive). The gather is
+    /// a serial copy on the calling thread; results are bitwise identical
+    /// to [`Dataset::batch`].
+    ///
+    /// `_rt` is unused: the parameter stays only until the benchmark
+    /// harness that passes it is next revised (ROADMAP item 4 drops it).
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range or `x` is not
     /// `[idx.len(), 3, size, size]`.
-    pub fn batch_into(&self, rt: &Runtime, idx: &[usize], x: &mut Tensor, labels: &mut Vec<usize>) {
+    pub fn batch_into(
+        &self,
+        _rt: &Runtime,
+        idx: &[usize],
+        x: &mut Tensor,
+        labels: &mut Vec<usize>,
+    ) {
+        self.gather(idx, x, labels);
+    }
+
+    /// [`Dataset::batch_into`] without the unused runtime parameter.
+    pub(crate) fn gather(&self, idx: &[usize], x: &mut Tensor, labels: &mut Vec<usize>) {
         let plane = 3 * self.size * self.size;
         assert_eq!(
             x.shape(),
@@ -135,24 +148,12 @@ impl Dataset {
             );
             labels.push(self.labels[i]);
         }
-        if rt.threads() == 1 {
-            // Serial fast path: gather straight into the tensor — no index
-            // copy, no pre-zeroing (every element is overwritten).
-            let out = x.data_mut();
-            for (bi, &i) in idx.iter().enumerate() {
-                out[bi * plane..(bi + 1) * plane]
-                    .copy_from_slice(&self.images[i * plane..(i + 1) * plane]);
-            }
-            return;
+        // Every element is overwritten, so the tensor needs no pre-zeroing.
+        let out = x.data_mut();
+        for (bi, &i) in idx.iter().enumerate() {
+            out[bi * plane..(bi + 1) * plane]
+                .copy_from_slice(&self.images[i * plane..(i + 1) * plane]);
         }
-        let images = Arc::clone(&self.images);
-        let idx: Arc<Vec<usize>> = Arc::new(idx.to_vec());
-        rt.parallel_fill(idx.len(), plane, 2, x.data_mut(), move |range, block| {
-            for (bi, s) in range.enumerate() {
-                let from = idx[s] * plane;
-                block[bi * plane..(bi + 1) * plane].copy_from_slice(&images[from..from + plane]);
-            }
-        });
     }
 
     /// Splits the dataset into `shards` contiguous shards along the

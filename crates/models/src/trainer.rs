@@ -395,14 +395,16 @@ impl Trainer {
         self
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "documented API-misuse panic — checkpoint_every(..) must be configured first"
-    )]
     fn ckpt_options_mut(&mut self) -> &mut CkptOptions {
-        self.ckpt
+        #[expect(
+            clippy::expect_used,
+            reason = "documented API-misuse panic — checkpoint_every(..) must be configured first"
+        )]
+        let options = self
+            .ckpt
             .as_mut()
-            .expect("configure checkpointing with checkpoint_every(..) first")
+            .expect("configure checkpointing with checkpoint_every(..) first");
+        options
     }
 
     /// The resolved gradient-shard count `S` (after `0 -> replicas`).
@@ -880,9 +882,9 @@ impl Trainer {
 
 /// Evaluates classification accuracy (percent) on a dataset.
 ///
-/// Batches stream through one reused batch tensor, assembled in parallel
-/// on the shared runtime (`Dataset::batch_into`): after the first batch
-/// the loop performs no per-batch input allocations. Batch boundaries are
+/// Batches stream through one reused batch tensor, assembled serially
+/// (as by `Dataset::batch_into`): after the first batch the loop performs
+/// no per-batch input allocations. Batch boundaries are
 /// identical to the naive per-batch path, so accuracies are bitwise
 /// unchanged under every engine and rounding mode.
 ///
@@ -891,7 +893,6 @@ impl Trainer {
 /// Panics if `batch_size == 0`.
 pub fn evaluate(model: &mut Sequential, data: &Dataset, batch_size: usize) -> f32 {
     assert!(batch_size > 0, "evaluate needs a nonzero batch size");
-    let rt = srmac_tensor::Runtime::global();
     let s = data.image_size();
     let idx: Vec<usize> = (0..data.len()).collect();
     let mut x = Tensor::zeros(&[batch_size.min(data.len().max(1)), 3, s, s]);
@@ -902,7 +903,7 @@ pub fn evaluate(model: &mut Sequential, data: &Dataset, batch_size: usize) -> f3
             // Only the final ragged batch reshapes the buffer.
             x = Tensor::zeros(&[chunk.len(), 3, s, s]);
         }
-        data.batch_into(rt, chunk, &mut x, &mut labels);
+        data.gather(chunk, &mut x, &mut labels);
         let logits = model.forward(&x, false);
         correct += count_correct(&logits, &labels);
     }

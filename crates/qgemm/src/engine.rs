@@ -282,7 +282,6 @@ impl MacGemmConfig {
     ///
     /// Returns [`ConfigWireError`] on invalid formats, an unknown rounding
     /// tag, or an out-of-range SR bit count.
-    #[expect(clippy::expect_used, reason = "w[8..16] is exactly 8 bytes")]
     pub fn from_wire(w: &[u8; Self::WIRE_BYTES]) -> Result<Self, ConfigWireError> {
         let fmt = |exp: u8, man: u8, sub: u8| -> Result<FpFormat, ConfigWireError> {
             if sub > 1 {
@@ -303,11 +302,13 @@ impl MacGemmConfig {
             tag => return Err(ConfigWireError::BadRoundingTag(tag)),
         };
         Self::check_envelope(mul_fmt, acc_fmt, rounding)?;
+        #[expect(clippy::expect_used, reason = "w[8..16] is exactly 8 bytes")]
+        let seed = w[8..16].try_into().expect("8-byte slice");
         Ok(Self {
             mul_fmt,
             acc_fmt,
             rounding,
-            seed: u64::from_le_bytes(w[8..16].try_into().expect("8-byte slice")),
+            seed: u64::from_le_bytes(seed),
             threads: srmac_tensor::available_threads(),
         })
     }
@@ -1002,10 +1003,11 @@ pub struct MacGemm {
 impl MacGemm {
     /// Builds the engine (precomputes product and decode tables). At the
     /// default thread count the engine dispatches on the process-wide
-    /// [`Runtime::global`] — one worker pool shared with the tensor
-    /// layers' data movement, never a second oversubscribing pool; an
-    /// explicit non-default `config.threads` gets a private runtime of
-    /// that size (results are bitwise identical either way).
+    /// [`Runtime::global`] — one worker pool shared with every other
+    /// default engine and the trainer's replicas, never a second
+    /// oversubscribing pool; an explicit non-default `config.threads` gets
+    /// a private runtime of that size (results are bitwise identical
+    /// either way).
     ///
     /// # Panics
     ///
@@ -1097,16 +1099,13 @@ impl MacGemm {
     }
 
     /// Pops a recycled byte buffer (or a fresh empty one).
-    #[expect(
-        clippy::expect_used,
-        reason = "a poisoned stash means a worker already panicked — propagate the abort"
-    )]
     fn take_codes_buf(&self) -> Vec<u8> {
-        self.codes_scratch
-            .lock()
-            .expect("codes scratch poisoned")
-            .pop()
-            .unwrap_or_default()
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned stash means a worker already panicked — propagate the abort"
+        )]
+        let mut stash = self.codes_scratch.lock().expect("codes scratch poisoned");
+        stash.pop().unwrap_or_default()
     }
 
     /// Returns a byte buffer to the bounded free list.

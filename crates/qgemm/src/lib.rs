@@ -34,10 +34,10 @@
 //!    evaluating the same quantized weights).
 //! 2. **Plan/execute** (`gemm_packed`): run only the bit-exact
 //!    accumulation loops over the prepared codes, dispatched through the
-//!    shared parallel runtime (`srmac-runtime`) — the same persistent
-//!    worker pool that drives the tensor layer's im2row/col2im/scatter
-//!    data movement ([`MacGemm::with_runtime`] shares one pool across the
-//!    whole stack). The one-shot `gemm` is the trait's default
+//!    shared parallel runtime (`srmac-runtime`) — one persistent worker
+//!    pool for every default engine and the trainer's replicas
+//!    ([`MacGemm::with_runtime`] picks a pool explicitly). The one-shot
+//!    `gemm` is the trait's default
 //!    composition — pack on the fly, then execute.
 //!
 //! The training layers in `srmac-tensor` exploit this split by caching

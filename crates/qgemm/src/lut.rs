@@ -29,10 +29,6 @@ impl ProductLut {
     /// Panics if the input format is wider than 8 bits or the output format
     /// wider than 16.
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "the collect above produced exactly 65536 entries"
-    )]
     pub fn build(fmt_in: FpFormat, fmt_out: FpFormat) -> Self {
         assert!(
             fmt_in.bits() <= 8,
@@ -56,10 +52,12 @@ impl ProductLut {
                 };
             }
         }
+        #[expect(clippy::expect_used, reason = "table was built with 65536 entries")]
+        let table = table.into_boxed_slice().try_into().expect("table is 65536");
         Self {
             fmt_in,
             fmt_out,
-            table: table.into_boxed_slice().try_into().expect("table is 65536"),
+            table,
         }
     }
 
@@ -110,10 +108,6 @@ impl PairLut {
     ///
     /// Panics if the LUT's output format and the adder's format disagree.
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "the collect above produced exactly 65536 entries"
-    )]
     pub fn build(lut: &ProductLut, batch: &FastAdderBatch) -> Self {
         assert_eq!(
             lut.output_format(),
@@ -123,9 +117,12 @@ impl PairLut {
         let table: Vec<u32> = (0..1usize << 16)
             .map(|i| batch.decode(u64::from(lut.product((i >> 8) as u8, i as u8))))
             .collect();
-        Self {
-            table: table.into_boxed_slice().try_into().expect("table is 65536"),
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "the collect above produced exactly 65536 entries"
+        )]
+        let table = table.into_boxed_slice().try_into().expect("table is 65536");
+        Self { table }
     }
 
     /// The full 256 x 256 table, indexed `(ca << 8) | cb` — the raw form
@@ -139,15 +136,16 @@ impl PairLut {
     /// The 256-entry decoded product row for left code `ca`.
     #[inline]
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "start + 256 <= 65536 for any u8 row index"
-    )]
     pub fn row(&self, ca: u8) -> &[u32; 256] {
         let start = (ca as usize) << 8;
-        self.table[start..start + 256]
+        #[expect(
+            clippy::expect_used,
+            reason = "start + 256 <= 65536 for any u8 row index"
+        )]
+        let row = self.table[start..start + 256]
             .try_into()
-            .expect("row is 256")
+            .expect("row is 256");
+        row
     }
 }
 

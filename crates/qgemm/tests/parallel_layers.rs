@@ -1,9 +1,10 @@
 //! Cross-stack bitwise determinism: the full convolution and linear layer
-//! passes — parallel im2row/col2im/scatter/gather/transpose on the shared
-//! runtime around engine GEMMs — must produce bit-identical outputs,
-//! input gradients and weight gradients for every thread count 1..=8,
-//! under the exact f32 engine and the MAC engine with RN and SR
-//! accumulation. Parallelism must change wall-clock time, never bits.
+//! passes — serial im2row/col2im/scatter/gather/transpose around GEMMs
+//! whose engines dispatch on a runtime of 1..=8 threads — must produce
+//! bit-identical outputs, input gradients and weight gradients for every
+//! engine thread count, under the exact f32 engine and the MAC engine
+//! with RN and SR accumulation. Parallelism must change wall-clock time,
+//! never bits.
 
 use std::sync::Arc;
 
@@ -33,7 +34,7 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
 /// GEMM dispatch itself also runs on the runtime being checked.
 fn engines(rt: &Arc<Runtime>) -> Vec<(&'static str, Arc<dyn GemmEngine>)> {
     vec![
-        ("f32", Arc::new(F32Engine::new(1))),
+        ("f32", Arc::new(F32Engine::new(rt.threads()))),
         (
             "mac-rn",
             Arc::new(MacGemm::with_runtime(
@@ -53,11 +54,10 @@ fn engines(rt: &Arc<Runtime>) -> Vec<(&'static str, Arc<dyn GemmEngine>)> {
 
 /// One train-mode forward + backward through a conv layer; returns
 /// (output, input gradient, weight gradient) bits.
-fn conv_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+fn conv_pass(engine: Arc<dyn GemmEngine>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut rng = SplitMix64::new(11);
     let weight = kaiming_normal(&[6, 3 * 3 * 3], 27, &mut rng);
-    let mut conv =
-        Conv2d::per_role(3, 6, 3, 2, 1, weight, RoleEngines::uniform(engine)).with_runtime(rt);
+    let mut conv = Conv2d::per_role(3, 6, 3, 2, 1, weight, RoleEngines::uniform(engine));
     let x = rand_tensor(&[3, 3, 9, 7], 21);
     let y = conv.forward(&x, true);
     let grad = rand_tensor(y.shape(), 22);
@@ -72,10 +72,10 @@ fn conv_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u3
 }
 
 /// Same for a linear layer.
-fn linear_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+fn linear_pass(engine: Arc<dyn GemmEngine>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut rng = SplitMix64::new(12);
     let weight = kaiming_normal(&[10, 24], 24, &mut rng);
-    let mut lin = Linear::per_role(24, 10, weight, RoleEngines::uniform(engine)).with_runtime(rt);
+    let mut lin = Linear::per_role(24, 10, weight, RoleEngines::uniform(engine));
     let x = rand_tensor(&[7, 24], 23);
     let y = lin.forward(&x, true);
     let grad = rand_tensor(y.shape(), 24);
@@ -93,11 +93,11 @@ fn linear_pass(engine: Arc<dyn GemmEngine>, rt: Arc<Runtime>) -> (Vec<u32>, Vec<
 fn conv_layer_is_bitwise_thread_invariant() {
     let serial = Arc::new(Runtime::serial());
     for (name, engine) in engines(&serial) {
-        let want = conv_pass(engine, Arc::clone(&serial));
+        let want = conv_pass(engine);
         for threads in 1..=8 {
             let rt = Arc::new(Runtime::new(threads));
             let (engine_name, engine) = engines(&rt).into_iter().find(|(n, _)| *n == name).unwrap();
-            let got = conv_pass(engine, Arc::clone(&rt));
+            let got = conv_pass(engine);
             assert_eq!(
                 want, got,
                 "{engine_name}: conv diverged at {threads} threads"
@@ -110,11 +110,11 @@ fn conv_layer_is_bitwise_thread_invariant() {
 fn linear_layer_is_bitwise_thread_invariant() {
     let serial = Arc::new(Runtime::serial());
     for (name, engine) in engines(&serial) {
-        let want = linear_pass(engine, Arc::clone(&serial));
+        let want = linear_pass(engine);
         for threads in 1..=8 {
             let rt = Arc::new(Runtime::new(threads));
             let (engine_name, engine) = engines(&rt).into_iter().find(|(n, _)| *n == name).unwrap();
-            let got = linear_pass(engine, Arc::clone(&rt));
+            let got = linear_pass(engine);
             assert_eq!(
                 want, got,
                 "{engine_name}: linear diverged at {threads} threads"

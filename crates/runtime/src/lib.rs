@@ -1,28 +1,25 @@
 //! # srmac-runtime: the shared parallel runtime
 //!
-//! One persistent worker pool behind three dispatch primitives, shared by
-//! every layer of the stack:
+//! One persistent worker pool behind two dispatch primitives:
 //!
 //! - [`Runtime::parallel_fill_blocks`] fills a row-major matrix over a
 //!   fixed grid of rectangles. The `MacGemm` accumulation loops in
 //!   `srmac-qgemm` dispatch their tile rectangles through it.
-//! - [`Runtime::parallel_fill`] is its whole-item form: each tile is a run
-//!   of whole items. The data-movement kernels (`im2row`, `col2im`, the
-//!   NCHW scatter/gathers, transposes, batch assembly) in `srmac-tensor` /
-//!   `srmac-models` dispatch item chunks through it.
 //! - [`Runtime::run_jobs`] runs heterogeneous `'static` jobs and hands
 //!   their results back in job order (the trainer's replica seam).
 //!
-//! All three share one private dispatch loop. It enqueues the jobs, hands
-//! each result back as soon as it arrives (so tile copy-back overlaps the
-//! jobs still running) and fails loudly if a job died. It runs the jobs
-//! inline when the runtime is serial, when called from inside a pool
-//! worker (so nested dispatch can never deadlock the pool), or when there
-//! is at most one job.
+//! Both share one private dispatch loop. It enqueues the jobs, hands each
+//! result back as soon as it arrives (so tile copy-back overlaps the jobs
+//! still running) and fails loudly if a job died. It runs the jobs inline
+//! when the runtime is serial, when called from inside a pool worker (so
+//! nested dispatch can never deadlock the pool), or when there is at most
+//! one job.
 //!
-//! [`tree_reduce`] is the gradient sum over replicas: a serial function
-//! over a fixed binary tree. Elementwise passes this cheap lose to the
-//! pool's dispatch cost, so they do not use it.
+//! Everything cheaper than a MAC tile runs serially on its caller and
+//! does not use the pool: [`tree_reduce`] (the gradient sum over
+//! replicas), the optimizer update, and the data movement around each
+//! GEMM (`im2row`, `col2im`, the NCHW scatter/gathers, transposes, batch
+//! assembly). Passes this cheap lose to the pool's dispatch cost.
 //!
 //! # The fill determinism contract
 //!
@@ -44,23 +41,17 @@
 //!   identical** for every thread count, including 1 — parallelism
 //!   changes wall-clock time, never bits.
 //!
-//! [`Runtime::parallel_fill`] inherits the contract with whole items as
-//! the unit that is never split. [`tree_reduce`] keeps the same
-//! discipline for *reductions*: its association order is a pure function
-//! of the buffer count, so a gradient sum over R replicas is bitwise
-//! pinned.
+//! [`tree_reduce`] keeps the same discipline for *reductions*: its
+//! association order is a pure function of the buffer count, so a
+//! gradient sum over R replicas is bitwise pinned.
 //!
-//! # Workspace reuse
+//! # Scratch blocks
 //!
-//! Worker jobs must be `'static` (the pool outlives any one call), so
-//! inputs are shared via `Arc` and each job fills a recycled scratch block
-//! that the runtime copies into the caller's output. Scratch blocks live
-//! in a free list on the runtime: after warm-up, a steady-state training
-//! step performs no transient allocations inside the runtime. The
-//! [`Workspace`] type gives callers the same property for their own
-//! buffers: a persistently owned, cheaply sharable `Arc<Vec<f32>>` whose
-//! exclusive view is recovered without copying once in-flight shares are
-//! dropped.
+//! Worker jobs must be `'static` (the pool outlives any one call), so each
+//! tile job fills a recycled scratch block that the runtime copies into
+//! the caller's output. Scratch blocks live in a free list on the runtime:
+//! after warm-up, a steady-state training step performs no transient
+//! allocations inside the runtime.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -111,8 +102,8 @@ impl Runtime {
     }
 
     /// The process-wide shared runtime, sized to [`available_threads`].
-    /// Layers and models use this by default so the whole stack shares one
-    /// pool instead of spawning one per layer.
+    /// The GEMM engines and the trainer use this by default, so the whole
+    /// stack shares one pool instead of spawning one per engine.
     #[must_use]
     pub fn global() -> &'static Arc<Runtime> {
         static GLOBAL: OnceLock<Arc<Runtime>> = OnceLock::new();
@@ -123,43 +114,6 @@ impl Runtime {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, WorkerPool::threads)
-    }
-
-    /// Fills `out` — logically `items` items of `item_len` elements each —
-    /// by running `job(range, block)` over disjoint chunks of whole items.
-    ///
-    /// This is [`Runtime::parallel_fill_blocks`] over an `items x
-    /// item_len` matrix whose tiles span whole rows: `out` is treated as
-    /// fully overwritten (every element the job does not write ends up
-    /// `0.0`), and `grain` is the minimum number of items per chunk. Work
-    /// that fits one chunk runs inline. See the module docs for the
-    /// determinism contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != items * item_len` or if a worker job dies
-    /// (a panicking job would otherwise silently corrupt the output).
-    pub fn parallel_fill<F>(
-        &self,
-        items: usize,
-        item_len: usize,
-        grain: usize,
-        out: &mut [f32],
-        job: F,
-    ) where
-        F: Fn(Range<usize>, &mut [f32]) + Send + Sync + 'static,
-    {
-        let row_tile = items.div_ceil(self.threads()).max(grain);
-        self.parallel_fill_blocks(
-            items,
-            item_len,
-            row_tile,
-            item_len,
-            out,
-            move |rows, _, block| {
-                job(rows, block);
-            },
-        );
     }
 
     /// Fills `out` — a row-major `rows x cols` matrix — by running
@@ -256,10 +210,6 @@ impl Runtime {
     /// # Panics
     ///
     /// Panics if a worker job dies before returning a result.
-    #[expect(
-        clippy::expect_used,
-        reason = "dispatch asserted every job ran; each slot was filled exactly once"
-    )]
     pub fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
@@ -267,10 +217,15 @@ impl Runtime {
     {
         let mut slots: Vec<Option<T>> = (0..jobs.len()).map(|_| None).collect();
         self.dispatch(jobs.into_iter(), |i, out| slots[i] = Some(out));
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "dispatch asserted every job ran; each slot was filled exactly once"
+        )]
+        let results = slots
             .into_iter()
             .map(|s| s.expect("every job completed"))
-            .collect()
+            .collect();
+        results
     }
 
     /// True when a dispatch of `jobs` jobs runs on the calling thread: a
@@ -366,172 +321,27 @@ pub fn tree_reduce(bufs: &mut [Vec<f32>]) {
     }
 }
 
-/// A persistently owned, cheaply sharable `f32` buffer for layer
-/// workspaces.
-///
-/// [`Workspace::share`] hands an `Arc` clone to `'static` runtime jobs;
-/// [`Workspace::reset`] recovers the exclusive mutable view once those
-/// shares are gone (which [`Runtime::parallel_fill`] guarantees by the
-/// time it returns). If a stale share *is* still alive — e.g. a layer
-/// cached it for a backward pass that has not run yet — `reset` clones
-/// instead of corrupting it, so reuse is an optimization, never a
-/// correctness hazard.
-#[derive(Debug, Clone, Default)]
-pub struct Workspace {
-    buf: Arc<Vec<f32>>,
-}
-
-impl Workspace {
-    /// Creates an empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears and resizes the buffer to `len` zeros, returning the
-    /// exclusive mutable view. Reuses the existing allocation whenever no
-    /// share is outstanding.
-    pub fn reset(&mut self, len: usize) -> &mut Vec<f32> {
-        let buf = Arc::make_mut(&mut self.buf);
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// A shared handle for `'static` runtime jobs.
-    #[must_use]
-    pub fn share(&self) -> Arc<Vec<f32>> {
-        Arc::clone(&self.buf)
-    }
-
-    /// Read-only view of the current contents.
-    #[must_use]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A reference fill: the contract says parallel_fill(out) must equal
-    /// zero-fill + job(0..items, out) bit for bit.
-    fn serial_reference<F>(items: usize, item_len: usize, job: F) -> Vec<f32>
-    where
-        F: Fn(Range<usize>, &mut [f32]),
-    {
-        let mut out = vec![f32::NAN; items * item_len];
-        out.fill(0.0);
-        job(0..items, &mut out);
-        out
-    }
-
-    fn gather_job(
-        src: Arc<Vec<f32>>,
-        item_len: usize,
-    ) -> impl Fn(Range<usize>, &mut [f32]) + Send + Sync {
-        move |range: Range<usize>, block: &mut [f32]| {
-            for (bi, item) in range.clone().enumerate() {
-                for j in 0..item_len {
-                    // A non-trivial, item-dependent computation.
-                    block[bi * item_len + j] = src[item * item_len + j] * 0.5 + (item as f32).sin();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fill_is_bitwise_thread_invariant() {
-        let (items, item_len) = (37, 13);
-        let src = Arc::new(
-            (0..items * item_len)
-                .map(|i| i as f32 * 0.17 - 3.0)
-                .collect::<Vec<_>>(),
-        );
-        let want = serial_reference(items, item_len, gather_job(Arc::clone(&src), item_len));
-        for threads in 1..=8 {
-            let rt = Runtime::new(threads);
-            let mut out = vec![f32::NAN; items * item_len];
-            rt.parallel_fill(
-                items,
-                item_len,
-                1,
-                &mut out,
-                gather_job(Arc::clone(&src), item_len),
-            );
-            let same = want
-                .iter()
-                .zip(&out)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{threads} threads: parallel fill diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_fill_zeroes_unwritten_elements() {
-        let rt = Runtime::new(3);
-        let mut out = vec![f32::NAN; 12];
-        // Job writes only the first element of each item.
-        rt.parallel_fill(4, 3, 1, &mut out, |range, block| {
-            for (bi, item) in range.enumerate() {
-                block[bi * 3] = item as f32 + 1.0;
-            }
-        });
-        assert_eq!(
-            out,
-            vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0, 4.0, 0.0, 0.0]
-        );
-    }
-
     #[test]
     fn parallel_fill_handles_empty_shapes() {
         let rt = Runtime::new(2);
-        for (items, item_len) in [(0, 7), (9, 0), (0, 0)] {
+        for (rows, cols) in [(0, 7), (9, 0), (0, 0)] {
             let calls = Arc::new(Mutex::new(0usize));
             let seen = Arc::clone(&calls);
             let mut out: Vec<f32> = Vec::new();
-            rt.parallel_fill(items, item_len, 1, &mut out, move |_range, _block| {
+            rt.parallel_fill_blocks(rows, cols, 1, 1, &mut out, move |_rows, _cols, _block| {
                 *seen.lock().unwrap() += 1;
             });
-            assert!(out.is_empty(), "{items}x{item_len}");
+            assert!(out.is_empty(), "{rows}x{cols}");
             assert_eq!(
                 *calls.lock().unwrap(),
                 0,
-                "{items}x{item_len}: an empty fill runs no job"
+                "{rows}x{cols}: an empty fill runs no job"
             );
         }
-    }
-
-    #[test]
-    fn grain_forces_inline_execution_for_small_work() {
-        let rt = Runtime::new(4);
-        let mut out = vec![0.0f32; 8];
-        // items <= grain: must run inline (observable as a single range).
-        let ranges = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&ranges);
-        rt.parallel_fill(8, 1, 8, &mut out, move |range, block| {
-            seen.lock().unwrap().push(range.clone());
-            for (bi, item) in range.enumerate() {
-                block[bi] = item as f32;
-            }
-        });
-        let seen_ranges = ranges.lock().unwrap();
-        assert_eq!(seen_ranges.len(), 1, "inline execution means one job");
-        assert_eq!(seen_ranges[0], 0..8);
-        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker job died")]
-    fn panicking_job_fails_the_fill_loudly() {
-        let rt = Runtime::new(2);
-        let mut out = vec![0.0f32; 64];
-        rt.parallel_fill(64, 1, 1, &mut out, |range, _block| {
-            if range.start >= 32 {
-                panic!("job failure injection");
-            }
-        });
     }
 
     #[test]
@@ -539,9 +349,9 @@ mod tests {
         let rt = Runtime::new(2);
         for _ in 0..10 {
             let mut out = vec![0.0f32; 64 * 4];
-            rt.parallel_fill(64, 4, 1, &mut out, |range, block| {
-                for (bi, item) in range.enumerate() {
-                    block[bi * 4] = item as f32;
+            rt.parallel_fill_blocks(64, 4, 1, 4, &mut out, |rows, _cols, block| {
+                for (bi, r) in rows.enumerate() {
+                    block[bi * 4] = r as f32;
                 }
             });
         }
@@ -636,27 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuses_allocation_and_respects_stale_shares() {
-        let mut ws = Workspace::new();
-        ws.reset(16)
-            .iter_mut()
-            .enumerate()
-            .for_each(|(i, v)| *v = i as f32);
-        let ptr = ws.as_slice().as_ptr();
-        // No outstanding share: same allocation, contents re-zeroed.
-        let buf = ws.reset(16);
-        assert_eq!(buf.as_ptr(), ptr);
-        assert!(buf.iter().all(|&v| v == 0.0));
-
-        // Outstanding share: reset must not corrupt it.
-        ws.reset(4).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let held = ws.share();
-        ws.reset(4).copy_from_slice(&[9.0; 4]);
-        assert_eq!(held.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ws.as_slice(), &[9.0; 4]);
-    }
-
-    #[test]
     fn tree_reduce_three_buffers_is_left_pair_first() {
         // Non-associativity witness: values chosen so (b0 + b1) + b2 and
         // b0 + (b1 + b2) differ in f32. Under the pinned order,
@@ -718,23 +507,17 @@ mod tests {
 
     #[test]
     fn nested_dispatch_from_a_worker_runs_inline_and_matches() {
-        // A run_jobs job that itself calls parallel_fill, parallel_fill_blocks
-        // and run_jobs: with a pool of 2 and 2 such jobs, every worker is
+        // A run_jobs job that itself calls parallel_fill_blocks and
+        // run_jobs: with a pool of 2 and 2 such jobs, every worker is
         // busy, so the nested dispatches can only complete via the
         // in-worker inline path — and must still match the serial bits.
         let serial = Runtime::serial();
         let compute = |rt: &Runtime| -> Vec<f32> {
-            let mut out = vec![0.0f32; 64];
-            rt.parallel_fill(64, 1, 1, &mut out, |range, block| {
-                for (bi, i) in range.enumerate() {
-                    block[bi] = (i as f32).cos() * 2.0;
-                }
-            });
             let mut rect = vec![0.0f32; 8 * 8];
             rt.parallel_fill_blocks(8, 8, 2, 4, &mut rect, rect_job());
             let inner: Vec<_> = (0..3).map(|i| move || i as f32 * 0.5).collect();
             let scalars = rt.run_jobs(inner);
-            let mut bufs = vec![out, rect, vec![scalars.iter().sum(); 64]];
+            let mut bufs = vec![rect, vec![scalars.iter().sum(); 64]];
             tree_reduce(&mut bufs);
             bufs.swap_remove(0)
         };

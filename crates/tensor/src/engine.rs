@@ -343,19 +343,6 @@ pub fn matmul(engine: &dyn GemmEngine, a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Materializes the transpose of a row-major `rows x cols` slice.
-#[must_use]
-pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    assert_eq!(src.len(), rows * cols);
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            out[c * rows + r] = src[r * cols + c];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,6 +420,8 @@ mod tests {
 
     #[test]
     fn matmul_and_transpose_roundtrip() {
+        use crate::movement::transpose;
+
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
         let c = matmul(&F32Engine::new(1), &a, &b);

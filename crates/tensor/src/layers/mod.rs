@@ -15,10 +15,12 @@ pub use conv::Conv2d;
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::numerics::GemmRole;
-use crate::{GemmEngine, Tensor};
+use crate::movement::transpose;
+use crate::numerics::{GemmRole, RoleEngines};
+use crate::{GemmEngine, PackedOperand, Tensor};
 
 /// A learnable parameter with its gradient accumulator.
 #[derive(Debug, Clone)]
@@ -47,6 +49,169 @@ impl Param {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.value.generation()
+    }
+}
+
+/// The weight side of a GEMM layer ([`Conv2d`], [`Linear`]) whose weight
+/// `W` is `[out, K]`: its role engines, the packed-weight caches and the
+/// row-offset engines of a data-parallel replica.
+///
+/// Each product dispatches on the engine its [`GemmRole`] resolves to. The
+/// forward (`A · Wᵀ`) and data-gradient (`A · W`) products run on cached
+/// [`PackedOperand`]s keyed on the weight's version whenever the role's
+/// engine does real work in packing; each cache belongs to one role's
+/// engine, so mixed policies may pack the same weight differently per
+/// role without the caches interfering.
+struct WeightProducts {
+    out: usize,
+    k: usize,
+    engines: RoleEngines,
+    /// `pack_b` of `Wᵀ` (`[K, out]`) by the `Forward` engine, at a weight
+    /// version. `Arc`-shared so data-parallel replicas (see
+    /// [`Layer::clone_layer`]) reuse one pack instead of re-quantizing.
+    fwd_pack: Option<(u64, Arc<PackedOperand>)>,
+    /// `pack_b` of `W` (`[out, K]`) by the `BackwardData` engine, at a
+    /// weight version. `Arc`-shared like `fwd_pack`.
+    bwd_pack: Option<(u64, Arc<PackedOperand>)>,
+    /// Row-offset engines derived via [`GemmEngine::with_row_base`],
+    /// keyed `(role, row base)`. Tiny: one entry per (role, offset) this
+    /// replica ever runs at.
+    derived: Vec<(GemmRole, usize, Arc<dyn GemmEngine>)>,
+}
+
+impl WeightProducts {
+    fn new(out: usize, k: usize, engines: RoleEngines) -> Self {
+        Self {
+            out,
+            k,
+            engines,
+            fwd_pack: None,
+            bwd_pack: None,
+            derived: Vec::new(),
+        }
+    }
+
+    /// A replica's copy: same engines and shared packs, no derived
+    /// engines (the replica's row base is set afresh).
+    fn replica(&self) -> Self {
+        Self {
+            fwd_pack: self.fwd_pack.clone(),
+            bwd_pack: self.bwd_pack.clone(),
+            ..Self::new(self.out, self.k, self.engines.clone())
+        }
+    }
+
+    fn engine(&self, role: GemmRole) -> &Arc<dyn GemmEngine> {
+        self.engines.get(role)
+    }
+
+    fn visit(&self, f: &mut dyn FnMut(GemmRole, &Arc<dyn GemmEngine>)) {
+        for role in GemmRole::ALL {
+            f(role, self.engine(role));
+        }
+    }
+
+    /// Whether `role`'s products go through its cached packed weight:
+    /// only when the role's engine does real work in packing.
+    fn use_packed(&self, role: GemmRole) -> bool {
+        self.engine(role).benefits_from_packing()
+    }
+
+    /// The `k x n` shape of `role`'s right operand.
+    fn shape(&self, role: GemmRole) -> (usize, usize) {
+        if role == GemmRole::Forward {
+            (self.k, self.out)
+        } else {
+            (self.out, self.k)
+        }
+    }
+
+    /// `role`'s right operand: `Wᵀ` for `Forward`, `W` for `BackwardData`.
+    fn operand<'w>(&self, role: GemmRole, w: &'w Param) -> Cow<'w, [f32]> {
+        if role == GemmRole::Forward {
+            Cow::Owned(transpose(w.value.data(), self.out, self.k))
+        } else {
+            Cow::Borrowed(w.value.data())
+        }
+    }
+
+    fn slot(&mut self, role: GemmRole) -> &mut Option<(u64, Arc<PackedOperand>)> {
+        if role == GemmRole::Forward {
+            &mut self.fwd_pack
+        } else {
+            &mut self.bwd_pack
+        }
+    }
+
+    /// `role`'s packed right operand at `w`'s current version, rebuilt if
+    /// stale.
+    fn pack(&mut self, role: GemmRole, w: &Param) -> Arc<PackedOperand> {
+        let v = w.version();
+        if let Some((ver, pack)) = self.slot(role) {
+            if *ver == v {
+                return Arc::clone(pack);
+            }
+        }
+        let (k, n) = self.shape(role);
+        let pack = Arc::new(self.engine(role).pack_b(k, n, &self.operand(role, w)));
+        *self.slot(role) = Some((v, Arc::clone(&pack)));
+        pack
+    }
+
+    /// Rebuilds stale packs ahead of [`Layer::clone_layer`], so every
+    /// replica gets a ready pack instead of re-packing the same weight.
+    fn warm(&mut self, w: &Param) {
+        for role in [GemmRole::Forward, GemmRole::BackwardData] {
+            if self.use_packed(role) {
+                self.pack(role, w);
+            }
+        }
+    }
+
+    /// The engine for `role`, row-offset by `row_base` output rows (see
+    /// [`GemmEngine::with_row_base`]) so a replica's products draw the
+    /// same per-position randomness those rows would in the full batch.
+    /// Position-invariant engines (and `row_base == 0`) resolve to the
+    /// base engine itself.
+    fn role_engine(&mut self, role: GemmRole, row_base: usize) -> Arc<dyn GemmEngine> {
+        let base = Arc::clone(self.engine(role));
+        if row_base == 0 {
+            return base;
+        }
+        if let Some((_, _, engine)) = self
+            .derived
+            .iter()
+            .find(|(r, b, _)| *r == role && *b == row_base)
+        {
+            return Arc::clone(engine);
+        }
+        let engine = base.with_row_base(row_base).unwrap_or(base);
+        self.derived.push((role, row_base, Arc::clone(&engine)));
+        engine
+    }
+
+    /// One weight-sided product on `role`'s engine, row-offset by
+    /// `row_base`: `out (m x out) = a (m x K) · Wᵀ` for `Forward`,
+    /// `out (m x K) = a (m x out) · W` for `BackwardData`.
+    fn product(
+        &mut self,
+        role: GemmRole,
+        w: &Param,
+        m: usize,
+        row_base: usize,
+        a: &[f32],
+        out: &mut [f32],
+    ) {
+        let (k, n) = self.shape(role);
+        if self.use_packed(role) {
+            let b = self.pack(role, w);
+            let engine = self.role_engine(role, row_base);
+            let pa = engine.pack_a(m, k, a);
+            engine.gemm_packed(m, k, n, &pa, &b, out);
+        } else {
+            let b = self.operand(role, w);
+            self.role_engine(role, row_base).gemm(m, k, n, a, &b, out);
+        }
     }
 }
 

@@ -20,12 +20,12 @@
 //! evaluation batches reuse it for free.
 //!
 //! The data movement around those products — [`movement::im2row`],
-//! [`movement::col2im`], the NCHW scatter/gathers, transposes — runs on
-//! the shared parallel [`Runtime`] into reusable per-layer workspaces,
-//! under a hard determinism contract: disjoint writes, no
-//! reduction-order changes, bitwise-identical results at every thread
-//! count. [`Tensor`] storage is `Arc`-backed copy-on-write so runtime
-//! jobs share input buffers without copying.
+//! [`movement::col2im`], the NCHW scatter/gathers, transposes — is plain
+//! serial loops over slices on the calling thread, into reused per-layer
+//! scratch buffers: it only copies operands into the layouts the engines
+//! read, so its results are a pure function of its inputs. [`Tensor`]
+//! storage is `Arc`-backed copy-on-write, so clones (and data-parallel
+//! replicas' weights) share buffers without copying.
 //!
 //! # Example
 //!
@@ -64,13 +64,15 @@ pub mod numerics;
 pub mod optim;
 mod tensor;
 
-pub use engine::{matmul, transpose, F32Engine, GemmEngine, PackSide, PackedOperand};
+pub use engine::{matmul, F32Engine, GemmEngine, PackSide, PackedOperand};
 pub use grads::{flatten_grads, grad_len, scatter_grads};
 pub use layers::{Layer, Param, Sequential};
 pub use loss::{count_correct, softmax_cross_entropy};
+pub use movement::transpose;
 pub use numerics::{GemmRole, Numerics, NumericsBuilder, PolicySpec, RoleEngines, SpecError};
 pub use optim::{CosineLr, LossScaler, Sgd};
-// The parallel runtime all data movement (and the qgemm engine) dispatches
-// through; re-exported so downstream crates need no direct dependency.
-pub use srmac_runtime::{available_threads, tree_reduce, Runtime, Workspace};
+// The parallel runtime the qgemm engine and the trainer's replicas
+// dispatch through; re-exported so downstream crates need no direct
+// dependency.
+pub use srmac_runtime::{available_threads, tree_reduce, Runtime};
 pub use tensor::Tensor;

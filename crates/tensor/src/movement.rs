@@ -1,24 +1,12 @@
-//! Parallel data-movement kernels: `im2row`, `col2im`, the NCHW
-//! scatter/gathers around the convolution GEMMs, and transposes — the
-//! non-GEMM half of the training pipeline, dispatched through the shared
-//! [`Runtime`].
+//! Data-movement kernels: `im2row`, `col2im`, the NCHW scatter/gathers
+//! around the convolution GEMMs, and the transpose.
 //!
-//! Every kernel here obeys the runtime's determinism contract (see
-//! `srmac_runtime`): the output is partitioned into disjoint whole items
-//! (an im2row row, an image, a channel plane, a transpose column), every
-//! item is computed element-for-element in the same order the serial loop
-//! uses, and no floating-point reduction ever crosses an item boundary. In
-//! particular `col2im` — the only kernel that *accumulates* — is
-//! partitioned by image, so each `f32` sum stays wholly inside one job and
-//! results are bitwise identical for every thread count.
-//!
-//! Inputs arrive as `Arc<Vec<f32>>` (see [`crate::Tensor::shared_data`])
-//! because runtime jobs are `'static`; outputs are plain mutable slices,
-//! typically a reused layer workspace.
-
-use std::sync::Arc;
-
-use srmac_runtime::Runtime;
+//! These only copy `f32`s into the layouts the GEMM engines read, so they
+//! are plain serial loops over slices, run on the calling thread. The
+//! parallel work of a layer is its engines' products. Every kernel writes
+//! its whole output in one fixed loop order; `col2im`, the only one that
+//! *accumulates*, sums each element's overlapping taps in that order, so
+//! results are a pure function of the inputs.
 
 /// Output spatial size of a convolution-style sliding window, with the
 /// geometry validated instead of silently wrapping: `s + 2*pad` must reach
@@ -40,27 +28,14 @@ pub fn conv_out_size(s: usize, k: usize, stride: usize, pad: usize) -> usize {
     (s + 2 * pad - k) / stride + 1
 }
 
-/// Minimum items per parallel chunk so each job moves a few KiB at least.
-fn grain_for(item_len: usize) -> usize {
-    (8192 / item_len.max(1)).max(1)
-}
-
 /// Unfolds NCHW input `x` into the im2row matrix `rows`
-/// (`[n*oh*ow, c*k*k]`), one GEMM row per output position. Parallel over
-/// output rows; out-of-bounds taps stay at the zero fill.
+/// (`[n*oh*ow, c*k*k]`), one GEMM row per output position. Out-of-bounds
+/// (padding) taps are written as `0.0`.
 ///
 /// # Panics
 ///
 /// Panics on slice-length mismatches.
-pub fn im2row(
-    rt: &Runtime,
-    x: &Arc<Vec<f32>>,
-    shape: [usize; 4],
-    k: usize,
-    stride: usize,
-    pad: usize,
-    rows: &mut [f32],
-) {
+pub fn im2row(x: &[f32], shape: [usize; 4], k: usize, stride: usize, pad: usize, rows: &mut [f32]) {
     let [n, c, h, w] = shape;
     assert_eq!(x.len(), n * c * h * w, "input must match its NCHW shape");
     let (oh, ow) = (
@@ -68,52 +43,46 @@ pub fn im2row(
         conv_out_size(w, k, stride, pad),
     );
     let kdim = c * k * k;
-    let x = Arc::clone(x);
-    rt.parallel_fill(
-        n * oh * ow,
-        kdim,
-        grain_for(kdim),
-        rows,
-        move |range, block| {
-            for (bi, ri) in range.enumerate() {
-                let row = &mut block[bi * kdim..(bi + 1) * kdim];
-                let (img, rest) = (ri / (oh * ow), ri % (oh * ow));
-                let (oy, ox) = (rest / ow, rest % ow);
-                let iy0 = (oy * stride) as isize - pad as isize;
-                let ix0 = (ox * stride) as isize - pad as isize;
-                for ch in 0..c {
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // padding tap: the block is pre-zeroed
-                        }
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            row[(ch * k + ky) * k + kx] =
-                                x[((img * c + ch) * h + iy as usize) * w + ix as usize];
-                        }
+    assert_eq!(
+        rows.len(),
+        n * oh * ow * kdim,
+        "rows must be [n*oh*ow, c*k*k]"
+    );
+    rows.fill(0.0);
+    for ri in 0..n * oh * ow {
+        let row = &mut rows[ri * kdim..(ri + 1) * kdim];
+        let (img, rest) = (ri / (oh * ow), ri % (oh * ow));
+        let (oy, ox) = (rest / ow, rest % ow);
+        let iy0 = (oy * stride) as isize - pad as isize;
+        let ix0 = (ox * stride) as isize - pad as isize;
+        for ch in 0..c {
+            for ky in 0..k {
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue; // padding tap: stays at the zero fill
+                }
+                for kx in 0..k {
+                    let ix = ix0 + kx as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
                     }
+                    row[(ch * k + ky) * k + kx] =
+                        x[((img * c + ch) * h + iy as usize) * w + ix as usize];
                 }
             }
-        },
-    );
+        }
+    }
 }
 
 /// Folds the im2row-layout gradient `drows` (`[n*oh*ow, c*k*k]`) back into
-/// an NCHW gradient `dx`, accumulating overlapping taps. Parallel over
-/// images — each image's sums stay inside one job, in the serial tap
-/// order, so accumulation is disjoint-write and bit-exact at every thread
-/// count.
+/// an NCHW gradient `dx`, accumulating overlapping taps in row order — the
+/// adjoint of [`im2row`].
 ///
 /// # Panics
 ///
 /// Panics on slice-length mismatches.
 pub fn col2im(
-    rt: &Runtime,
-    drows: &Arc<Vec<f32>>,
+    drows: &[f32],
     shape: [usize; 4],
     k: usize,
     stride: usize,
@@ -131,123 +100,88 @@ pub fn col2im(
         n * oh * ow * kdim,
         "drows must be [n*oh*ow, c*k*k]"
     );
-    let plane = c * h * w;
-    let drows = Arc::clone(drows);
-    rt.parallel_fill(n, plane, 1, dx, move |range, block| {
-        for (bi, img) in range.enumerate() {
-            let dimg = &mut block[bi * plane..(bi + 1) * plane];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = &drows[((img * oh + oy) * ow + ox) * kdim
-                        ..((img * oh + oy) * ow + ox + 1) * kdim];
-                    let iy0 = (oy * stride) as isize - pad as isize;
-                    let ix0 = (ox * stride) as isize - pad as isize;
-                    for ch in 0..c {
-                        for ky in 0..k {
-                            let iy = iy0 + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = ix0 + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                dimg[(ch * h + iy as usize) * w + ix as usize] +=
-                                    row[(ch * k + ky) * k + kx];
-                            }
-                        }
+    assert_eq!(dx.len(), n * c * h * w, "dx must match its NCHW shape");
+    dx.fill(0.0);
+    for ri in 0..n * oh * ow {
+        let row = &drows[ri * kdim..(ri + 1) * kdim];
+        let (img, rest) = (ri / (oh * ow), ri % (oh * ow));
+        let (oy, ox) = (rest / ow, rest % ow);
+        let iy0 = (oy * stride) as isize - pad as isize;
+        let ix0 = (ox * stride) as isize - pad as isize;
+        for ch in 0..c {
+            for ky in 0..k {
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for kx in 0..k {
+                    let ix = ix0 + kx as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
                     }
+                    dx[((img * c + ch) * h + iy as usize) * w + ix as usize] +=
+                        row[(ch * k + ky) * k + kx];
                 }
             }
         }
-    });
+    }
 }
 
 /// Scatters a row-major `[n*spatial, channels]` GEMM output into NCHW
-/// order `[n, channels, spatial]`. Parallel over `(image, channel)` planes.
+/// order `[n, channels, spatial]`.
 ///
 /// # Panics
 ///
 /// Panics on slice-length mismatches.
-pub fn rows_to_nchw(
-    rt: &Runtime,
-    src: &Arc<Vec<f32>>,
-    n: usize,
-    channels: usize,
-    spatial: usize,
-    out: &mut [f32],
-) {
+pub fn rows_to_nchw(src: &[f32], n: usize, channels: usize, spatial: usize, out: &mut [f32]) {
     assert_eq!(
         src.len(),
         n * spatial * channels,
         "src must be [n*spatial, channels]"
     );
-    let src = Arc::clone(src);
-    rt.parallel_fill(
-        n * channels,
-        spatial,
-        grain_for(spatial),
-        out,
-        move |range, block| {
-            for (bi, plane) in range.enumerate() {
-                let (img, ch) = (plane / channels, plane % channels);
-                for s in 0..spatial {
-                    block[bi * spatial + s] = src[(img * spatial + s) * channels + ch];
-                }
+    assert_eq!(out.len(), src.len(), "out must be [n, channels, spatial]");
+    for img in 0..n {
+        for ch in 0..channels {
+            let plane = &mut out[(img * channels + ch) * spatial..][..spatial];
+            for (s, v) in plane.iter_mut().enumerate() {
+                *v = src[(img * spatial + s) * channels + ch];
             }
-        },
-    );
+        }
+    }
 }
 
 /// Gathers an NCHW tensor `[n, channels, spatial]` into row-major
 /// `[n*spatial, channels]` GEMM rows (the inverse of [`rows_to_nchw`]).
-/// Parallel over output rows.
 ///
 /// # Panics
 ///
 /// Panics on slice-length mismatches.
-pub fn nchw_to_rows(
-    rt: &Runtime,
-    src: &Arc<Vec<f32>>,
-    n: usize,
-    channels: usize,
-    spatial: usize,
-    out: &mut [f32],
-) {
+pub fn nchw_to_rows(src: &[f32], n: usize, channels: usize, spatial: usize, out: &mut [f32]) {
     assert_eq!(
         src.len(),
         n * channels * spatial,
         "src must be [n, channels, spatial]"
     );
-    let src = Arc::clone(src);
-    rt.parallel_fill(
-        n * spatial,
-        channels,
-        grain_for(channels),
-        out,
-        move |range, block| {
-            for (bi, ri) in range.enumerate() {
-                let (img, s) = (ri / spatial, ri % spatial);
-                for ch in 0..channels {
-                    block[bi * channels + ch] = src[(img * channels + ch) * spatial + s];
-                }
+    assert_eq!(out.len(), src.len(), "out must be [n*spatial, channels]");
+    for img in 0..n {
+        for s in 0..spatial {
+            let row = &mut out[(img * spatial + s) * channels..][..channels];
+            for (ch, v) in row.iter_mut().enumerate() {
+                *v = src[(img * channels + ch) * spatial + s];
             }
-        },
-    );
+        }
+    }
 }
 
 /// Gathers an NCHW tensor `[n, channels, spatial]` into channel-major
-/// `[channels, n*spatial]` rows (the weight-gradient operand layout).
-/// Parallel over channels; each channel row is assembled from `n`
-/// contiguous per-image runs.
+/// `[channels, n*spatial]` rows (the weight-gradient operand layout); each
+/// channel row is assembled from `n` contiguous per-image runs.
 ///
 /// # Panics
 ///
 /// Panics on slice-length mismatches.
 pub fn nchw_to_channel_rows(
-    rt: &Runtime,
-    src: &Arc<Vec<f32>>,
+    src: &[f32],
     n: usize,
     channels: usize,
     spatial: usize,
@@ -258,41 +192,32 @@ pub fn nchw_to_channel_rows(
         n * channels * spatial,
         "src must be [n, channels, spatial]"
     );
+    assert_eq!(out.len(), src.len(), "out must be [channels, n*spatial]");
     let ns = n * spatial;
-    let src = Arc::clone(src);
-    rt.parallel_fill(channels, ns, grain_for(ns), out, move |range, block| {
-        for (bi, ch) in range.enumerate() {
-            for img in 0..n {
-                let from = (img * channels + ch) * spatial;
-                block[bi * ns + img * spatial..bi * ns + (img + 1) * spatial]
-                    .copy_from_slice(&src[from..from + spatial]);
-            }
+    for ch in 0..channels {
+        for img in 0..n {
+            let from = (img * channels + ch) * spatial;
+            out[ch * ns + img * spatial..][..spatial].copy_from_slice(&src[from..from + spatial]);
         }
-    });
+    }
 }
 
-/// Transposes a row-major `rows x cols` matrix into `out` (`cols x rows`).
-/// Parallel over output rows (source columns).
+/// Materializes the transpose (`cols x rows`) of a row-major `rows x cols`
+/// slice.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatches.
-pub fn transpose_into(
-    rt: &Runtime,
-    src: &Arc<Vec<f32>>,
-    rows: usize,
-    cols: usize,
-    out: &mut [f32],
-) {
+/// Panics if `src.len() != rows * cols`.
+#[must_use]
+pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     assert_eq!(src.len(), rows * cols, "src must be rows x cols");
-    let src = Arc::clone(src);
-    rt.parallel_fill(cols, rows, grain_for(rows), out, move |range, block| {
-        for (bi, c) in range.enumerate() {
-            for r in 0..rows {
-                block[bi * rows + r] = src[r * cols + c];
-            }
+    let mut out = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            out[c * rows + r] = src[r * cols + c];
         }
-    });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -300,81 +225,124 @@ mod tests {
     use super::*;
     use srmac_rng::SplitMix64;
 
-    fn rand_arc(len: usize, seed: u64) -> Arc<Vec<f32>> {
+    fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = SplitMix64::new(seed);
-        Arc::new((0..len).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+        (0..len).map(|_| rng.next_f32() * 2.0 - 1.0).collect()
     }
 
-    /// Runs `f` against a serial runtime and every thread count 1..=8,
-    /// asserting bitwise-identical outputs.
-    fn assert_thread_invariant(out_len: usize, f: impl Fn(&Runtime, &mut [f32])) {
-        let serial = Runtime::serial();
-        let mut want = vec![f32::NAN; out_len];
-        f(&serial, &mut want);
-        for threads in 1..=8 {
-            let rt = Runtime::new(threads);
-            let mut got = vec![f32::NAN; out_len];
-            f(&rt, &mut got);
+    /// Integers in `-4..=4`: every product and partial sum of the small
+    /// adjoint test below is exact in `f32`, in any order.
+    fn small_ints(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = SplitMix64::new(seed);
+        (0..len)
+            .map(|_| (rng.next_u64() % 9) as f32 - 4.0)
+            .collect()
+    }
+
+    /// `(shape, k, stride, pad)` geometries with padding taps on every
+    /// border, strided and unstrided.
+    const GEOMETRIES: [([usize; 4], usize, usize, usize); 3] = [
+        ([3, 2, 7, 5], 3, 2, 1),
+        ([2, 3, 4, 4], 3, 1, 2),
+        ([1, 1, 5, 6], 1, 1, 0),
+    ];
+
+    fn rows_len(shape: [usize; 4], k: usize, stride: usize, pad: usize) -> usize {
+        let [n, c, h, w] = shape;
+        n * conv_out_size(h, k, stride, pad) * conv_out_size(w, k, stride, pad) * c * k * k
+    }
+
+    #[test]
+    fn im2row_matches_a_direct_per_tap_gather() {
+        for (seed, (shape, k, stride, pad)) in GEOMETRIES.into_iter().enumerate() {
+            let [n, c, h, w] = shape;
+            let x = rand_vec(n * c * h * w, seed as u64);
+            let mut got = vec![f32::NAN; rows_len(shape, k, stride, pad)];
+            im2row(&x, shape, k, stride, pad, &mut got);
+
+            let (oh, ow) = (
+                conv_out_size(h, k, stride, pad),
+                conv_out_size(w, k, stride, pad),
+            );
+            let mut want = Vec::with_capacity(got.len());
+            for img in 0..n {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        for ch in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    // Padded coordinates: the tap reads x
+                                    // only inside [pad, pad + h) x [pad, pad + w).
+                                    let (py, px) = (oy * stride + ky, ox * stride + kx);
+                                    let inside = (pad..pad + h).contains(&py)
+                                        && (pad..pad + w).contains(&px);
+                                    want.push(if inside {
+                                        x[((img * c + ch) * h + py - pad) * w + px - pad]
+                                    } else {
+                                        0.0
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
             let same = want
                 .iter()
                 .zip(&got)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{threads} threads: output diverged from serial");
+            assert!(same, "{shape:?} k{k} s{stride} p{pad}: im2row diverged");
         }
     }
 
     #[test]
-    fn im2row_then_col2im_is_thread_invariant() {
-        let (n, c, h, w, k, stride, pad) = (3, 2, 7, 5, 3, 2, 1);
-        let (oh, ow) = (
-            conv_out_size(h, k, stride, pad),
-            conv_out_size(w, k, stride, pad),
-        );
-        let kdim = c * k * k;
-        let x = rand_arc(n * c * h * w, 1);
-        assert_thread_invariant(n * oh * ow * kdim, |rt, out| {
-            im2row(rt, &x, [n, c, h, w], k, stride, pad, out);
-        });
-        let drows = rand_arc(n * oh * ow * kdim, 2);
-        assert_thread_invariant(n * c * h * w, |rt, out| {
-            col2im(rt, &drows, [n, c, h, w], k, stride, pad, out);
-        });
+    fn col2im_is_the_adjoint_of_im2row() {
+        // <im2row(x), r> == <x, col2im(r)>, exactly: integer inputs keep
+        // both sums exact in f32.
+        for (seed, (shape, k, stride, pad)) in GEOMETRIES.into_iter().enumerate() {
+            let [n, c, h, w] = shape;
+            let x = small_ints(n * c * h * w, 2 * seed as u64);
+            let r = small_ints(rows_len(shape, k, stride, pad), 2 * seed as u64 + 1);
+            let mut rows = vec![f32::NAN; r.len()];
+            im2row(&x, shape, k, stride, pad, &mut rows);
+            let mut dx = vec![f32::NAN; x.len()];
+            col2im(&r, shape, k, stride, pad, &mut dx);
+            let lhs: f32 = rows.iter().zip(&r).map(|(a, b)| a * b).sum();
+            let rhs: f32 = x.iter().zip(&dx).map(|(a, b)| a * b).sum();
+            assert_eq!(lhs, rhs, "{shape:?} k{k} s{stride} p{pad}: not adjoint");
+            assert_ne!(lhs, 0.0, "{shape:?}: a zero inner product proves nothing");
+        }
     }
 
     #[test]
-    fn scatter_gather_roundtrip_and_thread_invariance() {
+    fn scatter_gather_roundtrip() {
         let (n, channels, spatial) = (4, 5, 9);
-        let rows = rand_arc(n * spatial * channels, 3);
-        assert_thread_invariant(n * channels * spatial, |rt, out| {
-            rows_to_nchw(rt, &rows, n, channels, spatial, out);
-        });
-        assert_thread_invariant(n * spatial * channels, |rt, out| {
-            nchw_to_rows(rt, &rows, n, channels, spatial, out);
-        });
-        assert_thread_invariant(channels * n * spatial, |rt, out| {
-            nchw_to_channel_rows(rt, &rows, n, channels, spatial, out);
-        });
+        let rows = rand_vec(n * spatial * channels, 3);
 
         // Roundtrip: rows -> NCHW -> rows reproduces the input exactly.
-        let rt = Runtime::new(3);
-        let mut nchw = vec![0.0f32; n * channels * spatial];
-        rows_to_nchw(&rt, &rows, n, channels, spatial, &mut nchw);
-        let mut back = vec![0.0f32; n * spatial * channels];
-        nchw_to_rows(&rt, &Arc::new(nchw), n, channels, spatial, &mut back);
-        assert_eq!(back, **rows);
+        let mut nchw = vec![f32::NAN; n * channels * spatial];
+        rows_to_nchw(&rows, n, channels, spatial, &mut nchw);
+        let mut back = vec![f32::NAN; n * spatial * channels];
+        nchw_to_rows(&nchw, n, channels, spatial, &mut back);
+        assert_eq!(back, rows);
+
+        // Channel rows are the transpose of the [n*spatial, channels] rows.
+        let mut channel_rows = vec![f32::NAN; channels * n * spatial];
+        nchw_to_channel_rows(&nchw, n, channels, spatial, &mut channel_rows);
+        assert_eq!(channel_rows, transpose(&rows, n * spatial, channels));
     }
 
     #[test]
     fn transpose_matches_the_serial_definition() {
         let (rows, cols) = (23, 17);
-        let src = rand_arc(rows * cols, 4);
-        assert_thread_invariant(rows * cols, |rt, out| {
-            transpose_into(rt, &src, rows, cols, out);
-        });
-        let rt = Runtime::new(2);
-        let mut t = vec![0.0f32; rows * cols];
-        transpose_into(&rt, &src, rows, cols, &mut t);
-        assert_eq!(t, crate::engine::transpose(&src, rows, cols));
+        let src = rand_vec(rows * cols, 4);
+        let t = transpose(&src, rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(t[c * rows + r].to_bits(), src[r * cols + c].to_bits());
+            }
+        }
+        assert_eq!(transpose(&t, cols, rows), src);
     }
 
     #[test]

@@ -28,10 +28,9 @@ fn next_generation() -> u64 {
 /// without cooperation from the writer.
 ///
 /// Storage is an `Arc<Vec<f32>>` with copy-on-write mutation: clones are
-/// O(1) and share the buffer, and [`Tensor::shared_data`] hands the same
-/// buffer to the `'static` jobs of the shared parallel runtime
-/// (`srmac_runtime::Runtime`) without copying. A mutable access clones the
-/// storage only when another handle is still alive.
+/// O(1) and share the buffer (data-parallel replicas share their weights
+/// this way). A mutable access clones the storage only when another
+/// handle is still alive.
 #[derive(Clone)]
 pub struct Tensor {
     data: Arc<Vec<f32>>,
@@ -103,13 +102,6 @@ impl Tensor {
     #[must_use]
     pub fn data(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Shared handle to the storage (for `'static` parallel-runtime jobs);
-    /// an O(1) `Arc` clone, no copying.
-    #[must_use]
-    pub fn shared_data(&self) -> Arc<Vec<f32>> {
-        Arc::clone(&self.data)
     }
 
     /// Mutable view of the storage (counts as a mutation). Copies the
@@ -234,13 +226,16 @@ mod tests {
     fn copy_on_write_isolates_clones_and_shares() {
         let mut a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let b = a.clone();
-        let held = a.shared_data();
-        // Clone and shared handle alias the same buffer until a write.
-        assert_eq!(held.as_ptr(), b.shared_data().as_ptr());
+        let mut c = b.clone();
+        // Clones alias the same buffer until a write.
+        assert_eq!(a.data().as_ptr(), b.data().as_ptr());
+        assert_eq!(b.data().as_ptr(), c.data().as_ptr());
         a.data_mut()[0] = 9.0;
         assert_eq!(a.data(), &[9.0, 2.0, 3.0]);
         assert_eq!(b.data(), &[1.0, 2.0, 3.0], "clone must not see the write");
-        assert_eq!(held[0], 1.0, "shared handle must not see the write");
+        c.data_mut()[1] = 7.0;
+        assert_eq!(b.data(), &[1.0, 2.0, 3.0], "a share must not see the write");
+        assert_eq!(c.data(), &[1.0, 7.0, 3.0]);
     }
 
     #[test]

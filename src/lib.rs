@@ -13,7 +13,7 @@
 //! - [`fp`] — formats ([`fp::FpFormat`]), golden ops, rounding modes;
 //! - [`rng`] — Galois LFSR and SplitMix64 random sources;
 //! - [`runtime`] — the shared parallel runtime (worker pool,
-//!   deterministic `parallel_fill`, reusable workspaces);
+//!   deterministic tiled fills for the GEMM kernels, replica jobs);
 //! - [`mod@unit`] — the MAC unit models ([`unit::FpAdder`], [`unit::MacUnit`]);
 //! - [`hwcost`] — 28nm and FPGA cost models calibrated on the paper;
 //! - [`tensor`] — the minimal deep-learning framework, including the
