@@ -19,13 +19,19 @@
 //! |---|---|---|---|---|
 //! | `gemm_64x128x64` SR13, 1-thread engine | `gemm_reference` / batched `gemm` | floor | 1.2 | 1 |
 //! | `gemm_64x128x64` SR13, 2-thread engine | `gemm_reference` / batched `gemm` | floor | 1.2 | 1 |
+//! | `wgrad_32x512x288` SR13, 1-thread engine, B 63% zeros | packed path / one-shot `gemm` | floor | 1.4 | 1 |
 //! | `train_scaling` | 1-replica step / 4-replica step | floor | 1.8 | 4 |
 //! | `serve_scaling` | 1-worker stream / 4-worker stream | floor | 1.8 | 4 |
 //! | `checkpoint_save` | save / `CKPT_SEGMENT_STEPS` steps | ceiling | 0.05 | 1 |
 //!
 //! The GEMM rows catch losing the lane batching, the SIMD-tier dispatch
 //! or the zero-compaction; the 2-thread row drives the tiled kernel
-//! through the multi-core rectangle dispatch. The scaling rows compare
+//! through the multi-core rectangle dispatch. The `wgrad` row is a
+//! stage-3 weight gradient of the width-8 ResNet-20 with its im2row B as
+//! sparse as a training step measured it: the packed path (`pack_a` +
+//! `pack_b` + `gemm_packed`, which compacts A) over the one-shot `gemm`,
+//! which compacts the sparse side, so it catches losing the transposed
+//! orientation. The scaling rows compare
 //! variants that compute identical bits by contract (pinned
 //! `grad_shards = 4`; serving batch invariance), so only scheduling can
 //! move them. The checkpoint row is the amortized auto-checkpointing tax
@@ -41,6 +47,7 @@ use srmac_bench::guard::{
     rand_vec, serve_scaling_stream, train_scaling_step, CheckpointBench, CKPT_SEGMENT_STEPS,
 };
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
+use srmac_rng::SplitMix64;
 use srmac_tensor::{available_threads, GemmEngine};
 
 /// Which side of its threshold a gate's median ratio must stay on.
@@ -95,7 +102,7 @@ struct Gate {
     sampler: fn() -> Sampler,
 }
 
-const GATES: [Gate; 5] = [
+const GATES: [Gate; 6] = [
     Gate {
         name: "gemm_64x128x64 SR13 reference/batched, 1-thread engine",
         kind: Kind::Floor,
@@ -109,6 +116,13 @@ const GATES: [Gate; 5] = [
         threshold: 1.2,
         min_host_threads: 1,
         sampler: || gemm_batching(2),
+    },
+    Gate {
+        name: "wgrad_32x512x288 SR13 packed path/one-shot, 1-thread engine, B 63% zeros",
+        kind: Kind::Floor,
+        threshold: 1.4,
+        min_host_threads: 1,
+        sampler: wgrad_orientation,
     },
     Gate {
         name: "train_scaling 1-replica/4-replica step",
@@ -154,6 +168,34 @@ fn gemm_batching(threads: usize) -> Sampler {
     Box::new(move || {
         time_ns(|| reference.gemm_reference(m, k, n, &a, &b, &mut out))
             / time_ns(|| batched.gemm(m, k, n, &a, &b, &mut out))
+    })
+}
+
+/// The stage-3 3x3 weight gradient of the width-8 ResNet-20 at batch 32
+/// (`dW = dYᵀ · rows`, 32x512x288) on a 1-thread SR13 engine, with 63% of
+/// the im2row matrix B zero as a training step measured and `dYᵀ` dense:
+/// three packed-path products in today's orientation (`pack_a` +
+/// `pack_b` + `gemm_packed`, compacting only A) over three one-shot
+/// `gemm`s, which compact the sparse B instead — the same bits.
+fn wgrad_orientation() -> Sampler {
+    let (m, k, n) = (32usize, 512, 288);
+    let a = rand_vec(m * k, 3);
+    let mut zeros = SplitMix64::new(5);
+    let b: Vec<f32> = rand_vec(k * n, 4)
+        .into_iter()
+        .map(|v| if zeros.next_f64() < 0.63 { 0.0 } else { v })
+        .collect();
+    let mut out = vec![0.0f32; m * n];
+    let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+    let engine = MacGemm::new(cfg.with_threads(1));
+    Box::new(move || {
+        let packed = time_ns(|| {
+            for _ in 0..3 {
+                let (pa, pb) = (engine.pack_a(m, k, &a), engine.pack_b(k, n, &b));
+                engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
+            }
+        });
+        packed / time_ns(|| (0..3).for_each(|_| engine.gemm(m, k, n, &a, &b, &mut out)))
     })
 }
 

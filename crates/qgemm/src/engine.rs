@@ -12,12 +12,20 @@
 //! quantizes *and* interleaves the columns into a lane panel (so every
 //! `k` step reads a block's operand codes contiguously), and
 //! [`GemmEngine::gemm_packed`] runs only the
-//! accumulation loops. The one-shot [`GemmEngine::gemm`] is the trait's
-//! default composition of the three. Packing depends only on the operand
-//! values and the multiplier format — never on the accumulator format,
-//! rounding mode, seed or thread count — so a packed weight can be reused
-//! across forward, backward and evaluation products, and even across
-//! engines that share a multiplier format.
+//! accumulation loops. Packing depends only on the operand values and the
+//! multiplier format — never on the accumulator format, rounding mode,
+//! seed or thread count — so a packed weight can be reused across
+//! forward, backward and evaluation products, and even across engines
+//! that share a multiplier format.
+//!
+//! The one-shot [`GemmEngine::gemm`] (in training, the weight gradients)
+//! quantizes each operand once and compacts whichever one is cheaper to
+//! zero-skip. The compaction skips only its own operand's zeros, and the
+//! sparse side of `dW = dYᵀ · rows` is B, the post-ReLU im2row matrix. So
+//! when compacting `Bᵀ` costs fewer lane-steps, it computes
+//! `outᵀ = Bᵀ · Aᵀ` with `Aᵀ` as the lane panel and writes the result back
+//! transposed. The orientation is a pure function of the shape and the
+//! operand codes, and never changes a bit (see below).
 //!
 //! # Determinism contract
 //!
@@ -25,7 +33,10 @@
 //! `SplitMix64` stream seeded by `(engine seed, row, column)`; the stream
 //! advances once per non-zero product in `k` order. Results are therefore
 //! a pure function of `(values, config.seed)` — independent of packing,
-//! chunking, the worker-pool size and call order.
+//! chunking, the worker-pool size, call order and which operand the
+//! kernel compacts: a transposed product seeds each lane at its output
+//! coordinate, and skipping a zero product is exact whichever operand
+//! holds the zero.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -477,11 +488,11 @@ impl MacKernel {
         std::array::from_fn(|l| batch.encode(acc[l]) as u16)
     }
 
-    /// One `L`-wide panel block of output row `i`, columns
-    /// `base .. base + L` (`L` is 64 or 16, the two panel block widths).
-    /// `out` is the block's slice of the output row and may be shorter
-    /// than `L`: the zero-padded lanes of a remainder block are computed
-    /// and dropped, only live lanes are written.
+    /// One `L`-wide panel block of a kernel row (`L` is 64 or 16, the two
+    /// panel block widths), its lanes seeded at output coordinates
+    /// `(r, c)` onwards (see [`MacKernel::lane_seeds`]). `out` receives
+    /// the block's live lanes and may be shorter than `L`: the
+    /// zero-padded lanes of a remainder block are computed and dropped.
     ///
     /// Under the AVX-512 tier the block runs through the explicit `z16`
     /// kernels (16 u32 lanes per `zmm`, accumulators register-resident
@@ -496,8 +507,9 @@ impl MacKernel {
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        i: usize,
-        base: usize,
+        orient: Orient,
+        r: usize,
+        c: usize,
         out: &mut [f32],
     ) {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
@@ -505,7 +517,7 @@ impl MacKernel {
         if self.tier == SimdTier::Avx512 {
             let (batch, table) = (&lanes.batch, lanes.plut.table());
             if L == 64 {
-                let seeds = self.lane_seeds::<64>(i, base);
+                let seeds = self.lane_seeds::<64>(orient, r, c);
                 // SAFETY: `SimdTier::detect` verified every feature the
                 // z16 kernels enable.
                 #[allow(unsafe_code)]
@@ -518,7 +530,7 @@ impl MacKernel {
                     z16::write_back(batch, &self.decode, &accs, out);
                 }
             } else {
-                let seeds = self.lane_seeds::<16>(i, base);
+                let seeds = self.lane_seeds::<16>(orient, r, c);
                 // SAFETY: as above.
                 #[allow(unsafe_code)]
                 unsafe {
@@ -532,7 +544,7 @@ impl MacKernel {
             }
             return;
         }
-        let mut streams = SrLaneStreams::new(self.lane_seeds(i, base));
+        let mut streams = SrLaneStreams::new(self.lane_seeds(orient, r, c));
         let accs = if sr {
             Self::dotn_panel::<L, true>(lanes, ids, cods, pan, &mut streams)
         } else {
@@ -541,15 +553,28 @@ impl MacKernel {
         self.write_codes(&accs, out);
     }
 
-    /// The SR stream seeds of the `W` lanes of output row `i` starting
-    /// at column `base`. RN never reads them, so they are derived under
-    /// SR only, in a plain indexed loop the seed mixing vectorizes in.
+    /// The SR stream seeds of the `W` lanes of one panel block, whose
+    /// lane `l` computes output element `(r, c + l)` in today's
+    /// orientation and `(r + l, c)` transposed — so every output element
+    /// draws the stream of its own output coordinate whichever operand
+    /// the kernel compacted. RN never reads them, so they are derived
+    /// under SR only, in plain indexed loops the seed mixing vectorizes
+    /// in.
     #[inline(always)]
-    fn lane_seeds<const W: usize>(&self, i: usize, base: usize) -> [u64; W] {
+    fn lane_seeds<const W: usize>(&self, orient: Orient, r: usize, c: usize) -> [u64; W] {
         let mut seeds = [0u64; W];
         if !matches!(self.rounding, AccumRounding::Nearest) {
-            for (l, s) in seeds.iter_mut().enumerate() {
-                *s = mix_seed(self.seed, i, base + l);
+            match orient {
+                Orient::AsIs => {
+                    for (l, s) in seeds.iter_mut().enumerate() {
+                        *s = mix_seed(self.seed, r, c + l);
+                    }
+                }
+                Orient::Transposed => {
+                    for (l, s) in seeds.iter_mut().enumerate() {
+                        *s = mix_seed(self.seed, r + l, c);
+                    }
+                }
             }
         }
         seeds
@@ -580,6 +605,7 @@ impl MacKernel {
         k: usize,
         n: usize,
         row_base: usize,
+        orient: Orient,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
@@ -592,7 +618,7 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx512(
-                        lanes, compact, panel, k, n, row_base, rows, cols, block,
+                        lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
                     );
                 }
             }
@@ -602,13 +628,13 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx2(
-                        lanes, compact, panel, k, n, row_base, rows, cols, block,
+                        lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
                     );
                 }
             }
             SimdTier::Portable => {
                 self.compute_rect_compact_body(
-                    lanes, compact, panel, k, n, row_base, rows, cols, block,
+                    lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
                 );
             }
         }
@@ -635,11 +661,14 @@ impl MacKernel {
         k: usize,
         n: usize,
         row_base: usize,
+        orient: Orient,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(lanes, compact, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(
+            lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
+        );
     }
 
     /// AVX2 codegen of the compacted loop (8-lane `ymm` arithmetic).
@@ -654,11 +683,14 @@ impl MacKernel {
         k: usize,
         n: usize,
         row_base: usize,
+        orient: Orient,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(lanes, compact, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(
+            lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
+        );
     }
 
     /// The tier-independent rectangle body (inlined into each tier wrapper
@@ -669,8 +701,16 @@ impl MacKernel {
     /// every row of the rectangle reuses one `COL_TILE * k`-byte panel
     /// slice before the loop moves on. Every column sits in a panel block
     /// (64-wide blocks, then 16-wide blocks with the last one
-    /// zero-padded; see [`build_panel`]); tile and dispatch boundaries
-    /// are 64-aligned, so they never split a block.
+    /// zero-padded; see [`build_panel`]); tile and dispatch
+    /// boundaries are 64-aligned, so they never split a block.
+    ///
+    /// `rows` x `cols` index the kernel's product (compacted rows times
+    /// panel columns). In today's orientation that is the output itself:
+    /// `block` is the rectangle row-major with stride `cols.len()`. When
+    /// `orient` is [`Orient::Transposed`] the kernel computes the
+    /// output's transpose, so kernel element `(i, j)` is output element
+    /// `(j, i)`: `block` is the output rectangle `cols x rows`, row-major
+    /// with stride `rows.len()`, and each block's lanes scatter into it.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
@@ -681,41 +721,47 @@ impl MacKernel {
         k: usize,
         n: usize,
         row_base: usize,
+        orient: Orient,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        let w = cols.len();
-        let row_of = |i: usize| {
-            let (s, e) = (compact.row_ptr[i] as usize, compact.row_ptr[i + 1] as usize);
-            (&compact.idx[s..e], &compact.code[s..e])
-        };
-        // Operand data indexes at the local row `i`; SR streams seed at the
-        // full-batch row `si = row_base + i` (`panel_block` takes the row
-        // index for seeding only). A block starting at column `j` occupies
-        // panel bytes `[j * k, (j + L) * k)`: 64-wide blocks cover
-        // [0, n64), 16-wide blocks the rest, the last one padded with +0.
+        let (h, w) = (rows.len(), cols.len());
+        // Operand data indexes at the local kernel row `i`; SR streams seed
+        // at the output coordinate, whose row is offset by `row_base` (the
+        // kernel row in today's orientation, the kernel column when
+        // transposed). A block starting at column `j` occupies panel bytes
+        // `[j * k, (j + L) * k)`: 64-wide blocks cover [0, n64), 16-wide
+        // blocks the rest, the last one padded with +0.
         let n64 = n - n % LANES;
+        let mut lanes_out = [0.0f32; LANES];
         let mut c0 = cols.start;
         while c0 < cols.end {
             let c1 = cols.end.min(c0 + COL_TILE);
-            for (ri, out_row) in block.chunks_mut(w).enumerate() {
-                let i = rows.start + ri;
-                let si = row_base + i;
-                let (ids, cods) = row_of(i);
-                let mut j = c0;
-                let lim64 = c1.min(n64);
-                while j + LANES <= lim64 {
-                    let pan = &panel[j * k..(j + LANES) * k];
-                    let out = &mut out_row[j - cols.start..][..LANES];
-                    self.panel_block::<LANES>(lanes, ids, cods, pan, si, j, out);
-                    j += LANES;
-                }
+            for i in rows.clone() {
+                let (ids, cods) = compact.row(i);
+                let (ri, mut j) = (i - rows.start, c0);
                 while j < c1 {
-                    let pan = &panel[j * k..(j + 16) * k];
-                    let (o, live) = (j - cols.start, (c1 - j).min(16));
-                    self.panel_block::<16>(lanes, ids, cods, pan, si, j, &mut out_row[o..o + live]);
-                    j += 16;
+                    let width = if j + LANES <= c1.min(n64) { LANES } else { 16 };
+                    let (pan, live) = (&panel[j * k..(j + width) * k], width.min(c1 - j));
+                    let (r, c, out) = match orient {
+                        Orient::AsIs => {
+                            let o = ri * w + j - cols.start;
+                            (row_base + i, j, &mut block[o..o + live])
+                        }
+                        Orient::Transposed => (row_base + j, i, &mut lanes_out[..live]),
+                    };
+                    if width == LANES {
+                        self.panel_block::<LANES>(lanes, ids, cods, pan, orient, r, c, out);
+                    } else {
+                        self.panel_block::<16>(lanes, ids, cods, pan, orient, r, c, out);
+                    }
+                    if orient == Orient::Transposed {
+                        for (l, &v) in lanes_out[..live].iter().enumerate() {
+                            block[(j - cols.start + l) * h + ri] = v;
+                        }
+                    }
+                    j += width;
                 }
             }
             c0 = c1;
@@ -737,8 +783,9 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        let w = cols.len();
-        for (ri, out_row) in block.chunks_mut(w).enumerate() {
+        // An empty `cols` leaves `block` empty; `max(1)` only keeps
+        // `chunks_mut` from rejecting the zero width.
+        for (ri, out_row) in block.chunks_mut(cols.len().max(1)).enumerate() {
             let i = rows.start + ri;
             let arow = &acode[i * k..(i + 1) * k];
             for (jo, o) in out_row.iter_mut().enumerate() {
@@ -764,45 +811,121 @@ struct CompactA {
 }
 
 impl CompactA {
-    /// Compacts row-major `rows x cols` codes, keeping the entries with
-    /// `code & mag != 0`. Always `rows + 1` row offsets, also for
-    /// `cols == 0`. The buffers are sized from a first counting pass plus
-    /// 16 lanes of store slack (never from `codes.len()`, which would
-    /// commit memory for every zero), then each row is compacted in one
-    /// branch-free pass: `z16::compact_row` under AVX-512, elsewhere a
-    /// scalar loop that writes every entry at `len` and advances `len` by
-    /// the predicate.
+    /// Compacts row-major `rows x cols` codes, keeping the `nnz` entries
+    /// with `code & mag != 0` (counted by [`code_stats`]). Always
+    /// `rows + 1` row offsets, also for `cols == 0`. The buffers are sized
+    /// from `nnz` plus 16 lanes of store slack (never from `codes.len()`,
+    /// which would commit memory for every zero), then each row is
+    /// compacted in one branch-free pass (see [`CompactA::push_row`]).
     ///
     /// # Panics
     ///
     /// Panics if the non-zero count or `cols` does not fit a `u32`.
-    fn build(codes: &[u8], rows: usize, cols: usize, mag: u8, tier: SimdTier) -> Self {
+    fn build(codes: &[u8], rows: usize, cols: usize, nnz: usize, mag: u8, tier: SimdTier) -> Self {
         debug_assert_eq!(codes.len(), rows * cols);
-        let nnz = codes.iter().filter(|&&cd| cd & mag != 0).count();
+        let mut compact = Self::with_capacity(rows, cols, nnz);
+        for r in 0..rows {
+            compact.push_row(&codes[r * cols..(r + 1) * cols], mag, tier);
+        }
+        compact.finish(rows, nnz)
+    }
+
+    /// [`CompactA::build`] of the transpose of row-major `rows x cols`
+    /// codes: row `j` holds column `j`'s entries in ascending row order.
+    /// Transposes [`TRANSPOSE_STRIP`] columns at a time into a strip
+    /// buffer and compacts its rows, so no transposed copy of the whole
+    /// operand exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the non-zero count or `rows` does not fit a `u32`.
+    fn build_transposed(
+        codes: &[u8],
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        mag: u8,
+        tier: SimdTier,
+    ) -> Self {
+        debug_assert_eq!(codes.len(), rows * cols);
+        let mut compact = Self::with_capacity(cols, rows, nnz);
+        // A small fresh buffer rather than one off the engine's free list:
+        // listed buffers keep the capacity of the largest operand they
+        // ever held, so one more per concurrent product raised peak RSS.
+        let mut strip = vec![0u8; TRANSPOSE_STRIP * rows];
+        for c0 in (0..cols).step_by(TRANSPOSE_STRIP) {
+            let w = TRANSPOSE_STRIP.min(cols - c0);
+            transpose_bytes(&codes[c0..], cols, rows, w, &mut strip, rows);
+            for j in 0..w {
+                compact.push_row(&strip[j * rows..(j + 1) * rows], mag, tier);
+            }
+        }
+        compact.finish(cols, nnz)
+    }
+
+    /// Empty buffers for `rows` rows of `cols` codes holding `nnz` kept
+    /// entries, plus 16 lanes of store slack.
+    fn with_capacity(rows: usize, cols: usize, nnz: usize) -> Self {
         assert!(
             u32::try_from(nnz).is_ok() && u32::try_from(cols).is_ok(),
             "operand too large to compact"
         );
-        let mut idx = vec![0u32; nnz + 16];
-        let mut code = vec![0u8; nnz + 16];
         let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0u32);
-        let mut len = 0usize;
-        for r in 0..rows {
-            let row = &codes[r * cols..(r + 1) * cols];
-            len = match tier {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `SimdTier::detect` verified every feature the
-                // z16 routine enables.
-                #[allow(unsafe_code)]
-                SimdTier::Avx512 => unsafe { z16::compact_row(row, mag, &mut idx, &mut code, len) },
-                _ => compact_row(row, mag, &mut idx, &mut code, len),
-            };
-            row_ptr.push(len as u32);
+        Self {
+            row_ptr,
+            idx: vec![0u32; nnz + 16],
+            code: vec![0u8; nnz + 16],
         }
-        idx.truncate(nnz);
-        code.truncate(nnz);
-        Self { row_ptr, idx, code }
+    }
+
+    /// Compacts one more row in one branch-free pass: `z16::compact_row`
+    /// under AVX-512, elsewhere a scalar loop that writes every entry at
+    /// `len` and advances `len` by the predicate.
+    fn push_row(&mut self, row: &[u8], mag: u8, tier: SimdTier) {
+        let (idx, code) = (&mut self.idx, &mut self.code);
+        let len = self.row_ptr[self.row_ptr.len() - 1] as usize;
+        let len = match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `SimdTier::detect` verified every feature the
+            // z16 routine enables.
+            #[allow(unsafe_code)]
+            SimdTier::Avx512 => unsafe { z16::compact_row(row, mag, idx, code, len) },
+            _ => compact_row(row, mag, idx, code, len),
+        };
+        self.row_ptr.push(len as u32);
+    }
+
+    /// Drops the store slack once all `rows` rows are in.
+    fn finish(mut self, rows: usize, nnz: usize) -> Self {
+        debug_assert_eq!(self.row_ptr.len(), rows + 1);
+        debug_assert_eq!(
+            self.row_ptr[rows] as usize, nnz,
+            "nnz must count the kept codes"
+        );
+        self.idx.truncate(nnz);
+        self.code.truncate(nnz);
+        self
+    }
+
+    /// The k-indices and codes of row `i`'s kept entries.
+    fn row(&self, i: usize) -> (&[u32], &[u8]) {
+        let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
+        (&self.idx[s..e], &self.code[s..e])
+    }
+
+    /// The dense row-major codes, `cols` per row, with every dropped
+    /// entry as `zero`.
+    fn dense(&self, cols: usize, zero: u8) -> Vec<u8> {
+        let rows = self.row_ptr.len() - 1;
+        let mut codes = vec![zero; rows * cols];
+        for (r, dst) in codes.chunks_exact_mut(cols.max(1)).take(rows).enumerate() {
+            let (ids, cods) = self.row(r);
+            for (&c, &cd) in ids.iter().zip(cods) {
+                dst[c as usize] = cd;
+            }
+        }
+        codes
     }
 }
 
@@ -840,20 +963,8 @@ impl MacPackedA {
     /// infinities: the quantizer saturates them to the largest finite
     /// value.)
     fn dense_codes(&self) -> &Arc<Vec<u8>> {
-        self.dense.get_or_init(|| {
-            let rows = self.compact.row_ptr.len() - 1;
-            let mut codes = vec![self.zero_code; rows * self.cols];
-            for r in 0..rows {
-                let (s, e) = (
-                    self.compact.row_ptr[r] as usize,
-                    self.compact.row_ptr[r + 1] as usize,
-                );
-                for (&c, &cd) in self.compact.idx[s..e].iter().zip(&self.compact.code[s..e]) {
-                    codes[r * self.cols + c as usize] = cd;
-                }
-            }
-            Arc::new(codes)
-        })
+        self.dense
+            .get_or_init(|| Arc::new(self.compact.dense(self.cols, self.zero_code)))
     }
 }
 
@@ -919,8 +1030,7 @@ fn panel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Tile and dispatch boundaries are multiples of 64, so no block ever
 /// straddles a job boundary.
 fn build_panel(codes: &[u8], k: usize, n: usize, zero: u8) -> Vec<u8> {
-    let padded = panel_blocks(n).last().map_or(0, |(c, w)| c + w);
-    let mut panel = vec![zero; padded * k];
+    let mut panel = vec![zero; panel_width(n) * k];
     for (col0, width) in panel_blocks(n) {
         let live = width.min(n - col0);
         for ci in 0..k {
@@ -931,21 +1041,150 @@ fn build_panel(codes: &[u8], k: usize, n: usize, zero: u8) -> Vec<u8> {
     panel
 }
 
-/// The A-side execution plan of one product: compacted when B is NaN-free
-/// and the engine has a lane kernel (the fast path), dense otherwise.
-#[derive(Clone, Debug)]
-enum AWork {
-    Dense(Arc<Vec<u8>>),
-    Compact(Arc<CompactA>),
+/// The panel of `Aᵀ` for a product run transposed: the `k x m` operand
+/// whose column `j` is row `j` of A, in the layout of [`build_panel`],
+/// scattered from A's compaction. The entries the compaction dropped
+/// stay `zero`: like a padded lane, they only ever meet in zero-magnitude
+/// products, which are never committed and never consume an SR draw.
+fn panel_from_rows(rows: &CompactA, k: usize, m: usize, zero: u8) -> Vec<u8> {
+    let mut panel = vec![zero; panel_width(m) * k];
+    for (col0, width) in panel_blocks(m) {
+        let block = &mut panel[col0 * k..(col0 + width) * k];
+        for l in 0..width.min(m - col0) {
+            let (ids, cods) = rows.row(col0 + l);
+            for (&ci, &cd) in ids.iter().zip(cods) {
+                block[ci as usize * width + l] = cd;
+            }
+        }
+    }
+    panel
 }
 
-impl AWork {
+/// The number of panel lanes of an `n`-column operand: `n` rounded up to
+/// the last 16-lane block.
+fn panel_width(n: usize) -> usize {
+    panel_blocks(n).last().map_or(0, |(c, w)| c + w)
+}
+
+/// Transposes `rows x cols` bytes, whose rows start `src_stride` bytes
+/// apart in `src`, into `dst`, whose rows start `dst_stride` bytes apart:
+/// `dst[c * dst_stride + r] = src[r * src_stride + c]`. Walks 32 x 32
+/// tiles, so every source and destination line a tile touches stays in
+/// L1 while the tile is copied.
+fn transpose_bytes(
+    src: &[u8],
+    src_stride: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [u8],
+    dst_stride: usize,
+) {
+    const T: usize = 32;
+    for r0 in (0..rows).step_by(T) {
+        let r1 = rows.min(r0 + T);
+        for c0 in (0..cols).step_by(T) {
+            for c in c0..cols.min(c0 + T) {
+                let line = &mut dst[c * dst_stride + r0..c * dst_stride + r1];
+                for (d, r) in line.iter_mut().zip(r0..r1) {
+                    *d = src[r * src_stride + c];
+                }
+            }
+        }
+    }
+}
+
+/// The transpose of row-major `rows x cols` codes (column-major order).
+fn transposed(codes: &[u8], rows: usize, cols: usize) -> Vec<u8> {
+    let mut out = vec![0u8; rows * cols];
+    transpose_bytes(codes, cols, rows, cols, &mut out, rows);
+    out
+}
+
+/// Columns per strip of [`CompactA::build_transposed`]: a strip of a
+/// `k`-row operand is `16 * k` bytes.
+const TRANSPOSE_STRIP: usize = 16;
+
+/// The zero-skip statistics of a code matrix in one pass: how many codes
+/// have a non-zero magnitude (the entries a compaction keeps), and
+/// whether any is a NaN (a magnitude above infinity's). Counts in `u8`
+/// lanes per 128-byte chunk, which vectorizes; a `usize` fold does not.
+fn code_stats(codes: &[u8], mag: u8, inf_mag: u8) -> (usize, bool) {
+    let (mut nnz, mut top) = (0usize, 0u8);
+    for chunk in codes.chunks(128) {
+        let mut kept = 0u8;
+        for &cd in chunk {
+            kept += u8::from(cd & mag != 0);
+            top = top.max(cd & mag);
+        }
+        nnz += usize::from(kept);
+    }
+    (nnz, top > inf_mag)
+}
+
+/// The cost of one lane-step in a 64-lane panel block, the unit of
+/// [`lane_cost`].
+const WIDE_STEP_COST: usize = 10;
+
+/// The cost of one lane-step in a 16-lane panel block, 1.3 wide steps. A
+/// 64-lane block runs four independent 16-lane chains that hide each
+/// other's latency; a 16-lane block is one chain, bound by its latency.
+/// Fitted to `probe_tune kernel`, where the width-8 stage-1 weight
+/// gradient (`m = 8`) runs 0.86–0.92x as fast transposed.
+const NARROW_STEP_COST: usize = 13;
+
+/// The kernel's cost estimate of a compacted product: `nnz` compacted
+/// entries, each one k-step across the panel lanes of an `n`-column
+/// output — 64-lane blocks over `[0, n64)`, zero-padded 16-lane blocks
+/// over the rest.
+fn lane_cost(nnz: usize, n: usize) -> usize {
+    let n64 = n - n % LANES;
+    let n16 = (n - n64).next_multiple_of(16);
+    nnz * (n64 * WIDE_STEP_COST + n16 * NARROW_STEP_COST)
+}
+
+/// Whether an `m x k x n` product runs transposed (`outᵀ = Bᵀ · Aᵀ`,
+/// compacting `Bᵀ`): when B's `nnz_b` non-zero codes across `m` panel
+/// lanes cost less than A's `nnz_a` across `n`. A pure function of the
+/// shape and the operand codes; either orientation computes the same
+/// bits.
+fn runs_transposed(m: usize, n: usize, nnz_a: usize, nnz_b: usize) -> bool {
+    lane_cost(nnz_b, m) < lane_cost(nnz_a, n)
+}
+
+/// Which operand the compacted kernel walks. Each output element keeps
+/// its `(row_base + i, j)` stream and its `k` order in both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Orient {
+    /// Today's orientation: A is compacted, B is the lane panel.
+    AsIs,
+    /// `outᵀ = Bᵀ · Aᵀ`: B's columns are compacted and A's rows form the
+    /// lane panel; results are written back transposed.
+    Transposed,
+}
+
+/// The execution plan of one product: the compacted lane kernel when the
+/// panel operand is NaN-free and the engine has a lane kernel (the fast
+/// path), the dense scalar path otherwise.
+#[derive(Clone, Debug)]
+enum Plan {
+    /// Row-major A codes against column-major B codes.
+    Dense { a: Arc<Vec<u8>>, b_t: Arc<Vec<u8>> },
+    /// Compacted rows against a lane panel, in orientation `orient`: A's
+    /// rows against B's panel, or transposed, `Bᵀ`'s against `Aᵀ`'s.
+    Compact {
+        compact: Arc<CompactA>,
+        panel: Arc<Vec<u8>>,
+        orient: Orient,
+    },
+}
+
+impl Plan {
+    /// Fills the kernel rectangle `rows x cols` into `block` (see
+    /// [`MacKernel::compute_rect_compact_body`] for the transposed layout).
     #[allow(clippy::too_many_arguments)]
     fn compute_rect(
         &self,
         kernel: &MacKernel,
-        bcode_t: &[u8],
-        panel: &[u8],
         k: usize,
         n: usize,
         row_base: usize,
@@ -954,15 +1193,23 @@ impl AWork {
         block: &mut [f32],
     ) {
         match (self, &kernel.lanes) {
-            (AWork::Dense(codes), _) => {
-                kernel.compute_rect_dense(codes, bcode_t, k, row_base, rows, cols, block);
+            (Plan::Dense { a, b_t }, _) => {
+                kernel.compute_rect_dense(a, b_t, k, row_base, rows, cols, block);
             }
-            (AWork::Compact(compact), Some(lanes)) => {
-                kernel
-                    .compute_rect_compact(lanes, compact, panel, k, n, row_base, rows, cols, block);
+            (
+                Plan::Compact {
+                    compact,
+                    panel,
+                    orient,
+                },
+                Some(lanes),
+            ) => {
+                kernel.compute_rect_compact(
+                    lanes, compact, panel, k, n, row_base, *orient, rows, cols, block,
+                );
             }
-            (AWork::Compact(_), None) => {
-                unreachable!("`gemm_packed` plans a compacted A only with a lane kernel")
+            (Plan::Compact { .. }, None) => {
+                unreachable!("a compacted operand is planned only with a lane kernel")
             }
         }
     }
@@ -990,8 +1237,8 @@ pub struct MacGemm {
     kernel: Arc<MacKernel>,
     runtime: Arc<Runtime>,
     /// Recycled byte buffers for the quantization scratch of `pack_a`,
-    /// `pack_b`, [`MacGemm::gemm_reference`] and the `_into` quantization
-    /// helpers — steady-state calls allocate nothing.
+    /// `pack_b`, the one-shot `gemm`, [`MacGemm::gemm_reference`] and the
+    /// `_into` quantization helpers.
     codes_scratch: Mutex<Vec<Vec<u8>>>,
     /// SR streams seed at output row `row_base + i` instead of `i`: 0 for
     /// ordinary engines, the first-row offset for the derived engines of
@@ -1172,36 +1419,36 @@ impl MacGemm {
         payload
     }
 
-    #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
-    fn gemm_codes(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        awork: &AWork,
-        bcode_t: &Arc<Vec<u8>>,
-        panel: &Arc<Vec<u8>>,
-        out: &mut [f32],
-    ) {
+    /// Runs a planned product on the runtime. `m x k x n` is the kernel's
+    /// shape: the plan's A side holds its `m` rows, its B side its `n`
+    /// columns. A transposed plan computes the transpose of the `n x m`
+    /// matrix `out`.
+    fn gemm_codes(&self, m: usize, k: usize, n: usize, plan: Plan, out: &mut [f32]) {
         // The grid depends on the shape alone: a single-job grid runs
         // inline on the caller, a thin product gets rows-per-job small
-        // enough to reach every core (see `dispatch_tiles`).
+        // enough to reach every core (see `dispatch_tiles`). Transposed,
+        // the runtime fills `out` over the same grid with its axes
+        // swapped, so column tiles still never split a panel block.
         let (row_tile, col_tile) = dispatch_tiles(m, k, n);
-        let kernel = Arc::clone(&self.kernel);
-        let awork = awork.clone();
-        let bcode_t = Arc::clone(bcode_t);
-        let panel = Arc::clone(panel);
-        let row_base = self.row_base;
-        self.runtime.parallel_fill_blocks(
-            m,
-            n,
-            row_tile,
-            col_tile,
-            out,
-            move |rows, cols, block| {
-                awork.compute_rect(&kernel, &bcode_t, &panel, k, n, row_base, rows, cols, block);
-            },
+        let transposed = matches!(
+            plan,
+            Plan::Compact {
+                orient: Orient::Transposed,
+                ..
+            }
         );
+        let kernel = Arc::clone(&self.kernel);
+        let row_base = self.row_base;
+        let job = move |rows, cols, block: &mut [f32]| {
+            plan.compute_rect(&kernel, k, n, row_base, rows, cols, block);
+        };
+        if transposed {
+            self.runtime
+                .parallel_fill_blocks(n, m, col_tile, row_tile, out, move |r, c, b| job(c, r, b));
+        } else {
+            self.runtime
+                .parallel_fill_blocks(m, n, row_tile, col_tile, out, job);
+        }
     }
 
     /// The scalar reference GEMM: quantizes both operands, transposes B,
@@ -1231,25 +1478,29 @@ impl MacGemm {
         self.quantize_codes_into(a, &mut acode);
         let mut bcode = self.take_codes_buf();
         self.quantize_codes_into(b, &mut bcode);
-        let mut bcode_t = self.take_codes_buf();
-        self.transpose_codes_into(&bcode, k, n, &mut bcode_t);
+        let bcode_t = transposed(&bcode, k, n);
         self.kernel
             .compute_rect_dense(&acode, &bcode_t, k, self.row_base, 0..m, 0..n, out);
         self.recycle_codes_buf(acode);
         self.recycle_codes_buf(bcode);
-        self.recycle_codes_buf(bcode_t);
     }
 
-    /// Transposes row-major `rows x cols` codes into column-major order,
-    /// into a caller-owned buffer (cleared and refilled).
-    fn transpose_codes_into(&self, codes: &[u8], rows: usize, cols: usize, out: &mut Vec<u8>) {
-        out.clear();
-        out.resize(rows * cols, self.zero_code);
-        for l in 0..rows {
-            for j in 0..cols {
-                out[j * rows + l] = codes[l * cols + j];
-            }
-        }
+    /// Quantizes row-major `rows x cols` values and CSR-compacts them,
+    /// through a recycled buffer.
+    fn compact(&self, rows: usize, cols: usize, xs: &[f32]) -> CompactA {
+        let (mag_mask, inf_mag) = self.code_masks();
+        let codes = self.quantize_codes(xs);
+        let (nnz, _) = code_stats(&codes, mag_mask, inf_mag);
+        let compact = CompactA::build(&codes, rows, cols, nnz, mag_mask, self.kernel.tier);
+        self.recycle_codes_buf(codes);
+        compact
+    }
+
+    /// The magnitude mask and infinity magnitude of multiplier codes.
+    fn code_masks(&self) -> (u8, u8) {
+        let fmt = self.config.mul_fmt;
+        let mag = srmac_fp::mask(fmt.bits() - 1);
+        (mag as u8, (fmt.inf_bits(false) & mag) as u8)
     }
 }
 
@@ -1267,14 +1518,8 @@ impl GemmEngine for MacGemm {
         // non-zero-magnitude entries in one vector pass per row; dense
         // codes are only materialized if a NaN-carrying B ever asks for
         // them (see [`MacPackedA::dense_codes`]).
-        let mag_mask = srmac_fp::mask(self.config.mul_fmt.bits() - 1) as u8;
-        let mut codes = self.take_codes_buf();
-        codes.resize(a.len(), 0);
-        self.quant.quantize_block(a, &mut codes);
-        let compact = CompactA::build(&codes, rows, cols, mag_mask, self.kernel.tier);
-        self.recycle_codes_buf(codes);
         let payload = MacPackedA {
-            compact: Arc::new(compact),
+            compact: Arc::new(self.compact(rows, cols, a)),
             dense: OnceLock::new(),
             cols,
             zero_code: self.zero_code,
@@ -1286,16 +1531,11 @@ impl GemmEngine for MacGemm {
     fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
         assert_eq!(b.len(), rows * cols, "B must be rows x cols");
         // Block-quantize into reusable scratch (16 values per instruction
-        // on AVX-512), flag NaN codes (a NaN is any magnitude above
-        // infinity's), and interleave the panel straight from the
-        // row-major codes.
-        let fmt = self.config.mul_fmt;
-        let mag_mask = srmac_fp::mask(fmt.bits() - 1) as u8;
-        let inf_mag = (fmt.inf_bits(false) & srmac_fp::mask(fmt.bits() - 1)) as u8;
-        let mut codes = self.take_codes_buf();
-        codes.resize(b.len(), 0);
-        self.quant.quantize_block(b, &mut codes);
-        let has_nan = codes.iter().any(|&cd| (cd & mag_mask) > inf_mag);
+        // on AVX-512), flag NaN codes, and interleave the panel straight
+        // from the row-major codes.
+        let (mag_mask, inf_mag) = self.code_masks();
+        let codes = self.quantize_codes(b);
+        let (_, has_nan) = code_stats(&codes, mag_mask, inf_mag);
         let panel = build_panel(&codes, rows, cols, self.zero_code);
         self.recycle_codes_buf(codes);
         let payload = MacPackedB {
@@ -1322,19 +1562,70 @@ impl GemmEngine for MacGemm {
         // The dense scalar path keeps `0 * NaN = NaN` exact for a B with
         // NaN codes and serves every product of an engine without a lane
         // kernel; it alone reads the dense A and column-major B codes.
-        let dense = b.has_nan || self.kernel.lanes.is_none();
-        let awork = if dense {
-            AWork::Dense(Arc::clone(a.dense_codes()))
+        let plan = if b.has_nan || self.kernel.lanes.is_none() {
+            Plan::Dense {
+                a: Arc::clone(a.dense_codes()),
+                b_t: Arc::clone(b.codes_t(k, n)),
+            }
         } else {
-            AWork::Compact(Arc::clone(&a.compact))
+            Plan::Compact {
+                compact: Arc::clone(&a.compact),
+                panel: Arc::clone(&b.panel),
+                orient: Orient::AsIs,
+            }
         };
-        let bcode_t = if dense {
-            Arc::clone(b.codes_t(k, n))
+        self.gemm_codes(m, k, n, plan, out);
+    }
+
+    // The one-shot product (in training, only the weight gradients)
+    // quantizes each operand once and compacts whichever side is cheaper
+    // to skip: CSR compaction drops only the compacted operand's zeros,
+    // and the sparse side of `dW = dYᵀ · rows` is B, the post-ReLU im2row
+    // matrix. Skipping a zero product is exact whichever operand holds
+    // the zero — it neither changes an accumulator nor draws an SR word —
+    // and the transposed kernel seeds each output element at its own
+    // `(row_base + i, j)` in its own `k` order, so both orientations
+    // produce the same bits as `gemm_packed` and `gemm_reference`. A NaN
+    // in B, or an engine without a lane kernel, keeps the dense path; a
+    // NaN in A keeps today's orientation (the panel must be NaN-free).
+    //
+    // A is compacted first, as `pack_a` does: both orientations read it
+    // (transposed, its rows become the panel), and only one operand's
+    // codes are ever held at a time, so the one-shot path keeps no more
+    // buffers than `pack_a` plus `pack_b`.
+    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert_eq!(a.len(), m * k, "A must be m x k");
+        assert_eq!(b.len(), k * n, "B must be k x n");
+        assert_eq!(out.len(), m * n, "out must be m x n");
+        let (mag_mask, inf_mag) = self.code_masks();
+        let (tier, zero) = (self.kernel.tier, self.zero_code);
+        let rows_a = self.compact(m, k, a);
+        let (_, a_nan) = code_stats(&rows_a.code, mag_mask, inf_mag);
+        let bcode = self.quantize_codes(b);
+        let (nnz_b, b_nan) = code_stats(&bcode, mag_mask, inf_mag);
+        let (km, kn, plan) = if b_nan || self.kernel.lanes.is_none() {
+            let a = Arc::new(rows_a.dense(k, zero));
+            let b_t = Arc::new(transposed(&bcode, k, n));
+            (m, n, Plan::Dense { a, b_t })
+        } else if !a_nan && runs_transposed(m, n, rows_a.idx.len(), nnz_b) {
+            let plan = Plan::Compact {
+                compact: Arc::new(CompactA::build_transposed(
+                    &bcode, k, n, nnz_b, mag_mask, tier,
+                )),
+                panel: Arc::new(panel_from_rows(&rows_a, k, m, zero)),
+                orient: Orient::Transposed,
+            };
+            (n, m, plan)
         } else {
-            Arc::default()
+            let plan = Plan::Compact {
+                compact: Arc::new(rows_a),
+                panel: Arc::new(build_panel(&bcode, k, n, zero)),
+                orient: Orient::AsIs,
+            };
+            (m, n, plan)
         };
-        let panel = Arc::clone(&b.panel);
-        self.gemm_codes(m, k, n, &awork, &bcode_t, &panel, out);
+        self.recycle_codes_buf(bcode);
+        self.gemm_codes(km, k, kn, plan, out);
     }
 
     // The spec atom of this configuration (`spec` module grammar), with
@@ -1803,16 +2094,34 @@ mod tests {
             codes.iter().for_each(|&cd| seen[usize::from(cd)] = true);
             assert!(seen.iter().all(|&s| s), "cols={cols}: every code appears");
             let want = push_loop_compaction(&codes, rows, cols, mag);
+            let want_t = push_loop_compaction(&transposed(&codes, rows, cols), cols, rows, mag);
             for &tier in &tiers {
-                let got = CompactA::build(&codes, rows, cols, mag, tier);
+                let nnz = want.idx.len();
+                let got = CompactA::build(&codes, rows, cols, nnz, mag, tier);
                 assert_eq!(got.row_ptr, want.row_ptr, "{tier:?} cols={cols}: row_ptr");
                 assert_eq!(got.idx, want.idx, "{tier:?} cols={cols}: idx");
                 assert_eq!(got.code, want.code, "{tier:?} cols={cols}: code");
+                // The strip-wise compaction of the transpose.
+                let got = CompactA::build_transposed(&codes, rows, cols, nnz, mag, tier);
+                assert_eq!(
+                    got.row_ptr, want_t.row_ptr,
+                    "{tier:?} cols={cols}: row_ptr of the transpose"
+                );
+                assert_eq!(
+                    got.idx, want_t.idx,
+                    "{tier:?} cols={cols}: idx of the transpose"
+                );
+                assert_eq!(
+                    got.code, want_t.code,
+                    "{tier:?} cols={cols}: code of the transpose"
+                );
             }
         }
         // Empty rows still get one offset each.
         for &tier in &tiers {
-            assert_eq!(CompactA::build(&[], 3, 0, mag, tier).row_ptr, vec![0; 4]);
+            assert_eq!(CompactA::build(&[], 3, 0, 0, mag, tier).row_ptr, vec![0; 4]);
+            let empty_t = CompactA::build_transposed(&[], 0, 3, 0, mag, tier);
+            assert_eq!(empty_t.row_ptr, vec![0; 4]);
         }
     }
 
@@ -1884,6 +2193,30 @@ mod tests {
         assert_eq!(dispatch_tiles(64, 128, 64), (32, 512), "headline");
         // Below the single-job threshold the grid is one rectangle.
         assert_eq!(dispatch_tiles(32, 32, 10), (32, 64), "head");
+    }
+
+    #[test]
+    fn orientation_rule_transposes_the_sparse_weight_gradients() {
+        // The width-8 ResNet-20 weight gradients `dW = dYᵀ · rows` at
+        // batch 32: `dYᵀ` is 99% non-zero, `rows` as dense as a training
+        // step measured it. Stages 2 and 3 (and the 1x1 projections)
+        // compact Bᵀ; the stem and stage 1, whose `m = 8` would leave one
+        // half-empty 16-lane chain, keep today's orientation.
+        let transposes = |m: usize, k: usize, n: usize, b_density: f64| {
+            let nnz_b = (k as f64 * n as f64 * b_density) as usize;
+            runs_transposed(m, n, m * k * 99 / 100, nnz_b)
+        };
+        assert!(transposes(32, 512, 288, 0.37), "stage 3 3x3");
+        assert!(transposes(32, 512, 144, 0.60), "stage 3 first 3x3");
+        assert!(transposes(16, 2048, 144, 0.45), "stage 2 3x3");
+        assert!(transposes(16, 2048, 72, 0.68), "stage 2 first 3x3");
+        assert!(transposes(16, 2048, 8, 0.73), "stage 2 projection");
+        assert!(transposes(32, 512, 16, 0.71), "stage 3 projection");
+        assert!(!transposes(8, 8192, 72, 0.51), "stage 1 3x3");
+        assert!(!transposes(8, 8192, 27, 0.92), "stem");
+        // Dense operands of equal width, and empty ones, stay as they are.
+        assert!(!transposes(64, 128, 64, 1.0), "headline");
+        assert!(!runs_transposed(0, 5, 0, 0), "empty");
     }
 
     #[test]

@@ -36,9 +36,15 @@
 //!    accumulation loops over the prepared codes, dispatched through the
 //!    shared parallel runtime (`srmac-runtime`) — one persistent worker
 //!    pool for every default engine and the trainer's replicas
-//!    ([`MacGemm::with_runtime`] picks a pool explicitly). The one-shot
-//!    `gemm` is the trait's default
-//!    composition — pack on the fly, then execute.
+//!    ([`MacGemm::with_runtime`] picks a pool explicitly).
+//!
+//! The one-shot `gemm` quantizes each operand once and runs the same
+//! kernel without keeping packed operands. It compacts whichever operand
+//! is cheaper to zero-skip: when B is the sparse side (a weight
+//! gradient's post-ReLU im2row matrix), it computes `outᵀ = Bᵀ · Aᵀ`,
+//! compacting `Bᵀ`, and writes the result back transposed — the same
+//! bits, since every output element keeps its stream and its `k` order
+//! (`tests/one_shot.rs`).
 //!
 //! The training layers in `srmac-tensor` exploit this split by caching
 //! their weights' packed forms between optimizer steps: one weight pack
@@ -117,7 +123,9 @@
 //! * **Quantize+pack fusion** — `pack_a`/`pack_b` quantize straight
 //!   into recycled workspace buffers (a vectorized block quantizer under
 //!   AVX-512) and compact/interleave from there; the one-shot `gemm`
-//!   allocates nothing per call beyond its packed outputs.
+//!   quantizes through the same buffers, one operand at a time, and
+//!   allocates per call only what the kernel reads (compaction and
+//!   panel) plus, transposed, a 16-column transpose strip.
 //! * **Product-pair decode LUT** — a 256 KiB [`PairLut`] maps each
 //!   `(code_a, code_b)` pair directly to the pre-decoded `u32` product
 //!   word, and under AVX-512 the inner loop runs a fully vectorized

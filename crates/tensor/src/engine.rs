@@ -11,8 +11,11 @@
 //! [`PackedOperand`] (quantized FP8 codes and a transposed layout for the
 //! MAC engine, a plain copy for the `f32` engine), and
 //! [`GemmEngine::gemm_packed`] multiplies two prepared operands. The
-//! one-shot [`GemmEngine::gemm`] remains as a convenience that packs on the
-//! fly. Packing is a pure function of the operand values (never of the
+//! one-shot [`GemmEngine::gemm`] serves operands used once (the layers'
+//! weight gradients): by default it packs on the fly, and an engine may
+//! override it to prepare the operands its own way — the MAC engine
+//! picks which operand to zero-skip — but never to change a bit.
+//! Packing is a pure function of the operand values (never of the
 //! output position or thread count), so a packed operand can be reused
 //! across any number of products — the layers cache their weights' packed
 //! forms and only repack after an optimizer step.
@@ -132,8 +135,11 @@ pub trait GemmEngine: Send + Sync {
         out: &mut [f32],
     );
 
-    /// Computes `out = A * B`, overwriting `out` (row-major slices); packs
-    /// both operands on the fly.
+    /// Computes `out = A * B`, overwriting `out` (row-major slices),
+    /// for operands used once. The default packs both operands on the fly
+    /// and runs [`GemmEngine::gemm_packed`]. An engine may override it to
+    /// prepare the operands differently — in another orientation, say —
+    /// but the result must be bit-identical to that composition.
     ///
     /// # Panics
     ///

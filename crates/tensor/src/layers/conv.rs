@@ -197,7 +197,8 @@ impl Layer for Conv2d {
         nchw_to_rows(grad.data(), n, self.out_c, spatial, &mut dy_nsoc);
 
         // dW (out_c x K) = dY (out_c x ns) * rows (ns x K) — both operands
-        // are fresh per step, so this product packs on the fly.
+        // are fresh per step, so this is a one-shot product (whose engine
+        // may zero-skip the post-ReLU `rows` rather than `dY`).
         let mut dw = std::mem::take(&mut self.dw_scratch);
         dw.resize(self.out_c * kdim, 0.0);
         self.products.engine(GemmRole::BackwardWeight).gemm(

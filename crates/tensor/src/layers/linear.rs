@@ -109,7 +109,8 @@ impl Layer for Linear {
         let n = x.shape()[0];
 
         // dW (out x in) = dY^T (out x N) * X (N x in) — both operands are
-        // fresh per step, so this product packs on the fly.
+        // fresh per step, so this is a one-shot product (whose engine may
+        // zero-skip X rather than dY^T).
         let dyt = transpose(grad.data(), n, self.out_f);
         let mut dw = std::mem::take(&mut self.dw_scratch);
         dw.resize(self.out_f * self.in_f, 0.0);
