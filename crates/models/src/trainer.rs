@@ -308,9 +308,9 @@ impl Trainer {
         }
     }
 
-    /// Replaces the runtime used for batch assembly and replica dispatch
-    /// (default: [`Runtime::global`]). Training bits never depend on the
-    /// choice.
+    /// Replaces the runtime that dispatches the data-parallel replicas
+    /// (default: [`Runtime::global`]); batches are assembled serially on
+    /// the calling thread. Training bits never depend on the choice.
     #[must_use]
     pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
         self.runtime = runtime;
@@ -466,9 +466,7 @@ impl Trainer {
             return self.history;
         }
         // One reused batch buffer for the whole run (only the final ragged
-        // batch of an epoch reshapes it); assembled on the trainer's
-        // runtime.
-        let rt = Arc::clone(&self.runtime);
+        // batch of an epoch reshapes it), assembled serially on the caller.
         let s = train.image_size();
         let mut x = Tensor::zeros(&[cfg.batch_size.min(train.len().max(1)), 3, s, s]);
         let mut labels = Vec::with_capacity(cfg.batch_size);
@@ -486,7 +484,7 @@ impl Trainer {
                 if x.shape()[0] != chunk.len() {
                     x = Tensor::zeros(&[chunk.len(), 3, s, s]);
                 }
-                train.batch_into(&rt, chunk, &mut x, &mut labels);
+                train.gather(chunk, &mut x, &mut labels);
                 let loss = self.train_step(model, &x, &labels, lr);
                 if loss.is_finite() {
                     self.epoch_loss += f64::from(loss);

@@ -56,7 +56,7 @@
 //! accumulator the engine accepts and for the paper's E6M5 accumulator at
 //! every SR `r` up to 15. [`FastAdderBatch::new`] returns `None` outside
 //! it (e.g. E5M10 at SR13), and the engine then runs the scalar
-//! [`FastAdder`] loop of its reference path.
+//! [`FastAdder`] loop over the same compaction and panel.
 
 use srmac_fp::FpFormat;
 
@@ -813,7 +813,7 @@ pub(crate) mod z16 {
     /// constants that `consts_e6m5` exists to provide.
     macro_rules! dot_body {
         ($sr:expr, $c:expr, $batch:expr, $table:expr, $ids:expr, $cods:expr, $pan:expr,
-         $stride:expr, $lane0:expr, $seeds:expr, $w:literal,
+         $seeds:expr, $w:literal,
          [$(($acc:ident, $slo:ident, $shi:ident, $q:literal)),+]) => {{
             let c = $c;
             let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
@@ -826,7 +826,7 @@ pub(crate) mod z16 {
                 let mut $acc = _mm512_setzero_si512();
             )+
             for (&ci, &ca) in $ids.iter().zip($cods) {
-                let base = ci as usize * $stride + $lane0;
+                let base = ci as usize * $w;
                 // Infallible: base + $w <= panel len by the packer's row stride.
                 let bc: &[u8; $w] = $pan[base..base + $w].try_into().expect("panel block");
                 let row = $table.as_ptr().wrapping_add(usize::from(ca) << 8);
@@ -838,10 +838,9 @@ pub(crate) mod z16 {
         }};
     }
 
-    /// One 16-column dot product: columns `lane0 .. lane0 + 16`
-    /// of a lane-interleaved panel block with row stride `stride`,
-    /// accumulated over the compacted A entries `(ids, cods)`. Returns
-    /// the final decoded accumulator words (encode with
+    /// One 16-column dot product over a 16-wide lane-interleaved panel
+    /// block, accumulated over the compacted A entries `(ids, cods)`.
+    /// Returns the final decoded accumulator words (encode with
     /// [`FastAdderBatch::encode`]).
     ///
     /// Bit-identical to 16 scalar dot products: per-lane draws advance
@@ -855,7 +854,6 @@ pub(crate) mod z16 {
     /// Callers discharge the `#[target_feature]` obligation: the CPU must
     /// support AVX-512 F/BW/DQ/VL/CD (the engine checks via
     /// `SimdTier::detect` before routing here).
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -869,17 +867,11 @@ pub(crate) mod z16 {
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
         seeds: &[u64; 16],
     ) -> [u32; 16] {
         match is_e6m5::<SR>(batch) {
-            Some(true) => {
-                dot16_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            Some(false) => {
-                dot16_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
+            Some(true) => dot16_e6m5::<SR, true>(batch, table, ids, cods, pan, seeds),
+            Some(false) => dot16_e6m5::<SR, false>(batch, table, ids, cods, pan, seeds),
             None => {
                 let c = consts(batch);
                 dot_body!(
@@ -890,8 +882,6 @@ pub(crate) mod z16 {
                     ids,
                     cods,
                     pan,
-                    stride,
-                    lane0,
                     seeds,
                     16,
                     [(a0, s0, s1, 0)]
@@ -901,7 +891,6 @@ pub(crate) mod z16 {
     }
 
     /// The literal-constant E6M5 instantiation of [`dot16`].
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -915,8 +904,6 @@ pub(crate) mod z16 {
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
         seeds: &[u64; 16],
     ) -> [u32; 16] {
         let c = consts_e6m5::<SR, SUB>();
@@ -928,8 +915,6 @@ pub(crate) mod z16 {
             ids,
             cods,
             pan,
-            stride,
-            lane0,
             seeds,
             16,
             [(a0, s0, s1, 0)]
@@ -937,8 +922,8 @@ pub(crate) mod z16 {
     }
 
     /// A full 64-column panel block in one `k` pass: four interleaved
-    /// 16-lane chains, bit-identical to four [`dot16`] calls at
-    /// `lane0 + 0/16/32/48`.
+    /// 16-lane chains, each bit-identical to 16 scalar dot products as
+    /// in [`dot16`].
     ///
     /// Interleaving is the point: one 16-lane chain is a serial
     /// `add_core` dependency per `k` step, so a lone chain is bound by
@@ -946,7 +931,6 @@ pub(crate) mod z16 {
     /// body give the out-of-order core ~4x the exploitable parallelism,
     /// and the per-step scalars (`ci`, `ca`, the LUT row pointer) are
     /// computed once instead of four times.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -960,17 +944,11 @@ pub(crate) mod z16 {
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
         seeds: &[u64; 64],
     ) -> [u32; 64] {
         match is_e6m5::<SR>(batch) {
-            Some(true) => {
-                dot64_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            Some(false) => {
-                dot64_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
+            Some(true) => dot64_e6m5::<SR, true>(batch, table, ids, cods, pan, seeds),
+            Some(false) => dot64_e6m5::<SR, false>(batch, table, ids, cods, pan, seeds),
             None => {
                 let c = consts(batch);
                 dot_body!(
@@ -981,8 +959,6 @@ pub(crate) mod z16 {
                     ids,
                     cods,
                     pan,
-                    stride,
-                    lane0,
                     seeds,
                     64,
                     [
@@ -999,7 +975,6 @@ pub(crate) mod z16 {
     /// The literal-constant E6M5 instantiation of [`dot64`] (a
     /// single `dot64_body` call site, so the body inlines and every
     /// `Consts` field constant-folds).
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -1013,8 +988,6 @@ pub(crate) mod z16 {
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
         seeds: &[u64; 64],
     ) -> [u32; 64] {
         let c = consts_e6m5::<SR, SUB>();
@@ -1026,8 +999,6 @@ pub(crate) mod z16 {
             ids,
             cods,
             pan,
-            stride,
-            lane0,
             seeds,
             64,
             [
@@ -1472,13 +1443,38 @@ mod tests {
         }
     }
 
-    /// The AVX-512 16-lane dot kernel against a reference loop of the
-    /// (scalar-verified) `mac_step` + `SrLaneStreams` machinery: random
-    /// compacted-A streams and panel bytes over the full e5m2 code plane —
-    /// zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]` scalar
-    /// fixup), every 16-lane chunk of 16/32/64-wide panel strides, RN,
-    /// SR13 and SR9; then the interleaved 64-wide kernel against four
-    /// 16-wide calls.
+    /// The lane-step reference of the `z16` dot kernels: `W` lanes of
+    /// the (scalar-verified) `mac_step` + `SrLaneStreams` machinery over
+    /// a `W`-wide panel block.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_loop<const W: usize>(
+        batch: &FastAdderBatch,
+        plut: &PairLut,
+        (ids, cods): (&[u32], &[u8]),
+        pan: &[u8],
+        seeds: [u64; W],
+    ) -> [u32; W] {
+        let mut streams = SrLaneStreams::new(seeds);
+        let mut acc = [0u32; W];
+        for (&id, &ca) in ids.iter().zip(cods) {
+            let row = plut.row(ca);
+            let prods: [u32; W] = std::array::from_fn(|l| row[pan[id as usize * W + l] as usize]);
+            let words = if batch.sr {
+                streams.draw(std::array::from_fn(|l| prods[l] & LANE_DRAWS != 0))
+            } else {
+                [0u64; W]
+            };
+            batch.mac_step(&mut acc, &prods, &words);
+        }
+        acc
+    }
+
+    /// The AVX-512 dot kernels against [`lane_loop`] at the engine's
+    /// panel layout, 16-wide blocks through `dot16` and 64-wide ones
+    /// through the interleaved `dot64`: random compacted-A streams and
+    /// panel bytes over the full e5m2 code plane — zeros (zero-skip + no
+    /// draw), NaN/Inf codes (the `#[cold]` scalar fixup), RN, SR13 and
+    /// SR9.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_dot_matches_scalar_mac_loop() {
@@ -1500,14 +1496,13 @@ mod tests {
             AccumRounding::Stochastic { r: 13 },
             AccumRounding::Stochastic { r: 9 },
         ] {
-            let sr = matches!(mode, AccumRounding::Stochastic { .. });
             let batch = FastAdderBatch::new(FpFormat::e6m5(), mode).expect("e6m5 fits");
             let plut = PairLut::build(&lut, &batch);
+            let table = plut.table();
             for case in 0..160 {
-                let stride = [16usize, 32, 64][case % 3];
-                let lane0 = (case / 3 % (stride / 16)) * 16;
+                let width = [16usize, 64][case % 2];
                 let rows = 1 + (rng.next_u64() % 48) as usize;
-                let pan: Vec<u8> = (0..rows * stride).map(|_| rng.next_u64() as u8).collect();
+                let pan: Vec<u8> = (0..rows * width).map(|_| rng.next_u64() as u8).collect();
                 // Compacted A: ascending ids, codes across the whole
                 // plane — specials included every few steps.
                 let mut ids = Vec::new();
@@ -1522,124 +1517,40 @@ mod tests {
                     });
                     ci += 1 + (rng.next_u64() % 3) as usize;
                 }
-                let seeds: [u64; 16] = std::array::from_fn(|_| rng.next_u64());
-
-                // Reference: the scalar-verified lane step machinery.
-                let mut streams = SrLaneStreams::new(seeds);
-                let mut acc = [0u32; 16];
-                for (&id, &ca) in ids.iter().zip(&cods) {
-                    let row = plut.row(ca);
-                    let prods: [u32; 16] = std::array::from_fn(|l| {
-                        row[pan[id as usize * stride + lane0 + l] as usize]
-                    });
-                    let words = if sr {
-                        streams.draw(std::array::from_fn(|l| prods[l] & LANE_DRAWS != 0))
-                    } else {
-                        [0u64; 16]
-                    };
-                    batch.mac_step(&mut acc, &prods, &words);
-                }
-
-                // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                #[allow(unsafe_code)]
-                let got = unsafe {
-                    if sr {
-                        z16::dot16::<true>(
-                            &batch,
-                            plut.table(),
-                            &ids,
-                            &cods,
-                            &pan,
-                            stride,
-                            lane0,
-                            &seeds,
-                        )
-                    } else {
-                        z16::dot16::<false>(
-                            &batch,
-                            plut.table(),
-                            &ids,
-                            &cods,
-                            &pan,
-                            stride,
-                            lane0,
-                            &seeds,
-                        )
-                    }
-                };
-                for l in 0..16 {
-                    assert_eq!(
-                        got[l], acc[l],
-                        "{mode:?} case {case}: lane {l} (stride {stride}, lane0 {lane0})"
-                    );
-                }
-
-                // The interleaved 64-wide kernel == four 16-wide calls
-                // (themselves pinned to the scalar loop above).
-                if stride == 64 {
-                    let seeds64: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+                let a = (&ids[..], &cods[..]);
+                let (got, want) = if width == 16 {
+                    let seeds: [u64; 16] = std::array::from_fn(|_| rng.next_u64());
                     // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
                     #[allow(unsafe_code)]
-                    unsafe {
-                        let (wide, quads) = if sr {
-                            (
-                                z16::dot64::<true>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    64,
-                                    0,
-                                    &seeds64,
-                                ),
-                                std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16::<true>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        64,
-                                        q * 16,
-                                        seeds64[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
+                    let got = unsafe {
+                        if batch.sr {
+                            z16::dot16::<true>(&batch, table, a.0, a.1, &pan, &seeds)
                         } else {
-                            (
-                                z16::dot64::<false>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    64,
-                                    0,
-                                    &seeds64,
-                                ),
-                                std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16::<false>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        64,
-                                        q * 16,
-                                        seeds64[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        };
-                        for q in 0..4 {
-                            assert_eq!(
-                                wide[q * 16..q * 16 + 16],
-                                quads[q],
-                                "{mode:?} case {case}: 64-wide chain {q}"
-                            );
+                            z16::dot16::<false>(&batch, table, a.0, a.1, &pan, &seeds)
                         }
-                    }
+                    };
+                    (
+                        got.to_vec(),
+                        lane_loop(&batch, &plut, a, &pan, seeds).to_vec(),
+                    )
+                } else {
+                    let seeds: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
+                    #[allow(unsafe_code)]
+                    let got = unsafe {
+                        if batch.sr {
+                            z16::dot64::<true>(&batch, table, a.0, a.1, &pan, &seeds)
+                        } else {
+                            z16::dot64::<false>(&batch, table, a.0, a.1, &pan, &seeds)
+                        }
+                    };
+                    (
+                        got.to_vec(),
+                        lane_loop(&batch, &plut, a, &pan, seeds).to_vec(),
+                    )
+                };
+                for (l, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "{mode:?} case {case}: lane {l} of {width}");
                 }
             }
         }

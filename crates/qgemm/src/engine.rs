@@ -27,6 +27,13 @@
 //! transposed. The orientation is a pure function of the shape and the
 //! operand codes, and never changes a bit (see below).
 //!
+//! Every product runs one plan — a compaction against a lane panel — on
+//! one operand layout per side. A NaN in the panel operand keeps the
+//! compaction whole ([`CompactA::keep_all`]), so `0 * NaN` reaches the
+//! accumulator; engines whose accumulator has no lane kernel run the
+//! scalar [`MacKernel::dot`] loop over the same compaction and panel.
+//! Only the oracle [`MacGemm::gemm_reference`] builds dense codes.
+//!
 //! # Determinism contract
 //!
 //! Every output element draws its stochastic-rounding words from a
@@ -39,7 +46,7 @@
 //! holds the zero.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use srmac_fp::FpFormat;
 use srmac_rng::{SplitMix64, SrLaneStreams};
@@ -393,7 +400,8 @@ struct MacKernel {
     adder: FastAdder,
     /// The lane kernel, `None` when the accumulator algebra does not fit
     /// the `u32` lane word; every product then runs the scalar
-    /// [`MacKernel::dot`] loop of the dense path.
+    /// [`MacKernel::dot`] loop over the same compaction and panel
+    /// ([`MacKernel::compute_rect_scalar`]).
     lanes: Option<Lanes>,
     decode: Vec<f32>,
     /// Accumulator-format magnitude mask (all bits except the sign).
@@ -414,28 +422,23 @@ impl MacKernel {
         u64::from(p) & self.acc_mag_mask == 0
     }
 
-    /// One full dot product in MAC semantics.
-    fn dot(&self, a: &[u8], b_colmajor: &[u8], rng: &mut SplitMix64) -> u16 {
+    /// Output element `(r, c)` in MAC semantics: the products of the
+    /// `(A code, B code)` pairs accumulated in order, each non-zero one
+    /// drawing the next word of the element's stream under SR. The one
+    /// scalar loop, shared by [`MacGemm::gemm_reference`] and
+    /// [`MacKernel::compute_rect_scalar`].
+    fn dot(&self, pairs: impl Iterator<Item = (u8, u8)>, r: usize, c: usize) -> f32 {
+        let sr = !matches!(self.rounding, AccumRounding::Nearest);
+        let mut rng = SplitMix64::new(mix_seed(self.seed, r, c));
         let mut acc: u64 = 0;
-        match self.rounding {
-            AccumRounding::Nearest => {
-                for (&ca, &cb) in a.iter().zip(b_colmajor) {
-                    let p = self.lut.product(ca, cb);
-                    if !self.is_zero_prod(p) {
-                        acc = self.adder.add(acc, u64::from(p), 0);
-                    }
-                }
-            }
-            AccumRounding::Stochastic { .. } => {
-                for (&ca, &cb) in a.iter().zip(b_colmajor) {
-                    let p = self.lut.product(ca, cb);
-                    if !self.is_zero_prod(p) {
-                        acc = self.adder.add(acc, u64::from(p), rng.next_u64());
-                    }
-                }
+        for (ca, cb) in pairs {
+            let p = self.lut.product(ca, cb);
+            if !self.is_zero_prod(p) {
+                let word = if sr { rng.next_u64() } else { 0 };
+                acc = self.adder.add(acc, u64::from(p), word);
             }
         }
-        acc as u16
+        self.decode[acc as usize]
     }
 
     /// `L` compacted dot products (columns `base .. base + L` of one
@@ -447,11 +450,13 @@ impl MacKernel {
     /// ascending k order. Products come pre-decoded from the [`PairLut`].
     /// Each lane's adds stay in `k` order and its SR stream advances once
     /// per product with non-zero encoded magnitude, so results are
-    /// bit-identical to `L` scalar [`MacKernel::dot`]s whenever B holds
-    /// no NaN codes: products against a zero-magnitude A code are exactly
-    /// `+/-0` then, which the dense loop skips without drawing a rounding
-    /// word. Accumulators live in decoded lane-word form across the whole
-    /// loop and are packed once at the end.
+    /// bit-identical to `L` scalar [`MacKernel::dot`]s whenever a
+    /// compaction that dropped zeros meets a NaN-free panel: products
+    /// against a dropped zero-magnitude A code are exactly `+/-0` then,
+    /// which the scalar loop skips without drawing a rounding word (a
+    /// NaN panel meets [`CompactA::keep_all`], whose `0 * NaN` lanes take
+    /// the special-lane fixup). Accumulators live in decoded lane-word
+    /// form across the whole loop and are packed once at the end.
     #[inline(always)]
     fn dotn_panel<const L: usize, const SR: bool>(
         lanes: &Lanes,
@@ -523,9 +528,9 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     let accs = if sr {
-                        z16::dot64::<true>(batch, table, ids, cods, pan, 64, 0, &seeds)
+                        z16::dot64::<true>(batch, table, ids, cods, pan, &seeds)
                     } else {
-                        z16::dot64::<false>(batch, table, ids, cods, pan, 64, 0, &seeds)
+                        z16::dot64::<false>(batch, table, ids, cods, pan, &seeds)
                     };
                     z16::write_back(batch, &self.decode, &accs, out);
                 }
@@ -535,9 +540,9 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     let accs = if sr {
-                        z16::dot16::<true>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                        z16::dot16::<true>(batch, table, ids, cods, pan, &seeds)
                     } else {
-                        z16::dot16::<false>(batch, table, ids, cods, pan, 16, 0, &seeds)
+                        z16::dot16::<false>(batch, table, ids, cods, pan, &seeds)
                     };
                     z16::write_back(batch, &self.decode, &accs, out);
                 }
@@ -589,8 +594,9 @@ impl MacKernel {
         }
     }
 
-    /// Compacted-A rectangle kernel on the lane kernel `lanes` (requires
-    /// a NaN-free B operand; see [`MacKernel::dotn_panel`]): fills output
+    /// Compacted-A rectangle kernel on the lane kernel `lanes` (a NaN in
+    /// the panel needs a [`CompactA::keep_all`] compaction; see
+    /// [`MacKernel::dotn_panel`]): fills output
     /// rows `rows` x columns `cols` into `block` (row-major, stride
     /// `cols.len()`). Bit-identical to the scalar path for every tile
     /// shape and column range — the tiling only reorders *which
@@ -768,31 +774,36 @@ impl MacKernel {
         }
     }
 
-    /// Dense rectangle kernel — the counterpart of
-    /// [`MacKernel::compute_rect_compact`] for a B operand holding NaN
-    /// codes and for accumulators without a lane kernel (scalar dots,
-    /// golden special semantics).
+    /// The rectangle kernel of engines without a lane kernel: the
+    /// operands, orientation and `block` layout of
+    /// [`MacKernel::compute_rect_compact_body`], one scalar
+    /// [`MacKernel::dot`] per element, seeded at its output coordinate.
     #[allow(clippy::too_many_arguments)]
-    fn compute_rect_dense(
+    fn compute_rect_scalar(
         &self,
-        acode: &[u8],
-        bcode_t: &[u8],
+        compact: &CompactA,
+        panel: &[u8],
         k: usize,
+        n: usize,
         row_base: usize,
+        orient: Orient,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        // An empty `cols` leaves `block` empty; `max(1)` only keeps
-        // `chunks_mut` from rejecting the zero width.
-        for (ri, out_row) in block.chunks_mut(cols.len().max(1)).enumerate() {
-            let i = rows.start + ri;
-            let arow = &acode[i * k..(i + 1) * k];
-            for (jo, o) in out_row.iter_mut().enumerate() {
-                let j = cols.start + jo;
-                let mut rng = SplitMix64::new(mix_seed(self.seed, row_base + i, j));
-                let acc = self.dot(arow, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                *o = self.decode[acc as usize];
+        let (h, w) = (rows.len(), cols.len());
+        for i in rows.clone() {
+            let (ids, cods) = compact.row(i);
+            for j in cols.clone() {
+                let (col0, width) = panel_block_of(j, n);
+                let at = col0 * k + j - col0;
+                let pairs =
+                    (ids.iter().zip(cods)).map(|(&ci, &ca)| (ca, panel[at + ci as usize * width]));
+                let (ri, rj) = (i - rows.start, j - cols.start);
+                match orient {
+                    Orient::AsIs => block[ri * w + rj] = self.dot(pairs, row_base + i, j),
+                    Orient::Transposed => block[rj * h + ri] = self.dot(pairs, row_base + j, i),
+                }
             }
         }
     }
@@ -914,18 +925,35 @@ impl CompactA {
         (&self.idx[s..e], &self.code[s..e])
     }
 
-    /// The dense row-major codes, `cols` per row, with every dropped
-    /// entry as `zero`.
-    fn dense(&self, cols: usize, zero: u8) -> Vec<u8> {
+    /// The compaction of the same `cols`-wide rows that keeps every
+    /// entry, the dropped ones as `zero` — what a panel holding a NaN
+    /// meets, so `0 * NaN` reaches the accumulator as it does in the
+    /// scalar oracle. Either zero sign is exact: a zero-magnitude code
+    /// only ever produces `+/-0` (skipped without a rounding word) or,
+    /// against a NaN, the same NaN. (B holds no infinities: the quantizer
+    /// saturates them.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry count does not fit a `u32`.
+    fn keep_all(&self, cols: usize, zero: u8) -> Self {
         let rows = self.row_ptr.len() - 1;
-        let mut codes = vec![zero; rows * cols];
-        for (r, dst) in codes.chunks_exact_mut(cols.max(1)).take(rows).enumerate() {
+        assert!(
+            u32::try_from(rows * cols).is_ok(),
+            "operand too large to compact"
+        );
+        let mut code = vec![zero; rows * cols];
+        for r in 0..rows {
             let (ids, cods) = self.row(r);
             for (&c, &cd) in ids.iter().zip(cods) {
-                dst[c as usize] = cd;
+                code[r * cols + c as usize] = cd;
             }
         }
-        codes
+        Self {
+            row_ptr: (0..=rows).map(|r| (r * cols) as u32).collect(),
+            idx: (0..rows).flat_map(|_| 0..cols as u32).collect(),
+            code,
+        }
     }
 }
 
@@ -942,66 +970,22 @@ fn compact_row(row: &[u8], mag: u8, idx: &mut [u32], code: &mut [u8], mut len: u
     len
 }
 
-/// [`PackedOperand`] payload for the A side: the zero-skipping compaction,
-/// plus dense row-major codes materialized lazily — only the NaN-in-B
-/// fallback ever reads them, so the hot path never builds or stores them.
+/// [`PackedOperand`] payload for the A side: the zero-skipping compaction.
 #[derive(Debug)]
 struct MacPackedA {
     compact: Arc<CompactA>,
-    dense: OnceLock<Arc<Vec<u8>>>,
-    cols: usize,
-    zero_code: u8,
     fingerprint: u64,
-}
-
-impl MacPackedA {
-    /// Dense row-major codes rebuilt from the compaction, with every
-    /// zero-magnitude entry as `+0`. Bit-exact for the dense fallback: a
-    /// zero-magnitude A code only ever produces `+/-0` (skipped without
-    /// consuming a rounding word, sign irrelevant) or, against a NaN in B,
-    /// the canonical NaN — identical for `+0` and `-0`. (B cannot hold
-    /// infinities: the quantizer saturates them to the largest finite
-    /// value.)
-    fn dense_codes(&self) -> &Arc<Vec<u8>> {
-        self.dense
-            .get_or_init(|| Arc::new(self.compact.dense(self.cols, self.zero_code)))
-    }
 }
 
 /// [`PackedOperand`] payload for the B side: the lane-interleaved panel,
-/// column-major codes rebuilt from it on demand, and whether any code is
-/// a NaN (which forces the dense A path to keep `0 * NaN = NaN`
-/// propagation bit-exact).
+/// and whether any code is a NaN (which makes the product keep every A
+/// entry, see [`CompactA::keep_all`]).
 #[derive(Debug)]
 struct MacPackedB {
-    /// Lane-interleaved panel holding every column (see [`build_panel`]);
-    /// the compacted hot path reads nothing else.
+    /// Lane-interleaved panel holding every column (see [`build_panel`]).
     panel: Arc<Vec<u8>>,
-    /// Column-major codes, materialized lazily from `panel` — only the
-    /// NaN dense fallback reads them.
-    codes_t: OnceLock<Arc<Vec<u8>>>,
     has_nan: bool,
     fingerprint: u64,
-}
-
-impl MacPackedB {
-    /// The column-major `k x n` codes (column `j` at `[j * k, (j + 1) * k)`),
-    /// de-interleaved from the panel on first use.
-    fn codes_t(&self, k: usize, n: usize) -> &Arc<Vec<u8>> {
-        self.codes_t.get_or_init(|| {
-            let mut codes_t = vec![0u8; k * n];
-            for (col0, width) in panel_blocks(n) {
-                let live = width.min(n - col0);
-                for ci in 0..k {
-                    let src = &self.panel[col0 * k + ci * width..][..live];
-                    for (l, &cd) in src.iter().enumerate() {
-                        codes_t[(col0 + l) * k + ci] = cd;
-                    }
-                }
-            }
-            Arc::new(codes_t)
-        })
-    }
 }
 
 /// The column blocks of an `n`-column B panel as `(first column, width)`:
@@ -1012,6 +996,17 @@ fn panel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
     let n64 = n - n % LANES;
     let wide = (0..n64).step_by(LANES).map(|c| (c, LANES));
     wide.chain((n64..n).step_by(16).map(|c| (c, 16)))
+}
+
+/// The block of [`panel_blocks`] that holds column `j` of an `n`-column
+/// panel, as `(first column, width)`.
+fn panel_block_of(j: usize, n: usize) -> (usize, usize) {
+    let n64 = n - n % LANES;
+    if j < n64 {
+        (j - j % LANES, LANES)
+    } else {
+        (j - (j - n64) % 16, 16)
+    }
 }
 
 /// Builds the lane-interleaved B panel from row-major `k x n` codes. A
@@ -1162,25 +1157,21 @@ enum Orient {
     Transposed,
 }
 
-/// The execution plan of one product: the compacted lane kernel when the
-/// panel operand is NaN-free and the engine has a lane kernel (the fast
-/// path), the dense scalar path otherwise.
-#[derive(Clone, Debug)]
-enum Plan {
-    /// Row-major A codes against column-major B codes.
-    Dense { a: Arc<Vec<u8>>, b_t: Arc<Vec<u8>> },
-    /// Compacted rows against a lane panel, in orientation `orient`: A's
-    /// rows against B's panel, or transposed, `Bᵀ`'s against `Aᵀ`'s.
-    Compact {
-        compact: Arc<CompactA>,
-        panel: Arc<Vec<u8>>,
-        orient: Orient,
-    },
+/// The execution plan every product runs: compacted rows against a lane
+/// panel, in orientation `orient` — A's rows against B's panel, or
+/// transposed, `Bᵀ`'s against `Aᵀ`'s. A panel holding a NaN meets a
+/// compaction that kept every entry ([`CompactA::keep_all`]).
+#[derive(Debug)]
+struct Plan {
+    compact: Arc<CompactA>,
+    panel: Arc<Vec<u8>>,
+    orient: Orient,
 }
 
 impl Plan {
     /// Fills the kernel rectangle `rows x cols` into `block` (see
-    /// [`MacKernel::compute_rect_compact_body`] for the transposed layout).
+    /// [`MacKernel::compute_rect_compact_body`] for the transposed layout)
+    /// on the lane kernel, or on the scalar loop without one.
     #[allow(clippy::too_many_arguments)]
     fn compute_rect(
         &self,
@@ -1192,25 +1183,13 @@ impl Plan {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        match (self, &kernel.lanes) {
-            (Plan::Dense { a, b_t }, _) => {
-                kernel.compute_rect_dense(a, b_t, k, row_base, rows, cols, block);
-            }
-            (
-                Plan::Compact {
-                    compact,
-                    panel,
-                    orient,
-                },
-                Some(lanes),
-            ) => {
-                kernel.compute_rect_compact(
-                    lanes, compact, panel, k, n, row_base, *orient, rows, cols, block,
-                );
-            }
-            (Plan::Compact { .. }, None) => {
-                unreachable!("a compacted operand is planned only with a lane kernel")
-            }
+        let (compact, panel, orient) = (&self.compact, &self.panel, self.orient);
+        match &kernel.lanes {
+            Some(lanes) => kernel.compute_rect_compact(
+                lanes, compact, panel, k, n, row_base, orient, rows, cols, block,
+            ),
+            None => kernel
+                .compute_rect_scalar(compact, panel, k, n, row_base, orient, rows, cols, block),
         }
     }
 }
@@ -1321,8 +1300,8 @@ impl MacGemm {
 
     /// Whether the lane kernel and its product-pair LUT are engaged:
     /// false for accumulators outside the `u32` lane-word envelope (e.g.
-    /// E5M10 at SR13), whose products all run the scalar path of
-    /// [`MacGemm::gemm_reference`].
+    /// E5M10 at SR13), whose products all run the scalar loop over the
+    /// same compaction and panel.
     #[must_use]
     pub fn pair_lut_active(&self) -> bool {
         self.kernel.lanes.is_some()
@@ -1430,13 +1409,7 @@ impl MacGemm {
         // the runtime fills `out` over the same grid with its axes
         // swapped, so column tiles still never split a panel block.
         let (row_tile, col_tile) = dispatch_tiles(m, k, n);
-        let transposed = matches!(
-            plan,
-            Plan::Compact {
-                orient: Orient::Transposed,
-                ..
-            }
-        );
+        let transposed = plan.orient == Orient::Transposed;
         let kernel = Arc::clone(&self.kernel);
         let row_base = self.row_base;
         let job = move |rows, cols, block: &mut [f32]| {
@@ -1454,10 +1427,9 @@ impl MacGemm {
     /// The scalar reference GEMM: quantizes both operands, transposes B,
     /// and runs one dense scalar dot product per output element on the
     /// calling thread, seeded with the element's `(row_base + i, j)`
-    /// stream — the same loop as the NaN fallback of
-    /// [`GemmEngine::gemm_packed`], with no compaction, panel, lane batch
-    /// or dispatch. The equivalence suites use it as the oracle every
-    /// fast path must match bit for bit.
+    /// stream — with no compaction, panel, lane batch or dispatch, and
+    /// the only place dense codes are built. The equivalence suites use
+    /// it as the oracle every fast path must match bit for bit.
     ///
     /// # Panics
     ///
@@ -1479,10 +1451,28 @@ impl MacGemm {
         let mut bcode = self.take_codes_buf();
         self.quantize_codes_into(b, &mut bcode);
         let bcode_t = transposed(&bcode, k, n);
-        self.kernel
-            .compute_rect_dense(&acode, &bcode_t, k, self.row_base, 0..m, 0..n, out);
+        for (ij, o) in out.iter_mut().enumerate() {
+            let (arow, bcol) = (&acode[ij / n * k..][..k], &bcode_t[ij % n * k..][..k]);
+            let pairs = arow.iter().copied().zip(bcol.iter().copied());
+            *o = self.kernel.dot(pairs, self.row_base + ij / n, ij % n);
+        }
         self.recycle_codes_buf(acode);
         self.recycle_codes_buf(bcode);
+    }
+
+    /// The plan of A's `k`-wide compacted rows against B's panel, in
+    /// today's orientation: a panel holding a NaN meets every A entry.
+    fn plan_as_is(&self, rows_a: Arc<CompactA>, k: usize, panel: Arc<Vec<u8>>, nan: bool) -> Plan {
+        let compact = if nan {
+            Arc::new(rows_a.keep_all(k, self.zero_code))
+        } else {
+            rows_a
+        };
+        Plan {
+            compact,
+            panel,
+            orient: Orient::AsIs,
+        }
     }
 
     /// Quantizes row-major `rows x cols` values and CSR-compacts them,
@@ -1515,14 +1505,9 @@ impl GemmEngine for MacGemm {
     fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> PackedOperand {
         assert_eq!(a.len(), rows * cols, "A must be rows x cols");
         // Block-quantize into reusable scratch, then CSR-compact the
-        // non-zero-magnitude entries in one vector pass per row; dense
-        // codes are only materialized if a NaN-carrying B ever asks for
-        // them (see [`MacPackedA::dense_codes`]).
+        // non-zero-magnitude entries in one vector pass per row.
         let payload = MacPackedA {
             compact: Arc::new(self.compact(rows, cols, a)),
-            dense: OnceLock::new(),
-            cols,
-            zero_code: self.zero_code,
             fingerprint: self.fingerprint(),
         };
         PackedOperand::new(PackSide::A, rows, cols, Box::new(payload))
@@ -1540,7 +1525,6 @@ impl GemmEngine for MacGemm {
         self.recycle_codes_buf(codes);
         let payload = MacPackedB {
             panel: Arc::new(panel),
-            codes_t: OnceLock::new(),
             has_nan,
             fingerprint: self.fingerprint(),
         };
@@ -1559,21 +1543,7 @@ impl GemmEngine for MacGemm {
         assert_eq!(out.len(), m * n, "out must be m x n");
         let a = self.unpack_a(a, m, k);
         let b = self.unpack_b(b, k, n);
-        // The dense scalar path keeps `0 * NaN = NaN` exact for a B with
-        // NaN codes and serves every product of an engine without a lane
-        // kernel; it alone reads the dense A and column-major B codes.
-        let plan = if b.has_nan || self.kernel.lanes.is_none() {
-            Plan::Dense {
-                a: Arc::clone(a.dense_codes()),
-                b_t: Arc::clone(b.codes_t(k, n)),
-            }
-        } else {
-            Plan::Compact {
-                compact: Arc::clone(&a.compact),
-                panel: Arc::clone(&b.panel),
-                orient: Orient::AsIs,
-            }
-        };
+        let plan = self.plan_as_is(Arc::clone(&a.compact), k, Arc::clone(&b.panel), b.has_nan);
         self.gemm_codes(m, k, n, plan, out);
     }
 
@@ -1586,8 +1556,9 @@ impl GemmEngine for MacGemm {
     // and the transposed kernel seeds each output element at its own
     // `(row_base + i, j)` in its own `k` order, so both orientations
     // produce the same bits as `gemm_packed` and `gemm_reference`. A NaN
-    // in B, or an engine without a lane kernel, keeps the dense path; a
-    // NaN in A keeps today's orientation (the panel must be NaN-free).
+    // in either operand keeps today's orientation: transposed, A's NaN
+    // would sit in the panel against a compaction that dropped B's zeros,
+    // while a NaN in B keeps every A entry as `gemm_packed` does.
     //
     // A is compacted first, as `pack_a` does: both orientations read it
     // (transposed, its rows become the panel), and only one operand's
@@ -1603,12 +1574,8 @@ impl GemmEngine for MacGemm {
         let (_, a_nan) = code_stats(&rows_a.code, mag_mask, inf_mag);
         let bcode = self.quantize_codes(b);
         let (nnz_b, b_nan) = code_stats(&bcode, mag_mask, inf_mag);
-        let (km, kn, plan) = if b_nan || self.kernel.lanes.is_none() {
-            let a = Arc::new(rows_a.dense(k, zero));
-            let b_t = Arc::new(transposed(&bcode, k, n));
-            (m, n, Plan::Dense { a, b_t })
-        } else if !a_nan && runs_transposed(m, n, rows_a.idx.len(), nnz_b) {
-            let plan = Plan::Compact {
+        let (km, kn, plan) = if !a_nan && !b_nan && runs_transposed(m, n, rows_a.idx.len(), nnz_b) {
+            let plan = Plan {
                 compact: Arc::new(CompactA::build_transposed(
                     &bcode, k, n, nnz_b, mag_mask, tier,
                 )),
@@ -1617,12 +1584,8 @@ impl GemmEngine for MacGemm {
             };
             (n, m, plan)
         } else {
-            let plan = Plan::Compact {
-                compact: Arc::new(rows_a),
-                panel: Arc::new(build_panel(&bcode, k, n, zero)),
-                orient: Orient::AsIs,
-            };
-            (m, n, plan)
+            let panel = Arc::new(build_panel(&bcode, k, n, zero));
+            (m, n, self.plan_as_is(Arc::new(rows_a), k, panel, b_nan))
         };
         self.recycle_codes_buf(bcode);
         self.gemm_codes(km, k, kn, plan, out);
@@ -1827,9 +1790,9 @@ mod tests {
         let mut a = rand_vec(m * k, 92, 2.0);
         for v in a.iter_mut() {
             if rng.next_f64() < 0.6 {
-                // Mix positive and negative zeros: the lazily rebuilt dense
-                // codes canonicalize skipped entries to +0, which must not
-                // change any result (see MacPackedA::dense_codes).
+                // Mix positive and negative zeros: the whole compaction a
+                // NaN in B meets canonicalizes skipped entries to +0, which
+                // must not change any result (see CompactA::keep_all).
                 *v = if rng.next_f64() < 0.5 { 0.0 } else { -0.0 };
             }
         }
@@ -2009,8 +1972,8 @@ mod tests {
     #[test]
     fn build_panel_zero_pads_the_last_block_and_round_trips() {
         // Every column lands in exactly one block; the lanes of the last
-        // 16-wide block past `n` hold the +0 code, and the lazily
-        // de-interleaved column-major codes are the plain transpose.
+        // 16-wide block past `n` hold the +0 code, and the scalar loop's
+        // `panel_block_of` finds every column's code again.
         let zero = FpFormat::e5m2().zero_bits(false) as u8;
         let k = 5;
         for n in [1usize, 8, 16, 27, 64, 72, 81, 144] {
@@ -2031,16 +1994,11 @@ mod tests {
                     }
                 }
             }
-            let packed = MacPackedB {
-                panel: Arc::new(panel),
-                codes_t: OnceLock::new(),
-                has_nan: false,
-                fingerprint: 0,
-            };
-            let codes_t = packed.codes_t(k, n);
-            for ci in 0..k {
-                for j in 0..n {
-                    assert_eq!(codes_t[j * k + ci], codes[ci * n + j], "n={n} ({ci},{j})");
+            for j in 0..n {
+                let (col0, width) = panel_block_of(j, n);
+                for ci in 0..k {
+                    let got = panel[col0 * k + ci * width + j - col0];
+                    assert_eq!(got, codes[ci * n + j], "n={n} ({ci},{j})");
                 }
             }
         }
@@ -2101,6 +2059,21 @@ mod tests {
                 assert_eq!(got.row_ptr, want.row_ptr, "{tier:?} cols={cols}: row_ptr");
                 assert_eq!(got.idx, want.idx, "{tier:?} cols={cols}: idx");
                 assert_eq!(got.code, want.code, "{tier:?} cols={cols}: code");
+                // Keeping every entry restores the codes, zeros as +0.
+                let all = got.keep_all(cols, 0x00);
+                let mag_codes = codes.iter().map(|&cd| if cd & mag == 0 { 0 } else { cd });
+                assert_eq!(
+                    all.row_ptr,
+                    (0..=rows).map(|r| (r * cols) as u32).collect::<Vec<_>>()
+                );
+                assert!(all
+                    .idx
+                    .chunks(cols)
+                    .all(|r| r.iter().copied().eq(0..cols as u32)));
+                assert!(
+                    all.code.iter().copied().eq(mag_codes),
+                    "{tier:?} cols={cols}"
+                );
                 // The strip-wise compaction of the transpose.
                 let got = CompactA::build_transposed(&codes, rows, cols, nnz, mag, tier);
                 assert_eq!(

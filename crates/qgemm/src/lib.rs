@@ -86,10 +86,10 @@
 //! field, a 16-bit encoding): every RN accumulator the engine accepts and
 //! the paper's E6M5 accumulator at every SR `r <= 15`. Outside that
 //! envelope (e.g. E5M10 at SR13) the engine builds no lane kernel and
-//! every product runs the dense scalar loop of
-//! [`MacGemm::gemm_reference`] — bit-identical and several times
-//! slower; none of the paper's configurations goes there
-//! ([`MacGemm::pair_lut_active`] reports which path runs).
+//! every product runs a scalar loop over the same compaction and panel —
+//! bit-identical and several times slower; none of the paper's
+//! configurations goes there ([`MacGemm::pair_lut_active`] reports
+//! which path runs).
 //!
 //! Column-lane batching preserves the determinism contract *by
 //! construction*: SR streams are position-seeded per output element, so

@@ -9,8 +9,10 @@
 //!
 //! The orientation rule itself is unit-tested next to it in
 //! `src/engine.rs`, on the same ResNet-20 shapes, so these comparisons
-//! cover both orientations.
+//! cover both orientations — on the lane kernel and, through an
+//! accumulator outside the `u32` lane word, on the scalar loop.
 
+use srmac_fp::FpFormat;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
 use srmac_tensor::GemmEngine;
@@ -40,6 +42,18 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 const SR13: AccumRounding = AccumRounding::Stochastic { r: 13 };
 
+/// The paper's engines, SR13 and RN, then E5M10 at SR13, whose
+/// accumulator has no lane kernel.
+fn configs() -> [MacGemmConfig; 3] {
+    let lane_less = MacGemmConfig::fp8_acc(FpFormat::e5m10().with_subnormals(false), SR13, false);
+    assert!(!MacGemm::new(lane_less).pair_lut_active());
+    [
+        MacGemmConfig::fp8_fp12(SR13, false),
+        MacGemmConfig::fp8_fp12(AccumRounding::Nearest, false),
+        lane_less,
+    ]
+}
+
 /// The row offset of the derived engines below.
 const FIRST_ROW: usize = 7;
 
@@ -47,21 +61,20 @@ const FIRST_ROW: usize = 7;
 /// packed path against the oracle, and — for products of more than
 /// [`FIRST_ROW`] rows — a `with_row_base(FIRST_ROW)` engine's one-shot
 /// and packed products over A's tail rows against the oracle's tail
-/// rows.
+/// rows. Returns the oracle's output bits.
 fn assert_matches_reference(
-    rounding: AccumRounding,
+    cfg: MacGemmConfig,
     (m, k, n): (usize, usize, usize),
     a: &[f32],
     b: &[f32],
     what: &str,
-) {
-    let cfg = MacGemmConfig::fp8_fp12(rounding, false);
+) -> Vec<u32> {
     let mut reference = vec![f32::NAN; m * n];
     MacGemm::new(cfg).gemm_reference(m, k, n, a, b, &mut reference);
     let reference = bits(&reference);
     for threads in 1..=4 {
         let engine = MacGemm::new(cfg.with_threads(threads));
-        let at = format!("{what} {m}x{k}x{n} {rounding:?} threads={threads}");
+        let at = format!("{what} {m}x{k}x{n} {cfg} threads={threads}");
         let mut one_shot = vec![f32::NAN; m * n];
         engine.gemm(m, k, n, a, b, &mut one_shot);
         assert_eq!(bits(&one_shot), reference, "{at}: one-shot gemm");
@@ -82,12 +95,13 @@ fn assert_matches_reference(
         derived.gemm_packed(rows, k, n, &pa, &pb, &mut sub);
         assert_eq!(bits(&sub), want, "{at}: packed at row base {FIRST_ROW}");
     }
+    reference
 }
 
 /// The six weight-gradient shapes of the width-8 ResNet-20 at batch 32
 /// on 16x16 inputs, `dW (out_c x in_c*9) = dYᵀ · rows`, with the B
 /// density a training step measured in each im2row matrix and a 99%
-/// non-zero `dYᵀ`.
+/// non-zero `dYᵀ`, on every engine of [`configs`].
 #[test]
 fn resnet20_weight_gradients_match_the_reference() {
     for (i, (m, k, n, b_density)) in [
@@ -103,8 +117,8 @@ fn resnet20_weight_gradients_match_the_reference() {
     {
         let a = sparse_vec(m * k, 100 + i as u64, 0.99);
         let b = sparse_vec(k * n, 200 + i as u64, b_density);
-        for rounding in [SR13, AccumRounding::Nearest] {
-            assert_matches_reference(rounding, (m, k, n), &a, &b, "wgrad");
+        for cfg in configs() {
+            assert_matches_reference(cfg, (m, k, n), &a, &b, "wgrad");
         }
     }
 }
@@ -121,9 +135,9 @@ fn ragged_panel_widths_match_the_reference() {
         for b_density in [0.03, 0.4] {
             let a = sparse_vec(m * k, 300 + m as u64, 0.99);
             let b = sparse_vec(k * n, 400 + m as u64, b_density);
-            for rounding in [SR13, AccumRounding::Nearest] {
+            for cfg in configs() {
                 let what = format!("ragged B density {b_density}");
-                assert_matches_reference(rounding, (m, k, n), &a, &b, &what);
+                assert_matches_reference(cfg, (m, k, n), &a, &b, &what);
             }
         }
     }
@@ -131,8 +145,11 @@ fn ragged_panel_widths_match_the_reference() {
 
 /// A NaN in A must keep today's orientation: transposed, A's codes form
 /// the panel, whose lanes only ever see B's non-zero entries, so
-/// `NaN * 0` would be skipped. A NaN in B takes the dense path. Both
-/// propagate into the output exactly as the oracle does.
+/// `NaN * 0` would be skipped. A NaN in B keeps every A entry, so
+/// `0 * NaN` reaches the accumulator. Both propagate into the output
+/// exactly as the oracle does, on every engine of [`configs`], at 1..=4
+/// threads and at row base [`FIRST_ROW`]: the NaN meets a zero in row 9,
+/// inside the derived engines' rows.
 #[test]
 fn nan_operands_take_the_exact_fallbacks() {
     let (m, k, n) = (32usize, 64usize, 144usize);
@@ -145,17 +162,17 @@ fn nan_operands_take_the_exact_fallbacks() {
             b[3 * n + 10] = 0.0;
         } else {
             b[3 * n + 10] = f32::NAN;
+            // A zero in A's column 3 meets the NaN.
+            a[9 * k + 3] = 0.0;
         }
-        for rounding in [SR13, AccumRounding::Nearest] {
-            let what = if nan_in_a { "NaN in A" } else { "NaN in B" };
-            assert_matches_reference(rounding, (m, k, n), &a, &b, what);
+        let what = if nan_in_a { "NaN in A" } else { "NaN in B" };
+        for cfg in configs() {
+            let reference = assert_matches_reference(cfg, (m, k, n), &a, &b, what);
+            assert!(
+                f32::from_bits(reference[9 * n + 10]).is_nan(),
+                "{what} {cfg}: the NaN must meet the zero"
+            );
         }
-        let mut out = vec![0.0f32; m * n];
-        MacGemm::new(MacGemmConfig::fp8_fp12(SR13, false)).gemm(m, k, n, &a, &b, &mut out);
-        assert!(
-            out.iter().any(|v| v.is_nan()),
-            "the NaN must reach an output"
-        );
     }
 }
 
@@ -166,12 +183,12 @@ fn all_zero_and_empty_operands_match_the_reference() {
     let (m, k, n) = (16usize, 40usize, 72usize);
     let a = sparse_vec(m * k, 600, 0.99);
     let b = sparse_vec(k * n, 601, 0.0);
-    for rounding in [SR13, AccumRounding::Nearest] {
-        assert_matches_reference(rounding, (m, k, n), &a, &b, "all-zero B");
+    for cfg in configs() {
+        assert_matches_reference(cfg, (m, k, n), &a, &b, "all-zero B");
         for (m, k, n) in [(0usize, 5usize, 9usize), (9, 0, 5), (9, 5, 0), (0, 0, 0)] {
             let a = sparse_vec(m * k, 602, 0.5);
             let b = sparse_vec(k * n, 603, 0.5);
-            assert_matches_reference(rounding, (m, k, n), &a, &b, "empty");
+            assert_matches_reference(cfg, (m, k, n), &a, &b, "empty");
         }
     }
 }

@@ -153,9 +153,11 @@ fn packed_path_is_tile_invariant() {
 /// Accumulators outside the `u32` lane-word envelope — E5M10 at SR13,
 /// E6M5 at SR16 and E8M7 at SR12, with and without subnormals — build no
 /// lane kernel and must still reproduce the scalar reference at every
-/// thread count, through the dense scalar path. The paper's E6M5 family
-/// engages the pair LUT, and so does E5M10 under RN, which also checks
-/// the lane kernel on a wider accumulator.
+/// thread count, through the scalar loop over the compaction and panel:
+/// one-shot and packed, on dense and ReLU-sparse A, and with a NaN in B,
+/// which must meet every A entry (`0 * NaN` included). The paper's E6M5
+/// family engages the pair LUT, and so does E5M10 under RN, which also
+/// checks the lane kernel on a wider accumulator.
 #[test]
 fn out_of_envelope_formats_take_the_scalar_path() {
     for subnormals in [false, true] {
@@ -183,20 +185,28 @@ fn out_of_envelope_formats_take_the_scalar_path() {
                 "{acc} {rounding:?}: the lane kernel engages exactly inside the u32 envelope"
             );
             for &(m, k, n) in &SHAPES {
-                let a = rand_vec(m * k, 300 + n as u64, 2.0);
-                let b = rand_vec(k * n, 400 + n as u64, 2.0);
-                let reference = scalar_reference(config, m, k, n, &a, &b);
-                for threads in [1usize, 3] {
-                    let engine = MacGemm::new(config.with_threads(threads));
-                    let mut out = vec![0.0f32; m * n];
-                    engine.gemm(m, k, n, &a, &b, &mut out);
-                    assert_bits_eq(
-                        &reference,
-                        &out,
-                        &format!(
-                            "{acc} {rounding:?} sub={subnormals} {m}x{k}x{n} threads={threads}"
-                        ),
-                    );
+                let dense_a = rand_vec(m * k, 300 + n as u64, 2.0);
+                let sparse_a = relu_sparse_vec(m * k, 500 + n as u64, 0.5);
+                for (a, nan_in_b) in [(&dense_a, false), (&sparse_a, false), (&sparse_a, true)] {
+                    let mut b = rand_vec(k * n, 400 + n as u64, 2.0);
+                    if nan_in_b {
+                        b[k * n / 2] = f32::NAN;
+                    }
+                    let reference = scalar_reference(config, m, k, n, a, &b);
+                    assert_eq!(reference.iter().any(|v| v.is_nan()), nan_in_b);
+                    for threads in [1usize, 3] {
+                        let engine = MacGemm::new(config.with_threads(threads));
+                        let at = format!(
+                            "{acc} {rounding:?} sub={subnormals} {m}x{k}x{n} \
+                             nan_in_b={nan_in_b} threads={threads}"
+                        );
+                        let mut out = vec![0.0f32; m * n];
+                        engine.gemm(m, k, n, a, &b, &mut out);
+                        assert_bits_eq(&reference, &out, &format!("{at}: gemm"));
+                        let (pa, pb) = (engine.pack_a(m, k, a), engine.pack_b(k, n, &b));
+                        engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
+                        assert_bits_eq(&reference, &out, &format!("{at}: gemm_packed"));
+                    }
                 }
             }
         }

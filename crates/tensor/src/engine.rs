@@ -249,6 +249,10 @@ impl F32Engine {
     }
 
     fn gemm_slices(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        // An empty output (`m = 0` or `n = 0`) has no rows to partition.
+        if out.is_empty() {
+            return;
+        }
         let threads = if m * n * k < 64 * 1024 {
             1
         } else {
@@ -412,6 +416,24 @@ mod tests {
         let mut reused = vec![0.0f32; m * n];
         engine.gemm_packed(m, k, n, &pa, &pb, &mut reused);
         assert_eq!(one_shot, reused);
+    }
+
+    #[test]
+    fn f32_engine_handles_empty_dimensions() {
+        // Empty outputs stay empty, and k = 0 gives the empty sum, +0.
+        let engine = F32Engine::new(2);
+        for (m, k, n) in [(3usize, 4usize, 0usize), (0, 4, 3), (3, 0, 4)] {
+            let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+            let mut one_shot = vec![f32::NAN; m * n];
+            engine.gemm(m, k, n, &a, &b, &mut one_shot);
+            let mut packed = vec![f32::NAN; m * n];
+            let (pa, pb) = (engine.pack_a(m, k, &a), engine.pack_b(k, n, &b));
+            engine.gemm_packed(m, k, n, &pa, &pb, &mut packed);
+            let zeros = vec![0u32; m * n];
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one_shot), zeros, "{m}x{k}x{n}: gemm");
+            assert_eq!(bits(&packed), zeros, "{m}x{k}x{n}: gemm_packed");
+        }
     }
 
     #[test]
