@@ -1,4 +1,5 @@
-//! Extension ablation (DESIGN.md §6): does the *order* of accumulation
+//! Extension ablation, beyond the paper (the second paragraph says why):
+//! does the *order* of accumulation
 //! matter for low-precision MAC dot products? Compares sequential
 //! accumulation (what a MAC naturally does), blocked accumulation with
 //! per-block sub-accumulators, and a pairwise tree — under RN and SR.

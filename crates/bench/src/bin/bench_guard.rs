@@ -20,6 +20,7 @@
 //! | `gemm_64x128x64` SR13, 1-thread engine | `gemm_reference` / batched `gemm` | floor | 1.2 | 1 |
 //! | `gemm_64x128x64` SR13, 2-thread engine | `gemm_reference` / batched `gemm` | floor | 1.2 | 1 |
 //! | `wgrad_32x512x288` SR13, 1-thread engine, B 63% zeros | packed path / one-shot `gemm` | floor | 1.4 | 1 |
+//! | `fwd_8192x72x8` SR13, 1-thread engine, A 49% zeros | ns per live lane-step at `n = 64` / at `n = 8` | floor | 0.65 | 1 |
 //! | `train_scaling` | 1-replica step / 4-replica step | floor | 1.8 | 4 |
 //! | `serve_scaling` | 1-worker stream / 4-worker stream | floor | 1.8 | 4 |
 //! | `checkpoint_save` | save / `CKPT_SEGMENT_STEPS` steps | ceiling | 0.05 | 1 |
@@ -31,7 +32,12 @@
 //! sparse as a training step measured it: the packed path (`pack_a` +
 //! `pack_b` + `gemm_packed`, which compacts A) over the one-shot `gemm`,
 //! which compacts the sparse side, so it catches losing the transposed
-//! orientation. The scaling rows compare
+//! orientation. The `fwd` row is the stage-1 forward product of the
+//! width-8 ResNet-20 (8 output columns, its im2row A as sparse as a
+//! training step measured it) against a 64-column control on the same
+//! A, per live lane-step: it catches narrow products falling back to
+//! half-empty single chains, where rows no longer share a panel block's
+//! 64 lanes. The scaling rows compare
 //! variants that compute identical bits by contract (pinned
 //! `grad_shards = 4`; serving batch invariance), so only scheduling can
 //! move them. The checkpoint row is the amortized auto-checkpointing tax
@@ -102,7 +108,7 @@ struct Gate {
     sampler: fn() -> Sampler,
 }
 
-const GATES: [Gate; 6] = [
+const GATES: [Gate; 7] = [
     Gate {
         name: "gemm_64x128x64 SR13 reference/batched, 1-thread engine",
         kind: Kind::Floor,
@@ -123,6 +129,13 @@ const GATES: [Gate; 6] = [
         threshold: 1.4,
         min_host_threads: 1,
         sampler: wgrad_orientation,
+    },
+    Gate {
+        name: "fwd_8192x72x8 SR13 n=64/n=8 per live lane-step, 1-thread engine, A 49% zeros",
+        kind: Kind::Floor,
+        threshold: 0.65,
+        min_host_threads: 1,
+        sampler: narrow_forward,
     },
     Gate {
         name: "train_scaling 1-replica/4-replica step",
@@ -196,6 +209,39 @@ fn wgrad_orientation() -> Sampler {
             }
         });
         packed / time_ns(|| (0..3).for_each(|_| engine.gemm(m, k, n, &a, &b, &mut out)))
+    })
+}
+
+/// The stage-1 3x3 forward product of the width-8 ResNet-20 at batch 32
+/// (`rows · W`, 8192x72x8) on a 1-thread SR13 engine, with 49% of the
+/// im2row matrix A zero as a training step measured, against a
+/// 64-column B on the same packed A: one 64-column product over eight
+/// 8-column ones, which execute as many live lane-steps. Both compact
+/// the same A, so the ratio is the 64-column product's ns per live
+/// lane-step over the 8-column one's.
+fn narrow_forward() -> Sampler {
+    let (m, k) = (8192usize, 72);
+    let mut zeros = SplitMix64::new(7);
+    let a: Vec<f32> = rand_vec(m * k, 6)
+        .into_iter()
+        .map(|v| if zeros.next_f64() < 0.49 { 0.0 } else { v })
+        .collect();
+    let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+    let engine = MacGemm::new(cfg.with_threads(1));
+    let pa = engine.pack_a(m, k, &a);
+    let (b8, b64) = (
+        engine.pack_b(k, 8, &rand_vec(k * 8, 8)),
+        engine.pack_b(k, 64, &rand_vec(k * 64, 9)),
+    );
+    let mut out = vec![0.0f32; m * 64];
+    Box::new(move || {
+        let wide = time_ns(|| engine.gemm_packed(m, k, 64, &pa, &b64, &mut out));
+        let narrow = time_ns(|| {
+            for _ in 0..8 {
+                engine.gemm_packed(m, k, 8, &pa, &b8, &mut out[..m * 8]);
+            }
+        });
+        wide / narrow
     })
 }
 

@@ -5,7 +5,9 @@
 //! emulation of the row's configuration. The paper's accuracies (full-scale
 //! CIFAR-10, 165 epochs, width-16 ResNet-20) are printed alongside; compare
 //! the *shape* — which configurations track the FP32 baseline, and where
-//! accuracy collapses — not absolute values (see DESIGN.md §3).
+//! accuracy collapses — not absolute values (the synthetic stand-in data
+//! is argued in `srmac_models::data`, the laptop-scale defaults in this
+//! crate's docs).
 
 #![forbid(unsafe_code)]
 

@@ -12,7 +12,8 @@
 //! every one of the 2^r random words (stronger than probability agreement),
 //! (2) verify the exact up-count floor(eps * 2^r) against exact arithmetic,
 //! and (3) quantify the bias of the literal "sum-bit" reading of the prose
-//! (DESIGN.md §2.2) that the Exact reading avoids.
+//! (derived in the far-path docs of `srmac-core`, `src/adder/far.rs`)
+//! that the Exact reading avoids.
 
 #![forbid(unsafe_code)]
 
@@ -163,7 +164,7 @@ fn main() {
     println!("\npaper: \"the calculated probability aligns with the stochastic rounding");
     println!("definition\" — reproduced (and strengthened to exact per-word equality)");
     println!("for the Exact reading; the literal sum-bit reading shows measurable bias,");
-    println!("supporting the reconstruction in DESIGN.md §2.2.");
+    println!("supporting the reconstruction in srmac-core's src/adder/far.rs.");
 
     assert_eq!(
         eager_lazy_equal, tested,

@@ -1,6 +1,7 @@
 //! # srmac-bench: the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4), plus shared
+//! One binary per table/figure of the paper (listed in the README's
+//! "Reproducing the paper tables"), plus shared
 //! infrastructure: accumulation-configuration descriptors, the training
 //! experiment runner, environment-variable scale knobs and plain-text table
 //! rendering.

@@ -37,7 +37,8 @@
 //! equality `eager == lazy` for every `(x, y, word)` is asserted in debug
 //! builds and enforced by tests. [`EagerCorrection::SumBit`] reuses sum bits
 //! of the `drop = 2` window addition instead (the literal prose reading),
-//! which biases the shifted cases; see DESIGN.md §2.2.
+//! which biases the shifted cases: `tests/equivalence.rs` pins that
+//! bias, and the `validate_eager` binary of `srmac-bench` measures it.
 
 use srmac_fp::{mask, mask128, FpFormat};
 

@@ -77,8 +77,10 @@ pub enum EagerCorrection {
     /// The Sticky Round block produces the boundary carry for each possible
     /// normalization window (a carry-select over the one-bit alignment
     /// uncertainty). Bit-exactly equivalent to the lazy design for every
-    /// input and random word; this is the reading DESIGN.md §2.2 argues the
-    /// authors' validated RTL must implement.
+    /// input and random word; this is the reading the `far` module docs
+    /// (`adder/far.rs`) derive and the `validate_eager` binary of
+    /// `srmac-bench` checks, the one the authors' validated RTL must
+    /// implement.
     #[default]
     Exact,
     /// Literal prose reading: a single sticky addition; the shifted

@@ -265,7 +265,8 @@ fn sumbit_ablation_is_biased_in_shift_case() {
     // The literal prose reading (SumBit) deviates from the SR definition in
     // the shifted normalization case; find at least one input pair where its
     // up-count differs from floor(eps*2^r), while the Exact variant always
-    // matches (previous test). This documents DESIGN.md §2.2.
+    // matches (previous test). This documents the bias the far-path docs
+    // (`src/adder/far.rs`) describe; `validate_eager` measures its size.
     let fmt = FpFormat::e6m5();
     let r = 9;
     let exact = FpAdder::new(

@@ -5,7 +5,7 @@
 //! [`MACRO_PANICS`] and says at the site why it cannot fire.
 
 /// The files with macro-body panics and how many each holds.
-pub const MACRO_PANICS: [(&str, usize); 1] = [("crates/qgemm/src/batch.rs", 2)];
+pub const MACRO_PANICS: [(&str, usize); 0] = [];
 
 /// 1-based lines of the `.unwrap()`/`.expect(` calls inside the
 /// `macro_rules!` definitions of `text`, one entry per call. A definition

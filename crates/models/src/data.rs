@@ -1,5 +1,6 @@
 //! Synthetic image-classification datasets standing in for CIFAR-10 and
-//! Imagewoof (DESIGN.md §3): deterministic class-conditional generators
+//! Imagewoof (why a stand-in suffices is this paragraph's last sentence):
+//! deterministic class-conditional generators
 //! producing 10-class RGB images. Each class is a mixture of oriented
 //! sinusoidal textures with class-specific frequencies, phases and color
 //! mixes; samples get per-instance jitter and additive noise. The paper's

@@ -77,6 +77,78 @@ pub const LANE_KEY: u32 = (1 << 29) - 1;
 
 const EF_SHIFT: u32 = 16;
 
+/// The most rows one 64-lane kernel call advances: eight rows of an
+/// 8-wide panel block.
+pub(crate) const GROUP_ROWS: usize = 8;
+
+/// One compacted row: the k-indices and codes of its kept entries, in
+/// ascending k order.
+pub(crate) type Row<'a> = (&'a [u32], &'a [u8]);
+
+/// Steps per chunk of a row group's staged entries (see [`Stage`]).
+pub(crate) const STAGE_STEPS: usize = 64;
+
+/// A chunk of a row group's compacted entries, every row padded to the
+/// chunk: `at(r, t)` is row `r`'s k-index and code-row offset
+/// `ca << 8` (the code's 256-entry row of the pair table) at step
+/// `t0 + t`, and `(0, 0)` — code `+0` at k-index 0 — past the row's
+/// end, the zero-magnitude product the row-group kernels feed a row that
+/// has run out. Rows `2p` and `2p + 1` are interleaved step by step in
+/// pair `p`, so a kernel step reads every row's entry at a constant
+/// offset from one pointer, not through each row's slices, and a chain
+/// carrying two 8-column rows loads both code-row offsets at once
+/// ([`Stage::row_pair`]). Filled by [`Stage::fill`], or under AVX-512
+/// by `z16::stage` with masked vector loads.
+pub(crate) struct Stage {
+    ci: [[[u32; 2]; STAGE_STEPS]; GROUP_ROWS / 2],
+    row: [[[u32; 2]; STAGE_STEPS]; GROUP_ROWS / 2],
+}
+
+impl Stage {
+    pub(crate) fn new() -> Self {
+        Self {
+            ci: [[[0; 2]; STAGE_STEPS]; GROUP_ROWS / 2],
+            row: [[[0; 2]; STAGE_STEPS]; GROUP_ROWS / 2],
+        }
+    }
+
+    /// Stages steps `t0..t0 + len` of the first `nrows` rows
+    /// (`len <= STAGE_STEPS`).
+    #[inline(always)]
+    pub(crate) fn fill(
+        &mut self,
+        rows: &[Row<'_>; GROUP_ROWS],
+        nrows: usize,
+        t0: usize,
+        len: usize,
+    ) {
+        for (r, &(ids, cods)) in rows[..nrows].iter().enumerate() {
+            let span = t0.min(ids.len())..(t0 + len).min(ids.len());
+            let kept = ids[span.clone()].iter().zip(&cods[span]);
+            let entries = kept.map(|(&ci, &ca)| (ci, u32::from(ca) << 8));
+            let padded = entries.chain(std::iter::repeat((0, 0))).take(len);
+            let (ci, row) = (&mut self.ci[r / 2], &mut self.row[r / 2]);
+            for (t, (i, o)) in padded.enumerate() {
+                ci[t][r % 2] = i;
+                row[t][r % 2] = o;
+            }
+        }
+    }
+
+    /// Row `r`'s staged k-index and code-row offset at step `t`.
+    #[inline(always)]
+    pub(crate) fn at(&self, r: usize, t: usize) -> (usize, usize) {
+        let (p, h) = (r / 2, r % 2);
+        (self.ci[p][t][h] as usize, self.row[p][t][h] as usize)
+    }
+
+    /// The code-row offsets of rows `2p` and `2p + 1` at step `t`.
+    #[inline(always)]
+    pub(crate) fn row_pair(&self, p: usize, t: usize) -> &[u32; 2] {
+        &self.row[p][t]
+    }
+}
+
 /// Branch-free select: `t` where `c`, else `e`.
 #[inline(always)]
 fn sel(c: bool, t: u32, e: u32) -> u32 {
@@ -384,9 +456,9 @@ impl FastAdderBatch {
 /// 64-lane state round-trips through the stack each step).
 ///
 /// This *is* the default fast path on AVX-512 hardware: the engine's
-/// runtime tier dispatch (`SimdTier::detect`) routes 64-wide panel
-/// blocks here in chunks of 16 columns. Everything is a 1:1 translation
-/// of [`FastAdderBatch::add_core`] — same variable names, same
+/// runtime tier dispatch (`SimdTier::detect`) routes every panel block
+/// here, 64 lanes per call in four 16-lane chains. Everything is a 1:1
+/// translation of [`FastAdderBatch::add_core`] — same variable names, same
 /// clamping, same select order — plus the draw/zero-skip/special
 /// semantics of `mac_step`, and the randomized cross-check in this
 /// module's tests pins it lane-for-lane against those scalar-verified
@@ -407,7 +479,10 @@ impl FastAdderBatch {
 pub(crate) mod z16 {
     use std::arch::x86_64::*;
 
-    use super::{FastAdderBatch, EF_SHIFT, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
+    use super::{
+        FastAdderBatch, Row, Stage, EF_SHIFT, GROUP_ROWS, LANE_DRAWS, LANE_KEY, LANE_SIGN,
+        LANE_SPECIAL, STAGE_STEPS,
+    };
     use srmac_rng::SPLITMIX_GAMMA;
 
     /// Loop-invariant broadcast constants of one adder configuration.
@@ -755,26 +830,26 @@ pub(crate) mod z16 {
         }
     }
 
-    /// One 16-lane chain step: gather the pre-decoded products for the
-    /// chain's columns, draw rounding words (SR only, masked commit so
-    /// non-consuming lanes re-offer the word), run [`add_core`], repair
-    /// rare special lanes through the scalar adder, and commit under the
-    /// zero-skip mask.
+    /// One 16-lane chain step: gather the pre-decoded products at the
+    /// chain's pair-table indices `idx` (offsets from `base`), draw
+    /// rounding words (SR only, masked commit so non-consuming lanes
+    /// re-offer the word), run [`add_core`], repair rare special lanes
+    /// through the scalar adder, and commit under the zero-skip mask.
     ///
     /// A macro rather than a helper fn so the interleaved kernels unroll
     /// over *named locals*: a `for q in 0..N` loop over `[__m512i; N]`
     /// arrays is left rolled by the compiler and round-trips every chain
     /// through the stack at each `k` step.
     macro_rules! chain_step {
-        ($sr:expr, $c:expr, $batch:expr, $gamma:expr, $bc:expr, $row:expr,
-         $acc:ident, $slo:ident, $shi:ident, $q:literal) => {{
-            // SAFETY: the indices are zero-extended bytes (< 256) into a
-            // 256-entry row of the 65536-entry table.
+        ($sr:expr, $c:expr, $batch:expr, $gamma:expr, $lanes:expr,
+         $acc:ident, $slo:ident, $shi:ident) => {{
+            let (idx, base): (__m512i, *const u32) = $lanes;
+            // SAFETY: every index addresses the 65536-entry pair table:
+            // a zero-extended byte (< 256) from a row base `ca << 8`, or
+            // a `(ca << 8) | cb` pair from the table base (see
+            // `chain_lanes`).
             #[allow(unsafe_code)]
-            let prods = unsafe {
-                let idx = _mm512_cvtepu8_epi32(_mm_loadu_si128($bc[$q * 16..].as_ptr().cast()));
-                _mm512_i32gather_epi32::<4>(idx, $row.cast::<i32>())
-            };
+            let prods = unsafe { _mm512_i32gather_epi32::<4>(idx, base.cast::<i32>()) };
             let words = if $sr {
                 let kconsume = _mm512_test_epi32_mask(prods, $c.draws);
                 let sl = _mm512_add_epi64($slo, $gamma);
@@ -807,130 +882,303 @@ pub(crate) mod z16 {
         }};
     }
 
-    /// The full interleaved dot-product body — a macro (not a fn) so it
-    /// expands textually into each instantiation: a function boundary
-    /// here would pass `Consts` by reference and un-fold the literal
-    /// constants that `consts_e6m5` exists to provide.
-    macro_rules! dot_body {
-        ($sr:expr, $c:expr, $batch:expr, $table:expr, $ids:expr, $cods:expr, $pan:expr,
-         $seeds:expr, $w:literal,
-         [$(($acc:ident, $slo:ident, $shi:ident, $q:literal)),+]) => {{
-            let c = $c;
-            let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
-            // Infallible: q indexes whole 8-lane groups of the seed array.
-            let seed8 =
-                |q: usize| from_u64s($seeds[q * 8..q * 8 + 8].try_into().expect("8 seeds"));
-            $(
-                let mut $slo = seed8(2 * $q);
-                let mut $shi = seed8(2 * $q + 1);
-                let mut $acc = _mm512_setzero_si512();
-            )+
-            for (&ci, &ca) in $ids.iter().zip($cods) {
-                let base = ci as usize * $w;
-                // Infallible: base + $w <= panel len by the packer's row stride.
-                let bc: &[u8; $w] = $pan[base..base + $w].try_into().expect("panel block");
-                let row = $table.as_ptr().wrapping_add(usize::from(ca) << 8);
-                $(chain_step!($sr, c, $batch, gamma, bc, row, $acc, $slo, $shi, $q);)+
+    /// The pair-table indices and base of chain `q`'s 16 lanes at one
+    /// `k` step of a `W`-wide block, where `$at(r)` is row `r`'s
+    /// k-index and code-row offset `ca << 8` at the step and `$pair(p)`
+    /// the offsets of rows `2p` and `2p + 1` (see [`Stage`]). Lane
+    /// `L = 16 q + l` of the group is column `L % W` of row `L / W`:
+    ///
+    /// - `W >= 16`: the chain is 16 columns of one row; it loads them at
+    ///   the row's k-index and gathers from the row's 256-entry table row;
+    /// - `W = 8`: the chain carries rows `2q` (lanes 0–7) and `2q + 1`
+    ///   (lanes 8–15); each half loads its row's 8 panel bytes, one load
+    ///   and one permute spread the pair's two code-row offsets over the
+    ///   halves, and every lane gathers `(ca << 8) | cb` from the table
+    ///   base.
+    macro_rules! chain_lanes {
+        ($w:expr, $at:expr, $pair:expr, $pan:expr, $table:expr, $q:literal) => {{
+            if $w == 8 {
+                let ((ci_lo, _), (ci_hi, _)) = ($at(2 * $q), $at(2 * $q + 1));
+                let (lo, hi) = (
+                    &$pan[ci_lo * 8..ci_lo * 8 + 8],
+                    &$pan[ci_hi * 8..ci_hi * 8 + 8],
+                );
+                let rows: &[u32; 2] = $pair($q);
+                // SAFETY: `lo` and `hi` are 8 in-bounds bytes each (sliced
+                // just above) and `rows` is two u32s; unaligned loads are
+                // allowed.
+                #[allow(unsafe_code)]
+                let (cb, rows) = unsafe {
+                    (
+                        _mm_unpacklo_epi64(
+                            _mm_loadl_epi64(lo.as_ptr().cast()),
+                            _mm_loadl_epi64(hi.as_ptr().cast()),
+                        ),
+                        _mm_loadl_epi64(rows.as_ptr().cast()),
+                    )
+                };
+                // Lanes 0–7 take row `2q`'s offset, lanes 8–15 row `2q + 1`'s.
+                let halves = _mm512_setr_epi32(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1);
+                let ca = _mm512_permutexvar_epi32(halves, _mm512_zextsi128_si512(rows));
+                (
+                    _mm512_or_si512(_mm512_cvtepu8_epi32(cb), ca),
+                    $table.as_ptr(),
+                )
+            } else {
+                let (ci, row) = $at($q * 16 / $w);
+                let at = ci * $w + $q * 16 % $w;
+                let cb = &$pan[at..at + 16];
+                // SAFETY: `cb` is 16 in-bounds bytes (sliced just above);
+                // unaligned loads are allowed.
+                #[allow(unsafe_code)]
+                let cb = unsafe { _mm_loadu_si128(cb.as_ptr().cast()) };
+                (_mm512_cvtepu8_epi32(cb), $table.as_ptr().wrapping_add(row))
             }
-            let mut out = [0u32; $w];
-            $(out[$q * 16..$q * 16 + 16].copy_from_slice(&to_u32s($acc));)+
+        }};
+    }
+
+    /// The row-group kernel body — a macro (not a fn) so it expands
+    /// textually into each instantiation: a function boundary here would
+    /// pass `Consts` by reference and un-fold the literal constants that
+    /// `consts_e6m5` exists to provide. Runs chains `0..$chains` (a
+    /// compile-time constant, so unused chains vanish) over the rows they
+    /// read. A full block's one row is walked in place. A narrow block's
+    /// rows go through a [`Stage`] chunk by chunk: every chain steps
+    /// while all of them have entries left, then each chain alone through
+    /// the rest of its rows (a lone chain measured about as fast per step
+    /// as four interleaved ones, so that beats padding every row to the
+    /// group's longest), and the shorter row of an 8-column pair reads
+    /// code `+0` at k-index 0 once it has run out.
+    macro_rules! group_body {
+        ($sr:expr, $c:expr, $batch:expr, $table:expr, $rows:expr, $pan:expr,
+         $seeds:expr, $stage:expr, $w:expr, $chains:expr) => {{
+            let (c, rows, pan, seeds) = ($c, $rows, $pan, $seeds);
+            let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
+            let seed8 = |q: usize| {
+                let mut s = [0u64; 8];
+                s.copy_from_slice(&seeds[q * 8..q * 8 + 8]);
+                from_u64s(s)
+            };
+            let (mut a0, mut s0, mut s1) = (c.zero, seed8(0), seed8(1));
+            let (mut a1, mut s2, mut s3) = (c.zero, seed8(2), seed8(3));
+            let (mut a2, mut s4, mut s5) = (c.zero, seed8(4), seed8(5));
+            let (mut a3, mut s6, mut s7) = (c.zero, seed8(6), seed8(7));
+            macro_rules! step {
+                ($on:expr, $at:expr, $pair:expr) => {
+                    if $on(0) {
+                        chain_step!(
+                            $sr,
+                            c,
+                            $batch,
+                            gamma,
+                            chain_lanes!($w, $at, $pair, pan, $table, 0),
+                            a0,
+                            s0,
+                            s1
+                        );
+                    }
+                    if $on(1) {
+                        chain_step!(
+                            $sr,
+                            c,
+                            $batch,
+                            gamma,
+                            chain_lanes!($w, $at, $pair, pan, $table, 1),
+                            a1,
+                            s2,
+                            s3
+                        );
+                    }
+                    if $on(2) {
+                        chain_step!(
+                            $sr,
+                            c,
+                            $batch,
+                            gamma,
+                            chain_lanes!($w, $at, $pair, pan, $table, 2),
+                            a2,
+                            s4,
+                            s5
+                        );
+                    }
+                    if $on(3) {
+                        chain_step!(
+                            $sr,
+                            c,
+                            $batch,
+                            gamma,
+                            chain_lanes!($w, $at, $pair, pan, $table, 3),
+                            a3,
+                            s6,
+                            s7
+                        );
+                    }
+                };
+            }
+            if $w == 64 {
+                let (ids, cods): Row<'_> = rows[0];
+                let no_pair = [0u32; 2];
+                for (&ci, &ca) in ids.iter().zip(cods) {
+                    step!(
+                        |q| q < $chains,
+                        |_| (ci as usize, usize::from(ca) << 8),
+                        |_| { &no_pair }
+                    );
+                }
+            } else {
+                let nrows = (16usize * $chains).div_ceil($w);
+                // Each chain's steps: as many as the longest row it
+                // carries has entries.
+                let mut ends = [0usize; 4];
+                for (q, end) in ends.iter_mut().enumerate().take($chains) {
+                    let carried = q * 16 / $w..=(q * 16 + 15) / $w;
+                    *end = carried.map(|r| rows[r].0.len()).max().unwrap_or(0);
+                }
+                let shared = ends[..$chains].iter().copied().min().unwrap_or(0);
+                let steps = ends[..$chains].iter().copied().max().unwrap_or(0);
+                for t0 in (0..steps).step_by(STAGE_STEPS) {
+                    let len = STAGE_STEPS.min(steps - t0);
+                    stage(rows, nrows, t0, len, $stage);
+                    // Every chain while all have entries left, then each
+                    // chain alone through the rest of its rows.
+                    let both = shared.saturating_sub(t0).min(len);
+                    for t in 0..both {
+                        step!(|q| q < $chains, |r| $stage.at(r, t), |p| $stage
+                            .row_pair(p, t));
+                    }
+                    macro_rules! tail {
+                        ($q:literal) => {
+                            if $chains > $q {
+                                for t in both..ends[$q].saturating_sub(t0).min(len) {
+                                    step!(|q| q == $q, |r| $stage.at(r, t), |p| {
+                                        $stage.row_pair(p, t)
+                                    });
+                                }
+                            }
+                        };
+                    }
+                    tail!(0);
+                    tail!(1);
+                    tail!(2);
+                    tail!(3);
+                }
+            }
+            let mut out = [0u32; 64];
+            for (q, acc) in [a0, a1, a2, a3].into_iter().enumerate().take($chains) {
+                out[q * 16..q * 16 + 16].copy_from_slice(&to_u32s(acc));
+            }
             out
         }};
     }
 
-    /// One 16-column dot product over a 16-wide lane-interleaved panel
-    /// block, accumulated over the compacted A entries `(ids, cods)`.
-    /// Returns the final decoded accumulator words (encode with
-    /// [`FastAdderBatch::encode`]).
+    /// [`Stage::fill`] of steps `t0..t0 + len`, rounded up to whole
+    /// groups of 16, with masked vector loads: per row, 16 k-indices and
+    /// 16 codes per load, the lanes past the row's end loaded as 0; a
+    /// pair's two rows are interleaved by two permutes and stored as
+    /// whole 16-lane groups.
+    #[inline]
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    pub(super) fn stage(
+        rows: &[Row<'_>; GROUP_ROWS],
+        nrows: usize,
+        t0: usize,
+        len: usize,
+        stage: &mut Stage,
+    ) {
+        // 16 steps of one row: k-indices and code-row offsets.
+        let load = |(ids, cods): Row<'_>, q: usize| {
+            let from = t0.min(ids.len());
+            let (ids, cods) = (&ids[from..], &cods[from..]);
+            let n = ids.len().saturating_sub(q * 16).min(16);
+            if n == 0 {
+                return (_mm512_setzero_si512(), _mm512_setzero_si512());
+            }
+            let live = ((1u32 << n) - 1) as __mmask16;
+            // SAFETY: the loads are masked to the `n` entries of
+            // `ids[q * 16..]` and `cods[q * 16..]` (`n <= 16`, and both
+            // slices hold at least `n`: they have equal lengths);
+            // masked-off lanes are never accessed.
+            #[allow(unsafe_code)]
+            let (idv, cav) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi32(live, ids[q * 16..].as_ptr().cast()),
+                    _mm_maskz_loadu_epi8(live, cods[q * 16..].as_ptr().cast()),
+                )
+            };
+            (idv, _mm512_slli_epi32::<8>(_mm512_cvtepu8_epi32(cav)))
+        };
+        let lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let hi = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        let pairs = stage.ci.iter_mut().zip(&mut stage.row);
+        for (p, (ci, row)) in pairs.enumerate().take(nrows.div_ceil(2)) {
+            for q in 0..len.min(STAGE_STEPS).div_ceil(16) {
+                let ((ia, ra), (ib, rb)) = (load(rows[2 * p], q), load(rows[2 * p + 1], q));
+                let (ci, row) = (&mut ci[q * 16..q * 16 + 16], &mut row[q * 16..q * 16 + 16]);
+                // SAFETY: `ci` and `row` are 16 in-bounds pairs, 32 u32s,
+                // each (sliced just above), two 16-lane stores each;
+                // unaligned stores are allowed.
+                #[allow(unsafe_code)]
+                unsafe {
+                    _mm512_storeu_si512(
+                        ci.as_mut_ptr().cast(),
+                        _mm512_permutex2var_epi32(ia, lo, ib),
+                    );
+                    _mm512_storeu_si512(
+                        ci[8..].as_mut_ptr().cast(),
+                        _mm512_permutex2var_epi32(ia, hi, ib),
+                    );
+                    _mm512_storeu_si512(
+                        row.as_mut_ptr().cast(),
+                        _mm512_permutex2var_epi32(ra, lo, rb),
+                    );
+                    _mm512_storeu_si512(
+                        row[8..].as_mut_ptr().cast(),
+                        _mm512_permutex2var_epi32(ra, hi, rb),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The row-group kernel: one `W`-wide panel block (`W` in 8, 16, 32,
+    /// 64) for the `64 / W` consecutive compacted rows of `rows`, in one
+    /// `k` pass over four interleaved 16-lane chains — lane `L` is column
+    /// `L % W` of row `L / W`, so each chain holds one row when
+    /// `W >= 16` and two when `W = 8`. `rows` past the group's live ones
+    /// are empty, and `chains` (1..=4) says how many chains hold a live
+    /// lane: only those run, so a 1-row product never pays for four.
+    /// Returns the final decoded accumulator words of the 64 lanes
+    /// (encode with [`FastAdderBatch::encode`]); lanes of chains that
+    /// did not run read 0.
     ///
-    /// Bit-identical to 16 scalar dot products: per-lane draws advance
-    /// exactly as [`srmac_rng::SrLaneStreams::draw`] (`seeds[l]` replays
-    /// `SplitMix64::new(seeds[l])`), adds run in `k` order through
-    /// [`add_core`], special lanes divert to the scalar adder, and
-    /// zero-magnitude products neither touch the accumulator nor consume
-    /// a draw. One chain of the interleaved body that [`dot64`]
-    /// runs four of, with the same literal-constant E6M5 instantiation.
+    /// Four independent accumulator chains in the same loop body give the
+    /// out-of-order core more parallelism than one, and two 8-column rows
+    /// fill a chain that one would leave half empty.
+    ///
+    /// Bit-identical to one scalar dot product per lane: per-lane draws
+    /// advance exactly as [`srmac_rng::SrLaneStreams::draw`]
+    /// (`seeds[L]` replays `SplitMix64::new(seeds[L])`), adds run in `k`
+    /// order through [`add_core`], special lanes divert to the scalar
+    /// adder, and zero-magnitude products neither touch the accumulator
+    /// nor consume a draw. A row that has run out of entries while its
+    /// chain runs on (the shorter of an 8-column pair, or an empty row)
+    /// meets code `+0` against panel row 0 — a zero-magnitude product
+    /// against any NaN-free panel, so it neither commits nor draws,
+    /// exactly like a zero-padded lane.
     ///
     /// Callers discharge the `#[target_feature]` obligation: the CPU must
     /// support AVX-512 F/BW/DQ/VL/CD (the engine checks via
     /// `SimdTier::detect` before routing here).
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn dot16<const SR: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        seeds: &[u64; 16],
-    ) -> [u32; 16] {
-        match is_e6m5::<SR>(batch) {
-            Some(true) => dot16_e6m5::<SR, true>(batch, table, ids, cods, pan, seeds),
-            Some(false) => dot16_e6m5::<SR, false>(batch, table, ids, cods, pan, seeds),
-            None => {
-                let c = consts(batch);
-                dot_body!(
-                    SR,
-                    c,
-                    batch,
-                    table,
-                    ids,
-                    cods,
-                    pan,
-                    seeds,
-                    16,
-                    [(a0, s0, s1, 0)]
-                )
-            }
-        }
-    }
-
-    /// The literal-constant E6M5 instantiation of [`dot16`].
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    fn dot16_e6m5<const SR: bool, const SUB: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        seeds: &[u64; 16],
-    ) -> [u32; 16] {
-        let c = consts_e6m5::<SR, SUB>();
-        dot_body!(
-            SR,
-            c,
-            batch,
-            table,
-            ids,
-            cods,
-            pan,
-            seeds,
-            16,
-            [(a0, s0, s1, 0)]
-        )
-    }
-
-    /// A full 64-column panel block in one `k` pass: four interleaved
-    /// 16-lane chains, each bit-identical to 16 scalar dot products as
-    /// in [`dot16`].
     ///
-    /// Interleaving is the point: one 16-lane chain is a serial
-    /// `add_core` dependency per `k` step, so a lone chain is bound by
-    /// its latency. Four independent accumulator chains in the same loop
-    /// body give the out-of-order core ~4x the exploitable parallelism,
-    /// and the per-step scalars (`ci`, `ca`, the LUT row pointer) are
-    /// computed once instead of four times.
+    /// # Panics
+    ///
+    /// Panics if an entry's k-index addresses a block row past `pan`.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -938,43 +1186,37 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    pub(crate) fn dot64<const SR: bool>(
+    pub(crate) fn dot_group<const SR: bool, const W: usize>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
+        rows: &[Row<'_>; GROUP_ROWS],
         pan: &[u8],
         seeds: &[u64; 64],
+        chains: usize,
+        stage: &mut Stage,
     ) -> [u32; 64] {
-        match is_e6m5::<SR>(batch) {
-            Some(true) => dot64_e6m5::<SR, true>(batch, table, ids, cods, pan, seeds),
-            Some(false) => dot64_e6m5::<SR, false>(batch, table, ids, cods, pan, seeds),
-            None => {
+        let st = stage;
+        match (is_e6m5::<SR>(batch), chains) {
+            (Some(true), 1) => group_e6m5::<SR, true, W, 1>(batch, table, rows, pan, seeds, st),
+            (Some(true), 2) => group_e6m5::<SR, true, W, 2>(batch, table, rows, pan, seeds, st),
+            (Some(true), 3) => group_e6m5::<SR, true, W, 3>(batch, table, rows, pan, seeds, st),
+            (Some(true), _) => group_e6m5::<SR, true, W, 4>(batch, table, rows, pan, seeds, st),
+            (Some(false), 1) => group_e6m5::<SR, false, W, 1>(batch, table, rows, pan, seeds, st),
+            (Some(false), 2) => group_e6m5::<SR, false, W, 2>(batch, table, rows, pan, seeds, st),
+            (Some(false), 3) => group_e6m5::<SR, false, W, 3>(batch, table, rows, pan, seeds, st),
+            (Some(false), _) => group_e6m5::<SR, false, W, 4>(batch, table, rows, pan, seeds, st),
+            // Other accumulators run all four chains: the chains without
+            // a live row only ever meet `+0`.
+            (None, _) => {
                 let c = consts(batch);
-                dot_body!(
-                    SR,
-                    c,
-                    batch,
-                    table,
-                    ids,
-                    cods,
-                    pan,
-                    seeds,
-                    64,
-                    [
-                        (a0, s0, s1, 0),
-                        (a1, s2, s3, 1),
-                        (a2, s4, s5, 2),
-                        (a3, s6, s7, 3)
-                    ]
-                )
+                group_body!(SR, c, batch, table, rows, pan, seeds, st, W, 4)
             }
         }
     }
 
-    /// The literal-constant E6M5 instantiation of [`dot64`] (a
-    /// single `dot64_body` call site, so the body inlines and every
-    /// `Consts` field constant-folds).
+    /// The literal-constant E6M5 instantiation of [`dot_group`] at `C`
+    /// chains (a single `group_body` call site, so the body inlines and
+    /// every `Consts` field constant-folds).
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -982,48 +1224,32 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    fn dot64_e6m5<const SR: bool, const SUB: bool>(
+    fn group_e6m5<const SR: bool, const SUB: bool, const W: usize, const C: usize>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
+        rows: &[Row<'_>; GROUP_ROWS],
         pan: &[u8],
         seeds: &[u64; 64],
+        stage: &mut Stage,
     ) -> [u32; 64] {
         let c = consts_e6m5::<SR, SUB>();
-        dot_body!(
-            SR,
-            c,
-            batch,
-            table,
-            ids,
-            cods,
-            pan,
-            seeds,
-            64,
-            [
-                (a0, s0, s1, 0),
-                (a1, s2, s3, 1),
-                (a2, s4, s5, 2),
-                (a3, s6, s7, 3)
-            ]
-        )
+        group_body!(SR, c, batch, table, rows, pan, seeds, stage, W, C)
     }
 
-    /// The write-back of a panel block: `out[l] = decode[encode(accs[l])]`
+    /// The write-back of a block row: `out[l] = decode[encode(accs[l])]`
     /// for every live lane `l < out.len()`, 16 lanes per step. The encode
     /// is [`FastAdderBatch::encode`] with its branches as masked moves
     /// (special words return their carried encoding, words below `half`
     /// the sign and significand, normal words the sign, biased exponent
     /// and stored significand); the decode is one `vpgatherdd` from the
-    /// `decode` table, and the store is masked to the live lanes, so the
-    /// padded lanes of a remainder block are never written.
+    /// `decode` table, and the load and the store are masked to the live
+    /// lanes, so `accs` may be one row of a group and the padded lanes of
+    /// a tail block are never written.
     ///
     /// # Panics
     ///
     /// Panics unless `decode` has exactly one entry per accumulator
-    /// encoding, `accs.len()` is a multiple of 16 and
-    /// `out.len() <= accs.len()`.
+    /// encoding and `out.len() <= accs.len()`.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -1044,10 +1270,7 @@ pub(crate) mod z16 {
             encmask as usize + 1,
             "one decode entry per encoding"
         );
-        assert!(
-            accs.len().is_multiple_of(16) && out.len() <= accs.len(),
-            "accs must hold whole 16-lane groups covering out"
-        );
+        assert!(out.len() <= accs.len(), "accs must cover out");
         let b32 = |v: u32| _mm512_set1_epi32(v as i32);
         let (special, sign, sigmask, efmask) =
             (b32(LANE_SPECIAL), b32(LANE_SIGN), b32(0xFFFF), b32(0x1FFF));
@@ -1060,12 +1283,13 @@ pub(crate) mod z16 {
         let mbits = b32(spec.mbits);
         let iss = b32(31 - batch.enc_sign_shift);
         for (q, dst) in out.chunks_mut(16).enumerate() {
-            let live = (1u32 << dst.len()) - 1;
-            // SAFETY: `accs[q * 16..][..16]` is 16 in-bounds u32s (`accs`
-            // holds whole 16-lane groups and `q * 16 < out.len() <=
-            // accs.len()`).
+            let live = ((1u32 << dst.len()) - 1) as __mmask16;
+            // SAFETY: the load is masked to the `dst.len()` lanes of
+            // `accs[q * 16..]`, all in bounds (`q * 16 + dst.len() <=
+            // out.len() <= accs.len()`); masked-off lanes are never
+            // accessed.
             #[allow(unsafe_code)]
-            let w = unsafe { _mm512_loadu_si512(accs[q * 16..][..16].as_ptr().cast()) };
+            let w = unsafe { _mm512_maskz_loadu_epi32(live, accs[q * 16..].as_ptr().cast()) };
             let sig = _mm512_and_si512(w, sigmask);
             let ef = _mm512_and_si512(_mm512_srli_epi32::<16>(w), efmask);
             let sbit = _mm512_srlv_epi32(_mm512_and_si512(w, sign), iss);
@@ -1088,7 +1312,7 @@ pub(crate) mod z16 {
             #[allow(unsafe_code)]
             unsafe {
                 let v = _mm512_i32gather_ps::<4>(enc, decode.as_ptr());
-                _mm512_mask_storeu_ps(dst.as_mut_ptr(), live as __mmask16, v);
+                _mm512_mask_storeu_ps(dst.as_mut_ptr(), live, v);
             }
         }
     }
@@ -1376,8 +1600,9 @@ mod tests {
     /// The vector write-back against `decode[encode(w)]` lane by lane:
     /// every encoding's lane word (±0, sub-half, normal, ±inf and NaN
     /// words), both subnormal settings of E6M5 plus the 16-bit E8M7, at
-    /// 1..=16 live lanes of a 16-lane group and at ragged widths of a
-    /// 64-lane block. Lanes past the live ones must stay untouched.
+    /// 1..=16 live lanes of a 16-lane group, at 1..=8 lanes of an 8-lane
+    /// row slice and at ragged widths of a 64-lane block. Lanes past the
+    /// live ones must stay untouched.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_write_back_matches_scalar_encode_and_decode() {
@@ -1425,6 +1650,22 @@ mod tests {
                         .all(|v| v.to_bits() == sentinel.to_bits()));
                 }
             }
+            // One row of an 8-wide group: an 8-word slice at any offset.
+            for (b, group) in words.chunks_exact(16).enumerate() {
+                let (row, live) = (&group[b % 8..b % 8 + 8], 1 + b % 8);
+                let mut out = [sentinel; 16];
+                // SAFETY: as above.
+                #[allow(unsafe_code)]
+                unsafe {
+                    z16::write_back(&batch, &decode, row, &mut out[..live]);
+                }
+                for l in 0..live {
+                    assert_eq!(out[l].to_bits(), want(row[l]), "{fmt}: 8-lane row word {l}");
+                }
+                assert!(out[live..]
+                    .iter()
+                    .all(|v| v.to_bits() == sentinel.to_bits()));
+            }
             for (b, block) in words.chunks_exact(64).enumerate() {
                 let live = [1, 17, 40, 64][b % 4];
                 let mut out = [sentinel; 64];
@@ -1443,9 +1684,9 @@ mod tests {
         }
     }
 
-    /// The lane-step reference of the `z16` dot kernels: `W` lanes of
-    /// the (scalar-verified) `mac_step` + `SrLaneStreams` machinery over
-    /// a `W`-wide panel block.
+    /// The lane-step reference of the `z16` row-group kernel: one row's
+    /// `W` lanes of the (scalar-verified) `mac_step` + `SrLaneStreams`
+    /// machinery over a `W`-wide panel block.
     #[cfg(target_arch = "x86_64")]
     fn lane_loop<const W: usize>(
         batch: &FastAdderBatch,
@@ -1469,12 +1710,14 @@ mod tests {
         acc
     }
 
-    /// The AVX-512 dot kernels against [`lane_loop`] at the engine's
-    /// panel layout, 16-wide blocks through `dot16` and 64-wide ones
-    /// through the interleaved `dot64`: random compacted-A streams and
-    /// panel bytes over the full e5m2 code plane — zeros (zero-skip + no
-    /// draw), NaN/Inf codes (the `#[cold]` scalar fixup), RN, SR13 and
-    /// SR9.
+    /// The AVX-512 row-group kernel against [`lane_loop`] over each row's
+    /// own entries, at the engine's panel layout, for every block width
+    /// (8, 16, 32, 64) and every live-row count of a group: random
+    /// compacted rows of unequal length in any order (empty ones
+    /// included), finite panel codes, and A codes over the full e5m2
+    /// plane — zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]`
+    /// scalar fixup), RN, SR13 and SR9. Only lanes of live rows in chains
+    /// the kernel ran are compared.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_dot_matches_scalar_mac_loop() {
@@ -1499,58 +1742,160 @@ mod tests {
             let batch = FastAdderBatch::new(FpFormat::e6m5(), mode).expect("e6m5 fits");
             let plut = PairLut::build(&lut, &batch);
             let table = plut.table();
-            for case in 0..160 {
-                let width = [16usize, 64][case % 2];
-                let rows = 1 + (rng.next_u64() % 48) as usize;
-                let pan: Vec<u8> = (0..rows * width).map(|_| rng.next_u64() as u8).collect();
-                // Compacted A: ascending ids, codes across the whole
-                // plane — specials included every few steps.
-                let mut ids = Vec::new();
-                let mut cods = Vec::new();
-                let mut ci = 0usize;
-                while ci < rows {
-                    ids.push(ci as u32);
-                    cods.push(if rng.next_u64().is_multiple_of(11) {
-                        [0x7D, 0x7C, 0x00][(rng.next_u64() % 3) as usize]
-                    } else {
-                        rng.next_u64() as u8
-                    });
-                    ci += 1 + (rng.next_u64() % 3) as usize;
+            for case in 0..240 {
+                let width = [8usize, 16, 32, 64][case % 4];
+                let group = 64 / width;
+                let live_rows = 1 + (rng.next_u64() % group as u64) as usize;
+                let live_cols = 1 + (rng.next_u64() % width as u64) as usize;
+                let chains = ((live_rows - 1) * width + live_cols).div_ceil(16);
+                let k = 1 + (rng.next_u64() % 48) as usize;
+                // Finite panel codes (e5m2 infinities and NaNs cleared to
+                // finite ones): a row that has run out meets `+0` against
+                // them, a zero-magnitude product, exactly as in the
+                // engine, whose panels hold no infinities and whose NaN
+                // panels meet rows that never run out.
+                let pan: Vec<u8> = (0..k * width)
+                    .map(|_| match rng.next_u64() as u8 {
+                        b if b & 0x7C == 0x7C => b & !0x04,
+                        b => b,
+                    })
+                    .collect();
+                // Compacted rows: ascending ids, codes across the whole
+                // plane — specials included every few steps — and an
+                // empty row now and then.
+                let rows: Vec<(Vec<u32>, Vec<u8>)> = (0..live_rows)
+                    .map(|_| {
+                        let (mut ids, mut cods) = (Vec::new(), Vec::new());
+                        let mut ci = (rng.next_u64() % 4) as usize;
+                        if rng.next_u64().is_multiple_of(7) {
+                            ci = k;
+                        }
+                        while ci < k {
+                            ids.push(ci as u32);
+                            cods.push(if rng.next_u64().is_multiple_of(11) {
+                                [0x7D, 0x7C, 0x00][(rng.next_u64() % 3) as usize]
+                            } else {
+                                rng.next_u64() as u8
+                            });
+                            ci += 1 + (rng.next_u64() % 3) as usize;
+                        }
+                        (ids, cods)
+                    })
+                    .collect();
+                let mut group_rows: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];
+                for (slot, (ids, cods)) in group_rows.iter_mut().zip(&rows) {
+                    *slot = (ids, cods);
                 }
-                let a = (&ids[..], &cods[..]);
-                let (got, want) = if width == 16 {
-                    let seeds: [u64; 16] = std::array::from_fn(|_| rng.next_u64());
-                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                    #[allow(unsafe_code)]
-                    let got = unsafe {
-                        if batch.sr {
-                            z16::dot16::<true>(&batch, table, a.0, a.1, &pan, &seeds)
-                        } else {
-                            z16::dot16::<false>(&batch, table, a.0, a.1, &pan, &seeds)
-                        }
-                    };
-                    (
-                        got.to_vec(),
-                        lane_loop(&batch, &plut, a, &pan, seeds).to_vec(),
-                    )
-                } else {
-                    let seeds: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
-                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                    #[allow(unsafe_code)]
-                    let got = unsafe {
-                        if batch.sr {
-                            z16::dot64::<true>(&batch, table, a.0, a.1, &pan, &seeds)
-                        } else {
-                            z16::dot64::<false>(&batch, table, a.0, a.1, &pan, &seeds)
-                        }
-                    };
-                    (
-                        got.to_vec(),
-                        lane_loop(&batch, &plut, a, &pan, seeds).to_vec(),
-                    )
+                let seeds: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+                let mut stage = Stage::new();
+                // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
+                #[allow(unsafe_code)]
+                let got = unsafe {
+                    let (b, t, r, s, st) = (&batch, table, &group_rows, &seeds, &mut stage);
+                    match (batch.sr, width) {
+                        (true, 8) => z16::dot_group::<true, 8>(b, t, r, &pan, s, chains, st),
+                        (true, 16) => z16::dot_group::<true, 16>(b, t, r, &pan, s, chains, st),
+                        (true, 32) => z16::dot_group::<true, 32>(b, t, r, &pan, s, chains, st),
+                        (true, _) => z16::dot_group::<true, 64>(b, t, r, &pan, s, chains, st),
+                        (false, 8) => z16::dot_group::<false, 8>(b, t, r, &pan, s, chains, st),
+                        (false, 16) => z16::dot_group::<false, 16>(b, t, r, &pan, s, chains, st),
+                        (false, 32) => z16::dot_group::<false, 32>(b, t, r, &pan, s, chains, st),
+                        (false, _) => z16::dot_group::<false, 64>(b, t, r, &pan, s, chains, st),
+                    }
                 };
-                for (l, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g, w, "{mode:?} case {case}: lane {l} of {width}");
+                for (g, (ids, cods)) in rows.iter().enumerate() {
+                    let lanes = g * width..(g + 1) * width;
+                    let want = match width {
+                        8 => lane_loop::<8>(
+                            &batch,
+                            &plut,
+                            (ids, cods),
+                            &pan,
+                            seeds[lanes.clone()].try_into().unwrap(),
+                        )
+                        .to_vec(),
+                        16 => lane_loop::<16>(
+                            &batch,
+                            &plut,
+                            (ids, cods),
+                            &pan,
+                            seeds[lanes.clone()].try_into().unwrap(),
+                        )
+                        .to_vec(),
+                        32 => lane_loop::<32>(
+                            &batch,
+                            &plut,
+                            (ids, cods),
+                            &pan,
+                            seeds[lanes.clone()].try_into().unwrap(),
+                        )
+                        .to_vec(),
+                        _ => lane_loop::<64>(
+                            &batch,
+                            &plut,
+                            (ids, cods),
+                            &pan,
+                            seeds[lanes.clone()].try_into().unwrap(),
+                        )
+                        .to_vec(),
+                    };
+                    for (l, w) in lanes.zip(want).filter(|(l, _)| *l < chains * 16) {
+                        assert_eq!(
+                            got[l], w,
+                            "{mode:?} case {case}: lane {l}, {live_rows} rows of width {width}, {chains} chains"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 staging against [`Stage::fill`]: rows of every length
+    /// around the 16-lane loads and the 64-step chunk, at several chunk
+    /// starts, agree on every staged entry, the padding included.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn z16_stage_matches_the_portable_fill() {
+        if !(is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+            && is_x86_feature_detected!("avx512cd"))
+        {
+            eprintln!("skipping z16 staging test: no AVX-512 at runtime");
+            return;
+        }
+        let lens = [0usize, 1, 15, 16, 17, 63, 64, 65, 130];
+        let rows: Vec<(Vec<u32>, Vec<u8>)> = lens
+            .iter()
+            .map(|&n| {
+                (
+                    (0..n as u32).map(|i| 3 * i + 1).collect(),
+                    (0..n).map(|i| (i * 37 + 5) as u8).collect(),
+                )
+            })
+            .collect();
+        for first in 0..=lens.len() - GROUP_ROWS {
+            let mut group: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];
+            for (slot, (ids, cods)) in group.iter_mut().zip(&rows[first..]) {
+                *slot = (ids, cods);
+            }
+            for t0 in [0usize, 64, 128] {
+                let (mut want, mut got) = (Stage::new(), Stage::new());
+                want.fill(&group, GROUP_ROWS, t0, STAGE_STEPS);
+                // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
+                #[allow(unsafe_code)]
+                unsafe {
+                    z16::stage(&group, GROUP_ROWS, t0, STAGE_STEPS, &mut got);
+                }
+                for r in 0..GROUP_ROWS {
+                    for t in 0..STAGE_STEPS {
+                        assert_eq!(
+                            got.at(r, t),
+                            want.at(r, t),
+                            "rows from {first}, t0 {t0}: ({r}, {t})"
+                        );
+                    }
                 }
             }
         }

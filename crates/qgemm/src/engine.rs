@@ -55,28 +55,27 @@ use srmac_tensor::{GemmEngine, PackSide, PackedOperand};
 
 #[cfg(target_arch = "x86_64")]
 use crate::batch::z16;
-use crate::batch::{FastAdderBatch, LANE_DRAWS};
+use crate::batch::{FastAdderBatch, Row, Stage, GROUP_ROWS, LANE_DRAWS, STAGE_STEPS};
 use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
 
-/// Width of the full panel blocks: the number of output columns
-/// [`FastAdderBatch`] advances per step. The per-element accumulation
-/// chain is serial in `k`, so wall-clock is bounded by chain *latency*
-/// unless enough independent column chains are in flight to cover it —
-/// 64 `u32` lanes (eight 8-wide vector chains under AVX2, four 16-wide
-/// under AVX-512) measure fastest on current cores. Columns past the
-/// last full block run in 16-lane panel blocks, the last one
-/// zero-padded, so narrow outputs stay on the same vector kernel.
+/// Lanes of every kernel call, and the width of the full panel blocks:
+/// the number of output elements [`FastAdderBatch`] advances per step.
+/// The per-element accumulation chain is serial in `k`, so wall-clock is
+/// bounded by chain *latency* unless enough independent chains are in
+/// flight to cover it — 64 `u32` lanes (eight 8-wide vector chains under
+/// AVX2, four 16-wide under AVX-512) measure fastest on current cores.
+/// The `n % 64` columns past the last full block form one narrower tail
+/// block (see [`tail_width`]), and `64 / W` consecutive rows share a
+/// `W`-wide block's call, so narrow outputs fill all 64 lanes too.
 const LANES: usize = 64;
 
 /// Most output rows per dispatch rectangle (fewer for thin products; see
 /// [`dispatch_tiles`]).
 const ROW_TILE: usize = 32;
 
-/// Output columns per dispatch rectangle and per in-job column tile: the
-/// active B panel slice is at most `COL_TILE * k` bytes, L2-resident
-/// alongside the 256 KiB pair LUT for every ResNet-20 shape. A multiple
-/// of [`LANES`], so tile boundaries never split a lane block.
+/// Output columns per dispatch rectangle. A multiple of [`LANES`], so
+/// tile boundaries never split a panel block.
 const COL_TILE: usize = 512;
 
 /// Products below this many MAC steps run as one job on the caller: a
@@ -92,8 +91,8 @@ const MIN_JOB_MACS: usize = 288 * 1024;
 ///
 /// The output matrix is cut into a fixed grid of rectangles for
 /// multi-core dispatch (one pool job per rectangle), and inside each
-/// rectangle the loop walks [`COL_TILE`] columns at a time across all of
-/// the rectangle's rows, so one lane-interleaved B panel slice is reused
+/// rectangle the loop walks one panel block at a time across all of the
+/// rectangle's rows, so one lane-interleaved B panel slice is reused
 /// across every row before the next slice is touched. The grid is a pure
 /// function of the shape, never of the thread count — which together
 /// with the per-output-element accumulation order and position-seeded SR
@@ -104,25 +103,34 @@ const MIN_JOB_MACS: usize = 288 * 1024;
 /// [`MIN_JOB_MACS`]: a thin product such as a weight gradient
 /// (`m = out_c` rows of `k * n` steps each) is cut into one- or two-row
 /// jobs instead of becoming a single job that leaves every other core
-/// idle, while products with short rows keep the full row tile.
+/// idle, while products with short rows keep the full row tile. The
+/// row tile rounds to the nearest whole number of the tail block's row
+/// groups ([`group_rows`]), so rectangles end on full groups; a tile
+/// under half a group stays as it is, because a thin product's jobs
+/// matter more than full chains in its tail block.
 fn dispatch_tiles(m: usize, k: usize, n: usize) -> (usize, usize) {
     if m * k * n < SINGLE_JOB_MACS {
         return (m.max(1), n.max(LANES));
     }
     let row_tile = ROW_TILE.min(MIN_JOB_MACS.div_ceil(k * n)).max(1);
-    (row_tile, COL_TILE)
+    let g = group_rows(n);
+    let grouped = (row_tile + g / 2) / g * g;
+    (if grouped == 0 { row_tile } else { grouped }, COL_TILE)
 }
 
-/// Vector-ISA tier of the batched accumulation loop, detected at engine
-/// construction. The kernel *code* is identical at every tier — the same
-/// portable SWAR lane algebra — but the annotated wrappers let LLVM
-/// auto-vectorize it with the detected extensions. Function-level
+/// Vector-ISA tier of the batched accumulation loop and the row
+/// compaction, detected at engine construction (and capped by
+/// [`MacGemm::with_max_tier`]). The portable and AVX2 tiers run the same
+/// portable SWAR lane algebra, which the annotated wrappers let LLVM
+/// auto-vectorize with the detected extensions; AVX-512 runs its
+/// explicit rendition (`z16` in `batch.rs`). Function-level
 /// `#[target_feature]` (rather than workspace-wide `-C` flags) confines
 /// the widened vectorizer to this integer-only, exhaustively bit-verified
 /// kernel; see the workspace `Cargo.toml` note on why the flags must not
-/// be global.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SimdTier {
+/// be global. Tiers are ordered from the baseline up, and every tier
+/// computes the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdTier {
     /// Baseline codegen (any architecture; NEON on `aarch64` is part of
     /// the baseline there).
     Portable,
@@ -137,6 +145,17 @@ enum SimdTier {
 }
 
 impl SimdTier {
+    /// Every tier this host can run, from [`SimdTier::Portable`] up to
+    /// the detected one — the tiers [`MacGemm::with_max_tier`] can select.
+    #[must_use]
+    pub fn supported() -> Vec<SimdTier> {
+        let mut tiers = vec![SimdTier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        tiers.extend([SimdTier::Avx2, SimdTier::Avx512]);
+        tiers.retain(|&t| t <= Self::detect());
+        tiers
+    }
+
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
@@ -385,7 +404,7 @@ impl std::error::Error for ConfigWireError {}
 /// The lane kernel of the compacted hot path: the lane-batched adder and
 /// its products pre-decoded into `u32` lane words (256 KiB), built
 /// together for accumulators inside the lane-word envelope.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Lanes {
     batch: FastAdderBatch,
     plut: PairLut,
@@ -394,7 +413,7 @@ struct Lanes {
 /// The shareable inner accumulation kernel: everything a worker needs to
 /// compute output rows from packed codes. Lives behind an `Arc` so pool
 /// jobs (which must be `'static`) can hold it without copying tables.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct MacKernel {
     lut: ProductLut,
     adder: FastAdder,
@@ -441,143 +460,142 @@ impl MacKernel {
         self.decode[acc as usize]
     }
 
-    /// `L` compacted dot products (columns `base .. base + L` of one
-    /// output row) advanced in lock-step through the lane-batched
-    /// [`FastAdderBatch`], over a lane-interleaved B panel block
-    /// (`pan[ci * L + l]` is column `l`'s code at k-index `ci`), so each
-    /// k-step is one contiguous `L`-byte load. `ids`/`cods` hold the
-    /// k-indices and codes of the A row's non-zero-magnitude entries, in
-    /// ascending k order. Products come pre-decoded from the [`PairLut`].
-    /// Each lane's adds stay in `k` order and its SR stream advances once
-    /// per product with non-zero encoded magnitude, so results are
-    /// bit-identical to `L` scalar [`MacKernel::dot`]s whenever a
-    /// compaction that dropped zeros meets a NaN-free panel: products
-    /// against a dropped zero-magnitude A code are exactly `+/-0` then,
-    /// which the scalar loop skips without drawing a rounding word (a
-    /// NaN panel meets [`CompactA::keep_all`], whose `0 * NaN` lanes take
-    /// the special-lane fixup). Accumulators live in decoded lane-word
-    /// form across the whole loop and are packed once at the end.
+    /// The portable row-group kernel: the first `L` lanes (`L / 16`
+    /// chains' worth) of one `W`-wide panel block for up to `64 / W`
+    /// compacted rows (`rows`, the ones past the group empty), advanced
+    /// in lock-step through the lane-batched [`FastAdderBatch`]. Lane
+    /// `l` is column `l % W` of row `l / W`; a block row is the `W`
+    /// contiguous bytes `pan[ci * W..]` of k-index `ci`, and products
+    /// come pre-decoded from the [`PairLut`]. The loop runs as many steps
+    /// as the longest row has entries, through a [`Stage`] chunk by chunk,
+    /// so a row that has run out meets code `+0` at k-index 0. Each lane's adds
+    /// stay in `k` order and its SR stream advances once per product
+    /// with non-zero encoded magnitude, so results are bit-identical to
+    /// one scalar [`MacKernel::dot`] per lane whenever a compaction that
+    /// dropped zeros meets a NaN-free panel: products against a dropped
+    /// zero-magnitude A code, and against `+0` past a row's end, are
+    /// exactly `+/-0` then, which the scalar loop skips without drawing
+    /// a rounding word (a NaN panel meets [`CompactA::keep_all`], whose
+    /// rows all have `k` entries and whose `0 * NaN` lanes take the
+    /// special-lane fixup). Returns the decoded accumulator words of the
+    /// 64 lanes, those past `L` as 0.
     #[inline(always)]
-    fn dotn_panel<const L: usize, const SR: bool>(
+    fn dotn_group<const W: usize, const L: usize, const SR: bool>(
         lanes: &Lanes,
-        ids: &[u32],
-        cods: &[u8],
+        rows: &[Row<'_>; GROUP_ROWS],
         pan: &[u8],
-        streams: &mut SrLaneStreams<L>,
-    ) -> [u16; L] {
+        seeds: &[u64; LANES],
+        stage: &mut Stage,
+    ) -> [u32; LANES] {
         let batch = &lanes.batch;
+        let mut streams = SrLaneStreams::<L>::new(std::array::from_fn(|l| seeds[l]));
         let mut acc = [0u32; L];
-        for (&ci, &ca) in ids.iter().zip(cods) {
-            let row = lanes.plut.row(ca);
-            let base = ci as usize * L;
-            #[expect(
-                clippy::expect_used,
-                reason = "base + L <= panel len by the packer's row stride"
-            )]
-            let bc: &[u8; L] = pan[base..base + L].try_into().expect("panel block");
-            let mut prods = [0u32; L];
-            for l in 0..L {
-                prods[l] = row[usize::from(bc[l])];
-            }
-            let words = if SR {
-                let mut consume = [false; L];
-                for l in 0..L {
-                    consume[l] = prods[l] & LANE_DRAWS != 0;
+        let nrows = L.div_ceil(W);
+        let steps = rows[..nrows].iter().map(|r| r.0.len()).max().unwrap_or(0);
+        for t0 in (0..steps).step_by(STAGE_STEPS) {
+            let len = STAGE_STEPS.min(steps - t0);
+            stage.fill(rows, nrows, t0, len);
+            for t in 0..len {
+                let mut prods = [0u32; L];
+                for r in 0..nrows {
+                    let (ci, row) = stage.at(r, t);
+                    let (row, bc) = (
+                        &lanes.plut.table()[row..row + 256],
+                        &pan[ci * W..ci * W + W],
+                    );
+                    for (p, &cb) in prods[r * W..L.min(r * W + W)].iter_mut().zip(bc) {
+                        *p = row[usize::from(cb)];
+                    }
                 }
-                streams.draw(consume)
-            } else {
-                [0u64; L]
-            };
-            batch.mac_step(&mut acc, &prods, &words);
+                let words = if SR {
+                    let mut consume = [false; L];
+                    for l in 0..L {
+                        consume[l] = prods[l] & LANE_DRAWS != 0;
+                    }
+                    streams.draw(consume)
+                } else {
+                    [0u64; L]
+                };
+                batch.mac_step(&mut acc, &prods, &words);
+            }
         }
-        std::array::from_fn(|l| batch.encode(acc[l]) as u16)
+        let mut out = [0u32; LANES];
+        out[..L].copy_from_slice(&acc);
+        out
     }
 
-    /// One `L`-wide panel block of a kernel row (`L` is 64 or 16, the two
-    /// panel block widths), its lanes seeded at output coordinates
-    /// `(r, c)` onwards (see [`MacKernel::lane_seeds`]). `out` receives
-    /// the block's live lanes and may be shorter than `L`: the
-    /// zero-padded lanes of a remainder block are computed and dropped.
-    ///
-    /// Under the AVX-512 tier the block runs through the explicit `z16`
-    /// kernels (16 u32 lanes per `zmm`, accumulators register-resident
-    /// across the whole `k` loop; four interleaved chains for a 64-wide
-    /// block, one for a 16-wide block) and its vector write-back;
-    /// elsewhere it is the portable SWAR loop above, auto-vectorized.
+    /// One `W`-wide panel block for a group of up to `64 / W` compacted
+    /// rows in one 64-lane kernel call of `chains` (1..=4) 16-lane
+    /// chains, the ones holding a live lane. Under the AVX-512 tier it is
+    /// the explicit `z16::dot_group` (accumulators register-resident
+    /// across the whole `k` loop); elsewhere the portable
+    /// [`MacKernel::dotn_group`], auto-vectorized, over `16 * chains`
+    /// lanes.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn panel_block<const L: usize>(
+    fn group_dot<const W: usize>(
         &self,
         lanes: &Lanes,
-        ids: &[u32],
-        cods: &[u8],
+        rows: &[Row<'_>; GROUP_ROWS],
         pan: &[u8],
-        orient: Orient,
-        r: usize,
-        c: usize,
-        out: &mut [f32],
-    ) {
+        seeds: &[u64; LANES],
+        chains: usize,
+        stage: &mut Stage,
+    ) -> [u32; LANES] {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
         #[cfg(target_arch = "x86_64")]
         if self.tier == SimdTier::Avx512 {
             let (batch, table) = (&lanes.batch, lanes.plut.table());
-            if L == 64 {
-                let seeds = self.lane_seeds::<64>(orient, r, c);
-                // SAFETY: `SimdTier::detect` verified every feature the
-                // z16 kernels enable.
-                #[allow(unsafe_code)]
-                unsafe {
-                    let accs = if sr {
-                        z16::dot64::<true>(batch, table, ids, cods, pan, &seeds)
-                    } else {
-                        z16::dot64::<false>(batch, table, ids, cods, pan, &seeds)
-                    };
-                    z16::write_back(batch, &self.decode, &accs, out);
+            // SAFETY: `SimdTier::detect` verified every feature the z16
+            // kernels enable.
+            #[allow(unsafe_code)]
+            return unsafe {
+                if sr {
+                    z16::dot_group::<true, W>(batch, table, rows, pan, seeds, chains, stage)
+                } else {
+                    z16::dot_group::<false, W>(batch, table, rows, pan, seeds, chains, stage)
                 }
-            } else {
-                let seeds = self.lane_seeds::<16>(orient, r, c);
-                // SAFETY: as above.
-                #[allow(unsafe_code)]
-                unsafe {
-                    let accs = if sr {
-                        z16::dot16::<true>(batch, table, ids, cods, pan, &seeds)
-                    } else {
-                        z16::dot16::<false>(batch, table, ids, cods, pan, &seeds)
-                    };
-                    z16::write_back(batch, &self.decode, &accs, out);
-                }
-            }
-            return;
+            };
         }
-        let mut streams = SrLaneStreams::new(self.lane_seeds(orient, r, c));
-        let accs = if sr {
-            Self::dotn_panel::<L, true>(lanes, ids, cods, pan, &mut streams)
-        } else {
-            Self::dotn_panel::<L, false>(lanes, ids, cods, pan, &mut streams)
-        };
-        self.write_codes(&accs, out);
+        match (sr, chains) {
+            (true, 1) => Self::dotn_group::<W, 16, true>(lanes, rows, pan, seeds, stage),
+            (true, 2) => Self::dotn_group::<W, 32, true>(lanes, rows, pan, seeds, stage),
+            (true, 3) => Self::dotn_group::<W, 48, true>(lanes, rows, pan, seeds, stage),
+            (true, _) => Self::dotn_group::<W, 64, true>(lanes, rows, pan, seeds, stage),
+            (false, 1) => Self::dotn_group::<W, 16, false>(lanes, rows, pan, seeds, stage),
+            (false, 2) => Self::dotn_group::<W, 32, false>(lanes, rows, pan, seeds, stage),
+            (false, 3) => Self::dotn_group::<W, 48, false>(lanes, rows, pan, seeds, stage),
+            (false, _) => Self::dotn_group::<W, 64, false>(lanes, rows, pan, seeds, stage),
+        }
     }
 
-    /// The SR stream seeds of the `W` lanes of one panel block, whose
-    /// lane `l` computes output element `(r, c + l)` in today's
-    /// orientation and `(r + l, c)` transposed — so every output element
+    /// The SR stream seeds of a group's first `live` lanes, whose lane
+    /// `l` computes kernel element `(row g, column c)` with
+    /// `(g, c) = (l / W, l % W)` — output element `(r + g, c0 + c)` in
+    /// today's orientation and `(r + c, c0 + g)` transposed, `(r, c0)`
+    /// being the output coordinate of lane 0 — so every output element
     /// draws the stream of its own output coordinate whichever operand
     /// the kernel compacted. RN never reads them, so they are derived
     /// under SR only, in plain indexed loops the seed mixing vectorizes
     /// in.
     #[inline(always)]
-    fn lane_seeds<const W: usize>(&self, orient: Orient, r: usize, c: usize) -> [u64; W] {
-        let mut seeds = [0u64; W];
+    fn group_seeds<const W: usize>(
+        &self,
+        orient: Orient,
+        (r, c0): (usize, usize),
+        live: usize,
+    ) -> [u64; LANES] {
+        let mut seeds = [0u64; LANES];
         if !matches!(self.rounding, AccumRounding::Nearest) {
+            let lanes = seeds[..live].iter_mut().enumerate();
             match orient {
                 Orient::AsIs => {
-                    for (l, s) in seeds.iter_mut().enumerate() {
-                        *s = mix_seed(self.seed, r, c + l);
+                    for (l, s) in lanes {
+                        *s = mix_seed(self.seed, r + l / W, c0 + l % W);
                     }
                 }
                 Orient::Transposed => {
-                    for (l, s) in seeds.iter_mut().enumerate() {
-                        *s = mix_seed(self.seed, r + l, c);
+                    for (l, s) in lanes {
+                        *s = mix_seed(self.seed, r + l % W, c0 + l / W);
                     }
                 }
             }
@@ -585,23 +603,35 @@ impl MacKernel {
         seeds
     }
 
-    /// Decodes accumulator codes into the live lanes `out` (`accs` may
-    /// carry padded lanes past `out.len()`, which are dropped).
+    /// Decodes the accumulator words `accs` into the live lanes `out`
+    /// (`accs` may run past `out.len()`; those lanes are dropped): the
+    /// vector write-back under AVX-512, else lane by lane.
     #[inline(always)]
-    fn write_codes(&self, accs: &[u16], out: &mut [f32]) {
+    fn write_lanes(&self, lanes: &Lanes, accs: &[u32], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.tier == SimdTier::Avx512 {
+            // SAFETY: `SimdTier::detect` verified every feature the z16
+            // write-back enables.
+            #[allow(unsafe_code)]
+            unsafe {
+                z16::write_back(&lanes.batch, &self.decode, accs, out);
+            }
+            return;
+        }
         for (o, &a) in out.iter_mut().zip(accs) {
-            *o = self.decode[a as usize];
+            *o = self.decode[lanes.batch.encode(a) as usize];
         }
     }
 
     /// Compacted-A rectangle kernel on the lane kernel `lanes` (a NaN in
     /// the panel needs a [`CompactA::keep_all`] compaction; see
-    /// [`MacKernel::dotn_panel`]): fills output
+    /// [`MacKernel::dotn_group`]): fills output
     /// rows `rows` x columns `cols` into `block` (row-major, stride
     /// `cols.len()`). Bit-identical to the scalar path for every tile
     /// shape and column range — the tiling only reorders *which
     /// independent element* is computed when. Dispatches once onto the
-    /// detected [`SimdTier`]'s codegen of the (identical) loop body.
+    /// engine's [`SimdTier`] (detected, or capped by
+    /// [`MacGemm::with_max_tier`]) and its codegen of the loop body.
     #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
     fn compute_rect_compact(
         &self,
@@ -702,13 +732,14 @@ impl MacKernel {
     /// The tier-independent rectangle body (inlined into each tier wrapper
     /// so every tier gets its own codegen of the whole lane pipeline).
     ///
-    /// This is the tiled loop: column tiles of [`COL_TILE`]
-    /// outermost, the rectangle's rows next, panel blocks innermost —
-    /// every row of the rectangle reuses one `COL_TILE * k`-byte panel
-    /// slice before the loop moves on. Every column sits in a panel block
-    /// (64-wide blocks, then 16-wide blocks with the last one
-    /// zero-padded; see [`build_panel`]); tile and dispatch
-    /// boundaries are 64-aligned, so they never split a block.
+    /// Panel blocks outermost, row groups inner: each block's
+    /// `W * k`-byte panel slice is reused across every row of the
+    /// rectangle before the loop moves on. Every column sits in a panel
+    /// block (64-wide blocks, then one tail block of width `W` in 8, 16,
+    /// 32 or 64, zero-padded; see [`build_panel`]), and every kernel call
+    /// advances `64 / W` consecutive rows across one block (see
+    /// [`MacKernel::row_groups`]). Tile and dispatch boundaries are
+    /// 64-aligned, so they never split a block.
     ///
     /// `rows` x `cols` index the kernel's product (compacted rows times
     /// panel columns). In today's orientation that is the output itself:
@@ -716,7 +747,7 @@ impl MacKernel {
     /// `orient` is [`Orient::Transposed`] the kernel computes the
     /// output's transpose, so kernel element `(i, j)` is output element
     /// `(j, i)`: `block` is the output rectangle `cols x rows`, row-major
-    /// with stride `rows.len()`, and each block's lanes scatter into it.
+    /// with stride `rows.len()`, and each group's lanes scatter into it.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
@@ -732,45 +763,88 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
+        let mut j = cols.start;
+        while j < cols.end {
+            // A block starting at column `j` occupies panel bytes
+            // `[j * k, (j + W) * k)`.
+            let (_, width) = panel_block_of(j, n);
+            let at = BlockAt {
+                pan: &panel[j * k..(j + width) * k],
+                j,
+                live: width.min(cols.end - j),
+            };
+            let (rows, cols) = (rows.clone(), cols.clone());
+            match width {
+                LANES => self
+                    .row_groups::<LANES>(lanes, compact, at, row_base, orient, rows, cols, block),
+                32 => {
+                    self.row_groups::<32>(lanes, compact, at, row_base, orient, rows, cols, block)
+                }
+                16 => {
+                    self.row_groups::<16>(lanes, compact, at, row_base, orient, rows, cols, block)
+                }
+                _ => self.row_groups::<8>(lanes, compact, at, row_base, orient, rows, cols, block),
+            }
+            j += width;
+        }
+    }
+
+    /// One `W`-wide panel block `at` across the rectangle's rows, in
+    /// groups of `64 / W` consecutive compacted rows per kernel call (the
+    /// last group possibly partial, running only the chains that hold a
+    /// live lane). Operand data indexes at the local kernel row `i`; SR
+    /// streams seed at the output coordinate, whose row is offset by
+    /// `row_base` (the kernel row in today's orientation, the kernel
+    /// column when transposed). `rows`, `cols` and `block` are the
+    /// rectangle of [`MacKernel::compute_rect_compact_body`].
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn row_groups<const W: usize>(
+        &self,
+        lanes: &Lanes,
+        compact: &CompactA,
+        at: BlockAt<'_>,
+        row_base: usize,
+        orient: Orient,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
         let (h, w) = (rows.len(), cols.len());
-        // Operand data indexes at the local kernel row `i`; SR streams seed
-        // at the output coordinate, whose row is offset by `row_base` (the
-        // kernel row in today's orientation, the kernel column when
-        // transposed). A block starting at column `j` occupies panel bytes
-        // `[j * k, (j + L) * k)`: 64-wide blocks cover [0, n64), 16-wide
-        // blocks the rest, the last one padded with +0.
-        let n64 = n - n % LANES;
-        let mut lanes_out = [0.0f32; LANES];
-        let mut c0 = cols.start;
-        while c0 < cols.end {
-            let c1 = cols.end.min(c0 + COL_TILE);
-            for i in rows.clone() {
-                let (ids, cods) = compact.row(i);
-                let (ri, mut j) = (i - rows.start, c0);
-                while j < c1 {
-                    let width = if j + LANES <= c1.min(n64) { LANES } else { 16 };
-                    let (pan, live) = (&panel[j * k..(j + width) * k], width.min(c1 - j));
-                    let (r, c, out) = match orient {
-                        Orient::AsIs => {
-                            let o = ri * w + j - cols.start;
-                            (row_base + i, j, &mut block[o..o + live])
-                        }
-                        Orient::Transposed => (row_base + j, i, &mut lanes_out[..live]),
-                    };
-                    if width == LANES {
-                        self.panel_block::<LANES>(lanes, ids, cods, pan, orient, r, c, out);
-                    } else {
-                        self.panel_block::<16>(lanes, ids, cods, pan, orient, r, c, out);
+        let BlockAt { pan, j, live } = at;
+        let mut stage = Stage::new();
+        let mut i0 = rows.start;
+        while i0 < rows.end {
+            let live_rows = (LANES / W).min(rows.end - i0);
+            let mut group: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];
+            for (slot, i) in group.iter_mut().zip(i0..i0 + live_rows) {
+                *slot = compact.row(i);
+            }
+            // The chains up to the last live lane, `(live_rows - 1, live - 1)`.
+            let chains = ((live_rows - 1) * W + live).div_ceil(16);
+            let origin = match orient {
+                Orient::AsIs => (row_base + i0, j),
+                Orient::Transposed => (row_base + j, i0),
+            };
+            let seeds = self.group_seeds::<W>(orient, origin, live_rows * W);
+            let accs = self.group_dot::<W>(lanes, &group, pan, &seeds, chains, &mut stage);
+            let mut vals = [0.0f32; LANES];
+            self.write_lanes(lanes, &accs, &mut vals[..live_rows * W]);
+            let (ri, rj) = (i0 - rows.start, j - cols.start);
+            for (g, vals) in vals.chunks_exact(W).take(live_rows).enumerate() {
+                match orient {
+                    Orient::AsIs => {
+                        let o = (ri + g) * w + rj;
+                        block[o..o + live].copy_from_slice(&vals[..live]);
                     }
-                    if orient == Orient::Transposed {
-                        for (l, &v) in lanes_out[..live].iter().enumerate() {
-                            block[(j - cols.start + l) * h + ri] = v;
+                    Orient::Transposed => {
+                        for (l, &v) in vals[..live].iter().enumerate() {
+                            block[(rj + l) * h + ri + g] = v;
                         }
                     }
-                    j += width;
                 }
             }
-            c0 = c1;
+            i0 += live_rows;
         }
     }
 
@@ -807,6 +881,16 @@ impl MacKernel {
             }
         }
     }
+}
+
+/// One panel block as a kernel rectangle walks it: the block's panel
+/// bytes, its first column `j`, and how many of its lanes are live
+/// columns of the rectangle.
+#[derive(Clone, Copy)]
+struct BlockAt<'p> {
+    pan: &'p [u8],
+    j: usize,
+    live: usize,
 }
 
 /// CSR-style compaction of a row-major code matrix: per row, the k-indices
@@ -988,14 +1072,35 @@ struct MacPackedB {
     fingerprint: u64,
 }
 
+/// The width of the tail block that holds the `rem = n % 64` columns
+/// past the last full block: `rem` rounded up to 8, 16, 32 or 64, and 0
+/// without a remainder. Its kernel calls advance `64 / W` rows at once
+/// (see [`group_rows`]).
+fn tail_width(rem: usize) -> usize {
+    if rem == 0 {
+        0
+    } else {
+        rem.next_power_of_two().max(8)
+    }
+}
+
+/// The rows one kernel call advances across the tail block of an
+/// `n`-column panel: `64 / W` for a `W`-wide tail, 1 without one.
+fn group_rows(n: usize) -> usize {
+    match tail_width(n % LANES) {
+        0 => 1,
+        w => LANES / w,
+    }
+}
+
 /// The column blocks of an `n`-column B panel as `(first column, width)`:
-/// 64-wide blocks over `[0, n64)`, then 16-wide blocks over the remaining
-/// columns, the last one possibly extending past `n`
-/// (`n64 = n - n % 64`).
+/// 64-wide blocks over `[0, n64)`, then one tail block of
+/// [`tail_width`] over the remaining columns, possibly extending past
+/// `n` (`n64 = n - n % 64`).
 fn panel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
-    let n64 = n - n % LANES;
-    let wide = (0..n64).step_by(LANES).map(|c| (c, LANES));
-    wide.chain((n64..n).step_by(16).map(|c| (c, 16)))
+    let (n64, tail) = (n - n % LANES, tail_width(n % LANES));
+    let full = (0..n64).step_by(LANES).map(|c| (c, LANES));
+    full.chain((tail > 0).then_some((n64, tail)))
 }
 
 /// The block of [`panel_blocks`] that holds column `j` of an `n`-column
@@ -1005,21 +1110,22 @@ fn panel_block_of(j: usize, n: usize) -> (usize, usize) {
     if j < n64 {
         (j - j % LANES, LANES)
     } else {
-        (j - (j - n64) % 16, 16)
+        (n64, tail_width(n % LANES))
     }
 }
 
 /// Builds the lane-interleaved B panel from row-major `k x n` codes. A
-/// block of width `L` starting at column `c` (see [`panel_blocks`])
-/// occupies bytes `[c * k, (c + L) * k)` and stores code `(ci, c + l)`
-/// at `c * k + ci * L + l`, so a k-step loads the block's operand codes
-/// as one contiguous line:
+/// block of width `W` starting at column `c` (see [`panel_blocks`])
+/// occupies bytes `[c * k, (c + W) * k)` and stores code `(ci, c + l)`
+/// at `c * k + ci * W + l`, so a k-step loads one block row as one
+/// contiguous line:
 ///
-/// - `L = 64` over columns `[0, n64)`;
-/// - `L = 16` over the remaining `n - n64` columns, with the lanes of the
-///   last block past `n` holding `zero` (+0). A padded lane only ever
-///   sees zero-magnitude products, which are never committed and never
-///   consume an SR draw, so the live lanes' results do not depend on it.
+/// - `W = 64` over columns `[0, n64)`;
+/// - one tail block over the remaining `n - n64` columns, `W` their
+///   count rounded up to 8, 16, 32 or 64, with the lanes past `n`
+///   holding `zero` (+0). A padded lane only ever sees zero-magnitude
+///   products, which are never committed and never consume an SR draw,
+///   so the live lanes' results do not depend on it.
 ///
 /// Each block row is one contiguous copy out of the row-major codes.
 /// Tile and dispatch boundaries are multiples of 64, so no block ever
@@ -1055,10 +1161,10 @@ fn panel_from_rows(rows: &CompactA, k: usize, m: usize, zero: u8) -> Vec<u8> {
     panel
 }
 
-/// The number of panel lanes of an `n`-column operand: `n` rounded up to
-/// the last 16-lane block.
+/// The number of panel lanes of an `n`-column operand: the full 64-lane
+/// blocks plus the tail block.
 fn panel_width(n: usize) -> usize {
-    panel_blocks(n).last().map_or(0, |(c, w)| c + w)
+    n - n % LANES + tail_width(n % LANES)
 }
 
 /// Transposes `rows x cols` bytes, whose rows start `src_stride` bytes
@@ -1116,25 +1222,14 @@ fn code_stats(codes: &[u8], mag: u8, inf_mag: u8) -> (usize, bool) {
     (nnz, top > inf_mag)
 }
 
-/// The cost of one lane-step in a 64-lane panel block, the unit of
-/// [`lane_cost`].
-const WIDE_STEP_COST: usize = 10;
-
-/// The cost of one lane-step in a 16-lane panel block, 1.3 wide steps. A
-/// 64-lane block runs four independent 16-lane chains that hide each
-/// other's latency; a 16-lane block is one chain, bound by its latency.
-/// Fitted to `probe_tune kernel`, where the width-8 stage-1 weight
-/// gradient (`m = 8`) runs 0.86–0.92x as fast transposed.
-const NARROW_STEP_COST: usize = 13;
-
 /// The kernel's cost estimate of a compacted product: `nnz` compacted
 /// entries, each one k-step across the panel lanes of an `n`-column
-/// output — 64-lane blocks over `[0, n64)`, zero-padded 16-lane blocks
-/// over the rest.
+/// output — the full 64-lane blocks and the zero-padded tail block. A
+/// lane-step costs the same in every block: rows share a narrow block's
+/// 64-lane call ([`MacKernel::row_groups`]), so it runs four chains like
+/// a full one.
 fn lane_cost(nnz: usize, n: usize) -> usize {
-    let n64 = n - n % LANES;
-    let n16 = (n - n64).next_multiple_of(16);
-    nnz * (n64 * WIDE_STEP_COST + n16 * NARROW_STEP_COST)
+    nnz * panel_width(n)
 }
 
 /// Whether an `m x k x n` product runs transposed (`outᵀ = Bᵀ · Aᵀ`,
@@ -1305,6 +1400,24 @@ impl MacGemm {
     #[must_use]
     pub fn pair_lut_active(&self) -> bool {
         self.kernel.lanes.is_some()
+    }
+
+    /// Caps the vector-ISA tier of the lane kernel and the row
+    /// compaction at `max`: the engine runs `max` or the host's detected
+    /// tier, whichever is lower, so one host can run (and test) every
+    /// codegen up to its own. Downgrade only — a cap above the host's
+    /// tier changes nothing — and every tier computes the same bits.
+    #[must_use]
+    pub fn with_max_tier(mut self, max: SimdTier) -> Self {
+        let tier = self.kernel.tier.min(max);
+        Arc::make_mut(&mut self.kernel).tier = tier;
+        self
+    }
+
+    /// The vector-ISA tier this engine's lane kernel runs.
+    #[must_use]
+    pub fn simd_tier(&self) -> SimdTier {
+        self.kernel.tier
     }
 
     /// Quantizes a slice to multiplier-format codes.
@@ -1971,17 +2084,43 @@ mod tests {
 
     #[test]
     fn build_panel_zero_pads_the_last_block_and_round_trips() {
-        // Every column lands in exactly one block; the lanes of the last
-        // 16-wide block past `n` hold the +0 code, and the scalar loop's
-        // `panel_block_of` finds every column's code again.
+        // Every column lands in exactly one block: full 64-wide blocks,
+        // then one tail block as wide as the remaining columns rounded up
+        // to 8, 16, 32 or 64, its lanes past `n` holding the +0 code; and
+        // the scalar loop's `panel_block_of` finds every column's code
+        // again.
         let zero = FpFormat::e5m2().zero_bits(false) as u8;
         let k = 5;
-        for n in [1usize, 8, 16, 27, 64, 72, 81, 144] {
+        for (n, tail) in [
+            (1usize, 8usize),
+            (7, 8),
+            (8, 8),
+            (9, 16),
+            (16, 16),
+            (17, 32),
+            (27, 32),
+            (32, 32),
+            (33, 64),
+            (64, 0),
+            (72, 8),
+            (81, 32),
+            (100, 64),
+            (144, 16),
+            (288, 32),
+        ] {
             let codes: Vec<u8> = (0..k * n).map(|x| (x % 251 + 1) as u8).collect();
             let panel = build_panel(&codes, k, n, zero);
-            let padded = n - n % 64 + (n % 64).next_multiple_of(16);
-            assert_eq!(panel.len(), padded * k, "n={n}: panel length");
-            for (col0, width) in panel_blocks(n) {
+            let n64 = n - n % 64;
+            assert_eq!(tail_width(n % 64), tail, "n={n}: tail width");
+            assert_eq!(panel.len(), (n64 + tail) * k, "n={n}: panel length");
+            let blocks: Vec<_> = panel_blocks(n).collect();
+            let mut want: Vec<_> = (0..n64).step_by(64).map(|c| (c, 64)).collect();
+            if tail > 0 {
+                want.push((n64, tail));
+            }
+            assert_eq!(blocks, want, "n={n}: blocks");
+            assert_eq!(group_rows(n), 64usize.checked_div(tail).unwrap_or(1));
+            for (col0, width) in blocks {
                 for ci in 0..k {
                     for l in 0..width {
                         let got = panel[col0 * k + ci * width + l];
@@ -2143,6 +2282,11 @@ mod tests {
         }
         // The 3-channel stem has the shortest 3x3 rows: two per job.
         assert_eq!(row_jobs(8, 8192, 27), 4, "stem wgrad");
+        // Run transposed, the stem and stage-1 weight gradients have
+        // 8-wide panels: their 5-row tiles round to one 8-row group.
+        assert_eq!(dispatch_tiles(72, 8192, 8).0, 8, "stage 1 wgrad transposed");
+        assert_eq!(row_jobs(72, 8192, 8), 9, "stage 1 wgrad transposed");
+        assert_eq!(row_jobs(27, 8192, 8), 4, "stem wgrad transposed");
         // A 1x1 projection's whole product is under one job's worth.
         assert_eq!(row_jobs(16, 2048, 8), 1, "stage 2 projection wgrad");
         assert_eq!(row_jobs(32, 512, 16), 1, "stage 3 projection wgrad");
@@ -2172,9 +2316,10 @@ mod tests {
     fn orientation_rule_transposes_the_sparse_weight_gradients() {
         // The width-8 ResNet-20 weight gradients `dW = dYᵀ · rows` at
         // batch 32: `dYᵀ` is 99% non-zero, `rows` as dense as a training
-        // step measured it. Stages 2 and 3 (and the 1x1 projections)
-        // compact Bᵀ; the stem and stage 1, whose `m = 8` would leave one
-        // half-empty 16-lane chain, keep today's orientation.
+        // step measured it. Every one compacts Bᵀ: with rows sharing a
+        // narrow block's 64-lane call, the stem and stage 1 (`m = 8`, an
+        // 8-wide panel) cost 1.63M and 2.41M lane-steps transposed
+        // against 2.08M and 4.67M as they are.
         let transposes = |m: usize, k: usize, n: usize, b_density: f64| {
             let nnz_b = (k as f64 * n as f64 * b_density) as usize;
             runs_transposed(m, n, m * k * 99 / 100, nnz_b)
@@ -2185,11 +2330,16 @@ mod tests {
         assert!(transposes(16, 2048, 72, 0.68), "stage 2 first 3x3");
         assert!(transposes(16, 2048, 8, 0.73), "stage 2 projection");
         assert!(transposes(32, 512, 16, 0.71), "stage 3 projection");
-        assert!(!transposes(8, 8192, 72, 0.51), "stage 1 3x3");
-        assert!(!transposes(8, 8192, 27, 0.92), "stem");
+        assert!(transposes(8, 8192, 72, 0.51), "stage 1 3x3");
+        assert!(transposes(8, 8192, 27, 0.92), "stem");
         // Dense operands of equal width, and empty ones, stay as they are.
         assert!(!transposes(64, 128, 64, 1.0), "headline");
         assert!(!runs_transposed(0, 5, 0, 0), "empty");
+        // The cost is the nominal lane count: full blocks plus the
+        // zero-padded tail.
+        assert_eq!(lane_cost(10, 72), 10 * 72);
+        assert_eq!(lane_cost(10, 27), 10 * 32);
+        assert_eq!(lane_cost(10, 100), 10 * 128);
     }
 
     #[test]

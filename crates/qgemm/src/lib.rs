@@ -24,8 +24,9 @@
 //!    row, the k-indices and codes of the non-zero-magnitude entries, in
 //!    one branch-free pass per row (16 codes per step under AVX-512,
 //!    selected with `vpcompressd`), into buffers sized from the non-zero
-//!    count. The B side is interleaved into 64- and 16-lane panel blocks
-//!    so each `k` step loads a block's operand codes contiguously.
+//!    count. The B side is interleaved into 64-lane panel blocks and
+//!    one narrower tail block (8, 16, 32 or 64 lanes) so each `k` step
+//!    loads a block row's operand codes contiguously.
 //!    Packing is a pure function of the operand values and the
 //!    *multiplier* format alone; the accumulator format, rounding
 //!    mode, seed and thread count play no part. A packed operand is
@@ -68,10 +69,15 @@
 //!
 //! # Lane-batched accumulation (the SWAR/SIMD hot path)
 //!
-//! The compacted accumulation loop advances `L` output **columns** of one
-//! output row per step through [`FastAdderBatch`] (default `L = 64`; the
-//! `n % 64` remaining columns run in 16-lane blocks, the last one
-//! zero-padded, so every column stays on the vector kernel). Each lane is
+//! The compacted accumulation loop advances 64 output lanes per step
+//! through [`FastAdderBatch`]: 64 **columns** of one output row in a
+//! full panel block, and in the tail block that holds the `n % 64`
+//! remaining columns — `W` of 8, 16, 32 or 64 lanes, the count rounded
+//! up and zero-padded — `W` columns of each of `64 / W` consecutive
+//! rows, so a narrow product (the width-8 ResNet-20's 8-, 16- and
+//! 32-column convolutions) fills every lane too. A row that runs out of
+//! non-zero entries before the others in its group meets code `+0`,
+//! which neither commits nor draws, as a padded lane does. Each lane is
 //! one element's accumulator, carried in a *decoded* `u32` lane word
 //! (sign / ULP exponent / significand as plain fields — see `batch.rs`),
 //! fed with pre-decoded products from a 256 KiB [`PairLut`], and updated
@@ -79,7 +85,9 @@
 //! mask arithmetic. The branch-free body auto-vectorizes, and
 //! runtime-detected `#[target_feature]` wrappers give it AVX2 codegen
 //! without any workspace-wide compiler flags; AVX-512 hosts run its
-//! explicit 16-lane rendition (below).
+//! explicit rendition in four interleaved 16-lane chains (below), one
+//! row per chain, or two 8-column rows. [`MacGemm::with_max_tier`] caps
+//! the tier, so one host can test every codegen it supports.
 //!
 //! The lane word exists when the accumulator algebra fits 32 bits
 //! (`p + f <= 31` for the pre-shifted significand sum, a 13-bit exponent
@@ -91,7 +99,8 @@
 //! configurations goes there ([`MacGemm::pair_lut_active`] reports
 //! which path runs).
 //!
-//! Column-lane batching preserves the determinism contract *by
+//! Lane batching — across columns, and across the rows of a tail
+//! block's group — preserves the determinism contract *by
 //! construction*: SR streams are position-seeded per output element, so
 //! computing many elements side by side reorders nothing **within** any
 //! element — its adds stay in `k` order and its stream (an
@@ -128,11 +137,11 @@
 //!   panel) plus, transposed, a 16-column transpose strip.
 //! * **Product-pair decode LUT** — a 256 KiB [`PairLut`] maps each
 //!   `(code_a, code_b)` pair directly to the pre-decoded `u32` product
-//!   word, and under AVX-512 the inner loop runs a fully vectorized
-//!   chain over 16 u32 lanes — no per-step decode — whose accumulators
+//!   word, and under AVX-512 the inner loop runs four fully vectorized
+//!   chains of 16 u32 lanes — no per-step decode — whose accumulators
 //!   are encoded, decoded to `f32` (one gather) and stored 16 lanes at a
 //!   time. It is bit-identical to the scalar oracle by construction and
-//!   by test.
+//!   by test (`tests/narrow_blocks.rs` covers the row groups' edges).
 //!
 //! # Example
 //!
@@ -179,7 +188,7 @@ mod lut;
 pub mod spec;
 
 pub use batch::{FastAdderBatch, LANE_DRAWS, LANE_KEY, LANE_SIGN, LANE_SPECIAL};
-pub use engine::{ConfigWireError, MacGemm, MacGemmConfig};
+pub use engine::{ConfigWireError, MacGemm, MacGemmConfig, SimdTier};
 pub use fastmath::{AccumRounding, FastAdder, FastQuantizer};
 pub use lut::{PairLut, ProductLut};
 pub use spec::{engine_from_spec, numerics_from_spec, validate_policy_spec, EngineSpecError};

@@ -12,6 +12,8 @@
 //! cover both orientations — on the lane kernel and, through an
 //! accumulator outside the `u32` lane word, on the scalar loop.
 
+mod common;
+
 use srmac_fp::FpFormat;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
@@ -57,8 +59,9 @@ fn configs() -> [MacGemmConfig; 3] {
 /// The row offset of the derived engines below.
 const FIRST_ROW: usize = 7;
 
-/// Checks one product on engines of 1..=4 threads: the one-shot and the
-/// packed path against the oracle, and — for products of more than
+/// Checks one product on engines of 1..=4 threads under every vector-ISA
+/// tier the host supports: the one-shot and the packed path against the
+/// oracle, and — for products of more than
 /// [`FIRST_ROW`] rows — a `with_row_base(FIRST_ROW)` engine's one-shot
 /// and packed products over A's tail rows against the oracle's tail
 /// rows. Returns the oracle's output bits.
@@ -72,9 +75,10 @@ fn assert_matches_reference(
     let mut reference = vec![f32::NAN; m * n];
     MacGemm::new(cfg).gemm_reference(m, k, n, a, b, &mut reference);
     let reference = bits(&reference);
-    for threads in 1..=4 {
-        let engine = MacGemm::new(cfg.with_threads(threads));
-        let at = format!("{what} {m}x{k}x{n} {cfg} threads={threads}");
+    let engines = (1..=4).flat_map(|threads| common::tier_engines(cfg, threads));
+    for (tier, engine) in engines {
+        let threads = engine.config().threads;
+        let at = format!("{what} {m}x{k}x{n} {cfg} {tier:?} threads={threads}");
         let mut one_shot = vec![f32::NAN; m * n];
         engine.gemm(m, k, n, a, b, &mut one_shot);
         assert_eq!(bits(&one_shot), reference, "{at}: one-shot gemm");

@@ -2,8 +2,10 @@
 //! position contract behind deterministic data parallelism. A derived
 //! engine computing a sub-batch's rows must reproduce, bit for bit, the
 //! rows the base engine assigns those positions in the full-batch
-//! product — regardless of lane blocking, thread count, or whether the
-//! operands arrive packed or raw.
+//! product — regardless of lane blocking, row grouping, thread count,
+//! vector-ISA tier, or whether the operands arrive packed or raw.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -24,9 +26,10 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// Under SR, the derived engine's output over A's tail rows must equal
 /// the same rows of the base engine's full product — across output
-/// widths whose last zero-padded 16-lane panel block keeps 1 (`n = 65`),
-/// 8 (`n = 72`) and all 16 (`n = 144`) lanes live, and across thread
-/// counts.
+/// widths whose zero-padded tail block keeps 1 of 8 (`n = 65`), all 8
+/// (`n = 72`) and all 16 (`n = 144`) lanes live, offsets that start
+/// the derived rows inside a row group, and across thread counts and
+/// vector-ISA tiers.
 #[test]
 fn derived_rows_match_full_product_rows() {
     let (m, k) = (13usize, 57);
@@ -34,8 +37,11 @@ fn derived_rows_match_full_product_rows() {
     for n in [65usize, 72, 144] {
         let a = rand_vec(m * k, 11 + n as u64, 2.0);
         let b = rand_vec(k * n, 13 + n as u64, 2.0);
-        for threads in [1usize, 4] {
-            let base = MacGemm::new(MacGemmConfig::fp8_fp12(sr, true).with_threads(threads));
+        let engines = [1usize, 4]
+            .into_iter()
+            .flat_map(|threads| common::tier_engines(MacGemmConfig::fp8_fp12(sr, true), threads));
+        for (tier, base) in engines {
+            let threads = base.config().threads;
             let mut full = vec![0.0f32; m * n];
             base.gemm(m, k, n, &a, &b, &mut full);
             for first_row in [1usize, 4, 9] {
@@ -49,7 +55,7 @@ fn derived_rows_match_full_product_rows() {
                     bits(&sub),
                     bits(&full[first_row * n..]),
                     "offset {first_row} rows differ from the full product \
-                     (n={n}, threads={threads})"
+                     (n={n}, {tier:?}, threads={threads})"
                 );
             }
         }
@@ -63,21 +69,26 @@ fn derived_rows_match_full_product_rows() {
 fn base_packed_operands_run_on_derived_engines() {
     let (m, k, n) = (11usize, 33, 70);
     let sr = AccumRounding::Stochastic { r: 13 };
-    let base = MacGemm::new(MacGemmConfig::fp8_fp12(sr, false).with_threads(1));
     let first_row = 5;
     let rows = m - first_row;
     let a = rand_vec(m * k, 3, 2.0);
     let b = rand_vec(k * n, 5, 2.0);
-    let derived = base.with_row_base(first_row).expect("SR engine derives");
+    for (tier, base) in common::tier_engines(MacGemmConfig::fp8_fp12(sr, false), 1) {
+        let derived = base.with_row_base(first_row).expect("SR engine derives");
 
-    let mut raw = vec![0.0f32; rows * n];
-    derived.gemm(rows, k, n, &a[first_row * k..], &b, &mut raw);
+        let mut raw = vec![0.0f32; rows * n];
+        derived.gemm(rows, k, n, &a[first_row * k..], &b, &mut raw);
 
-    let pa = base.pack_a(rows, k, &a[first_row * k..]);
-    let pb = base.pack_b(k, n, &b);
-    let mut packed = vec![0.0f32; rows * n];
-    derived.gemm_packed(rows, k, n, &pa, &pb, &mut packed);
-    assert_eq!(bits(&raw), bits(&packed), "packed path changed bits");
+        let pa = base.pack_a(rows, k, &a[first_row * k..]);
+        let pb = base.pack_b(k, n, &b);
+        let mut packed = vec![0.0f32; rows * n];
+        derived.gemm_packed(rows, k, n, &pa, &pb, &mut packed);
+        assert_eq!(
+            bits(&raw),
+            bits(&packed),
+            "{tier:?}: packed path changed bits"
+        );
+    }
 }
 
 /// Deriving from a derived engine composes offsets: two hops of 3 and 4

@@ -4,11 +4,14 @@
 //! reproduces the single-threaded scalar oracle
 //! (`MacGemm::gemm_reference`) bit-for-bit — on the pair-LUT lane kernel
 //! the paper's E6M5 family engages, and on the scalar path formats
-//! outside the `u32` lane-word envelope take.
+//! outside the `u32` lane-word envelope take — under every vector-ISA
+//! tier the host supports (`MacGemm::with_max_tier`).
 //!
 //! (Ragged-width equivalence at the default tiling lives in
 //! `tests/lane_batch.rs`; the operand-level lane-adder equivalence lives
 //! next to the implementation in `src/batch.rs`.)
+
+mod common;
 
 use srmac_fp::FpFormat;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
@@ -45,7 +48,7 @@ const SHAPES: [(usize, usize, usize); 4] = [(5, 33, 67), (17, 40, 130), (3, 57, 
 /// The output widths of the width-8 ResNet-20 — conv outputs
 /// `n = out_c` in {8, 16, 32}, the stem's 27, and the 72-column remainder
 /// of wider products — each ending in a partial or full zero-padded
-/// 16-lane panel block. `k = 72` is a 3x3 conv over 8 channels, and
+/// 8-, 16- or 32-lane tail block whose rows share a kernel call. `k = 72` is a 3x3 conv over 8 channels, and
 /// `m * k * n` clears the single-job threshold at every width, so the
 /// tile grid and the worker pool are both in play.
 const RESNET_SHAPES: [(usize, usize, usize); 5] = [
@@ -65,7 +68,7 @@ const THIN_SHAPES: [(usize, usize, usize); 3] = [(8, 2048, 72), (16, 512, 144), 
 /// Shapes that cross the fixed 32-row x 512-column dispatch grid:
 /// 40x24x1100 is cut to 12-row rectangles (a ragged 4-row last one),
 /// spans three 512-column tiles and ends in a partial 16-lane block
-/// (1100 = 17 * 64 + 12); 70x48x96 keeps the full 32-row tile and ends
+/// (1100 = 17 * 64 + 12) of 4-row groups; 70x48x96 keeps the full 32-row tile and ends
 /// in a ragged 6-row rectangle; 3x8x1030 is a single job whose in-job
 /// column loop still walks three 512-column tiles, the last ending in a
 /// partial block.
@@ -111,14 +114,15 @@ fn tile_thread_grid_is_bitwise_invariant() {
             let b = rand_vec(k * n, 200 + (k * n) as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
             for threads in [1usize, 2, 3, 8] {
-                let engine = MacGemm::new(config.with_threads(threads));
-                let mut out = vec![0.0f32; m * n];
-                engine.gemm(m, k, n, &a, &b, &mut out);
-                assert_bits_eq(
-                    &reference,
-                    &out,
-                    &format!("{rounding:?} {m}x{k}x{n} threads={threads}"),
-                );
+                for (tier, engine) in common::tier_engines(config, threads) {
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm(m, k, n, &a, &b, &mut out);
+                    assert_bits_eq(
+                        &reference,
+                        &out,
+                        &format!("{rounding:?} {m}x{k}x{n} {tier:?} threads={threads}"),
+                    );
+                }
             }
         }
     }
@@ -138,14 +142,15 @@ fn packed_path_is_tile_invariant() {
         let reference = scalar_reference(config, m, k, n, &a, &b);
         let (pa, pb) = (packer.pack_a(m, k, &a), packer.pack_b(k, n, &b));
         for threads in [1usize, 3] {
-            let engine = MacGemm::new(config.with_threads(threads));
-            let mut out = vec![0.0f32; m * n];
-            engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
-            assert_bits_eq(
-                &reference,
-                &out,
-                &format!("packed {m}x{k}x{n} threads={threads}"),
-            );
+            for (tier, engine) in common::tier_engines(config, threads) {
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
+                assert_bits_eq(
+                    &reference,
+                    &out,
+                    &format!("packed {m}x{k}x{n} {tier:?} threads={threads}"),
+                );
+            }
         }
     }
 }
@@ -194,11 +199,14 @@ fn out_of_envelope_formats_take_the_scalar_path() {
                     }
                     let reference = scalar_reference(config, m, k, n, a, &b);
                     assert_eq!(reference.iter().any(|v| v.is_nan()), nan_in_b);
-                    for threads in [1usize, 3] {
-                        let engine = MacGemm::new(config.with_threads(threads));
+                    for (tier, engine) in [1usize, 3]
+                        .into_iter()
+                        .flat_map(|threads| common::tier_engines(config, threads))
+                    {
                         let at = format!(
                             "{acc} {rounding:?} sub={subnormals} {m}x{k}x{n} \
-                             nan_in_b={nan_in_b} threads={threads}"
+                             nan_in_b={nan_in_b} {tier:?} threads={}",
+                            engine.config().threads
                         );
                         let mut out = vec![0.0f32; m * n];
                         engine.gemm(m, k, n, a, &b, &mut out);
@@ -216,7 +224,7 @@ fn out_of_envelope_formats_take_the_scalar_path() {
 /// ReLU-sparse inputs (zero-product skip interacts with SR draw
 /// consumption) and saturating inputs (the special-lane scalar fixup)
 /// must survive the tiled multi-core path bit-for-bit, under SR and RN,
-/// including the padded lanes of partial 16-lane blocks, the few-row
+/// including the padded lanes of partial tail blocks, the few-row
 /// rectangles of thin products and the ragged edges of the grid.
 #[test]
 fn sparse_and_special_inputs_survive_tiling() {
@@ -232,14 +240,15 @@ fn sparse_and_special_inputs_survive_tiling() {
             let b = rand_vec(k * n, 62 + n as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
             for threads in [1usize, 2, 3] {
-                let engine = MacGemm::new(config.with_threads(threads));
-                let mut out = vec![0.0f32; m * n];
-                engine.gemm(m, k, n, &a, &b, &mut out);
-                assert_bits_eq(
-                    &reference,
-                    &out,
-                    &format!("{rounding:?} sparse {m}x{k}x{n} threads={threads}"),
-                );
+                for (tier, engine) in common::tier_engines(config, threads) {
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm(m, k, n, &a, &b, &mut out);
+                    assert_bits_eq(
+                        &reference,
+                        &out,
+                        &format!("{rounding:?} sparse {m}x{k}x{n} {tier:?} threads={threads}"),
+                    );
+                }
             }
 
             // Saturating magnitudes drive the accumulator to infinity; the
@@ -250,14 +259,15 @@ fn sparse_and_special_inputs_survive_tiling() {
             let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
             assert!(sat_ref.iter().all(|v| v.is_infinite()));
             for threads in [1usize, 2, 3] {
-                let engine = MacGemm::new(config.with_threads(threads));
-                let mut out = vec![0.0f32; m * n];
-                engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
-                assert_bits_eq(
-                    &sat_ref,
-                    &out,
-                    &format!("{rounding:?} saturated {m}x{k}x{n} threads={threads}"),
-                );
+                for (tier, engine) in common::tier_engines(config, threads) {
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
+                    assert_bits_eq(
+                        &sat_ref,
+                        &out,
+                        &format!("{rounding:?} saturated {m}x{k}x{n} {tier:?} threads={threads}"),
+                    );
+                }
             }
         }
     }
