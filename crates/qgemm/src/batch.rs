@@ -1749,25 +1749,19 @@ mod tests {
                 let live_cols = 1 + (rng.next_u64() % width as u64) as usize;
                 let chains = ((live_rows - 1) * width + live_cols).div_ceil(16);
                 let k = 1 + (rng.next_u64() % 48) as usize;
-                // Finite panel codes (e5m2 infinities and NaNs cleared to
-                // finite ones): a row that has run out meets `+0` against
-                // them, a zero-magnitude product, exactly as in the
-                // engine, whose panels hold no infinities and whose NaN
-                // panels meet rows that never run out.
-                let pan: Vec<u8> = (0..k * width)
-                    .map(|_| match rng.next_u64() as u8 {
-                        b if b & 0x7C == 0x7C => b & !0x04,
-                        b => b,
-                    })
-                    .collect();
                 // Compacted rows: ascending ids, codes across the whole
                 // plane — specials included every few steps — and an
-                // empty row now and then.
+                // empty row now and then; every third case has the
+                // `keep_all` shape instead, each row holding all `k`
+                // entries, zeros included.
+                let keep_all = case % 3 == 0;
                 let rows: Vec<(Vec<u32>, Vec<u8>)> = (0..live_rows)
                     .map(|_| {
                         let (mut ids, mut cods) = (Vec::new(), Vec::new());
                         let mut ci = (rng.next_u64() % 4) as usize;
-                        if rng.next_u64().is_multiple_of(7) {
+                        if keep_all {
+                            ci = 0;
+                        } else if rng.next_u64().is_multiple_of(7) {
                             ci = k;
                         }
                         while ci < k {
@@ -1777,9 +1771,31 @@ mod tests {
                             } else {
                                 rng.next_u64() as u8
                             });
-                            ci += 1 + (rng.next_u64() % 3) as usize;
+                            ci += if keep_all {
+                                1
+                            } else {
+                                1 + (rng.next_u64() % 3) as usize
+                            };
                         }
                         (ids, cods)
+                    })
+                    .collect();
+                // Panel codes across the whole e5m2 plane, infinities and
+                // NaNs included, unless a live 8-column row runs out before
+                // its pair partner and meets `+0` against panel row 0 —
+                // the one place the kernel pads a live row. That is a
+                // zero-magnitude product only against finite codes, so
+                // such cases clear the specials to finite ones, as in the
+                // engine, whose panels hold no infinities and whose NaN
+                // panels meet `keep_all` rows, which never run out.
+                let padded = width == 8
+                    && rows
+                        .chunks(2)
+                        .any(|p| p.len() == 2 && p[0].0.len() != p[1].0.len());
+                let pan: Vec<u8> = (0..k * width)
+                    .map(|_| match rng.next_u64() as u8 {
+                        b if padded && b & 0x7C == 0x7C => b & !0x04,
+                        b => b,
                     })
                     .collect();
                 let mut group_rows: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];

@@ -146,7 +146,9 @@ pub enum SimdTier {
 
 impl SimdTier {
     /// Every tier this host can run, from [`SimdTier::Portable`] up to
-    /// the detected one — the tiers [`MacGemm::with_max_tier`] can select.
+    /// the detected one — the tiers [`MacGemm::with_max_tier`] can select
+    /// (the equivalence suites run every one of them).
+    #[doc(hidden)]
     #[must_use]
     pub fn supported() -> Vec<SimdTier> {
         let mut tiers = vec![SimdTier::Portable];
@@ -466,9 +468,10 @@ impl MacKernel {
     /// in lock-step through the lane-batched [`FastAdderBatch`]. Lane
     /// `l` is column `l % W` of row `l / W`; a block row is the `W`
     /// contiguous bytes `pan[ci * W..]` of k-index `ci`, and products
-    /// come pre-decoded from the [`PairLut`]. The loop runs as many steps
-    /// as the longest row has entries, through a [`Stage`] chunk by chunk,
-    /// so a row that has run out meets code `+0` at k-index 0. Each lane's adds
+    /// come pre-decoded from the [`PairLut`]. A full-width block's one row
+    /// is walked in place; narrower blocks run as many steps as the
+    /// longest row has entries, through a [`Stage`] chunk by chunk, so a
+    /// row that has run out meets code `+0` at k-index 0. Each lane's adds
     /// stay in `k` order and its SR stream advances once per product
     /// with non-zero encoded magnitude, so results are bit-identical to
     /// one scalar [`MacKernel::dot`] per lane whenever a compaction that
@@ -490,38 +493,65 @@ impl MacKernel {
         let batch = &lanes.batch;
         let mut streams = SrLaneStreams::<L>::new(std::array::from_fn(|l| seeds[l]));
         let mut acc = [0u32; L];
-        let nrows = L.div_ceil(W);
-        let steps = rows[..nrows].iter().map(|r| r.0.len()).max().unwrap_or(0);
-        for t0 in (0..steps).step_by(STAGE_STEPS) {
-            let len = STAGE_STEPS.min(steps - t0);
-            stage.fill(rows, nrows, t0, len);
-            for t in 0..len {
+        if W == LANES {
+            // A full-width block's one row, walked in place.
+            let (ids, cods) = rows[0];
+            for (&ci, &ca) in ids.iter().zip(cods) {
+                let (row, base) = (lanes.plut.row(ca), ci as usize * W);
                 let mut prods = [0u32; L];
-                for r in 0..nrows {
-                    let (ci, row) = stage.at(r, t);
-                    let (row, bc) = (
-                        &lanes.plut.table()[row..row + 256],
-                        &pan[ci * W..ci * W + W],
-                    );
-                    for (p, &cb) in prods[r * W..L.min(r * W + W)].iter_mut().zip(bc) {
-                        *p = row[usize::from(cb)];
-                    }
+                for (p, &cb) in prods.iter_mut().zip(&pan[base..base + L]) {
+                    *p = row[usize::from(cb)];
                 }
-                let words = if SR {
-                    let mut consume = [false; L];
-                    for l in 0..L {
-                        consume[l] = prods[l] & LANE_DRAWS != 0;
+                Self::lane_step::<L, SR>(batch, &mut streams, &mut acc, &prods);
+            }
+        } else {
+            let nrows = L.div_ceil(W);
+            let steps = rows[..nrows].iter().map(|r| r.0.len()).max().unwrap_or(0);
+            for t0 in (0..steps).step_by(STAGE_STEPS) {
+                let len = STAGE_STEPS.min(steps - t0);
+                stage.fill(rows, nrows, t0, len);
+                for t in 0..len {
+                    let mut prods = [0u32; L];
+                    for r in 0..nrows {
+                        let (ci, row) = stage.at(r, t);
+                        let (row, bc) = (
+                            &lanes.plut.table()[row..row + 256],
+                            &pan[ci * W..ci * W + W],
+                        );
+                        for (p, &cb) in prods[r * W..L.min(r * W + W)].iter_mut().zip(bc) {
+                            *p = row[usize::from(cb)];
+                        }
                     }
-                    streams.draw(consume)
-                } else {
-                    [0u64; L]
-                };
-                batch.mac_step(&mut acc, &prods, &words);
+                    Self::lane_step::<L, SR>(batch, &mut streams, &mut acc, &prods);
+                }
             }
         }
         let mut out = [0u32; LANES];
         out[..L].copy_from_slice(&acc);
         out
+    }
+
+    /// One `k` step of [`MacKernel::dotn_group`]: draws a rounding word
+    /// for every lane whose product has non-zero magnitude (SR only) and
+    /// accumulates the products. A plain function, not a closure, so it
+    /// inlines into each tier's `#[target_feature]` codegen.
+    #[inline(always)]
+    fn lane_step<const L: usize, const SR: bool>(
+        batch: &FastAdderBatch,
+        streams: &mut SrLaneStreams<L>,
+        acc: &mut [u32; L],
+        prods: &[u32; L],
+    ) {
+        let words = if SR {
+            let mut consume = [false; L];
+            for l in 0..L {
+                consume[l] = prods[l] & LANE_DRAWS != 0;
+            }
+            streams.draw(consume)
+        } else {
+            [0u64; L]
+        };
+        batch.mac_step(acc, prods, &words);
     }
 
     /// One `W`-wide panel block for a group of up to `64 / W` compacted
@@ -1412,12 +1442,6 @@ impl MacGemm {
         let tier = self.kernel.tier.min(max);
         Arc::make_mut(&mut self.kernel).tier = tier;
         self
-    }
-
-    /// The vector-ISA tier this engine's lane kernel runs.
-    #[must_use]
-    pub fn simd_tier(&self) -> SimdTier {
-        self.kernel.tier
     }
 
     /// Quantizes a slice to multiplier-format codes.
