@@ -21,6 +21,7 @@
 //! | `gemm_64x128x64` SR13, 2-thread engine | `gemm_reference` / batched `gemm` | floor | 1.2 | 1 |
 //! | `wgrad_32x512x288` SR13, 1-thread engine, B 63% zeros | packed path / one-shot `gemm` | floor | 1.4 | 1 |
 //! | `fwd_8192x72x8` SR13, 1-thread engine, A 49% zeros | ns per live lane-step at `n = 64` / at `n = 8` | floor | 0.65 | 1 |
+//! | `dgrad_masked_4096x8x72` SR13, 1-thread engine, half the entries needed | full `gemm_packed` / masked product | floor | 1.3 | 1 |
 //! | `train_scaling` | 1-replica step / 4-replica step | floor | 1.8 | 4 |
 //! | `serve_scaling` | 1-worker stream / 4-worker stream | floor | 1.8 | 4 |
 //! | `checkpoint_save` | save / `CKPT_SEGMENT_STEPS` steps | ceiling | 0.05 | 1 |
@@ -37,7 +38,11 @@
 //! training step measured it) against a 64-column control on the same
 //! A, per live lane-step: it catches narrow products falling back to
 //! half-empty single chains, where rows no longer share a panel block's
-//! 64 lanes. The scaling rows compare
+//! 64 lanes. The `dgrad_masked` row is a stage-1 data gradient whose
+//! caller reads half its entries (a ReLU'd input's, in the im2row
+//! pattern): the full product over `gemm_packed_masked`, which computes
+//! only the needed entries, so it catches a masked path that computes
+//! every output. The scaling rows compare
 //! variants that compute identical bits by contract (pinned
 //! `grad_shards = 4`; serving batch invariance), so only scheduling can
 //! move them. The checkpoint row is the amortized auto-checkpointing tax
@@ -50,7 +55,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use srmac_bench::guard::{
-    rand_vec, serve_scaling_stream, train_scaling_step, CheckpointBench, CKPT_SEGMENT_STEPS,
+    rand_vec, relu_conv_need, serve_scaling_stream, train_scaling_step, CheckpointBench,
+    CKPT_SEGMENT_STEPS,
 };
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
@@ -108,7 +114,7 @@ struct Gate {
     sampler: fn() -> Sampler,
 }
 
-const GATES: [Gate; 7] = [
+const GATES: [Gate; 8] = [
     Gate {
         name: "gemm_64x128x64 SR13 reference/batched, 1-thread engine",
         kind: Kind::Floor,
@@ -136,6 +142,13 @@ const GATES: [Gate; 7] = [
         threshold: 0.65,
         min_host_threads: 1,
         sampler: narrow_forward,
+    },
+    Gate {
+        name: "dgrad_masked_4096x8x72 SR13 full/masked, 1-thread engine, half needed",
+        kind: Kind::Floor,
+        threshold: 1.3,
+        min_host_threads: 1,
+        sampler: masked_dgrad,
     },
     Gate {
         name: "train_scaling 1-replica/4-replica step",
@@ -242,6 +255,25 @@ fn narrow_forward() -> Sampler {
             }
         });
         wide / narrow
+    })
+}
+
+/// The stage-1 3x3 data gradient of the width-8 ResNet-20 (`dY · W`,
+/// 4096x8x72) on a 1-thread SR13 engine, whose caller reads half its
+/// entries in the im2row pattern of a ReLU'd input
+/// (`guard::relu_conv_need`): the full product over the masked one on
+/// the same packed operands.
+fn masked_dgrad() -> Sampler {
+    let (m, k, n) = (4096usize, 8, 72);
+    let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+    let engine = MacGemm::new(cfg.with_threads(1));
+    let pa = engine.pack_a(m, k, &rand_vec(m * k, 10));
+    let pb = engine.pack_b(k, n, &rand_vec(k * n, 11));
+    let need = relu_conv_need(m, n);
+    let mut out = vec![0.0f32; m * n];
+    Box::new(move || {
+        let full = time_ns(|| engine.gemm_packed(m, k, n, &pa, &pb, &mut out));
+        full / time_ns(|| engine.gemm_packed_masked(m, k, n, &pa, &pb, &need, &mut out))
     })
 }
 

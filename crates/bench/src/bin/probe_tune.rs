@@ -1,9 +1,9 @@
 //! Development probe: `probe_tune kernel [--samples N]` times the tiled
 //! MAC kernel at 1 and 2 threads: the headline 64x128x64 and 128x128x256
 //! scaling shapes, the six ResNet-20 weight-gradient shapes, a `k = 8`
-//! data-gradient shape, where per-row overhead shows, and the four
-//! narrow forward shapes (8, 16 and 32 output columns), where rows share
-//! a panel block's 64 lanes.
+//! data-gradient shape, where per-row overhead shows, a masked
+//! data-gradient shape, and the four narrow forward shapes (8, 16 and
+//! 32 output columns), where rows share a panel block's 64 lanes.
 //!
 //! Each weight gradient `dW = dYᵀ · rows` gets the B density a width-8
 //! ResNet-20 training step (SR13, batch 32, 16x16 inputs) measured in its
@@ -23,7 +23,13 @@
 //!   instead (`nnz(B) * m`);
 //! - for the forward shapes, an `n = 64` control on the same A — one
 //!   full panel block per row — in ns per live executed step, and the
-//!   narrow shape's cost over the control's.
+//!   narrow shape's cost over the control's;
+//! - for the masked data gradient, `gemm_packed_masked` with the need of
+//!   a ReLU'd input (half its entries positive, in the im2row pattern of
+//!   a 3x3 pad-1 convolution over a 4x8x32x32 input), in ns per needed
+//!   lane-step (`k` per needed output entry, B being dense), its cost
+//!   per lane-step over the unmasked product's, and the unmasked
+//!   product's time over the masked one's.
 //!
 //! `--samples N` (default 1) runs the whole shape list N times,
 //! interleaved, so slow drift of the host lands on every shape alike,
@@ -42,9 +48,10 @@
 use std::time::Instant;
 
 use srmac_bench::env_or;
+use srmac_bench::guard::relu_conv_need;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::{GemmEngine, PackedOperand};
+use srmac_tensor::{GemmEngine, NeededRows, PackedOperand};
 
 /// Uniform values in `[-0.5, 0.5)`, each replaced by `+0` with
 /// probability `1 - density`.
@@ -81,10 +88,12 @@ enum Role {
     Wgrad,
     /// A narrow forward product: an `n = 64` control on the same A.
     Forward,
+    /// A data gradient, also masked to the entries a ReLU'd input needs.
+    Masked,
 }
 
 /// The probe's shapes: label, `m x k x n`, A density, B density, role.
-const SHAPES: [(&str, usize, usize, usize, f64, f64, Role); 15] = [
+const SHAPES: [(&str, usize, usize, usize, f64, f64, Role); 16] = [
     ("headline 64x128x64", 64, 128, 64, 1.0, 1.0, Role::Kernel),
     ("scaling 128x128x256", 128, 128, 256, 1.0, 1.0, Role::Kernel),
     ("wgrad 8x8192x27", 8, 8192, 27, 1.0, 0.92, Role::Wgrad),
@@ -96,6 +105,7 @@ const SHAPES: [(&str, usize, usize, usize, f64, f64, Role); 15] = [
     ("wgrad 16x2048x8", 16, 2048, 8, 1.0, 0.73, Role::Wgrad),
     ("wgrad 32x512x16", 32, 512, 16, 1.0, 0.71, Role::Wgrad),
     ("dgrad 8192x8x72", 8192, 8, 72, 1.0, 1.0, Role::Kernel),
+    ("dgrad 4096x8x72", 4096, 8, 72, 1.0, 1.0, Role::Masked),
     ("fwd 8192x27x8", 8192, 27, 8, 0.92, 1.0, Role::Forward),
     ("fwd 8192x72x8", 8192, 72, 8, 0.51, 1.0, Role::Forward),
     ("fwd 2048x144x16", 2048, 144, 16, 0.45, 1.0, Role::Forward),
@@ -119,6 +129,8 @@ struct Probe {
     reference: Vec<u32>,
     /// The forward control's packed `k x 64` B and oracle bits.
     control: Option<(PackedOperand, Vec<u32>)>,
+    /// The masked data gradient's need.
+    need: Option<NeededRows>,
     /// Non-zero codes of A and of B.
     nnz: (usize, usize),
     out: Vec<f32>,
@@ -168,6 +180,7 @@ impl Probe {
                 .count()
         };
         let nnz = (nonzero(&a), nonzero(&b));
+        let need = (role == Role::Masked).then(|| relu_conv_need(m, n));
         let nominal = m * k * n;
         Self {
             label,
@@ -179,6 +192,7 @@ impl Probe {
             engines,
             reference,
             control,
+            need,
             nnz,
             out: vec![0.0f32; m * n.max(CONTROL_N)],
         }
@@ -235,6 +249,26 @@ impl Probe {
             let control = ns / (self.nnz.0 * CONTROL_N) as f64;
             figures.push(("n=64 control 1t ns/exec", control));
             figures.push(("narrow/control x", kernel_ns[0] / exec / control));
+        }
+        if let Some(need) = &self.need {
+            let (engine, pa, pb) = &self.engines[0];
+            let out = &mut out[..m * n];
+            let ns = time_ns(reps, || {
+                engine.gemm_packed_masked(m, k, n, pa, pb, need, out)
+            });
+            let want = &self.reference;
+            let same = (0..n).all(|j| {
+                let mut col = need.rows(j).map(|i| i * n + j);
+                col.all(|at| out[at].to_bits() == want[at])
+            });
+            assert!(same, "{label} masked: bits diverged from reference");
+            let needed = (need.count() * k) as f64;
+            figures.push(("masked 1t ns/needed", ns / needed));
+            figures.push((
+                "masked/full per step x",
+                ns / needed / (kernel_ns[0] / exec),
+            ));
+            figures.push(("full/masked time x", kernel_ns[0] / ns));
         }
         figures
     }

@@ -12,13 +12,26 @@ use srmac_io::{CheckpointMeta, SaveReport};
 use srmac_models::{data, resnet, InferenceServer, ServeConfig, TrainConfig, Trainer};
 use srmac_qgemm::{MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::{F32Engine, GemmEngine, Numerics, Runtime, Sequential, Tensor};
+use srmac_tensor::movement::im2row_need;
+use srmac_tensor::{F32Engine, GemmEngine, NeededRows, Numerics, Runtime, Sequential, Tensor};
 
 /// Uniform values in [-0.5, 0.5) — the gates' dense-operand generator.
 #[must_use]
 pub fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = SplitMix64::new(seed);
     (0..n).map(|_| rng.next_f32() - 0.5).collect()
+}
+
+/// The need of a 3x3 pad-1 convolution's `m x n` data gradient whose
+/// input — `m / 1024` images of `n / 9` channels, 32x32 — is a ReLU
+/// output, half of it positive: the entries the masked product computes
+/// (see `srmac_tensor::movement::im2row_need`).
+#[must_use]
+pub fn relu_conv_need(m: usize, n: usize) -> NeededRows {
+    let shape = [m / 1024, n / 9, 32, 32];
+    let mut rng = SplitMix64::new(6);
+    let relu: Vec<bool> = (0..m * n / 9).map(|_| rng.next_f64() < 0.5).collect();
+    im2row_need(&relu, shape, 3, 1, 1)
 }
 
 /// Minibatch size of the `train_scaling` workload — sharded 4 ways, so

@@ -132,6 +132,17 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_masked(grad, None)
+    }
+
+    // The output ReLU overwrites the gradient with 0 where it was off.
+    fn grad_mask(&self) -> Option<&[bool]> {
+        Some(&self.relu_mask)
+    }
+
+    // Both paths end at the block input, so both compute only the
+    // entries the caller reads; their sum is exact at every one of them.
+    fn backward_masked(&mut self, grad: &Tensor, need: Option<&[bool]>) -> Tensor {
         assert_eq!(
             grad.numel(),
             self.relu_mask.len(),
@@ -143,9 +154,9 @@ impl Layer for ResidualBlock {
                 *g = 0.0;
             }
         }
-        let mut dx = self.main.backward(&dz);
+        let mut dx = self.main.backward_masked(&dz, need);
         let ds = match &mut self.shortcut {
-            Some(sc) => sc.backward(&dz),
+            Some(sc) => sc.backward_masked(&dz, need),
             None => dz,
         };
         dx.add_assign(&ds);

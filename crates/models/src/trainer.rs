@@ -182,7 +182,9 @@ fn run_shard(
     let logits = replica.forward(&x, true);
     let (loss, mut grad) = softmax_cross_entropy(&logits, &labels);
     grad.scale_(grad_scale);
-    replica.backward(&grad);
+    // Nothing reads the gradient of the input images, so the first
+    // layer's data-gradient product is never run.
+    replica.backward_masked(&grad, Some(&vec![false; x.numel()]));
     let mut flat = Vec::new();
     flatten_grads(&mut replica, &mut flat);
     let state = flatten_state(&mut replica);
@@ -918,6 +920,7 @@ mod tests {
     use srmac_tensor::init::kaiming_normal;
     use srmac_tensor::layers::{Conv2d, GlobalAvgPool, Linear, Relu};
     use srmac_tensor::{F32Engine, GemmEngine, Numerics, PackedOperand, RoleEngines};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn f32_numerics(threads: usize) -> Numerics {
@@ -1021,6 +1024,164 @@ mod tests {
             let derived = self.0.with_row_base(first_row)?;
             Some(Arc::new(OnTheFly(derived)))
         }
+    }
+
+    /// Forwards every method to the wrapped engine and counts its
+    /// products (row-offset engines derived from it count into the same
+    /// counter).
+    struct Counting {
+        inner: Arc<dyn GemmEngine>,
+        products: Arc<AtomicUsize>,
+    }
+
+    impl GemmEngine for Counting {
+        fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> PackedOperand {
+            self.inner.pack_a(rows, cols, a)
+        }
+
+        fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
+            self.inner.pack_b(rows, cols, b)
+        }
+
+        fn gemm_packed(
+            &self,
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &PackedOperand,
+            b: &PackedOperand,
+            out: &mut [f32],
+        ) {
+            self.products.fetch_add(1, Ordering::Relaxed);
+            self.inner.gemm_packed(m, k, n, a, b, out);
+        }
+
+        fn gemm_packed_masked(
+            &self,
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &PackedOperand,
+            b: &PackedOperand,
+            need: &srmac_tensor::NeededRows,
+            out: &mut [f32],
+        ) {
+            self.products.fetch_add(1, Ordering::Relaxed);
+            self.inner.gemm_packed_masked(m, k, n, a, b, need, out);
+        }
+
+        fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+            self.products.fetch_add(1, Ordering::Relaxed);
+            self.inner.gemm(m, k, n, a, b, out);
+        }
+
+        fn benefits_from_packing(&self) -> bool {
+            self.inner.benefits_from_packing()
+        }
+
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn position_invariant(&self) -> bool {
+            self.inner.position_invariant()
+        }
+
+        fn with_row_base(&self, first_row: usize) -> Option<Arc<dyn GemmEngine>> {
+            let inner = self.inner.with_row_base(first_row)?;
+            let products = Arc::clone(&self.products);
+            Some(Arc::new(Counting { inner, products }))
+        }
+    }
+
+    /// A layer that computes its whole input gradient whatever its
+    /// caller reads: `backward_masked` runs `backward`.
+    struct FullBackward(Box<dyn Layer>);
+
+    impl Layer for FullBackward {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.0.forward(x, train)
+        }
+
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            self.0.backward(grad)
+        }
+
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut srmac_tensor::Param)) {
+            self.0.visit_params(f);
+        }
+
+        fn clone_layer(&self) -> Option<Box<dyn Layer>> {
+            Some(Box::new(FullBackward(self.0.clone_layer()?)))
+        }
+
+        fn set_batch_offset(&mut self, offset: usize) {
+            self.0.set_batch_offset(offset);
+        }
+
+        fn warm_weight_packs(&mut self) {
+            self.0.warm_weight_packs();
+        }
+    }
+
+    #[test]
+    fn trainer_runs_no_product_for_the_input_gradient() {
+        // Nothing reads the gradient of the images, so the first conv's
+        // data-gradient engine never runs — and skipping it changes no
+        // bit of the History against a stem that computes it anyway.
+        let sr = engine_from_spec("fp8_fp12_sr13").expect("paper's pick");
+        let train_ds = synth_cifar10(24, 8, 31);
+        let test_ds = synth_cifar10(16, 8, 32);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 12,
+            grad_shards: 2,
+            ..TrainConfig::default()
+        };
+        let run = |full_backward: bool| {
+            let products = Arc::new(AtomicUsize::new(0));
+            let counted: Arc<dyn GemmEngine> = Arc::new(Counting {
+                inner: Arc::clone(&sr),
+                products: Arc::clone(&products),
+            });
+            let mut rng = SplitMix64::new(5);
+            let stem = Conv2d::per_role(
+                3,
+                6,
+                3,
+                1,
+                1,
+                kaiming_normal(&[6, 27], 27, &mut rng),
+                RoleEngines::new(Arc::clone(&sr), counted, Arc::clone(&sr)),
+            );
+            let mut net = Sequential::new();
+            if full_backward {
+                net.push(FullBackward(Box::new(stem)));
+            } else {
+                net.push(stem);
+            }
+            let engines = RoleEngines::uniform(Arc::clone(&sr));
+            let w = kaiming_normal(&[6, 54], 54, &mut rng);
+            net.push(Relu::new());
+            net.push(Conv2d::per_role(6, 6, 3, 1, 1, w, engines.clone()));
+            net.push(Relu::new());
+            net.push(GlobalAvgPool::new());
+            let w = kaiming_normal(&[10, 6], 6, &mut rng);
+            net.push(Linear::per_role(6, 10, w, engines));
+            let history = Trainer::new(&cfg).run(&mut net, &train_ds, &test_ds);
+            (history, products.load(Ordering::Relaxed))
+        };
+        let (skipped, none) = run(false);
+        let (computed, some) = run(true);
+        assert_eq!(none, 0, "the stem's data gradient ran");
+        assert!(some > 0, "the control must run the stem's data gradient");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&skipped.train_loss), bits(&computed.train_loss));
+        assert_eq!(bits(&skipped.test_acc), bits(&computed.test_acc));
+        assert_eq!(
+            skipped.final_scale.to_bits(),
+            computed.final_scale.to_bits()
+        );
     }
 
     #[test]

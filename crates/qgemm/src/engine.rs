@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use srmac_fp::FpFormat;
 use srmac_rng::{SplitMix64, SrLaneStreams};
 use srmac_runtime::Runtime;
-use srmac_tensor::{GemmEngine, PackSide, PackedOperand};
+use srmac_tensor::{GemmEngine, NeededRows, PackSide, PackedOperand};
 
 #[cfg(target_arch = "x86_64")]
 use crate::batch::z16;
@@ -158,7 +158,8 @@ impl SimdTier {
         tiers
     }
 
-    fn detect() -> Self {
+    /// The host's highest tier.
+    pub(crate) fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f")
@@ -878,6 +879,148 @@ impl MacKernel {
         }
     }
 
+    /// The masked strip kernel on the lane kernel `lanes`: fills the
+    /// needed entries of the whole-height column strip `cols` into
+    /// `block` (row-major, stride `cols.len()`) and leaves the others as
+    /// they are. Dispatches onto the engine's [`SimdTier`] like
+    /// [`MacKernel::compute_rect_compact`].
+    fn compute_masked(
+        &self,
+        lanes: &Lanes,
+        plan: &MaskedPlan,
+        row_base: usize,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => {
+                // SAFETY: `SimdTier::detect` verified at runtime that this
+                // CPU has every feature the callee enables.
+                #[allow(unsafe_code)]
+                unsafe {
+                    self.compute_masked_avx512(lanes, plan, row_base, cols, block);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => {
+                // SAFETY: as above — `avx2` was detected at runtime.
+                #[allow(unsafe_code)]
+                unsafe {
+                    self.compute_masked_avx2(lanes, plan, row_base, cols, block);
+                }
+            }
+            SimdTier::Portable => {
+                self.compute_masked_body(lanes, plan, row_base, cols, block);
+            }
+        }
+    }
+
+    /// AVX-512 codegen of the masked loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd",
+        enable = "avx2"
+    )]
+    fn compute_masked_avx512(
+        &self,
+        lanes: &Lanes,
+        plan: &MaskedPlan,
+        row_base: usize,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
+        self.compute_masked_body(lanes, plan, row_base, cols, block);
+    }
+
+    /// AVX2 codegen of the masked loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn compute_masked_avx2(
+        &self,
+        lanes: &Lanes,
+        plan: &MaskedPlan,
+        row_base: usize,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
+        self.compute_masked_body(lanes, plan, row_base, cols, block);
+    }
+
+    /// The tier-independent masked body: the gathered-lane plan on the
+    /// full-width kernel. Each output column `j` is one compacted row,
+    /// column `j` of B, and its lanes are only the needed rows of that
+    /// column, 64 per kernel call. A block's panel holds its lanes' A
+    /// rows, staged once per block ([`stage_lanes`]); lane `l` seeds at
+    /// its output coordinate `(row_base + r_l, j)` and writes back to
+    /// `(r_l, j)`. Each needed element therefore keeps its SR stream and
+    /// its `k` order, and a zero A code meets a compacted B code in a
+    /// zero-magnitude product that neither commits nor draws, so every
+    /// needed element has the bits of the full product.
+    #[inline(always)]
+    fn compute_masked_body(
+        &self,
+        lanes: &Lanes,
+        plan: &MaskedPlan,
+        row_base: usize,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
+        let (k, w) = (plan.k, cols.len());
+        let sr = !matches!(self.rounding, AccumRounding::Nearest);
+        let mut pan = vec![plan.zero; k * LANES];
+        let mut stage = Stage::new();
+        let mut group: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];
+        let mut needed = Vec::with_capacity(plan.need.m() + LANES);
+        for j in cols.clone() {
+            group[0] = plan.cols.row(j);
+            plan.needed(self.tier, j, &mut needed);
+            for chunk in needed.chunks(LANES) {
+                stage_lanes(self.tier, &plan.rows, chunk, k, plan.zero, &mut pan);
+                let mut seeds = [0u64; LANES];
+                if sr {
+                    for (s, &r) in seeds.iter_mut().zip(chunk) {
+                        *s = mix_seed(self.seed, row_base + r as usize, j);
+                    }
+                }
+                let chains = chunk.len().div_ceil(16);
+                let accs = self.group_dot::<LANES>(lanes, &group, &pan, &seeds, chains, &mut stage);
+                self.scatter_lanes(lanes, &accs, chunk, (w, j - cols.start), block);
+            }
+        }
+    }
+
+    /// Decodes the accumulator words `accs` of the lanes `rows` into
+    /// `block[rows[l] * stride + col]`: the vector scatter under AVX-512,
+    /// else lane by lane.
+    #[inline(always)]
+    fn scatter_lanes(
+        &self,
+        lanes: &Lanes,
+        accs: &[u32],
+        rows: &[u32],
+        (stride, col): (usize, usize),
+        block: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.tier == SimdTier::Avx512 {
+            // SAFETY: `SimdTier::detect` verified every feature the z16
+            // write-back enables.
+            #[allow(unsafe_code)]
+            unsafe {
+                z16::scatter_back(&lanes.batch, &self.decode, accs, rows, (stride, col), block);
+            }
+            return;
+        }
+        for (&r, &a) in rows.iter().zip(accs) {
+            block[r as usize * stride + col] = self.decode[lanes.batch.encode(a) as usize];
+        }
+    }
+
     /// The rectangle kernel of engines without a lane kernel: the
     /// operands, orientation and `block` layout of
     /// [`MacKernel::compute_rect_compact_body`], one scalar
@@ -1037,6 +1180,21 @@ impl CompactA {
     fn row(&self, i: usize) -> (&[u32], &[u8]) {
         let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
         (&self.idx[s..e], &self.code[s..e])
+    }
+
+    /// The compaction of `Bᵀ` from B's `k x n` panel (see
+    /// [`build_panel`]): row `j` holds column `j`'s non-zero-magnitude
+    /// codes in ascending `k` order.
+    fn from_panel_columns(panel: &[u8], k: usize, n: usize, mag: u8, tier: SimdTier) -> Self {
+        let mut codes = vec![0u8; n * k];
+        for (j, col) in codes.chunks_exact_mut(k.max(1)).enumerate().take(n) {
+            let (col0, width) = panel_block_of(j, n);
+            for (ci, cd) in col.iter_mut().enumerate() {
+                *cd = panel[col0 * k + ci * width + j - col0];
+            }
+        }
+        let (nnz, _) = code_stats(&codes, mag, mag);
+        Self::build(&codes, n, k, nnz, mag, tier)
     }
 
     /// The compaction of the same `cols`-wide rows that keeps every
@@ -1319,6 +1477,110 @@ impl Plan {
     }
 }
 
+/// The plan of a masked product ([`GemmEngine::gemm_packed_masked`]):
+/// the gathered-lane plan of [`MacKernel::compute_masked_body`] on the
+/// lane kernel, or one scalar [`MacKernel::dot`] per needed element
+/// without one.
+#[derive(Debug)]
+struct MaskedPlan {
+    /// A's compacted rows: the lanes' operands.
+    rows: Arc<CompactA>,
+    /// `Bᵀ`'s compacted rows, one per output column (see
+    /// [`CompactA::from_panel_columns`]), for the lane kernel.
+    cols: Arc<CompactA>,
+    /// B's panel, for the scalar loop.
+    panel: Arc<Vec<u8>>,
+    need: NeededRows,
+    k: usize,
+    n: usize,
+    zero: u8,
+}
+
+impl MaskedPlan {
+    /// The needed rows of column `j`, ascending, into `out` (cleared
+    /// first).
+    fn needed(&self, tier: SimdTier, j: usize, out: &mut Vec<u32>) {
+        out.clear();
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `SimdTier::detect` verified every feature the z16
+            // routine enables.
+            #[allow(unsafe_code)]
+            SimdTier::Avx512 => unsafe { z16::push_set_bits(self.need.column(j), out) },
+            _ => out.extend(self.need.rows(j).map(|r| r as u32)),
+        }
+    }
+
+    /// Fills the needed entries of the whole-height column strip `cols`
+    /// into `block` (row-major, stride `cols.len()`).
+    fn compute_strip(
+        &self,
+        kernel: &MacKernel,
+        row_base: usize,
+        cols: Range<usize>,
+        block: &mut [f32],
+    ) {
+        if let Some(lanes) = &kernel.lanes {
+            kernel.compute_masked(lanes, self, row_base, cols, block);
+            return;
+        }
+        let (w, mut needed) = (cols.len(), Vec::new());
+        for j in cols.clone() {
+            let (col0, width) = panel_block_of(j, self.n);
+            let at = col0 * self.k + j - col0;
+            self.needed(kernel.tier, j, &mut needed);
+            for &r in &needed {
+                let (ids, cods) = self.rows.row(r as usize);
+                let pairs = (ids.iter().zip(cods))
+                    .map(|(&ci, &ca)| (ca, self.panel[at + ci as usize * width]));
+                let v = kernel.dot(pairs, row_base + r as usize, j);
+                block[r as usize * w + j - cols.start] = v;
+            }
+        }
+    }
+}
+
+/// Stages the A rows `lanes` (at most 64) of a masked kernel call into
+/// the 64-lane panel `pan` (code `(ci, l)` at `ci * 64 + l`, `k * 64`
+/// bytes): lane `l` holds row `lanes[l]`, its dropped zeros
+/// and the lanes past `lanes.len()` hold `zero`. Under AVX-512, with `k`
+/// a multiple of 8, `z16::stage_lanes` reads eight codes of each row
+/// that kept all `k` entries at once and leaves the other rows to
+/// [`stage_lane`]; elsewhere every lane is staged by [`stage_lane`].
+fn stage_lanes(tier: SimdTier, a: &CompactA, lanes: &[u32], k: usize, zero: u8, pan: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx512 && k.is_multiple_of(8) {
+        // SAFETY: `SimdTier::detect` verified every feature the z16
+        // routine enables.
+        #[allow(unsafe_code)]
+        let mut partial = unsafe { z16::stage_lanes(&a.row_ptr, &a.code, lanes, k, zero, pan) };
+        while partial != 0 {
+            let l = partial.trailing_zeros() as usize;
+            stage_lane(a.row(lanes[l] as usize), l, zero, pan);
+            partial &= partial - 1;
+        }
+        return;
+    }
+    let _ = tier;
+    for l in 0..LANES {
+        let row = lanes
+            .get(l)
+            .map_or((&[][..], &[][..]), |&r| a.row(r as usize));
+        stage_lane(row, l, zero, pan);
+    }
+}
+
+/// Stages one compacted row into lane `l` of a 64-lane panel of
+/// `pan.len() / 64` k-indices: its kept codes, `zero` elsewhere.
+fn stage_lane((ids, cods): Row<'_>, l: usize, zero: u8, pan: &mut [u8]) {
+    for at in (l..pan.len()).step_by(LANES) {
+        pan[at] = zero;
+    }
+    for (&ci, &cd) in ids.iter().zip(cods) {
+        pan[ci as usize * LANES + l] = cd;
+    }
+}
+
 /// A [`GemmEngine`] where every scalar operation is a bit-exact MAC-unit
 /// step: operands quantize to FP8 (RN, saturating), products are exact, and
 /// the accumulator is a low-precision float updated with RN or SR — in the
@@ -1458,7 +1720,7 @@ impl MacGemm {
     pub fn quantize_codes_into(&self, xs: &[f32], out: &mut Vec<u8>) {
         out.clear();
         out.resize(xs.len(), 0);
-        self.quant.quantize_block(xs, out);
+        self.quant.quantize_block(xs, out, self.kernel.tier);
     }
 
     /// Pops a recycled byte buffer (or a fresh empty one).
@@ -1682,6 +1944,71 @@ impl GemmEngine for MacGemm {
         let b = self.unpack_b(b, k, n);
         let plan = self.plan_as_is(Arc::clone(&a.compact), k, Arc::clone(&b.panel), b.has_nan);
         self.gemm_codes(m, k, n, plan, out);
+    }
+
+    // The masked product runs the gathered-lane plan (see
+    // `MacKernel::compute_masked_body`): output column `j` is a compacted
+    // row of `Bᵀ` whose lanes are only the needed rows of that column, so
+    // the entries nobody reads cost no lane-steps. A NaN in either
+    // operand runs today's full product instead: in the gathered plan A
+    // is the panel, and `0 * NaN` would have to meet the B zeros the
+    // compaction dropped. So does a mask that needs every entry, which
+    // the full product computes with no staging.
+    fn gemm_packed_masked(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        need: &NeededRows,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), m * n, "out must be m x n");
+        assert_eq!((need.m(), need.n()), (m, n), "need must be m x n");
+        let a = self.unpack_a(a, m, k);
+        let b = self.unpack_b(b, k, n);
+        let (mag_mask, inf_mag) = self.code_masks();
+        let (_, a_nan) = code_stats(&a.compact.code, mag_mask, inf_mag);
+        if a_nan || b.has_nan || need.count() == m * n {
+            let plan = self.plan_as_is(Arc::clone(&a.compact), k, Arc::clone(&b.panel), b.has_nan);
+            self.gemm_codes(m, k, n, plan, out);
+            return;
+        }
+        let cols = CompactA::from_panel_columns(&b.panel, k, n, mag_mask, self.kernel.tier);
+        let plan = MaskedPlan {
+            rows: Arc::clone(&a.compact),
+            cols: Arc::new(cols),
+            panel: Arc::clone(&b.panel),
+            need: need.clone(),
+            k,
+            n,
+            zero: self.zero_code,
+        };
+        // Whole-height column strips: every column's needed rows stay in
+        // one list, so only its last 64-lane call runs part-empty. A
+        // strip holds as many entries as a job of the full product
+        // (`MIN_JOB_MACS / k`), so its output block is no larger than
+        // theirs: strips cut to the full product's work per job, twice
+        // its entries at half density, measured about 3 MB more peak RSS
+        // in a training run.
+        let col_tile = if need.count() * k < SINGLE_JOB_MACS {
+            n
+        } else {
+            MIN_JOB_MACS.div_ceil(k * m).max(1)
+        };
+        let (kernel, row_base) = (Arc::clone(&self.kernel), self.row_base);
+        self.runtime.parallel_fill_blocks(
+            m,
+            n,
+            m.max(1),
+            col_tile,
+            out,
+            move |rows, cols, block| {
+                debug_assert_eq!(rows, 0..m, "strips are whole-height");
+                plan.compute_strip(&kernel, row_base, cols, block);
+            },
+        );
     }
 
     // The one-shot product (in training, only the weight gradients)
@@ -1966,47 +2293,68 @@ mod tests {
         }
     }
 
+    /// The masked plan's staging and need listing agree on every tier:
+    /// rows that kept all `k` entries, rows that dropped some, empty rows,
+    /// depths around the 8-code word, lane counts up to 64, and columns
+    /// that end inside a bit word.
     #[test]
-    fn sr_gemm_is_unbiased_against_f32() {
-        // Mean over seeds of the SR GEMM approaches the f32 GEMM of the
-        // quantized inputs (SR is unbiased; RN at E6M5 is not for long k).
-        let (m, k, n) = (2, 256, 2);
-        let a = rand_vec(m * k, 5, 0.5);
-        let b = rand_vec(k * n, 6, 0.5);
-
-        // Reference: f32 accumulation of the quantized products.
-        let probe = MacGemm::new(MacGemmConfig::fp8_fp12(AccumRounding::Nearest, true));
-        let ac = probe.quantize_codes(&a);
-        let bc = probe.quantize_codes(&b);
-        let fp8 = FpFormat::e5m2();
-        let mut reference = vec![0.0f64; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                for l in 0..k {
-                    reference[i * n + j] += fp8.decode_f64(u64::from(ac[i * k + l]))
-                        * fp8.decode_f64(u64::from(bc[l * n + j]));
+    fn masked_staging_and_listing_match_on_every_tier() {
+        let zero = FpFormat::e5m2().zero_bits(false) as u8;
+        let mag = srmac_fp::mask(FpFormat::e5m2().bits() - 1) as u8;
+        let mut rng = SplitMix64::new(17);
+        for k in [1usize, 5, 8, 16, 24, 32] {
+            let rows = 150;
+            let codes: Vec<u8> = (0..rows * k)
+                .map(|i| {
+                    // Rows 3, 10, 17, ... keep everything; row 4 nothing.
+                    let (r, keep) = (i / k, rng.next_f64() < 0.6);
+                    if r % 7 == 3 || (keep && r != 4) {
+                        (rng.next_u64() % 120 + 1) as u8
+                    } else {
+                        zero
+                    }
+                })
+                .collect();
+            let (nnz, _) = code_stats(&codes, mag, mag);
+            let compact = CompactA::build(&codes, rows, k, nnz, mag, SimdTier::Portable);
+            let lane_rows: Vec<u32> = (0..rows as u32).filter(|r| r % 3 != 1).collect();
+            for live in [0usize, 1, 17, 63, 64] {
+                let lanes = &lane_rows[lane_rows.len() - live..];
+                let pans: Vec<Vec<u8>> = SimdTier::supported()
+                    .into_iter()
+                    .map(|tier| {
+                        let mut pan = vec![0xEE; k * LANES];
+                        stage_lanes(tier, &compact, lanes, k, zero, &mut pan);
+                        pan
+                    })
+                    .collect();
+                for (l, &r) in lanes.iter().enumerate() {
+                    let row = &codes[r as usize * k..][..k];
+                    let staged: Vec<u8> = (0..k).map(|ci| pans[0][ci * LANES + l]).collect();
+                    assert_eq!(staged, row, "k={k} lane {l} (row {r})");
+                }
+                for pan in &pans[1..] {
+                    assert_eq!(pan, &pans[0], "k={k}, {live} lanes: tiers disagree");
                 }
             }
         }
-
-        let trials = 48;
-        let mut mean = vec![0.0f64; m * n];
-        for t in 0..trials {
-            let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, true)
-                .with_seed(9000 + t);
-            let engine = MacGemm::new(cfg);
-            let mut out = vec![0.0f32; m * n];
-            engine.gemm(m, k, n, &a, &b, &mut out);
-            for (acc, &v) in mean.iter_mut().zip(&out) {
-                *acc += f64::from(v) / f64::from(trials as u32);
+        let need = NeededRows::from_fn(300, 3, |i, j| (i * 7 + j * 3) % 5 < 2 || i == 299);
+        let plan = MaskedPlan {
+            rows: Arc::new(CompactA::build(&[], 0, 1, 0, mag, SimdTier::Portable)),
+            cols: Arc::new(CompactA::build(&[], 0, 1, 0, mag, SimdTier::Portable)),
+            panel: Arc::new(Vec::new()),
+            need: need.clone(),
+            k: 1,
+            n: 3,
+            zero,
+        };
+        for j in 0..3 {
+            let want: Vec<u32> = need.rows(j).map(|r| r as u32).collect();
+            for tier in SimdTier::supported() {
+                let mut got = vec![7u32; 3];
+                plan.needed(tier, j, &mut got);
+                assert_eq!(got, want, "{tier:?} column {j}");
             }
-        }
-        for (i, (&mu, &want)) in mean.iter().zip(&reference).enumerate() {
-            let tol = want.abs().max(1.0) * 0.05;
-            assert!(
-                (mu - want).abs() < tol,
-                "element {i}: SR mean {mu} vs f32 {want}"
-            );
         }
     }
 

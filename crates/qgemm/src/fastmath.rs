@@ -5,6 +5,8 @@
 
 use srmac_fp::{mask, FpFormat};
 
+use crate::SimdTier;
+
 /// Accumulation rounding mode of the fast kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccumRounding {
@@ -361,8 +363,8 @@ pub struct FastQuantizer {
     /// Exponent-field rebias from `f32` to the target, pre-shifted.
     fast_rebias: u64,
     /// Whether [`FastQuantizer::quantize_block`] may take the 16-wide
-    /// AVX-512 lane path (byte-sized target, fast path available, CPU
-    /// support detected at construction).
+    /// AVX-512 lane path on an AVX-512 tier (byte-sized target, fast path
+    /// available).
     vect: bool,
 }
 
@@ -387,10 +389,7 @@ impl FastQuantizer {
         } else {
             (0, 0)
         };
-        #[cfg(target_arch = "x86_64")]
-        let vect = fast && fmt.bits() <= 8 && std::is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let vect = false;
+        let vect = fast && fmt.bits() <= 8;
         Self {
             fmt,
             p,
@@ -447,29 +446,35 @@ impl FastQuantizer {
     }
 
     /// Quantizes a whole slice into byte codes — [`FastQuantizer::quantize`]
-    /// per element, bit-for-bit, but 16 lanes per instruction on AVX-512
-    /// for the fast normal-range path (plus exact zeros). Lanes outside
-    /// that envelope (subnormal range, saturation, NaN) divert to the
-    /// scalar path individually.
+    /// per element, bit-for-bit. On the [`SimdTier::Avx512`] tier it runs
+    /// 16 lanes per instruction for the fast normal-range path (plus exact
+    /// zeros), and lanes outside that envelope (subnormal range,
+    /// saturation, NaN) divert to the scalar path individually; the lower
+    /// tiers run the scalar path throughout. `tier` must be one the host
+    /// supports, as an engine's is.
     ///
     /// # Panics
     ///
-    /// Panics if the slices' lengths differ or the format exceeds a byte.
-    pub fn quantize_block(&self, xs: &[f32], out: &mut [u8]) {
+    /// Panics if the slices' lengths differ, the format exceeds a byte, or
+    /// `tier` is above the host's.
+    pub fn quantize_block(&self, xs: &[f32], out: &mut [u8], tier: SimdTier) {
         assert_eq!(xs.len(), out.len(), "quantize output length mismatch");
         assert!(
             self.fmt.bits() <= 8,
             "byte-code quantization needs <= 8 bits"
         );
         #[cfg(target_arch = "x86_64")]
-        if self.vect {
-            // SAFETY: `vect` is only set when `avx512f` was detected.
+        if self.vect && tier == SimdTier::Avx512 {
+            assert!(tier <= SimdTier::detect(), "tier above the host's");
+            // SAFETY: the AVX-512 tier was detected on this host (asserted
+            // just above), and it includes `avx512f`.
             #[allow(unsafe_code)]
             unsafe {
                 self.quantize_block_z(xs, out);
             }
             return;
         }
+        let _ = tier;
         for (o, &x) in out.iter_mut().zip(xs) {
             *o = self.quantize(x) as u8;
         }

@@ -3,13 +3,17 @@
 //! a panel block) are exact, thread count changes no bit, and the
 //! batched engine agrees with the dense scalar oracle
 //! (`MacGemm::gemm_reference`) on sparse, signed-zero-laden, NaN-free
-//! and overflowing inputs.
+//! and overflowing inputs, and SR accumulation stays unbiased — on every
+//! vector-ISA tier the host has.
 //!
 //! (The operand-level guarantee — `FastAdderBatch` == `FastAdder` over
 //! the full 256 x 256-per-format code plane and SR draws — lives next to
 //! the implementation in `src/batch.rs`; this file covers the engine
 //! integration on top of it.)
 
+mod common;
+
+use srmac_fp::FpFormat;
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
 use srmac_tensor::GemmEngine;
@@ -57,21 +61,21 @@ fn panel_engine_matches_reference_with_ragged_tails() {
                     engine.gemm_reference(m, k, n, &a, &b, &mut out);
                     out
                 };
+                let cfg = MacGemmConfig::fp8_fp12(rounding, subnormals);
                 for threads in [1usize, 3] {
-                    let engine = MacGemm::new(
-                        MacGemmConfig::fp8_fp12(rounding, subnormals).with_threads(threads),
-                    );
-                    let mut out = vec![0.0f32; m * n];
-                    engine.gemm(m, k, n, &a, &b, &mut out);
-                    let same = reference
-                        .iter()
-                        .zip(&out)
-                        .all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(
-                        same,
-                        "{rounding:?} sub={subnormals} n={n} threads={threads}: \
-                         batched != scalar reference"
-                    );
+                    for (tier, engine) in common::tier_engines(cfg, threads) {
+                        let mut out = vec![0.0f32; m * n];
+                        engine.gemm(m, k, n, &a, &b, &mut out);
+                        let same = reference
+                            .iter()
+                            .zip(&out)
+                            .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(
+                            same,
+                            "{rounding:?} sub={subnormals} n={n} threads={threads} {tier:?}: \
+                             batched != scalar reference"
+                        );
+                    }
                 }
             }
         }
@@ -88,20 +92,21 @@ fn batched_engine_matches_dense_scalar_reference() {
     let b = rand_vec(k * n, 22, 2.0);
     for rounding in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
         for subnormals in [true, false] {
-            let engine =
-                MacGemm::new(MacGemmConfig::fp8_fp12(rounding, subnormals).with_threads(1));
+            let cfg = MacGemmConfig::fp8_fp12(rounding, subnormals);
             let mut dense = vec![0.0f32; m * n];
-            engine.gemm_reference(m, k, n, &a, &b, &mut dense);
-            let mut batched = vec![0.0f32; m * n];
-            engine.gemm(m, k, n, &a, &b, &mut batched);
-            let same = dense
-                .iter()
-                .zip(&batched)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                same,
-                "{rounding:?} sub={subnormals}: batched != dense scalar"
-            );
+            MacGemm::new(cfg.with_threads(1)).gemm_reference(m, k, n, &a, &b, &mut dense);
+            for (tier, engine) in common::tier_engines(cfg, 1) {
+                let mut batched = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, &a, &b, &mut batched);
+                let same = dense
+                    .iter()
+                    .zip(&batched)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same,
+                    "{rounding:?} sub={subnormals} {tier:?}: batched != dense scalar"
+                );
+            }
         }
     }
 }
@@ -116,19 +121,73 @@ fn special_values_survive_lane_batching() {
     let a = vec![40000.0f32; m * k];
     let b = vec![40000.0f32; k * n];
     for rounding in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
-        let engine = MacGemm::new(MacGemmConfig::fp8_fp12(rounding, true).with_threads(1));
+        let cfg = MacGemmConfig::fp8_fp12(rounding, true);
         let mut dense = vec![0.0f32; m * n];
-        engine.gemm_reference(m, k, n, &a, &b, &mut dense);
+        MacGemm::new(cfg.with_threads(1)).gemm_reference(m, k, n, &a, &b, &mut dense);
         assert!(
             dense.iter().all(|v| v.is_infinite()),
             "overflow input must saturate to infinity"
         );
-        let mut batched = vec![0.0f32; m * n];
-        engine.gemm(m, k, n, &a, &b, &mut batched);
-        let same = dense
-            .iter()
-            .zip(&batched)
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "{rounding:?}: special path diverged under batching");
+        for (tier, engine) in common::tier_engines(cfg, 1) {
+            let mut batched = vec![0.0f32; m * n];
+            engine.gemm(m, k, n, &a, &b, &mut batched);
+            let same = dense
+                .iter()
+                .zip(&batched)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(
+                same,
+                "{rounding:?} {tier:?}: special path diverged under batching"
+            );
+        }
+    }
+}
+
+/// The mean over seeds of the SR product approaches the exact product of
+/// the quantized inputs (SR is unbiased; RN at E6M5 is not for long `k`).
+#[test]
+fn sr_gemm_is_unbiased_against_f32() {
+    let (m, k, n) = (2, 256, 2);
+    let a = rand_vec(m * k, 5, 0.5);
+    let b = rand_vec(k * n, 6, 0.5);
+
+    // Reference: f64 accumulation of the quantized products.
+    let probe = MacGemm::new(MacGemmConfig::fp8_fp12(AccumRounding::Nearest, true));
+    let (ac, bc) = (probe.quantize_codes(&a), probe.quantize_codes(&b));
+    let fp8 = FpFormat::e5m2();
+    let mut reference = vec![0.0f64; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for l in 0..k {
+                reference[i * n + j] += fp8.decode_f64(u64::from(ac[i * k + l]))
+                    * fp8.decode_f64(u64::from(bc[l * n + j]));
+            }
+        }
+    }
+
+    let trials = 48;
+    let sr = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, true);
+    let tiers = common::tier_engines(sr, 1).len();
+    let mut means = vec![vec![0.0f64; m * n]; tiers];
+    for t in 0..trials {
+        for (mean, (_, engine)) in means
+            .iter_mut()
+            .zip(common::tier_engines(sr.with_seed(9000 + t), 1))
+        {
+            let mut out = vec![0.0f32; m * n];
+            engine.gemm(m, k, n, &a, &b, &mut out);
+            for (acc, &v) in mean.iter_mut().zip(&out) {
+                *acc += f64::from(v) / f64::from(trials as u32);
+            }
+        }
+    }
+    for (mean, (tier, _)) in means.iter().zip(common::tier_engines(sr, 1)) {
+        for (i, (&mu, &want)) in mean.iter().zip(&reference).enumerate() {
+            let tol = want.abs().max(1.0) * 0.05;
+            assert!(
+                (mu - want).abs() < tol,
+                "{tier:?} element {i}: SR mean {mu} vs f32 {want}"
+            );
+        }
     }
 }

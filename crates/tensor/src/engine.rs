@@ -98,12 +98,117 @@ impl PackedOperand {
     }
 }
 
+/// The output entries of an `m x n` product a caller will read, column by
+/// column: one bit per entry, column-major, so column `j` is the set of
+/// rows `i` whose entry `(i, j)` is needed.
+/// [`GemmEngine::gemm_packed_masked`] takes one.
+///
+/// Each column is `m` rounded up to 64 bits, as `u64` words: row `i` at
+/// bit `i % 64` of word `i / 64`. The bits past row `m` stay clear.
+///
+/// # Examples
+///
+/// ```
+/// use srmac_tensor::NeededRows;
+///
+/// // The diagonal of a 3 x 3 product.
+/// let need = NeededRows::from_fn(3, 3, |i, j| i == j);
+/// assert_eq!(need.rows(1).collect::<Vec<_>>(), [1]);
+/// assert_eq!(need.count(), 3);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NeededRows {
+    m: usize,
+    n: usize,
+    bits: Vec<u64>,
+}
+
+impl NeededRows {
+    /// An `m x n` product of which no entry is needed yet.
+    #[must_use]
+    pub fn new(m: usize, n: usize) -> Self {
+        Self {
+            m,
+            n,
+            bits: vec![0; m.div_ceil(64) * n],
+        }
+    }
+
+    /// The needed entries of an `m x n` product: `(i, j)` with
+    /// `need(i, j)`.
+    #[must_use]
+    pub fn from_fn(m: usize, n: usize, mut need: impl FnMut(usize, usize) -> bool) -> Self {
+        let mut out = Self::new(m, n);
+        for j in 0..n {
+            let bits = out.column_mut(j);
+            for i in 0..m {
+                bits[i / 64] |= u64::from(need(i, j)) << (i % 64);
+            }
+        }
+        out
+    }
+
+    /// Row count `m` of the product.
+    #[must_use]
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Column count `n` of the product.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Words per column: `m` rounded up to 64 rows.
+    fn words_per_column(&self) -> usize {
+        self.m.div_ceil(64)
+    }
+
+    /// Column `j`'s bit words (see the type docs).
+    #[must_use]
+    pub fn column(&self, j: usize) -> &[u64] {
+        let words = self.words_per_column();
+        &self.bits[j * words..(j + 1) * words]
+    }
+
+    /// Column `j`'s bit words, to fill in. The bits past row `m` must
+    /// stay clear.
+    pub fn column_mut(&mut self, j: usize) -> &mut [u64] {
+        let words = self.words_per_column();
+        &mut self.bits[j * words..(j + 1) * words]
+    }
+
+    /// The needed rows of column `j`, ascending.
+    pub fn rows(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+        self.column(j).iter().enumerate().flat_map(|(w, &bits)| {
+            std::iter::successors((bits != 0).then_some(bits), |b| {
+                Some(b & (b - 1)).filter(|&b| b != 0)
+            })
+            .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
+
+    /// The number of needed entries.
+    #[must_use]
+    pub fn count(&self) -> usize {
+        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+    }
+}
+
 /// A matrix-multiplication backend: `out = A (m x k) * B (k x n)`.
 ///
 /// Implementations must be deterministic for a fixed configuration, because
 /// the experiment tables rely on reproducible runs. `gemm_packed` must be
 /// bitwise identical to `gemm` on the same values: packing never changes
 /// results, only where the preparation work happens.
+///
+/// # The demand contract
+///
+/// [`GemmEngine::gemm_packed_masked`] computes only the output entries
+/// its [`NeededRows`] lists. Every needed entry has the bits
+/// [`GemmEngine::gemm_packed`] gives it; every other entry of `out` is
+/// unspecified, and callers must not read it.
 pub trait GemmEngine: Send + Sync {
     /// Prepares a row-major `rows x cols` matrix as a left operand.
     ///
@@ -134,6 +239,32 @@ pub trait GemmEngine: Send + Sync {
         b: &PackedOperand,
         out: &mut [f32],
     );
+
+    /// [`GemmEngine::gemm_packed`] at the entries `need` lists (see the
+    /// demand contract in the trait docs): each needed entry gets the bits
+    /// `gemm_packed` gives it, the rest of `out` is unspecified. The
+    /// default computes the whole product, so every engine (and every
+    /// wrapper that forwards only `gemm_packed`) stays correct; an engine
+    /// overrides it to skip the work of the entries nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// As [`GemmEngine::gemm_packed`]; implementations must also panic if
+    /// `need` is not `m x n`.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_packed_masked(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        need: &NeededRows,
+        out: &mut [f32],
+    ) {
+        assert_eq!((need.m(), need.n()), (m, n), "need must be m x n");
+        self.gemm_packed(m, k, n, a, b, out);
+    }
 
     /// Computes `out = A * B`, overwriting `out` (row-major slices),
     /// for operands used once. The default packs both operands on the fly

@@ -46,6 +46,11 @@ impl Layer for Relu {
         dx
     }
 
+    // Entries where the input was not positive are overwritten with 0.
+    fn grad_mask(&self) -> Option<&[bool]> {
+        Some(&self.mask)
+    }
+
     fn describe(&self) -> String {
         "ReLU".to_owned()
     }

@@ -6,13 +6,19 @@
 //! (im2row, col2im, the NCHW scatter/gathers) runs serially on the
 //! calling thread into per-layer scratch buffers, so a warmed-up training
 //! step performs no transient layout allocations in this layer.
+//!
+//! The data gradient honours the demand contract of [`Layer`]: given the
+//! input-gradient entries its caller reads (a ReLU's mask, say), it lists
+//! the `dRows` entries that fold into them ([`im2row_need`]) and runs a
+//! masked product ([`GemmEngine::gemm_packed_masked`]), so the entries
+//! nobody reads cost no MAC steps.
 
 use std::sync::Arc;
 
 use crate::engine::GemmEngine;
 use crate::layers::{Layer, Param, WeightProducts};
 use crate::movement::{
-    col2im, conv_out_size, im2row, nchw_to_channel_rows, nchw_to_rows, rows_to_nchw,
+    col2im, conv_out_size, im2row, im2row_need, nchw_to_channel_rows, nchw_to_rows, rows_to_nchw,
 };
 use crate::numerics::{GemmRole, RoleEngines};
 use crate::Tensor;
@@ -153,6 +159,7 @@ impl Layer for Conv2d {
             ns,
             row_base,
             &rows,
+            None,
             &mut yt,
         );
 
@@ -174,6 +181,10 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_masked(grad, None)
+    }
+
+    fn backward_masked(&mut self, grad: &Tensor, need: Option<&[bool]>) -> Tensor {
         #[expect(
             clippy::expect_used,
             reason = "documented contract — backward requires a prior forward(train=true)"
@@ -215,28 +226,34 @@ impl Layer for Conv2d {
 
         // dRows (ns x K) = dY (ns x out_c) * W (out_c x K); row-offset like
         // the forward product (wgrad above is not: its output positions are
-        // weight coordinates, identical for every sub-batch).
-        let mut drows = std::mem::take(&mut self.drows_scratch);
-        drows.resize(ns * kdim, 0.0);
-        let row_base = self.batch_offset * spatial;
-        self.products.product(
-            GemmRole::BackwardData,
-            &self.weight,
-            ns,
-            row_base,
-            &dy_nsoc,
-            &mut drows,
-        );
-
+        // weight coordinates, identical for every sub-batch). Only the
+        // entries that fold into a needed input position are computed; a
+        // caller that needs none gets no product and no fold at all.
         let mut dx = Tensor::zeros(&cache.in_shape);
-        col2im(
-            &drows,
-            cache.in_shape,
-            self.k,
-            self.stride,
-            self.pad,
-            dx.data_mut(),
-        );
+        let mut drows = std::mem::take(&mut self.drows_scratch);
+        if need.is_none_or(|need| need.contains(&true)) {
+            let needed =
+                need.map(|need| im2row_need(need, cache.in_shape, self.k, self.stride, self.pad));
+            drows.resize(ns * kdim, 0.0);
+            let row_base = self.batch_offset * spatial;
+            self.products.product(
+                GemmRole::BackwardData,
+                &self.weight,
+                ns,
+                row_base,
+                &dy_nsoc,
+                needed.as_ref(),
+                &mut drows,
+            );
+            col2im(
+                &drows,
+                cache.in_shape,
+                self.k,
+                self.stride,
+                self.pad,
+                dx.data_mut(),
+            );
+        }
 
         // Return every buffer for the next step.
         self.drows_scratch = drows;

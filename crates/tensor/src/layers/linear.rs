@@ -83,6 +83,7 @@ impl Layer for Linear {
             n,
             row_base,
             x.data(),
+            None,
             y.data_mut(),
         );
         let bd = self.bias.value.data().to_vec();
@@ -145,6 +146,7 @@ impl Layer for Linear {
             n,
             row_base,
             grad.data(),
+            None,
             dx.data_mut(),
         );
         dx

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use crate::movement::transpose;
 use crate::numerics::{GemmRole, RoleEngines};
-use crate::{GemmEngine, PackedOperand, Tensor};
+use crate::{GemmEngine, NeededRows, PackedOperand, Tensor};
 
 /// A learnable parameter with its gradient accumulator.
 #[derive(Debug, Clone)]
@@ -192,7 +192,10 @@ impl WeightProducts {
 
     /// One weight-sided product on `role`'s engine, row-offset by
     /// `row_base`: `out (m x out) = a (m x K) · Wᵀ` for `Forward`,
-    /// `out (m x K) = a (m x out) · W` for `BackwardData`.
+    /// `out (m x K) = a (m x out) · W` for `BackwardData`. With `need`,
+    /// only the entries it lists are specified (see
+    /// [`GemmEngine::gemm_packed_masked`]).
+    #[allow(clippy::too_many_arguments)]
     fn product(
         &mut self,
         role: GemmRole,
@@ -200,6 +203,7 @@ impl WeightProducts {
         m: usize,
         row_base: usize,
         a: &[f32],
+        need: Option<&NeededRows>,
         out: &mut [f32],
     ) {
         let (k, n) = self.shape(role);
@@ -207,7 +211,10 @@ impl WeightProducts {
             let b = self.pack(role, w);
             let engine = self.role_engine(role, row_base);
             let pa = engine.pack_a(m, k, a);
-            engine.gemm_packed(m, k, n, &pa, &b, out);
+            match need {
+                Some(need) => engine.gemm_packed_masked(m, k, n, &pa, &b, need, out),
+                None => engine.gemm_packed(m, k, n, &pa, &b, out),
+            }
         } else {
             let b = self.operand(role, w);
             self.role_engine(role, row_base).gemm(m, k, n, a, &b, out);
@@ -220,6 +227,16 @@ impl WeightProducts {
 /// `forward(.., train=true)` must cache what `backward` needs; `backward`
 /// consumes that cache, accumulates parameter gradients, and returns the
 /// input gradient.
+///
+/// # The demand contract
+///
+/// A layer's backward may read only some entries of its output gradient
+/// (a ReLU reads none where its input was not positive), and it says
+/// which through [`Layer::grad_mask`]. A container hands each child the
+/// mask of the layer before it as `need` in [`Layer::backward_masked`],
+/// so the child may skip the input-gradient entries nobody reads. Every
+/// entry `need` marks has the bits `backward` gives it; every other entry
+/// is unspecified, and callers must not read it.
 pub trait Layer: Send {
     /// Computes the output for `x`.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
@@ -227,6 +244,23 @@ pub trait Layer: Send {
     /// Propagates `grad` (d loss / d output) to the input, accumulating
     /// parameter gradients along the way.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
+
+    /// Which entries of the output gradient `backward` reads, after a
+    /// `forward(.., train=true)`: `true` where an entry is read, `None`
+    /// (the default) for all of them.
+    fn grad_mask(&self) -> Option<&[bool]> {
+        None
+    }
+
+    /// [`Layer::backward`] for a caller that reads only the input-gradient
+    /// entries `need` marks (`None`: all of them). Parameter gradients are
+    /// exactly those of `backward`; input-gradient entries outside `need`
+    /// are unspecified (see the demand contract above). The default runs
+    /// `backward`.
+    fn backward_masked(&mut self, grad: &Tensor, need: Option<&[bool]>) -> Tensor {
+        let _ = need;
+        self.backward(grad)
+    }
 
     /// Visits every parameter (used by optimizers). Default: none.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -390,9 +424,25 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_masked(grad, None)
+    }
+
+    // The container's output gradient is read by its last layer.
+    fn grad_mask(&self) -> Option<&[bool]> {
+        self.layers.last().and_then(|l| l.grad_mask())
+    }
+
+    // Each layer computes only the input-gradient entries the layer
+    // before it reads; the first layer, the ones the caller reads.
+    fn backward_masked(&mut self, grad: &Tensor, need: Option<&[bool]>) -> Tensor {
         let mut cur = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+        for i in (0..self.layers.len()).rev() {
+            let (before, rest) = self.layers.split_at_mut(i);
+            let need = match before.last() {
+                Some(prev) => prev.grad_mask(),
+                None => need,
+            };
+            cur = rest[0].backward_masked(&cur, need);
         }
         cur
     }

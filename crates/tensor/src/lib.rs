@@ -64,7 +64,7 @@ pub mod numerics;
 pub mod optim;
 mod tensor;
 
-pub use engine::{matmul, F32Engine, GemmEngine, PackSide, PackedOperand};
+pub use engine::{matmul, F32Engine, GemmEngine, NeededRows, PackSide, PackedOperand};
 pub use grads::{flatten_grads, grad_len, scatter_grads};
 pub use layers::{Layer, Param, Sequential};
 pub use loss::{count_correct, softmax_cross_entropy};

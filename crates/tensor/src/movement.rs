@@ -127,6 +127,85 @@ pub fn col2im(
     }
 }
 
+/// The im2row-layout entries (`[n*oh*ow, c*k*k]`) whose [`col2im`]
+/// target is marked in `need`, an NCHW mask of the input: the gradient
+/// entries a convolution's data-gradient product must compute when its
+/// caller reads only the `need` entries of the input gradient. `col2im`
+/// folds each entry into exactly one input position, and a padding tap
+/// into none, so padding taps are never needed. Column `(ch, ky, kx)`
+/// of the result is the taps `(ch, ky, kx)` whose input is needed.
+///
+/// # Panics
+///
+/// Panics if `need` does not match the NCHW shape.
+#[must_use]
+pub fn im2row_need(
+    need: &[bool],
+    shape: [usize; 4],
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> crate::NeededRows {
+    let [n, c, h, w] = shape;
+    assert_eq!(need.len(), n * c * h * w, "need must match its NCHW shape");
+    let (oh, ow) = (
+        conv_out_size(h, k, stride, pad),
+        conv_out_size(w, k, stride, pad),
+    );
+    let mut out = crate::NeededRows::new(n * oh * ow, c * k * k);
+    // The output rows `oy` (columns `ox`) whose tap `ky` (`kx`) lands
+    // inside the input: `0 <= oy * stride + ky - pad < h`.
+    let inside = |kt: usize, o: usize, s: usize| {
+        let lo = pad.saturating_sub(kt).div_ceil(stride);
+        let hi = (s + pad).saturating_sub(kt).div_ceil(stride).min(o);
+        lo..hi.max(lo)
+    };
+    // One bit word per input line, when lines fit a word.
+    let lines: Vec<u64> = if w <= 64 {
+        need.chunks_exact(w)
+            .map(|line| {
+                (line.iter().enumerate()).fold(0, |bits, (ix, &b)| bits | u64::from(b) << ix)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    for col in 0..c * k * k {
+        let (ch, ky, kx) = (col / (k * k), col / k % k, col % k);
+        let (oys, oxs) = (inside(ky, oh, h), inside(kx, ow, w));
+        let bits = out.column_mut(col);
+        for img in 0..n {
+            for oy in oys.clone() {
+                let line = (img * c + ch) * h + oy * stride + ky - pad;
+                let r0 = (img * oh + oy) * ow;
+                if stride == 1 && ow <= 64 && !lines.is_empty() {
+                    // Tap `kx` of output column `ox` reads `ix = ox + kx -
+                    // pad`: the output line's bits are the input line's
+                    // shifted by `kx - pad`, laid in at row `r0`.
+                    let ox = if kx >= pad {
+                        lines[line].checked_shr((kx - pad) as u32)
+                    } else {
+                        lines[line].checked_shl((pad - kx) as u32)
+                    };
+                    let ox = ox.unwrap_or(0) & (u64::MAX >> (64 - ow));
+                    let (word, bit) = (r0 / 64, (r0 % 64) as u32);
+                    bits[word] |= ox << bit;
+                    if let Some(next) = bits.get_mut(word + 1) {
+                        *next |= ox.checked_shr(64 - bit).unwrap_or(0);
+                    }
+                } else {
+                    let line = &need[line * w..][..w];
+                    for ox in oxs.clone() {
+                        let r = r0 + ox;
+                        bits[r / 64] |= u64::from(line[ox * stride + kx - pad]) << (r % 64);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Scatters a row-major `[n*spatial, channels]` GEMM output into NCHW
 /// order `[n, channels, spatial]`.
 ///
@@ -311,6 +390,33 @@ mod tests {
             let rhs: f32 = x.iter().zip(&dx).map(|(a, b)| a * b).sum();
             assert_eq!(lhs, rhs, "{shape:?} k{k} s{stride} p{pad}: not adjoint");
             assert_ne!(lhs, 0.0, "{shape:?}: a zero inner product proves nothing");
+        }
+    }
+
+    #[test]
+    fn im2row_need_lists_the_in_bounds_taps_of_needed_inputs() {
+        // Plus a line wider than one bit word.
+        let wide = ([1, 2, 3, 70], 3, 1, 1);
+        for (seed, (shape, k, stride, pad)) in GEOMETRIES.into_iter().chain([wide]).enumerate() {
+            let [n, c, h, w] = shape;
+            let mut rng = SplitMix64::new(seed as u64 + 10);
+            let need: Vec<bool> = (0..n * c * h * w).map(|_| rng.next_f64() < 0.5).collect();
+            let got = im2row_need(&need, shape, k, stride, pad);
+
+            let (oh, ow) = (
+                conv_out_size(h, k, stride, pad),
+                conv_out_size(w, k, stride, pad),
+            );
+            let want = crate::NeededRows::from_fn(n * oh * ow, c * k * k, |r, col| {
+                let (img, oy, ox) = (r / (oh * ow), r / ow % oh, r % ow);
+                let (ch, ky, kx) = (col / (k * k), col / k % k, col % k);
+                let (py, px) = (oy * stride + ky, ox * stride + kx);
+                (pad..pad + h).contains(&py)
+                    && (pad..pad + w).contains(&px)
+                    && need[((img * c + ch) * h + py - pad) * w + px - pad]
+            });
+            assert_eq!(got, want, "{shape:?} k{k} s{stride} p{pad}");
+            assert!(want.count() > 0, "{shape:?}: an empty need proves nothing");
         }
     }
 
