@@ -52,6 +52,7 @@
 
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use srmac_bench::guard::{
@@ -269,7 +270,7 @@ fn masked_dgrad() -> Sampler {
     let engine = MacGemm::new(cfg.with_threads(1));
     let pa = engine.pack_a(m, k, &rand_vec(m * k, 10));
     let pb = engine.pack_b(k, n, &rand_vec(k * n, 11));
-    let need = relu_conv_need(m, n);
+    let need = Arc::new(relu_conv_need(m, n));
     let mut out = vec![0.0f32; m * n];
     Box::new(move || {
         let full = time_ns(|| engine.gemm_packed(m, k, n, &pa, &pb, &mut out));

@@ -45,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use srmac_bench::env_or;
@@ -130,7 +131,7 @@ struct Probe {
     /// The forward control's packed `k x 64` B and oracle bits.
     control: Option<(PackedOperand, Vec<u32>)>,
     /// The masked data gradient's need.
-    need: Option<NeededRows>,
+    need: Option<Arc<NeededRows>>,
     /// Non-zero codes of A and of B.
     nnz: (usize, usize),
     out: Vec<f32>,
@@ -180,7 +181,7 @@ impl Probe {
                 .count()
         };
         let nnz = (nonzero(&a), nonzero(&b));
-        let need = (role == Role::Masked).then(|| relu_conv_need(m, n));
+        let need = (role == Role::Masked).then(|| Arc::new(relu_conv_need(m, n)));
         let nominal = m * k * n;
         Self {
             label,

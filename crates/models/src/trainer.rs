@@ -1063,7 +1063,7 @@ mod tests {
             n: usize,
             a: &PackedOperand,
             b: &PackedOperand,
-            need: &srmac_tensor::NeededRows,
+            need: &Arc<srmac_tensor::NeededRows>,
             out: &mut [f32],
         ) {
             self.products.fetch_add(1, Ordering::Relaxed);

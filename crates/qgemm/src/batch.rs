@@ -1237,10 +1237,14 @@ pub(crate) mod z16 {
     }
 
     /// The write-back of a block row: `out[l] = decode[encode(accs[l])]`
-    /// for every live lane `l < out.len()`, 16 lanes per step (see
-    /// [`decoded`]); the load and the store are masked to the live lanes,
-    /// so `accs` may be one row of a group and the padded lanes of a
-    /// tail block are never written.
+    /// for every live lane `l < out.len()`, 16 lanes per step. The encode
+    /// is [`FastAdderBatch::encode`] with its branches as masked moves
+    /// (special words return their carried encoding, words below `half`
+    /// the sign and significand, normal words the sign, biased exponent
+    /// and stored significand); the decode is one `vpgatherdd` from the
+    /// `decode` table, and the load and the store are masked to the live
+    /// lanes, so `accs` may be one row of a group and the padded lanes of
+    /// a tail block are never written.
     ///
     /// # Panics
     ///
@@ -1259,7 +1263,25 @@ pub(crate) mod z16 {
         accs: &[u32],
         out: &mut [f32],
     ) {
+        let spec = &batch.spec;
+        let encmask = srmac_fp::mask(spec.fmt.bits()) as u32;
+        assert_eq!(
+            decode.len(),
+            encmask as usize + 1,
+            "one decode entry per encoding"
+        );
         assert!(out.len() <= accs.len(), "accs must cover out");
+        let b32 = |v: u32| _mm512_set1_epi32(v as i32);
+        let (special, sign, sigmask, efmask) =
+            (b32(LANE_SPECIAL), b32(LANE_SIGN), b32(0xFFFF), b32(0x1FFF));
+        let (one, half, mmask, encm) = (
+            b32(1),
+            b32(batch.half),
+            b32(spec.mmask as u32),
+            b32(encmask),
+        );
+        let mbits = b32(spec.mbits);
+        let iss = b32(31 - batch.enc_sign_shift);
         for (q, dst) in out.chunks_mut(16).enumerate() {
             let live = ((1u32 << dst.len()) - 1) as __mmask16;
             // SAFETY: the load is masked to the `dst.len()` lanes of
@@ -1268,179 +1290,30 @@ pub(crate) mod z16 {
             // accessed.
             #[allow(unsafe_code)]
             let w = unsafe { _mm512_maskz_loadu_epi32(live, accs[q * 16..].as_ptr().cast()) };
-            let v = decoded(batch, decode, w);
-            // SAFETY: the store is masked to the `dst.len()` live lanes;
-            // masked-off lanes are never accessed.
+            let sig = _mm512_and_si512(w, sigmask);
+            let ef = _mm512_and_si512(_mm512_srli_epi32::<16>(w), efmask);
+            let sbit = _mm512_srlv_epi32(_mm512_and_si512(w, sign), iss);
+            let normal = _mm512_or_si512(
+                _mm512_or_si512(sbit, _mm512_sllv_epi32(_mm512_add_epi32(ef, one), mbits)),
+                _mm512_and_si512(sig, mmask),
+            );
+            let mut enc = _mm512_mask_mov_epi32(
+                normal,
+                _mm512_cmplt_epu32_mask(sig, half),
+                _mm512_or_si512(sbit, sig),
+            );
+            enc = _mm512_mask_mov_epi32(enc, _mm512_test_epi32_mask(w, special), sig);
+            // Canonical words already encode below `2^bits`; the mask
+            // makes every gather index provably in bounds.
+            let enc = _mm512_and_si512(enc, encm);
+            // SAFETY: every index is masked below `decode.len()` (asserted
+            // above to be `2^bits`); the store is masked to the `dst.len()`
+            // live lanes, and masked-off lanes are never accessed.
             #[allow(unsafe_code)]
             unsafe {
+                let v = _mm512_i32gather_ps::<4>(enc, decode.as_ptr());
                 _mm512_mask_storeu_ps(dst.as_mut_ptr(), live, v);
             }
-        }
-    }
-
-    /// The scattered write-back of a masked kernel call: lane `l <
-    /// rows.len()` decodes into `block[rows[l] * stride + col]`, 16 lanes
-    /// per step (see [`decoded`]) with one masked scatter each.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `decode` has exactly one entry per accumulator
-    /// encoding, `rows.len() <= accs.len()`, `col < stride`, and every
-    /// row lies below `block.len() / stride`, whose length fits an `i32`.
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn scatter_back(
-        batch: &FastAdderBatch,
-        decode: &[f32],
-        accs: &[u32],
-        rows: &[u32],
-        (stride, col): (usize, usize),
-        block: &mut [f32],
-    ) {
-        assert!(
-            rows.len() <= accs.len() && col < stride,
-            "lanes out of shape"
-        );
-        assert!(
-            i32::try_from(block.len()).is_ok(),
-            "block too large to index"
-        );
-        let h = block.len() / stride;
-        assert!(
-            rows.iter().all(|&r| (r as usize) < h),
-            "a lane's row lies outside the block"
-        );
-        let (col, stride) = (
-            _mm512_set1_epi32(col as i32),
-            _mm512_set1_epi32(stride as i32),
-        );
-        for (q, lane_rows) in rows.chunks(16).enumerate() {
-            let live = ((1u32 << lane_rows.len()) - 1) as __mmask16;
-            // SAFETY: both loads are masked to the `lane_rows.len()`
-            // in-bounds lanes of `accs[q * 16..]` and `lane_rows`
-            // (`rows.len() <= accs.len()`); masked-off lanes are never
-            // accessed.
-            #[allow(unsafe_code)]
-            let (w, r) = unsafe {
-                (
-                    _mm512_maskz_loadu_epi32(live, accs[q * 16..].as_ptr().cast()),
-                    _mm512_maskz_loadu_epi32(live, lane_rows.as_ptr().cast()),
-                )
-            };
-            let v = decoded(batch, decode, w);
-            let at = _mm512_add_epi32(_mm512_mullo_epi32(r, stride), col);
-            // SAFETY: a live lane stores at `r * stride + col`, below
-            // `h * stride <= block.len()` by the asserts above, with no
-            // `i32` overflow since `block.len()` fits one; masked-off
-            // lanes are never accessed.
-            #[allow(unsafe_code)]
-            unsafe {
-                _mm512_mask_i32scatter_ps::<4>(block.as_mut_ptr(), live, at, v);
-            }
-        }
-    }
-
-    /// `decode[encode(w)]` for 16 lane words: [`FastAdderBatch::encode`]
-    /// with its branches as masked moves (special words return their
-    /// carried encoding, words below `half` the sign and significand,
-    /// normal words the sign, biased exponent and stored significand),
-    /// then one `vpgatherdd` from the `decode` table.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `decode` has exactly one entry per accumulator
-    /// encoding.
-    #[inline]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    fn decoded(batch: &FastAdderBatch, decode: &[f32], w: __m512i) -> __m512 {
-        let spec = &batch.spec;
-        let encmask = srmac_fp::mask(spec.fmt.bits()) as u32;
-        assert_eq!(
-            decode.len(),
-            encmask as usize + 1,
-            "one decode entry per encoding"
-        );
-        let b32 = |v: u32| _mm512_set1_epi32(v as i32);
-        let sig = _mm512_and_si512(w, b32(0xFFFF));
-        let ef = _mm512_and_si512(_mm512_srli_epi32::<16>(w), b32(0x1FFF));
-        let sbit = _mm512_srlv_epi32(
-            _mm512_and_si512(w, b32(LANE_SIGN)),
-            b32(31 - batch.enc_sign_shift),
-        );
-        let normal = _mm512_or_si512(
-            _mm512_or_si512(
-                sbit,
-                _mm512_sllv_epi32(_mm512_add_epi32(ef, b32(1)), b32(spec.mbits)),
-            ),
-            _mm512_and_si512(sig, b32(spec.mmask as u32)),
-        );
-        let mut enc = _mm512_mask_mov_epi32(
-            normal,
-            _mm512_cmplt_epu32_mask(sig, b32(batch.half)),
-            _mm512_or_si512(sbit, sig),
-        );
-        enc = _mm512_mask_mov_epi32(enc, _mm512_test_epi32_mask(w, b32(LANE_SPECIAL)), sig);
-        // Canonical words already encode below `2^bits`; the mask makes
-        // every gather index provably in bounds.
-        let enc = _mm512_and_si512(enc, b32(encmask));
-        // SAFETY: every index is masked below `2^bits`, the length of
-        // `decode` (asserted above).
-        #[allow(unsafe_code)]
-        unsafe {
-            _mm512_i32gather_ps::<4>(enc, decode.as_ptr())
-        }
-    }
-
-    /// Appends the set bits of `words` (bit `b` of word `w` is row
-    /// `w * 64 + b`) to `rows`, ascending: one `vpcompressd` per 16 bits,
-    /// stored in full at the end of `rows`, which advances by the
-    /// popcount. The portable rendition is `NeededRows::rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index does not fit an `i32`.
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn push_set_bits(words: &[u64], rows: &mut Vec<u32>) {
-        assert!(
-            i32::try_from(words.len() * 64).is_ok(),
-            "rows too far to index"
-        );
-        let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        for (w, &bits) in words.iter().enumerate() {
-            let len = rows.len();
-            rows.resize(len + 64, 0);
-            let mut at = len;
-            for q in 0..4 {
-                let keep = (bits >> (16 * q)) as __mmask16;
-                let base = _mm512_set1_epi32((w * 64 + 16 * q) as i32);
-                let ids = _mm512_maskz_compress_epi32(keep, _mm512_add_epi32(base, iota));
-                let dst = &mut rows[at..at + 16];
-                // SAFETY: `dst` is 16 in-bounds u32s (sliced just above);
-                // unaligned stores are allowed.
-                #[allow(unsafe_code)]
-                unsafe {
-                    _mm512_storeu_si512(dst.as_mut_ptr().cast(), ids);
-                }
-                at += keep.count_ones() as usize;
-            }
-            rows.truncate(at);
         }
     }
 

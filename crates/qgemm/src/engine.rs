@@ -46,7 +46,7 @@
 //! holds the zero.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use srmac_fp::FpFormat;
 use srmac_rng::{SplitMix64, SrLaneStreams};
@@ -879,7 +879,8 @@ impl MacKernel {
         }
     }
 
-    /// The masked strip kernel on the lane kernel `lanes`: fills the
+    /// The masked strip kernel on the lane kernel `lanes` and `bt`, the
+    /// compaction of `Bᵀ` (see [`MacPackedB::columns`]): fills the
     /// needed entries of the whole-height column strip `cols` into
     /// `block` (row-major, stride `cols.len()`) and leaves the others as
     /// they are. Dispatches onto the engine's [`SimdTier`] like
@@ -887,6 +888,7 @@ impl MacKernel {
     fn compute_masked(
         &self,
         lanes: &Lanes,
+        bt: &CompactA,
         plan: &MaskedPlan,
         row_base: usize,
         cols: Range<usize>,
@@ -899,7 +901,7 @@ impl MacKernel {
                 // CPU has every feature the callee enables.
                 #[allow(unsafe_code)]
                 unsafe {
-                    self.compute_masked_avx512(lanes, plan, row_base, cols, block);
+                    self.compute_masked_avx512(lanes, bt, plan, row_base, cols, block);
                 }
             }
             #[cfg(target_arch = "x86_64")]
@@ -907,11 +909,11 @@ impl MacKernel {
                 // SAFETY: as above — `avx2` was detected at runtime.
                 #[allow(unsafe_code)]
                 unsafe {
-                    self.compute_masked_avx2(lanes, plan, row_base, cols, block);
+                    self.compute_masked_avx2(lanes, bt, plan, row_base, cols, block);
                 }
             }
             SimdTier::Portable => {
-                self.compute_masked_body(lanes, plan, row_base, cols, block);
+                self.compute_masked_body(lanes, bt, plan, row_base, cols, block);
             }
         }
     }
@@ -929,12 +931,13 @@ impl MacKernel {
     fn compute_masked_avx512(
         &self,
         lanes: &Lanes,
+        bt: &CompactA,
         plan: &MaskedPlan,
         row_base: usize,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_masked_body(lanes, plan, row_base, cols, block);
+        self.compute_masked_body(lanes, bt, plan, row_base, cols, block);
     }
 
     /// AVX2 codegen of the masked loop.
@@ -943,28 +946,32 @@ impl MacKernel {
     fn compute_masked_avx2(
         &self,
         lanes: &Lanes,
+        bt: &CompactA,
         plan: &MaskedPlan,
         row_base: usize,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_masked_body(lanes, plan, row_base, cols, block);
+        self.compute_masked_body(lanes, bt, plan, row_base, cols, block);
     }
 
     /// The tier-independent masked body: the gathered-lane plan on the
     /// full-width kernel. Each output column `j` is one compacted row,
-    /// column `j` of B, and its lanes are only the needed rows of that
-    /// column, 64 per kernel call. A block's panel holds its lanes' A
-    /// rows, staged once per block ([`stage_lanes`]); lane `l` seeds at
-    /// its output coordinate `(row_base + r_l, j)` and writes back to
-    /// `(r_l, j)`. Each needed element therefore keeps its SR stream and
-    /// its `k` order, and a zero A code meets a compacted B code in a
-    /// zero-magnitude product that neither commits nor draws, so every
-    /// needed element has the bits of the full product.
+    /// `bt`'s row `j` (column `j` of B), and its lanes are only the
+    /// needed rows of that column, 64 per kernel call. A block's panel
+    /// holds its lanes' A rows, staged once per block ([`stage_lanes`]);
+    /// lane `l` seeds at its output coordinate `(row_base + r_l, j)` and
+    /// writes back to `(r_l, j)` through a decoded row
+    /// ([`MacKernel::write_lanes`]). Each needed element therefore keeps
+    /// its SR stream and its `k` order, and a zero A code meets a
+    /// compacted B code in a zero-magnitude product that neither commits
+    /// nor draws, so every needed element has the bits of the full
+    /// product.
     #[inline(always)]
     fn compute_masked_body(
         &self,
         lanes: &Lanes,
+        bt: &CompactA,
         plan: &MaskedPlan,
         row_base: usize,
         cols: Range<usize>,
@@ -977,8 +984,8 @@ impl MacKernel {
         let mut group: [Row<'_>; GROUP_ROWS] = [(&[], &[]); GROUP_ROWS];
         let mut needed = Vec::with_capacity(plan.need.m() + LANES);
         for j in cols.clone() {
-            group[0] = plan.cols.row(j);
-            plan.needed(self.tier, j, &mut needed);
+            group[0] = bt.row(j);
+            plan.needed(j, &mut needed);
             for chunk in needed.chunks(LANES) {
                 stage_lanes(self.tier, &plan.rows, chunk, k, plan.zero, &mut pan);
                 let mut seeds = [0u64; LANES];
@@ -989,35 +996,12 @@ impl MacKernel {
                 }
                 let chains = chunk.len().div_ceil(16);
                 let accs = self.group_dot::<LANES>(lanes, &group, &pan, &seeds, chains, &mut stage);
-                self.scatter_lanes(lanes, &accs, chunk, (w, j - cols.start), block);
+                let mut vals = [0.0f32; LANES];
+                self.write_lanes(lanes, &accs, &mut vals[..chunk.len()]);
+                for (&r, &v) in chunk.iter().zip(&vals) {
+                    block[r as usize * w + j - cols.start] = v;
+                }
             }
-        }
-    }
-
-    /// Decodes the accumulator words `accs` of the lanes `rows` into
-    /// `block[rows[l] * stride + col]`: the vector scatter under AVX-512,
-    /// else lane by lane.
-    #[inline(always)]
-    fn scatter_lanes(
-        &self,
-        lanes: &Lanes,
-        accs: &[u32],
-        rows: &[u32],
-        (stride, col): (usize, usize),
-        block: &mut [f32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx512 {
-            // SAFETY: `SimdTier::detect` verified every feature the z16
-            // write-back enables.
-            #[allow(unsafe_code)]
-            unsafe {
-                z16::scatter_back(&lanes.batch, &self.decode, accs, rows, (stride, col), block);
-            }
-            return;
-        }
-        for (&r, &a) in rows.iter().zip(accs) {
-            block[r as usize * stride + col] = self.decode[lanes.batch.encode(a) as usize];
         }
     }
 
@@ -1258,6 +1242,21 @@ struct MacPackedB {
     panel: Arc<Vec<u8>>,
     has_nan: bool,
     fingerprint: u64,
+    /// The compaction of `Bᵀ` the masked product reads, built by the
+    /// first one (see [`MacPackedB::columns`]).
+    cols: OnceLock<Arc<CompactA>>,
+}
+
+impl MacPackedB {
+    /// The compaction of `Bᵀ` (see [`CompactA::from_panel_columns`]),
+    /// built once per packed operand: a weight packed for a step serves
+    /// every masked product of that step, on every replica.
+    fn columns(&self, k: usize, n: usize, mag: u8, tier: SimdTier) -> Arc<CompactA> {
+        let cols = self
+            .cols
+            .get_or_init(|| Arc::new(CompactA::from_panel_columns(&self.panel, k, n, mag, tier)));
+        Arc::clone(cols)
+    }
 }
 
 /// The width of the tail block that holds the `rem = n % 64` columns
@@ -1486,11 +1485,12 @@ struct MaskedPlan {
     /// A's compacted rows: the lanes' operands.
     rows: Arc<CompactA>,
     /// `Bᵀ`'s compacted rows, one per output column (see
-    /// [`CompactA::from_panel_columns`]), for the lane kernel.
-    cols: Arc<CompactA>,
+    /// [`MacPackedB::columns`]): present exactly when the kernel has
+    /// lanes.
+    cols: Option<Arc<CompactA>>,
     /// B's panel, for the scalar loop.
     panel: Arc<Vec<u8>>,
-    need: NeededRows,
+    need: Arc<NeededRows>,
     k: usize,
     n: usize,
     zero: u8,
@@ -1498,16 +1498,16 @@ struct MaskedPlan {
 
 impl MaskedPlan {
     /// The needed rows of column `j`, ascending, into `out` (cleared
-    /// first).
-    fn needed(&self, tier: SimdTier, j: usize, out: &mut Vec<u32>) {
+    /// first): `NeededRows::rows` as a plain loop over the bit words,
+    /// which measured faster than collecting that iterator.
+    fn needed(&self, j: usize, out: &mut Vec<u32>) {
         out.clear();
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `SimdTier::detect` verified every feature the z16
-            // routine enables.
-            #[allow(unsafe_code)]
-            SimdTier::Avx512 => unsafe { z16::push_set_bits(self.need.column(j), out) },
-            _ => out.extend(self.need.rows(j).map(|r| r as u32)),
+        for (w, &word) in self.need.column(j).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
     }
 
@@ -1520,15 +1520,15 @@ impl MaskedPlan {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        if let Some(lanes) = &kernel.lanes {
-            kernel.compute_masked(lanes, self, row_base, cols, block);
+        if let (Some(lanes), Some(bt)) = (&kernel.lanes, &self.cols) {
+            kernel.compute_masked(lanes, bt, self, row_base, cols, block);
             return;
         }
         let (w, mut needed) = (cols.len(), Vec::new());
         for j in cols.clone() {
             let (col0, width) = panel_block_of(j, self.n);
             let at = col0 * self.k + j - col0;
-            self.needed(kernel.tier, j, &mut needed);
+            self.needed(j, &mut needed);
             for &r in &needed {
                 let (ids, cods) = self.rows.row(r as usize);
                 let pairs = (ids.iter().zip(cods))
@@ -1926,6 +1926,7 @@ impl GemmEngine for MacGemm {
             panel: Arc::new(panel),
             has_nan,
             fingerprint: self.fingerprint(),
+            cols: OnceLock::new(),
         };
         PackedOperand::new(PackSide::B, rows, cols, Box::new(payload))
     }
@@ -1952,8 +1953,7 @@ impl GemmEngine for MacGemm {
     // the entries nobody reads cost no lane-steps. A NaN in either
     // operand runs today's full product instead: in the gathered plan A
     // is the panel, and `0 * NaN` would have to meet the B zeros the
-    // compaction dropped. So does a mask that needs every entry, which
-    // the full product computes with no staging.
+    // compaction dropped.
     fn gemm_packed_masked(
         &self,
         m: usize,
@@ -1961,7 +1961,7 @@ impl GemmEngine for MacGemm {
         n: usize,
         a: &PackedOperand,
         b: &PackedOperand,
-        need: &NeededRows,
+        need: &Arc<NeededRows>,
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), m * n, "out must be m x n");
@@ -1970,17 +1970,18 @@ impl GemmEngine for MacGemm {
         let b = self.unpack_b(b, k, n);
         let (mag_mask, inf_mag) = self.code_masks();
         let (_, a_nan) = code_stats(&a.compact.code, mag_mask, inf_mag);
-        if a_nan || b.has_nan || need.count() == m * n {
+        if a_nan || b.has_nan {
             let plan = self.plan_as_is(Arc::clone(&a.compact), k, Arc::clone(&b.panel), b.has_nan);
             self.gemm_codes(m, k, n, plan, out);
             return;
         }
-        let cols = CompactA::from_panel_columns(&b.panel, k, n, mag_mask, self.kernel.tier);
+        let (lanes, tier) = (self.kernel.lanes.is_some(), self.kernel.tier);
+        let cols = lanes.then(|| b.columns(k, n, mag_mask, tier));
         let plan = MaskedPlan {
             rows: Arc::clone(&a.compact),
-            cols: Arc::new(cols),
+            cols,
             panel: Arc::clone(&b.panel),
-            need: need.clone(),
+            need: Arc::clone(need),
             k,
             n,
             zero: self.zero_code,
@@ -1991,8 +1992,9 @@ impl GemmEngine for MacGemm {
         // (`MIN_JOB_MACS / k`), so its output block is no larger than
         // theirs: strips cut to the full product's work per job, twice
         // its entries at half density, measured about 3 MB more peak RSS
-        // in a training run.
-        let col_tile = if need.count() * k < SINGLE_JOB_MACS {
+        // in a training run. A product small enough for one job of the
+        // full product runs as one strip.
+        let col_tile = if m * k * n < SINGLE_JOB_MACS {
             n
         } else {
             MIN_JOB_MACS.div_ceil(k * m).max(1)
@@ -2293,10 +2295,10 @@ mod tests {
         }
     }
 
-    /// The masked plan's staging and need listing agree on every tier:
-    /// rows that kept all `k` entries, rows that dropped some, empty rows,
-    /// depths around the 8-code word, lane counts up to 64, and columns
-    /// that end inside a bit word.
+    /// The masked plan's staging agrees on every tier (rows that kept all
+    /// `k` entries, rows that dropped some, empty rows, depths around the
+    /// 8-code word, lane counts up to 64), and its need listing equals
+    /// `NeededRows::rows`, columns that end inside a bit word included.
     #[test]
     fn masked_staging_and_listing_match_on_every_tier() {
         let zero = FpFormat::e5m2().zero_bits(false) as u8;
@@ -2341,20 +2343,18 @@ mod tests {
         let need = NeededRows::from_fn(300, 3, |i, j| (i * 7 + j * 3) % 5 < 2 || i == 299);
         let plan = MaskedPlan {
             rows: Arc::new(CompactA::build(&[], 0, 1, 0, mag, SimdTier::Portable)),
-            cols: Arc::new(CompactA::build(&[], 0, 1, 0, mag, SimdTier::Portable)),
+            cols: None,
             panel: Arc::new(Vec::new()),
-            need: need.clone(),
+            need: Arc::new(need.clone()),
             k: 1,
             n: 3,
             zero,
         };
         for j in 0..3 {
             let want: Vec<u32> = need.rows(j).map(|r| r as u32).collect();
-            for tier in SimdTier::supported() {
-                let mut got = vec![7u32; 3];
-                plan.needed(tier, j, &mut got);
-                assert_eq!(got, want, "{tier:?} column {j}");
-            }
+            let mut got = vec![7u32; 3];
+            plan.needed(j, &mut got);
+            assert_eq!(got, want, "column {j}");
         }
     }
 

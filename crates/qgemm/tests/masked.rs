@@ -27,16 +27,16 @@ fn rand_vec(n: usize, seed: u64, scale: f32) -> Vec<f32> {
 }
 
 /// A random need of the given density over an `m x n` product.
-fn random_need(m: usize, n: usize, density: f64, seed: u64) -> NeededRows {
+fn random_need(m: usize, n: usize, density: f64, seed: u64) -> Arc<NeededRows> {
     let mut rng = SplitMix64::new(seed);
     let keep: Vec<bool> = (0..m * n).map(|_| rng.next_f64() < density).collect();
-    NeededRows::from_fn(m, n, |i, j| keep[j * m + i])
+    Arc::new(NeededRows::from_fn(m, n, |i, j| keep[j * m + i]))
 }
 
 /// The need of a convolution's data gradient whose input is a ReLU
 /// output, half of it positive: a `c`-channel 7x19 image under a 3x3
 /// pad-1 kernel (`n = 9c`), or a 1x1 kernel when `n = c`.
-fn relu_need(n: usize, seed: u64) -> NeededRows {
+fn relu_need(n: usize, seed: u64) -> Arc<NeededRows> {
     let (c, k, pad) = if n.is_multiple_of(9) {
         (n / 9, 3, 1)
     } else {
@@ -45,7 +45,7 @@ fn relu_need(n: usize, seed: u64) -> NeededRows {
     let shape = [1, c, 7, 19];
     let mut rng = SplitMix64::new(seed);
     let relu: Vec<bool> = (0..c * 7 * 19).map(|_| rng.next_f64() < 0.5).collect();
-    im2row_need(&relu, shape, k, 1, pad)
+    Arc::new(im2row_need(&relu, shape, k, 1, pad))
 }
 
 /// Rows of every product: the 7x19 image of [`relu_need`], two full
@@ -60,7 +60,7 @@ fn check(
     (k, n): (usize, usize),
     a: &[f32],
     b: &[f32],
-    need: &NeededRows,
+    need: &Arc<NeededRows>,
     want: &[f32],
 ) {
     let (pa, pb) = (engine.pack_a(M, k, a), engine.pack_b(k, n, b));

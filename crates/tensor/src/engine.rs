@@ -21,6 +21,7 @@
 //! forms and only repack after an optimizer step.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use crate::Tensor;
 
@@ -245,7 +246,9 @@ pub trait GemmEngine: Send + Sync {
     /// `gemm_packed` gives it, the rest of `out` is unspecified. The
     /// default computes the whole product, so every engine (and every
     /// wrapper that forwards only `gemm_packed`) stays correct; an engine
-    /// overrides it to skip the work of the entries nobody reads.
+    /// overrides it to skip the work of the entries nobody reads. `need`
+    /// is shared, so an engine that hands it to worker threads keeps a
+    /// reference instead of a copy.
     ///
     /// # Panics
     ///
@@ -259,7 +262,7 @@ pub trait GemmEngine: Send + Sync {
         n: usize,
         a: &PackedOperand,
         b: &PackedOperand,
-        need: &NeededRows,
+        need: &Arc<NeededRows>,
         out: &mut [f32],
     ) {
         assert_eq!((need.m(), need.n()), (m, n), "need must be m x n");

@@ -232,8 +232,9 @@ impl Layer for Conv2d {
         let mut dx = Tensor::zeros(&cache.in_shape);
         let mut drows = std::mem::take(&mut self.drows_scratch);
         if need.is_none_or(|need| need.contains(&true)) {
-            let needed =
-                need.map(|need| im2row_need(need, cache.in_shape, self.k, self.stride, self.pad));
+            let needed = need
+                .map(|need| im2row_need(need, cache.in_shape, self.k, self.stride, self.pad))
+                .map(Arc::new);
             drows.resize(ns * kdim, 0.0);
             let row_base = self.batch_offset * spatial;
             self.products.product(

@@ -203,7 +203,7 @@ impl WeightProducts {
         m: usize,
         row_base: usize,
         a: &[f32],
-        need: Option<&NeededRows>,
+        need: Option<&Arc<NeededRows>>,
         out: &mut [f32],
     ) {
         let (k, n) = self.shape(role);
