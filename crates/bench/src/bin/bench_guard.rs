@@ -22,6 +22,7 @@
 //! | `wgrad_32x512x288` SR13, 1-thread engine, B 63% zeros | packed path / one-shot `gemm` | floor | 1.4 | 1 |
 //! | `fwd_8192x72x8` SR13, 1-thread engine, A 49% zeros | ns per live lane-step at `n = 64` / at `n = 8` | floor | 0.65 | 1 |
 //! | `dgrad_masked_4096x8x72` SR13, 1-thread engine, half the entries needed | full `gemm_packed` / masked product | floor | 1.3 | 1 |
+//! | `conv_pack_32x8x16x16` SR13, 1-thread engine, input 51% non-zero | `f32` im2row + `pack_a` / `pack_a_im2row` | floor | 2.0 | 1 |
 //! | `train_scaling` | 1-replica step / 4-replica step | floor | 1.8 | 4 |
 //! | `serve_scaling` | 1-worker stream / 4-worker stream | floor | 1.8 | 4 |
 //! | `checkpoint_save` | save / `CKPT_SEGMENT_STEPS` steps | ceiling | 0.05 | 1 |
@@ -42,7 +43,12 @@
 //! caller reads half its entries (a ReLU'd input's, in the im2row
 //! pattern): the full product over `gemm_packed_masked`, which computes
 //! only the needed entries, so it catches a masked path that computes
-//! every output. The scaling rows compare
+//! every output. The `conv_pack` row is the stage-1 forward operand of
+//! the width-8 ResNet-20 at batch 32 and 16x16 inputs, from a ReLU'd
+//! input: unfolding the `f32` im2row matrix and packing it over
+//! `pack_a_im2row`, which quantizes the input once and gathers its codes,
+//! so it catches a byte path that builds the `f32` matrix. The scaling
+//! rows compare
 //! variants that compute identical bits by contract (pinned
 //! `grad_shards = 4`; serving batch invariance), so only scheduling can
 //! move them. The checkpoint row is the amortized auto-checkpointing tax
@@ -61,7 +67,8 @@ use srmac_bench::guard::{
 };
 use srmac_qgemm::{AccumRounding, MacGemm, MacGemmConfig};
 use srmac_rng::SplitMix64;
-use srmac_tensor::{available_threads, GemmEngine};
+use srmac_tensor::movement::im2row;
+use srmac_tensor::{available_threads, GemmEngine, Im2Row};
 
 /// Which side of its threshold a gate's median ratio must stay on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +122,7 @@ struct Gate {
     sampler: fn() -> Sampler,
 }
 
-const GATES: [Gate; 8] = [
+const GATES: [Gate; 9] = [
     Gate {
         name: "gemm_64x128x64 SR13 reference/batched, 1-thread engine",
         kind: Kind::Floor,
@@ -150,6 +157,13 @@ const GATES: [Gate; 8] = [
         threshold: 1.3,
         min_host_threads: 1,
         sampler: masked_dgrad,
+    },
+    Gate {
+        name: "conv_pack_32x8x16x16 SR13 f32 im2row+pack_a/pack_a_im2row, 1-thread engine, 51% non-zero",
+        kind: Kind::Floor,
+        threshold: 2.0,
+        min_host_threads: 1,
+        sampler: conv_pack,
     },
     Gate {
         name: "train_scaling 1-replica/4-replica step",
@@ -275,6 +289,36 @@ fn masked_dgrad() -> Sampler {
     Box::new(move || {
         let full = time_ns(|| engine.gemm_packed(m, k, n, &pa, &pb, &mut out));
         full / time_ns(|| engine.gemm_packed_masked(m, k, n, &pa, &pb, &need, &mut out))
+    })
+}
+
+/// The stage-1 3x3 forward operand of the width-8 ResNet-20 at batch 32
+/// and 16x16 inputs (`[32, 8, 16, 16]`, pad 1) on a 1-thread SR13
+/// engine, from an input 51% non-zero as a ReLU's output: unfolding the
+/// `f32` im2row matrix (`8192 x 72`) and `pack_a` over `pack_a_im2row` —
+/// the same operand.
+fn conv_pack() -> Sampler {
+    let geom = Im2Row::new([32, 8, 16, 16], 3, 1, 1);
+    let mut zeros = SplitMix64::new(12);
+    let x: Vec<f32> = rand_vec(geom.shape.iter().product(), 13)
+        .into_iter()
+        .map(|v| {
+            if zeros.next_f64() < 0.49 {
+                0.0
+            } else {
+                v.abs()
+            }
+        })
+        .collect();
+    let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+    let engine = MacGemm::new(cfg.with_threads(1));
+    let mut rows = vec![0.0f32; geom.rows() * geom.cols()];
+    Box::new(move || {
+        let unfolded = time_ns(|| {
+            im2row(&x, geom.shape, geom.k, geom.stride, geom.pad, &mut rows);
+            engine.pack_a(geom.rows(), geom.cols(), &rows)
+        });
+        unfolded / time_ns(|| engine.pack_a_im2row(&x, &geom))
     })
 }
 

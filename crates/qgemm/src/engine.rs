@@ -27,6 +27,15 @@
 //! transposed. The orientation is a pure function of the shape and the
 //! operand codes, and never changes a bit (see below).
 //!
+//! A convolution's operands never reach the engine as an `f32` im2row
+//! matrix. [`GemmEngine::pack_a_im2row`] and [`GemmEngine::gemm_im2row`]
+//! quantize the NCHW input once, 1/`k²` of the matrix's entries, and
+//! gather the forward rows, `Bᵀ`'s compaction or B's panel from those
+//! codes, with padding taps as the code of `+0`. The weight gradient is
+//! planned as the one-shot `gemm` of the matrix would be, with its
+//! statistics taken over the taps, so an input no tap reads cannot
+//! change the plan.
+//!
 //! Every product runs one plan — a compaction against a lane panel — on
 //! one operand layout per side. A NaN in the panel operand keeps the
 //! compaction whole ([`CompactA::keep_all`]), so `0 * NaN` reaches the
@@ -51,13 +60,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 use srmac_fp::FpFormat;
 use srmac_rng::{SplitMix64, SrLaneStreams};
 use srmac_runtime::Runtime;
-use srmac_tensor::{GemmEngine, NeededRows, PackSide, PackedOperand};
+use srmac_tensor::{GemmEngine, Im2Row, NeededRows, PackSide, PackedOperand};
 
 #[cfg(target_arch = "x86_64")]
 use crate::batch::z16;
 use crate::batch::{FastAdderBatch, Row, Stage, GROUP_ROWS, LANE_DRAWS, STAGE_STEPS};
 use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
+
+mod im2row;
+use im2row::ConvCodes;
 
 /// Lanes of every kernel call, and the width of the full panel blocks:
 /// the number of output elements [`FastAdderBatch`] advances per step.
@@ -1885,6 +1897,62 @@ impl MacGemm {
         compact
     }
 
+    /// Quantizes a convolution input once (see [`ConvCodes`]).
+    fn conv_codes(&self, x: &[f32], geom: &Im2Row) -> ConvCodes {
+        ConvCodes::new(x, geom, self.zero_code, |xs, out| {
+            self.quant.quantize_block(xs, out, self.kernel.tier);
+        })
+    }
+
+    /// The plan of a one-shot `m x k x n` product of A's compacted rows
+    /// against a B known by its zero-skip statistics `(nnz_b, b_nan)`,
+    /// as `(kernel m, kernel n, plan)` for [`MacGemm::gemm_codes`]. It
+    /// runs transposed when compacting `Bᵀ` costs fewer lane-steps and
+    /// neither operand holds a NaN; `columns` builds `Bᵀ`'s compaction
+    /// and `panel` B's lane panel, whichever the plan needs.
+    fn one_shot_plan(
+        &self,
+        (m, k, n): (usize, usize, usize),
+        rows_a: CompactA,
+        (nnz_b, b_nan): (usize, bool),
+        columns: impl FnOnce() -> CompactA,
+        panel: impl FnOnce() -> Vec<u8>,
+    ) -> (usize, usize, Plan) {
+        let (mag_mask, inf_mag) = self.code_masks();
+        let (_, a_nan) = code_stats(&rows_a.code, mag_mask, inf_mag);
+        if !a_nan && !b_nan && runs_transposed(m, n, rows_a.idx.len(), nnz_b) {
+            let plan = Plan {
+                compact: Arc::new(columns()),
+                panel: Arc::new(panel_from_rows(&rows_a, k, m, self.zero_code)),
+                orient: Orient::Transposed,
+            };
+            (n, m, plan)
+        } else {
+            let plan = self.plan_as_is(Arc::new(rows_a), k, Arc::new(panel()), b_nan);
+            (m, n, plan)
+        }
+    }
+
+    /// [`MacGemm::one_shot_plan`] of `a · im2row(x)` (see
+    /// [`GemmEngine::gemm_im2row`]), with B's statistics taken over the
+    /// taps and both of its layouts gathered from `x`'s codes.
+    fn im2row_plan(&self, m: usize, a: &[f32], x: &[f32], geom: &Im2Row) -> (usize, usize, Plan) {
+        let (k, n) = (geom.rows(), geom.cols());
+        assert_eq!(a.len(), m * k, "A must be m x geom.rows()");
+        let (mag_mask, inf_mag) = self.code_masks();
+        let tier = self.kernel.tier;
+        let rows_a = self.compact(m, k, a);
+        let codes = self.conv_codes(x, geom);
+        let stats = codes.tap_stats(mag_mask, inf_mag);
+        self.one_shot_plan(
+            (m, k, n),
+            rows_a,
+            stats,
+            || codes.compact_columns(stats.0, mag_mask, tier),
+            || build_panel(&codes.unfold(), k, n, self.zero_code),
+        )
+    }
+
     /// The magnitude mask and infinity magnitude of multiplier codes.
     fn code_masks(&self) -> (u8, u8) {
         let fmt = self.config.mul_fmt;
@@ -2013,7 +2081,8 @@ impl GemmEngine for MacGemm {
         );
     }
 
-    // The one-shot product (in training, only the weight gradients)
+    // The one-shot product (in training, the weight gradients: a linear
+    // layer's here, a convolution's through `gemm_im2row`, planned alike)
     // quantizes each operand once and compacts whichever side is cheaper
     // to skip: CSR compaction drops only the compacted operand's zeros,
     // and the sparse side of `dW = dYᵀ · rows` is B, the post-ReLU im2row
@@ -2037,24 +2106,43 @@ impl GemmEngine for MacGemm {
         let (mag_mask, inf_mag) = self.code_masks();
         let (tier, zero) = (self.kernel.tier, self.zero_code);
         let rows_a = self.compact(m, k, a);
-        let (_, a_nan) = code_stats(&rows_a.code, mag_mask, inf_mag);
         let bcode = self.quantize_codes(b);
-        let (nnz_b, b_nan) = code_stats(&bcode, mag_mask, inf_mag);
-        let (km, kn, plan) = if !a_nan && !b_nan && runs_transposed(m, n, rows_a.idx.len(), nnz_b) {
-            let plan = Plan {
-                compact: Arc::new(CompactA::build_transposed(
-                    &bcode, k, n, nnz_b, mag_mask, tier,
-                )),
-                panel: Arc::new(panel_from_rows(&rows_a, k, m, zero)),
-                orient: Orient::Transposed,
-            };
-            (n, m, plan)
-        } else {
-            let panel = Arc::new(build_panel(&bcode, k, n, zero));
-            (m, n, self.plan_as_is(Arc::new(rows_a), k, panel, b_nan))
-        };
+        let stats = code_stats(&bcode, mag_mask, inf_mag);
+        let (km, kn, plan) = self.one_shot_plan(
+            (m, k, n),
+            rows_a,
+            stats,
+            || CompactA::build_transposed(&bcode, k, n, stats.0, mag_mask, tier),
+            || build_panel(&bcode, k, n, zero),
+        );
         self.recycle_codes_buf(bcode);
         self.gemm_codes(km, k, kn, plan, out);
+    }
+
+    // A convolution's forward operand from one quantization of its
+    // input: the codes are gathered straight into the CSR rows, in
+    // im2row's row and column order, so the compaction holds the bytes
+    // `pack_a` of the `f32` im2row matrix would (see `ConvCodes`).
+    fn pack_a_im2row(&self, x: &[f32], geom: &Im2Row) -> PackedOperand {
+        let (mag_mask, inf_mag) = self.code_masks();
+        let codes = self.conv_codes(x, geom);
+        let (nnz, _) = codes.tap_stats(mag_mask, inf_mag);
+        let payload = MacPackedA {
+            compact: Arc::new(codes.compact_rows(nnz, mag_mask, self.kernel.tier)),
+            fingerprint: self.fingerprint(),
+        };
+        PackedOperand::new(PackSide::A, geom.rows(), geom.cols(), Box::new(payload))
+    }
+
+    // A convolution's weight gradient, planned as the one-shot `gemm` of
+    // the `f32` im2row matrix would be: the same statistics (over the
+    // taps, so an input no tap reads cannot change the plan), the same
+    // orientation, and `Bᵀ`'s compaction or B's panel gathered from one
+    // quantization of the input instead of a transpose.
+    fn gemm_im2row(&self, m: usize, a: &[f32], x: &[f32], geom: &Im2Row, out: &mut [f32]) {
+        assert_eq!(out.len(), m * geom.cols(), "out must be m x geom.cols()");
+        let (km, kn, plan) = self.im2row_plan(m, a, x, geom);
+        self.gemm_codes(km, geom.rows(), kn, plan, out);
     }
 
     // The spec atom of this configuration (`spec` module grammar), with
@@ -2712,6 +2800,44 @@ mod tests {
         assert_eq!(lane_cost(10, 72), 10 * 72);
         assert_eq!(lane_cost(10, 27), 10 * 32);
         assert_eq!(lane_cost(10, 100), 10 * 128);
+    }
+
+    #[test]
+    fn im2row_statistics_and_plan_read_only_the_taps() {
+        // A 1x1 stride-2 projection reads the even lines and columns only.
+        // A NaN in an input it skips must leave the statistics, and so the
+        // transposed plan, as they are without it; a NaN it reads keeps
+        // today's orientation.
+        let engine = MacGemm::new(
+            MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_threads(1),
+        );
+        let (mag, inf_mag) = engine.code_masks();
+        let geom = Im2Row::new([2, 4, 8, 6], 1, 2, 0);
+        let (m, shape) = (8, geom.shape);
+        let at = |img: usize, ch: usize, y: usize, x: usize| {
+            ((img * shape[1] + ch) * shape[2] + y) * shape[3] + x
+        };
+        let x: Vec<f32> = rand_vec(shape.iter().product(), 1, 2.0)
+            .into_iter()
+            .map(|v| v.max(0.0))
+            .collect();
+        let dy = rand_vec(m * geom.rows(), 2, 2.0);
+        let plan = |x: &[f32]| engine.im2row_plan(m, &dy, x, &geom).2.orient;
+        let stats = |x: &[f32]| engine.conv_codes(x, &geom).tap_stats(mag, inf_mag);
+        let rows = engine.quantize_codes(&geom.unfold(&x));
+        assert_eq!(stats(&x), code_stats(&rows, mag, inf_mag));
+        assert_eq!(plan(&x), Orient::Transposed);
+
+        let mut unread = x.clone();
+        unread[at(1, 2, 3, 4)] = f32::NAN;
+        unread[at(0, 1, 2, 5)] = 1.0;
+        assert_eq!(stats(&unread), stats(&x), "unread inputs");
+        assert_eq!(plan(&unread), Orient::Transposed, "unread NaN");
+
+        let mut read = x.clone();
+        read[at(1, 2, 4, 2)] = f32::NAN;
+        assert!(stats(&read).1, "a NaN the taps read");
+        assert_eq!(plan(&read), Orient::AsIs, "read NaN");
     }
 
     #[test]

@@ -19,11 +19,22 @@
 //! output position or thread count), so a packed operand can be reused
 //! across any number of products — the layers cache their weights' packed
 //! forms and only repack after an optimizer step.
+//!
+//! # Convolution operands
+//!
+//! A convolution's input reaches the engine as the NCHW tensor and its
+//! [`Im2Row`] geometry, never as an unfolded matrix:
+//! [`GemmEngine::pack_a_im2row`] prepares the forward operand and
+//! [`GemmEngine::gemm_im2row`] runs the weight gradient. By default both
+//! unfold an `f32` im2row matrix and run the plain methods, so an engine
+//! (or a wrapper) that implements only `pack_a`, `pack_b` and
+//! `gemm_packed` computes the same bits; the MAC engine overrides them to
+//! quantize the input once and build its operands from the codes.
 
 use std::any::Any;
 use std::sync::Arc;
 
-use crate::Tensor;
+use crate::{Im2Row, Tensor};
 
 /// Which side of the product an operand was prepared for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,6 +297,35 @@ pub trait GemmEngine: Send + Sync {
         let pa = self.pack_a(m, k, a);
         let pb = self.pack_b(k, n, b);
         self.gemm_packed(m, k, n, &pa, &pb, out);
+    }
+
+    /// Prepares the im2row matrix of the NCHW input `x` under `geom`
+    /// (`geom.rows() x geom.cols()`, see [`crate::movement::im2row`]) as a
+    /// left operand: a convolution's forward operand. The default unfolds
+    /// `x` into an `f32` matrix and runs [`GemmEngine::pack_a`] on it. An
+    /// engine may override it to build the operand from `x` itself, but
+    /// every product must give the bits of that composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match `geom.shape`.
+    fn pack_a_im2row(&self, x: &[f32], geom: &Im2Row) -> PackedOperand {
+        self.pack_a(geom.rows(), geom.cols(), &geom.unfold(x))
+    }
+
+    /// Computes `out = a · im2row(x)`, overwriting `out`, for an `a` of
+    /// `m x geom.rows()` and an `out` of `m x geom.cols()` (row-major): a
+    /// convolution's weight gradient. The default unfolds `x` into an
+    /// `f32` matrix and runs [`GemmEngine::gemm`] on it. An engine may
+    /// override it to read `x` itself, but the result must be
+    /// bit-identical to that composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match `geom.shape`; implementations may
+    /// panic if `a` or `out` disagree with their shapes.
+    fn gemm_im2row(&self, m: usize, a: &[f32], x: &[f32], geom: &Im2Row, out: &mut [f32]) {
+        self.gemm(m, geom.rows(), geom.cols(), a, &geom.unfold(x), out);
     }
 
     /// True when this engine's packing does real preparation work worth

@@ -2,10 +2,20 @@
 //! implemented as General Matrix Multiplications" (Sec. II-B). All three
 //! products — forward, weight gradient and data gradient — run on the
 //! session's GEMM engine and therefore on the emulated low-precision MAC
-//! when the experiment configures one. The data movement around them
-//! (im2row, col2im, the NCHW scatter/gathers) runs serially on the
-//! calling thread into per-layer scratch buffers, so a warmed-up training
-//! step performs no transient layout allocations in this layer.
+//! when the experiment configures one.
+//!
+//! The layer hands the engine its NCHW input and [`Im2Row`] geometry, not
+//! an unfolded matrix: the forward operand is
+//! [`GemmEngine::pack_a_im2row`] and the weight gradient
+//! [`GemmEngine::gemm_im2row`], so the MAC engine quantizes the input
+//! once and builds both operands from its codes. Training caches the
+//! input itself, an `Arc` share of the tensor the layer was given. The
+//! other layouts (the forward output rows, the two `dY` gathers, `dW`
+//! and `dRows`) are locals that run serially on the calling thread and
+//! drop after the product or fold that reads them. The trainer clones a
+//! fresh replica every step, so a layout buffer kept on the layer would
+//! never be reused: it would only stay allocated until the replica
+//! drops.
 //!
 //! The data gradient honours the demand contract of [`Layer`]: given the
 //! input-gradient entries its caller reads (a ReLU's mask, say), it lists
@@ -16,9 +26,9 @@
 use std::sync::Arc;
 
 use crate::engine::GemmEngine;
-use crate::layers::{Layer, Param, WeightProducts};
+use crate::layers::{Layer, Lhs, Param, WeightProducts};
 use crate::movement::{
-    col2im, conv_out_size, im2row, im2row_need, nchw_to_channel_rows, nchw_to_rows, rows_to_nchw,
+    col2im, conv_out_size, im2row_need, nchw_to_channel_rows, nchw_to_rows, rows_to_nchw, Im2Row,
 };
 use crate::numerics::{GemmRole, RoleEngines};
 use crate::Tensor;
@@ -28,8 +38,9 @@ use crate::Tensor;
 ///
 /// Each product dispatches on the engine its [`GemmRole`] resolves to:
 /// forward `rows · W^T` on `Forward`, `dRows = dY · W` on `BackwardData`,
-/// `dW = dY^T · rows` on `BackwardWeight`; a uniform policy
-/// ([`RoleEngines::uniform`]) runs all three on one shared engine. The
+/// `dW = dY^T · rows` on `BackwardWeight`, where `rows` is the im2row
+/// matrix of the input; a uniform policy ([`RoleEngines::uniform`]) runs
+/// all three on one shared engine. The
 /// forward and data-gradient products run on cached
 /// [`PackedOperand`](crate::PackedOperand)s keyed on the weight's
 /// version; each cache belongs to one role's engine, so mixed policies
@@ -43,25 +54,12 @@ pub struct Conv2d {
     pad: usize,
     weight: Param, // [out_c, in_c * k * k]
     products: WeightProducts,
-    cache: Option<Cache>,
+    /// The input of the last `forward(.., train=true)`, for `backward`.
+    cache: Option<Tensor>,
     /// Sample offset of this replica's sub-batch within the logical full
     /// batch (see [`Layer::set_batch_offset`]); 0 outside data-parallel
     /// replicas.
     batch_offset: usize,
-    /// Reusable layout buffers (see the module docs). `rows` migrates
-    /// into the training cache and returns after `backward`.
-    rows_scratch: Vec<f32>,
-    yt_scratch: Vec<f32>,
-    drows_scratch: Vec<f32>,
-    dy_ocns_scratch: Vec<f32>,
-    dy_nsoc_scratch: Vec<f32>,
-    dw_scratch: Vec<f32>,
-}
-
-struct Cache {
-    rows: Vec<f32>, // im2row matrix, [ns, K]
-    in_shape: [usize; 4],
-    out_hw: (usize, usize),
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -106,12 +104,6 @@ impl Conv2d {
             products: WeightProducts::new(out_c, in_c * k * k, engines),
             cache: None,
             batch_offset: 0,
-            rows_scratch: Vec::new(),
-            yt_scratch: Vec::new(),
-            drows_scratch: Vec::new(),
-            dy_ocns_scratch: Vec::new(),
-            dy_nsoc_scratch: Vec::new(),
-            dw_scratch: Vec::new(),
         }
     }
 
@@ -125,40 +117,32 @@ impl Conv2d {
     pub fn out_size(&self, s: usize) -> usize {
         conv_out_size(s, self.k, self.stride, self.pad)
     }
+
+    /// The im2row geometry of an NCHW input of `shape`.
+    fn geometry(&self, shape: &[usize]) -> Im2Row {
+        let shape = [shape[0], shape[1], shape[2], shape[3]];
+        Im2Row::new(shape, self.k, self.stride, self.pad)
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "conv expects NCHW input");
         assert_eq!(x.shape()[1], self.in_c, "channel mismatch");
-        let [n, _, h, w] = [x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]];
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let ns = n * oh * ow;
-        let kdim = self.in_c * self.k * self.k;
-
-        let mut rows = std::mem::take(&mut self.rows_scratch);
-        rows.resize(ns * kdim, 0.0);
-        im2row(
-            x.data(),
-            [n, self.in_c, h, w],
-            self.k,
-            self.stride,
-            self.pad,
-            &mut rows,
-        );
+        let geom = self.geometry(x.shape());
+        let n = geom.shape[0];
+        let (oh, ow) = geom.out_hw();
 
         // Yt (ns x out_c) = rows (ns x K) * W^T (K x out_c). Output row
         // r belongs to sample batch_offset + r/(oh*ow) of the logical full
         // batch, so the product runs on the row-offset engine.
-        let mut yt = std::mem::take(&mut self.yt_scratch);
-        yt.resize(ns * self.out_c, 0.0);
+        let mut yt = vec![0.0; geom.rows() * self.out_c];
         let row_base = self.batch_offset * oh * ow;
         self.products.product(
             GemmRole::Forward,
             &self.weight,
-            ns,
             row_base,
-            &rows,
+            Lhs::Im2Row(x.data(), &geom),
             None,
             &mut yt,
         );
@@ -166,16 +150,9 @@ impl Layer for Conv2d {
         // Scatter [n*oh*ow, out_c] -> [n, out_c, oh, ow].
         let mut y = Tensor::zeros(&[n, self.out_c, oh, ow]);
         rows_to_nchw(&yt, n, self.out_c, oh * ow, y.data_mut());
-        self.yt_scratch = yt;
-
         if train {
-            self.cache = Some(Cache {
-                rows,
-                in_shape: [n, self.in_c, h, w],
-                out_hw: (oh, ow),
-            });
-        } else {
-            self.rows_scratch = rows;
+            // An `Arc` share, not a copy: no layer writes its input.
+            self.cache = Some(x.clone());
         }
         y
     }
@@ -189,79 +166,66 @@ impl Layer for Conv2d {
             clippy::expect_used,
             reason = "documented contract — backward requires a prior forward(train=true)"
         )]
-        let cache = self
+        let x = self
             .cache
             .take()
             .expect("backward before forward(train=true)");
-        let [n, _, _, _] = cache.in_shape;
-        let (oh, ow) = cache.out_hw;
+        let geom = self.geometry(x.shape());
+        let (n, ns, kdim) = (geom.shape[0], geom.rows(), geom.cols());
+        let (oh, ow) = geom.out_hw();
         let spatial = oh * ow;
-        let ns = n * spatial;
-        let kdim = self.in_c * self.k * self.k;
-
-        // Gather grad into both layouts used by the two products.
-        let mut dy_ocns = std::mem::take(&mut self.dy_ocns_scratch); // [oc, n*s]
-        dy_ocns.resize(self.out_c * ns, 0.0);
-        nchw_to_channel_rows(grad.data(), n, self.out_c, spatial, &mut dy_ocns);
-        let mut dy_nsoc = std::mem::take(&mut self.dy_nsoc_scratch); // [n*s, oc]
-        dy_nsoc.resize(ns * self.out_c, 0.0);
-        nchw_to_rows(grad.data(), n, self.out_c, spatial, &mut dy_nsoc);
 
         // dW (out_c x K) = dY (out_c x ns) * rows (ns x K) — both operands
         // are fresh per step, so this is a one-shot product (whose engine
         // may zero-skip the post-ReLU `rows` rather than `dY`).
-        let mut dw = std::mem::take(&mut self.dw_scratch);
-        dw.resize(self.out_c * kdim, 0.0);
-        self.products.engine(GemmRole::BackwardWeight).gemm(
+        let mut dy_ocns = vec![0.0; self.out_c * ns];
+        nchw_to_channel_rows(grad.data(), n, self.out_c, spatial, &mut dy_ocns);
+        let mut dw = vec![0.0; self.out_c * kdim];
+        self.products.engine(GemmRole::BackwardWeight).gemm_im2row(
             self.out_c,
-            ns,
-            kdim,
             &dy_ocns,
-            &cache.rows,
+            x.data(),
+            &geom,
             &mut dw,
         );
+        drop(dy_ocns);
         for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&dw) {
             *g += d;
         }
+        drop(dw);
 
         // dRows (ns x K) = dY (ns x out_c) * W (out_c x K); row-offset like
         // the forward product (wgrad above is not: its output positions are
         // weight coordinates, identical for every sub-batch). Only the
         // entries that fold into a needed input position are computed; a
         // caller that needs none gets no product and no fold at all.
-        let mut dx = Tensor::zeros(&cache.in_shape);
-        let mut drows = std::mem::take(&mut self.drows_scratch);
+        let mut dx = Tensor::zeros(x.shape());
         if need.is_none_or(|need| need.contains(&true)) {
             let needed = need
-                .map(|need| im2row_need(need, cache.in_shape, self.k, self.stride, self.pad))
+                .map(|need| im2row_need(need, geom.shape, self.k, self.stride, self.pad))
                 .map(Arc::new);
-            drows.resize(ns * kdim, 0.0);
+            let mut dy_nsoc = vec![0.0; ns * self.out_c];
+            nchw_to_rows(grad.data(), n, self.out_c, spatial, &mut dy_nsoc);
+            let mut drows = vec![0.0; ns * kdim];
             let row_base = self.batch_offset * spatial;
             self.products.product(
                 GemmRole::BackwardData,
                 &self.weight,
-                ns,
                 row_base,
-                &dy_nsoc,
+                Lhs::Rows(ns, &dy_nsoc),
                 needed.as_ref(),
                 &mut drows,
             );
+            drop(dy_nsoc);
             col2im(
                 &drows,
-                cache.in_shape,
+                geom.shape,
                 self.k,
                 self.stride,
                 self.pad,
                 dx.data_mut(),
             );
         }
-
-        // Return every buffer for the next step.
-        self.drows_scratch = drows;
-        self.dy_ocns_scratch = dy_ocns;
-        self.dy_nsoc_scratch = dy_nsoc;
-        self.dw_scratch = dw;
-        self.rows_scratch = cache.rows;
         dx
     }
 

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::engine::GemmEngine;
-use crate::layers::{Layer, Param, WeightProducts};
+use crate::layers::{Layer, Lhs, Param, WeightProducts};
 use crate::movement::transpose;
 use crate::numerics::{GemmRole, RoleEngines};
 use crate::Tensor;
@@ -31,8 +31,6 @@ pub struct Linear {
     /// replicas. For a linear layer one output row is one sample, so this
     /// is the row base directly.
     batch_offset: usize,
-    /// Reusable `dW` scratch for the gradient accumulation.
-    dw_scratch: Vec<f32>,
 }
 
 impl std::fmt::Debug for Linear {
@@ -63,7 +61,6 @@ impl Linear {
             products: WeightProducts::new(out_f, in_f, engines),
             cache: None,
             batch_offset: 0,
-            dw_scratch: Vec::new(),
         }
     }
 }
@@ -80,9 +77,8 @@ impl Layer for Linear {
         self.products.product(
             GemmRole::Forward,
             &self.weight,
-            n,
             row_base,
-            x.data(),
+            Lhs::Rows(n, x.data()),
             None,
             y.data_mut(),
         );
@@ -113,8 +109,7 @@ impl Layer for Linear {
         // fresh per step, so this is a one-shot product (whose engine may
         // zero-skip X rather than dY^T).
         let dyt = transpose(grad.data(), n, self.out_f);
-        let mut dw = std::mem::take(&mut self.dw_scratch);
-        dw.resize(self.out_f * self.in_f, 0.0);
+        let mut dw = vec![0.0; self.out_f * self.in_f];
         self.products.engine(GemmRole::BackwardWeight).gemm(
             self.out_f,
             n,
@@ -126,7 +121,6 @@ impl Layer for Linear {
         for (g, d) in self.weight.grad.data_mut().iter_mut().zip(&dw) {
             *g += d;
         }
-        self.dw_scratch = dw;
 
         // db = column sums of dY.
         for row in grad.data().chunks(self.out_f) {
@@ -143,9 +137,8 @@ impl Layer for Linear {
         self.products.product(
             GemmRole::BackwardData,
             &self.weight,
-            n,
             row_base,
-            grad.data(),
+            Lhs::Rows(n, grad.data()),
             None,
             dx.data_mut(),
         );

@@ -18,7 +18,7 @@ pub use norm::BatchNorm2d;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::movement::transpose;
+use crate::movement::{transpose, Im2Row};
 use crate::numerics::{GemmRole, RoleEngines};
 use crate::{GemmEngine, NeededRows, PackedOperand, Tensor};
 
@@ -195,29 +195,54 @@ impl WeightProducts {
     /// `out (m x K) = a (m x out) · W` for `BackwardData`. With `need`,
     /// only the entries it lists are specified (see
     /// [`GemmEngine::gemm_packed_masked`]).
-    #[allow(clippy::too_many_arguments)]
     fn product(
         &mut self,
         role: GemmRole,
         w: &Param,
-        m: usize,
         row_base: usize,
-        a: &[f32],
+        a: Lhs<'_>,
         need: Option<&Arc<NeededRows>>,
         out: &mut [f32],
     ) {
         let (k, n) = self.shape(role);
+        let m = a.rows();
         if self.use_packed(role) {
             let b = self.pack(role, w);
             let engine = self.role_engine(role, row_base);
-            let pa = engine.pack_a(m, k, a);
+            let pa = match a {
+                Lhs::Rows(_, a) => engine.pack_a(m, k, a),
+                Lhs::Im2Row(x, geom) => engine.pack_a_im2row(x, geom),
+            };
             match need {
                 Some(need) => engine.gemm_packed_masked(m, k, n, &pa, &b, need, out),
                 None => engine.gemm_packed(m, k, n, &pa, &b, out),
             }
         } else {
+            let a = match a {
+                Lhs::Rows(_, a) => Cow::Borrowed(a),
+                Lhs::Im2Row(x, geom) => Cow::Owned(geom.unfold(x)),
+            };
             let b = self.operand(role, w);
-            self.role_engine(role, row_base).gemm(m, k, n, a, &b, out);
+            self.role_engine(role, row_base).gemm(m, k, n, &a, &b, out);
+        }
+    }
+}
+
+/// The left operand of a [`WeightProducts`] product.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// A row-major `m x K` matrix, as `(m, a)`.
+    Rows(usize, &'a [f32]),
+    /// The im2row matrix of an NCHW input (see [`Im2Row`]).
+    Im2Row(&'a [f32], &'a Im2Row),
+}
+
+impl Lhs<'_> {
+    /// The operand's row count `m`.
+    fn rows(&self) -> usize {
+        match self {
+            Lhs::Rows(m, _) => *m,
+            Lhs::Im2Row(_, geom) => geom.rows(),
         }
     }
 }

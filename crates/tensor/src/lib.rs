@@ -68,7 +68,7 @@ pub use engine::{matmul, F32Engine, GemmEngine, NeededRows, PackSide, PackedOper
 pub use grads::{flatten_grads, grad_len, scatter_grads};
 pub use layers::{Layer, Param, Sequential};
 pub use loss::{count_correct, softmax_cross_entropy};
-pub use movement::transpose;
+pub use movement::{transpose, Im2Row};
 pub use numerics::{GemmRole, Numerics, NumericsBuilder, PolicySpec, RoleEngines, SpecError};
 pub use optim::{CosineLr, LossScaler, Sgd};
 // The parallel runtime the qgemm engine and the trainer's replicas

@@ -28,6 +28,81 @@ pub fn conv_out_size(s: usize, k: usize, stride: usize, pad: usize) -> usize {
     (s + 2 * pad - k) / stride + 1
 }
 
+/// The geometry of an [`im2row`] unfold: an NCHW input of `shape`
+/// under a square `k x k` kernel at `stride`, with `pad` zero taps on
+/// every border. Its matrix is [`Im2Row::rows`] x [`Im2Row::cols`]
+/// (`[n*oh*ow, c*k*k]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Im2Row {
+    /// The input's `[n, c, h, w]`.
+    pub shape: [usize; 4],
+    /// The kernel's height and width.
+    pub k: usize,
+    /// The step between neighbouring output positions.
+    pub stride: usize,
+    /// The zero taps on every border.
+    pub pad: usize,
+}
+
+impl Im2Row {
+    /// The geometry, validated as [`conv_out_size`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` or `stride` is zero, or the padded input is smaller
+    /// than the kernel.
+    #[must_use]
+    pub fn new(shape: [usize; 4], k: usize, stride: usize, pad: usize) -> Self {
+        let geom = Self {
+            shape,
+            k,
+            stride,
+            pad,
+        };
+        let _ = geom.out_hw();
+        geom
+    }
+
+    /// The output's height and width.
+    ///
+    /// # Panics
+    ///
+    /// As [`Im2Row::new`].
+    #[must_use]
+    pub fn out_hw(&self) -> (usize, usize) {
+        let [_, _, h, w] = self.shape;
+        (
+            conv_out_size(h, self.k, self.stride, self.pad),
+            conv_out_size(w, self.k, self.stride, self.pad),
+        )
+    }
+
+    /// Rows of the matrix: one per output position, `n*oh*ow`.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        let (oh, ow) = self.out_hw();
+        self.shape[0] * oh * ow
+    }
+
+    /// Columns of the matrix: one per kernel tap, `c*k*k`.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.shape[1] * self.k * self.k
+    }
+
+    /// The [`im2row`] matrix of `x`, freshly allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the NCHW shape.
+    #[must_use]
+    pub fn unfold(&self, x: &[f32]) -> Vec<f32> {
+        let mut rows = vec![0.0; self.rows() * self.cols()];
+        im2row(x, self.shape, self.k, self.stride, self.pad, &mut rows);
+        rows
+    }
+}
+
 /// Unfolds NCHW input `x` into the im2row matrix `rows`
 /// (`[n*oh*ow, c*k*k]`), one GEMM row per output position. Out-of-bounds
 /// (padding) taps are written as `0.0`.
